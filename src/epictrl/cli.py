@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -525,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    os.environ.setdefault("EPICTRL_THREADS", "1")  # execution is serial today
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -17,10 +17,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ParseError, ValidationError
 
 META_SOURCE_LABEL = "__source__"
+
+# Cells, rows x (n + m), per block of the component kernel. It bounds a
+# block's edge arrays and label array together and keeps block vertex ids
+# far below int32. On the sparse Monte Carlo benchmark, half this ran ~7%
+# slower and four times this raised peak memory by ~6 MB.
+CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -222,6 +230,38 @@ def removal_edge_keep(network: ContactNetwork, removed: Intervention | None) -> 
     return keep
 
 
+def source_component_sizes(network: ContactNetwork, keep_rows: np.ndarray) -> np.ndarray:
+    """Size of the source's component for each row of a kept-edge matrix.
+
+    This is the one component-size kernel. Rows go through
+    :func:`_component_labels` in blocks of ``max(1, CELLS // (n + m))``.
+    """
+    step = max(1, CELLS // (network.n + network.m))
+    sizes = np.empty(len(keep_rows), dtype=np.int64)
+    for start in range(0, len(keep_rows), step):
+        labels = _component_labels(network, keep_rows[start:start + step])
+        sizes[start:start + len(labels)] = (labels == labels[:, [network.source]]).sum(axis=1)
+    return sizes
+
+
+def _component_labels(network: ContactNetwork, keep_rows: np.ndarray) -> np.ndarray:
+    """Component label of every vertex, one row per kept-edge row.
+
+    The rows are stacked into one block-diagonal graph (row r's kept edges
+    with endpoints offset by r*n) whose components are found in a single
+    ``connected_components`` call. A self-loop joins a vertex only to
+    itself, so self-loops stay inert.
+    """
+    r, n = len(keep_rows), network.n
+    rows, edges = np.nonzero(keep_rows)
+    offset = rows * n
+    graph = sparse.csr_matrix(
+        (np.ones(len(edges)), (network.us[edges] + offset, network.vs[edges] + offset)),
+        shape=(r * n, r * n),
+    )
+    return connected_components(graph, directed=False)[1].reshape(r, n)
+
+
 def component_of(
     network: ContactNetwork,
     removed: Intervention | None = None,
@@ -236,19 +276,11 @@ def component_of(
     keep = removal_edge_keep(network, removed)
     if edge_mask is not None:
         keep = keep & np.asarray(edge_mask, dtype=bool)
-    adj = network.adjacency(keep)
-    seen = np.zeros(network.n, dtype=bool)
-    seen[network.source] = True
-    stack = [network.source]
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    members = tuple(int(v) for v in np.flatnonzero(seen))
-    inside = seen[network.us] ^ seen[network.vs]
-    boundary = tuple(int(e) for e in np.flatnonzero(inside))
+    labels = _component_labels(network, keep[np.newaxis, :])[0]
+    inside = labels == labels[network.source]
+    members = tuple(int(v) for v in np.flatnonzero(inside))
+    cross = inside[network.us] ^ inside[network.vs]
+    boundary = tuple(int(e) for e in np.flatnonzero(cross))
     return ComponentReport(members=members, boundary=boundary)
 
 

@@ -18,7 +18,12 @@ import numpy as np
 
 from . import rng
 from .errors import InstanceTooLargeError, ValidationError
-from .network import ContactNetwork, Intervention, removal_edge_keep
+from .network import (
+    ContactNetwork,
+    Intervention,
+    removal_edge_keep,
+    source_component_sizes,
+)
 
 # Largest edge count for which a full 2^m reachability table is built.
 MASK_TABLE_CAP = 16
@@ -77,70 +82,14 @@ def sample_subgraph(network: ContactNetwork, seed: int, index: int = 0) -> Perco
     )
 
 
-def _union_find_sizes(network: ContactNetwork, keep_rows: np.ndarray) -> np.ndarray:
-    """Source-component size per row of a kept-edge matrix (reference path)."""
-    n, s = network.n, network.source
-    us, vs = network.us, network.vs
-    loops = us == vs
-    sizes = np.empty(len(keep_rows), dtype=np.int64)
-    for i, row in enumerate(keep_rows):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in np.flatnonzero(row & ~loops):
-            ra, rb = find(int(us[e])), find(int(vs[e]))
-            if ra != rb:
-                parent[rb] = ra
-        root = find(s)
-        sizes[i] = sum(1 for v in range(n) if find(v) == root)
-    return sizes
-
-
-def _label_prop_sizes(network: ContactNetwork, keep_rows: np.ndarray) -> np.ndarray:
-    """Source-component sizes for a whole batch by min-label propagation.
-
-    All rows are relaxed together: for each edge, rows keeping it pull both
-    endpoint labels down to their minimum, until a full sweep changes
-    nothing. Vectorizes across samples, which beats per-row traversal once
-    the batch is large.
-    """
-    n, s = network.n, network.source
-    rows = keep_rows.shape[0]
-    labels = np.tile(np.arange(n, dtype=np.int32), (rows, 1))
-    live = [e for e in range(network.m) if network.us[e] != network.vs[e]]
-    edge_rows = [np.flatnonzero(keep_rows[:, e]) for e in live]
-    changed = True
-    while changed:
-        changed = False
-        for e, idx in zip(live, edge_rows):
-            if len(idx) == 0:
-                continue
-            u, v = int(network.us[e]), int(network.vs[e])
-            lu = labels[idx, u]
-            lv = labels[idx, v]
-            mn = np.minimum(lu, lv)
-            if not np.array_equal(lu, mn):
-                labels[idx, u] = mn
-                changed = True
-            if not np.array_equal(lv, mn):
-                labels[idx, v] = mn
-                changed = True
-    return (labels == labels[:, s][:, np.newaxis]).sum(axis=1).astype(np.int64)
-
-
 def infection_table(network: ContactNetwork) -> np.ndarray:
     """Source-component size for every kept-edge bitmask (m <= 16).
 
     Entry ``t[mask]`` is the number of vertices reachable from the source
     when exactly the edges whose bits are set in ``mask`` are present.
-    Built once per network (cached) by min-label propagation over all masks
-    simultaneously; used to vectorize Monte Carlo and exhaustive evaluation
-    on small instances.
+    Built once per network (cached) by running all 2^m masks through the
+    component kernel; used to vectorize Monte Carlo and exhaustive
+    evaluation on small instances.
     """
     cached = network.__dict__.get("_infection_table")
     if cached is not None:
@@ -148,31 +97,9 @@ def infection_table(network: ContactNetwork) -> np.ndarray:
     m = network.m
     if m > MASK_TABLE_CAP:
         raise InstanceTooLargeError(f"mask table needs m <= {MASK_TABLE_CAP}, got {m}")
-    n, s = network.n, network.source
-    size = 1 << m
-    masks = np.arange(size, dtype=np.int64)
-    labels = np.tile(np.arange(n, dtype=np.int32), (size, 1))
-    edge_rows = [
-        np.flatnonzero((masks >> e) & 1)
-        for e in range(m)
-    ]
-    live = [e for e in range(m) if network.us[e] != network.vs[e]]
-    changed = True
-    while changed:
-        changed = False
-        for e in live:
-            rows = edge_rows[e]
-            u, v = int(network.us[e]), int(network.vs[e])
-            lu = labels[rows, u]
-            lv = labels[rows, v]
-            mn = np.minimum(lu, lv)
-            if not np.array_equal(lu, mn):
-                labels[rows, u] = mn
-                changed = True
-            if not np.array_equal(lv, mn):
-                labels[rows, v] = mn
-                changed = True
-    table = (labels == labels[:, s][:, np.newaxis]).sum(axis=1).astype(np.int64)
+    masks = np.arange(1 << m, dtype=np.int32)[:, np.newaxis]
+    bits = (masks >> np.arange(m, dtype=np.int32)) & 1
+    table = source_component_sizes(network, bits.astype(bool))
     object.__setattr__(network, "_infection_table", table)
     return table
 
@@ -199,7 +126,8 @@ def component_sizes(
     """Source-component sizes for a batch of samples under an intervention.
 
     Uses the 2^m reachability table when the instance is small enough
-    (or one is supplied); otherwise falls back to per-row union-find.
+    (or one is supplied); otherwise runs the rows through the batched
+    component kernel.
     """
     keep_rows = np.asarray(keep_rows, dtype=bool)
     if table is None and network.m <= MASK_TABLE_CAP:
@@ -207,11 +135,7 @@ def component_sizes(
     if table is not None:
         masks = keep_rows_to_masks(keep_rows) & intervention_keep_bits(network, removed)
         return table[masks]
-    rkeep = removal_edge_keep(network, removed)
-    effective = keep_rows & rkeep
-    if len(effective) >= 32:
-        return _label_prop_sizes(network, effective)
-    return _union_find_sizes(network, effective)
+    return source_component_sizes(network, keep_rows & removal_edge_keep(network, removed))
 
 
 def estimate_infections(
@@ -272,27 +196,24 @@ def exact_expected_infections(
     r = len(random_ids)
     if r > 22:
         raise InstanceTooLargeError(f"exact oracle caps at 22 random edges, got {r}")
-    # pattern weights and kept-edge masks built edge by edge (Kronecker growth)
+    # pattern i keeps random edge random_ids[k] iff bit k of i is set
     weights = np.ones(1, dtype=np.float64)
+    for e in random_ids:
+        p = float(network.probs[e])
+        weights = np.concatenate([weights * (1.0 - p), weights * p])
     if network.m <= MASK_TABLE_CAP:
-        table = infection_table(network)
         base = int(keep_rows_to_masks(always[np.newaxis, :])[0])
         masks = np.full(1, base, dtype=np.int64)
         for e in random_ids:
-            p = float(network.probs[e])
-            weights = np.concatenate([weights * (1.0 - p), weights * p])
             masks = np.concatenate([masks, masks | (1 << int(e))])
-        mean = float(np.dot(weights, table[masks].astype(np.float64)))
+        sizes = infection_table(network)[masks]
     else:
-        for e in random_ids:
-            p = float(network.probs[e])
-            weights = np.concatenate([weights * (1.0 - p), weights * p])
         rows = np.tile(always, (1 << r, 1))
         for bit, e in enumerate(random_ids):
             on = (np.arange(1 << r) >> bit) & 1
             rows[:, e] = on.astype(bool)
-        sizes = _union_find_sizes(network, rows)
-        mean = float(np.dot(weights, sizes.astype(np.float64)))
+        sizes = source_component_sizes(network, rows)
+    mean = float(np.dot(weights, sizes.astype(np.float64)))
     return InfectionEstimate(mean=mean, half_width=0.0, num_samples=1 << r, exact=True)
 
 

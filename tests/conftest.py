@@ -69,6 +69,27 @@ def random_connected_network(rng, n_lo=4, n_hi=8, max_m=12, p_mode="random",
     return make_network(n, edges, probs=probs, costs=costs)
 
 
+def union_find_component(network, keep) -> tuple[int, ...]:
+    """Reference source component (ascending ids) of one kept-edge row."""
+    parent = list(range(network.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in np.flatnonzero(keep):
+        parent[find(int(network.us[e]))] = find(int(network.vs[e]))
+    root = find(network.source)
+    return tuple(v for v in range(network.n) if find(v) == root)
+
+
+def union_find_sizes(network, keep_rows) -> np.ndarray:
+    """Reference source-component size of each kept-edge row."""
+    return np.array([len(union_find_component(network, row)) for row in keep_rows],
+                    dtype=np.int64)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epictrl import (
@@ -15,15 +16,18 @@ from epictrl import (
     sample_subgraph,
 )
 from epictrl.percolate import (
+    MASK_TABLE_CAP,
     PercolationSample,
-    _union_find_sizes,
     component_sizes,
     infection_table,
     sample_keep_matrix,
 )
 
-from conftest import make_network, path_network, star_network, triangle_network, \
-    random_connected_network
+from epictrl import network as network_module
+from epictrl.network import component_of, node_removal, removal_edge_keep
+
+from conftest import complete_network, make_network, path_network, star_network, \
+    triangle_network, random_connected_network, union_find_component, union_find_sizes
 
 
 # ------------------------------------------------------------- sampling
@@ -139,7 +143,7 @@ def test_exact_vs_union_find_path_agree(rng):
         net = random_connected_network(rng, n_lo=4, n_hi=6, max_m=9)
         keep = sample_keep_matrix(net, 11, 0, 64)
         via_table = component_sizes(net, keep, None)
-        via_uf = _union_find_sizes(net, keep)
+        via_uf = union_find_sizes(net, keep)
         assert np.array_equal(via_table, via_uf)
 
 
@@ -207,7 +211,54 @@ def test_infection_table_matches_component_walks():
     # exhaustive cross-check against the generic component walk
     for mask in range(1 << net.m):
         keep = np.array([(mask >> e) & 1 == 1 for e in range(net.m)])
-        assert table[mask] == _union_find_sizes(net, keep[np.newaxis, :])[0]
+        assert table[mask] == union_find_sizes(net, keep[np.newaxis, :])[0]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random graph (self-loops allowed), kept-edge rows and a removal."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    m = draw(st.integers(0, min(len(pairs), MASK_TABLE_CAP + 6)))
+    edges = draw(st.permutations(pairs))[:m]
+    net = make_network(n, edges, probs=0.5, source=draw(st.integers(0, n - 1)))
+    rows = draw(st.integers(0, 40))
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    keep = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((rows, m)) < density
+    kind = draw(st.sampled_from(["none", "edge", "node"]))
+    if kind == "edge":
+        removed = edge_removal(net, draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m)))
+    elif kind == "node":
+        others = [v for v in range(n) if v != net.source]
+        removed = node_removal(net, draw(st.sets(st.sampled_from(others), max_size=3))
+                               if others else [])
+    else:
+        removed = None
+    return net, keep, removed, draw(st.integers(1, 200))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernel_cases())
+@example(case=(make_network(3, []), np.zeros((5, 0), dtype=bool), None, 1))
+@example(case=(path_network(), np.zeros((0, 2), dtype=bool), None, 1))
+@example(case=(make_network(4, [(0, 0), (1, 2), (2, 3)]), np.ones((4, 3), dtype=bool), None, 7))
+@example(case=(complete_network(7), np.ones((9, 21), dtype=bool),
+               edge_removal(complete_network(7), [0, 1]), 60))
+def test_component_kernel_matches_union_find(case):
+    net, keep, removed, cells = case
+    effective = keep & removal_edge_keep(net, removed)
+    expected = union_find_sizes(net, effective)
+    # the mask table (m <= 16) or the kernel (m > 16) behind component_sizes
+    assert np.array_equal(component_sizes(net, keep, removed), expected)
+    # small blocks: many per batch, the last one usually partial
+    with mock.patch.object(network_module, "CELLS", cells):
+        assert np.array_equal(network_module.source_component_sizes(net, effective), expected)
+        for row, kept in zip(keep[:3], effective):
+            rep = component_of(net, removed, edge_mask=row)
+            members = union_find_component(net, kept)
+            assert rep.members == members
+            inside = np.isin(net.us, members) != np.isin(net.vs, members)
+            assert rep.boundary == tuple(np.flatnonzero(inside))
 
 
 def test_estimate_order_insensitive_totals():

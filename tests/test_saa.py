@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from epictrl import (
+    InstanceTooLargeError,
     SolverError,
     ValidationError,
     brute_force_optimum,
@@ -264,6 +265,14 @@ def test_brute_force_node_mode():
     ss = draw_samples(net, 1, seed=0)
     best, h = brute_force_optimum(ss, budget=1.0, mode="node")
     assert best.members == (1,) and h == 1.0
+
+
+@pytest.mark.parametrize("mode", ["edge", "node"])
+def test_brute_force_rejects_m_above_mask_table_cap(mode):
+    net = star_network(17, p=0.5)
+    ss = draw_samples(net, 2, seed=0)
+    with pytest.raises(InstanceTooLargeError, match="m <= 16"):
+        brute_force_optimum(ss, budget=1.0, mode=mode)
 
 
 # ------------------------------------------------------------- hit sets
