@@ -23,11 +23,10 @@ from scipy.special import gammaln, logsumexp
 from . import rng
 from .errors import InstanceTooLargeError, ValidationError
 from .network import ContactNetwork
+from .percolate import Z99
 
 PATH_GRAPH_CAP = 12  # exhaustive path census cap on vertex count
 ENUMERATION_CAP = 10_000_000  # max composition vectors for direct sums
-
-_Z99 = 2.5758293035489004
 
 
 @dataclass(frozen=True)
@@ -256,9 +255,9 @@ def estimate_percolated_paths(
     means = sums / trials
     if trials > 1:
         var = np.maximum(sq_sums - trials * means * means, 0.0) / (trials - 1)
-        hw = _Z99 * np.sqrt(var / trials)
+        hw = Z99 * np.sqrt(var / trials)
         tvar = max(tot_sq - trials * (tot_sum / trials) ** 2, 0.0) / (trials - 1)
-        thw = _Z99 * math.sqrt(tvar / trials)
+        thw = Z99 * math.sqrt(tvar / trials)
     else:
         hw = np.full(k_max, math.inf)
         thw = math.inf

@@ -34,7 +34,7 @@ from .network import (
     node_removal,
     write_network,
 )
-from .percolate import estimate_infections, exact_expected_infections
+from .percolate import Z99, estimate_infections, exact_expected_infections
 
 SCHEMA_VERSION = 1
 
@@ -357,7 +357,7 @@ def _oracle_percolation(g, instances):
         net = _random_oracle_instance(g)
         exact = exact_expected_infections(net, None)
         est = estimate_infections(net, None, 20000, int(g.integers(0, 2 ** 31)))
-        sigma = est.half_width / 2.5758293035489004
+        sigma = est.half_width / Z99
         ok = abs(est.mean - exact.mean) <= 4.0 * max(sigma, 1e-12)
         checks.append({"instance": i, "n": net.n, "m": net.m,
                        "exact": exact.mean, "mc": est.mean, "pass": bool(ok)})

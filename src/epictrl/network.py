@@ -67,12 +67,15 @@ class ContactNetwork:
         if np.any(costs < 0.0):
             bad = int(np.flatnonzero(costs < 0)[0])
             raise ValidationError(f"edge {bad}: negative cost {costs[bad]}")
-        seen = set()
-        for e in range(len(us)):
-            key = (min(us[e], vs[e]), max(us[e], vs[e]))
-            if key in seen:
+        if len(us):
+            pair_keys = np.minimum(us, vs) * self.n + np.maximum(us, vs)
+            first = np.zeros(len(us), dtype=bool)
+            first[np.unique(pair_keys, return_index=True)[1]] = True
+            if not first.all():
+                # the first edge whose unordered pair appeared earlier
+                e = int(np.flatnonzero(~first)[0])
+                key = (min(us[e], vs[e]), max(us[e], vs[e]))
                 raise ValidationError(f"duplicate undirected edge {key}")
-            seen.add(key)
         if self.labels is not None and len(self.labels) != self.n:
             raise ValidationError("label map length must equal vertex count")
         for arr, name in ((us, "us"), (vs, "vs"), (costs, "costs"), (probs, "probs")):
@@ -120,6 +123,15 @@ class ContactNetwork:
             adj[u].append((v, e))
             adj[v].append((u, e))
         return adj
+
+    def with_source(self, source: int | None) -> "ContactNetwork":
+        """This network with its source moved to ``source`` (None keeps it)."""
+        if source is None or source == self.source:
+            return self
+        return ContactNetwork(
+            n=self.n, us=self.us, vs=self.vs, costs=self.costs,
+            probs=self.probs, source=source, labels=self.labels,
+        )
 
     def with_uniform_probability(self, p: float) -> "ContactNetwork":
         """Copy of this network with every transmission probability set to p."""

@@ -30,7 +30,7 @@ MASK_TABLE_CAP = 16
 
 # z for the 99% two-sided normal half-width used in estimates.
 CONFIDENCE = 0.99
-_Z99 = 2.5758293035489004
+Z99 = 2.5758293035489004
 
 
 @dataclass(frozen=True)
@@ -164,14 +164,23 @@ def estimate_infections(
         total += int(sizes.sum())
         total_sq += int((sizes * sizes).sum())
         done += count
+    mean, half = mean_half_width(total, total_sq, num_samples)
+    return InfectionEstimate(mean=mean, half_width=half, num_samples=num_samples)
+
+
+def mean_half_width(total: int, total_sq: int, num_samples: int) -> tuple[float, float]:
+    """Mean and 99% normal half-width from integer sums of x and x^2.
+
+    The half-width is infinite for a single sample.
+    """
     mean = total / num_samples
     if num_samples > 1:
         var = (total_sq - num_samples * mean * mean) / (num_samples - 1)
         var = max(var, 0.0)
-        half = _Z99 * math.sqrt(var / num_samples)
+        half = Z99 * math.sqrt(var / num_samples)
     else:
         half = math.inf
-    return InfectionEstimate(mean=mean, half_width=half, num_samples=num_samples)
+    return mean, half
 
 
 def _fold_deterministic(network: ContactNetwork, removed: Intervention | None):

@@ -9,12 +9,19 @@ times and keeping the Monte Carlo best turns the constant success
 probability into a high-probability guarantee.
 
 The bounded-capacity cut subproblem (minimize the source side's size subject
-to cutting at most a budget of edges) is solved by a Lagrangian sweep: a
-super-sink receives an arc of capacity alpha from every non-source vertex,
-so an s-t min cut minimizes cut_size + alpha * component_size. Sweeping
-alpha over a geometric grid with bisection refinement traces the trade-off
-curve; the sweep is verified against an exhaustive oracle rather than
-assumed correct.
+to cutting at most a budget of edges) is solved by an exact parametric
+sweep. A super-sink receives an arc of integer capacity C from every
+non-source vertex, and edges have capacity 2^16, so an s-t min cut minimizes
+the line L_S(C) = 2^16 * cut(S) + C * (|S| - 1) over source sides S. The
+minimal min-cut sides are nested in C (parametric max-flow: Gallo,
+Grigoriadis and Tarjan, 1989), and every breakpoint of the concave min-cut
+curve is an intersection of two such lines (Eisner and Severance, 1976). The
+sweep probes C = 0 and a top capacity, then the integers around the line
+intersection of each pair of adjacent known sides, until no probe finds a
+new side; it thereby finds the minimal min-cut side at every integer C in
+between. One flow network is built per sweep; each probe rewrites only the
+sink capacities. The sweep is verified against an exhaustive oracle rather
+than assumed correct.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from . import rng
 from .errors import InstanceTooLargeError, ValidationError
@@ -41,13 +48,12 @@ from .percolate import (
     MASK_TABLE_CAP,
     component_sizes,
     infection_table,
+    mean_half_width,
     sample_keep_matrix,
 )
 
 _SCALE = 1 << 16  # integer capacity unit for the flow solver
 _CAP_MAX = 1 << 30
-
-_Z99 = 2.5758293035489004
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,9 @@ class SbccSolution:
     """One point of the cut-size / component-size trade-off curve.
 
     ``cut_edges`` is exactly the boundary of ``component`` in the solved
-    graph; ``lagrange_alpha`` is the multiplier whose min cut produced it.
+    graph. ``lagrange_alpha`` is the breakpoint of ``component``: C / 2^16
+    for the smallest integer sink capacity C at which it is the minimal
+    min-cut source side.
     ``within_budget`` records whether the relaxed budget cut_size <=
     budget/lambda was met (otherwise the smallest-cut fallback is returned).
     """
@@ -69,49 +77,56 @@ class SbccSolution:
     within_budget: bool
 
 
-def _flow_arrays(graph: ContactNetwork):
-    """Static arc lists for the super-sink flow network (sink arcs last)."""
-    n, s = graph.n, graph.source
-    t = n
-    heads: list[int] = []
-    tails: list[int] = []
-    for e in range(graph.m):
-        u, v = int(graph.us[e]), int(graph.vs[e])
-        if u == v:
-            continue
-        tails.extend((u, v))
-        heads.extend((v, u))
-    sink_tails = [v for v in range(n) if v != s]
-    tails.extend(sink_tails)
-    heads.extend([t] * len(sink_tails))
-    caps = np.full(len(tails), _SCALE, dtype=np.int64)
-    return np.asarray(tails), np.asarray(heads), caps, len(sink_tails)
+class _FlowNetwork:
+    """The super-sink flow network of one graph, built once per sweep.
 
+    Arcs are both directions of every non-loop edge, with capacity 2^16,
+    and v -> t for every non-source v, with the probed capacity C. The CSR
+    structure is sorted once; each probe writes only the sink capacities.
+    """
 
-def _source_side(graph: ContactNetwork, alpha: float, arrays) -> tuple[int, ...]:
-    """Vertices on the source side of the min s-t cut at multiplier alpha."""
-    tails, heads, caps, n_sink = arrays
-    n, s, t = graph.n, graph.source, graph.n
-    cap = caps.copy()
-    sink_cap = min(int(round(alpha * _SCALE)), _CAP_MAX)
-    cap[len(cap) - n_sink:] = sink_cap
-    mat = sparse.csr_matrix(
-        (cap.astype(np.int32), (tails, heads)), shape=(n + 1, n + 1)
-    )
-    res = maximum_flow(mat, s, t)
-    residual = mat - res.flow
-    indptr, indices, data = residual.indptr, residual.indices, residual.data
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[s] = True
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for k in range(indptr[u], indptr[u + 1]):
-            v = indices[k]
-            if data[k] > 0 and not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return tuple(int(v) for v in np.flatnonzero(seen[:n]))
+    def __init__(self, graph: ContactNetwork):
+        n, s = graph.n, graph.source
+        self.n, self.s, self.t = n, s, n
+        real = graph.us != graph.vs
+        others = np.flatnonzero(np.arange(n) != s)
+        tails = np.concatenate([graph.us[real], graph.vs[real], others])
+        heads = np.concatenate([graph.vs[real], graph.us[real], np.full(len(others), n)])
+        order = np.lexsort((heads, tails))
+        self.tails, self.heads = tails[order], heads[order]
+        self.keys = self.tails * (n + 1) + self.heads  # ascending
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(self.tails, minlength=n + 1))]
+        ).astype(np.int32)
+        self.sink_arcs = np.flatnonzero(self.heads == n)
+        self.caps = np.full(len(self.keys), _SCALE, dtype=np.int32)
+
+    def minimal_side(self, cap: int) -> np.ndarray:
+        """Ascending source side of the minimal min cut at sink capacity cap."""
+        n1 = self.n + 1
+        caps = self.caps.copy()
+        caps[self.sink_arcs] = cap
+        # maximum_flow may rewrite its input in place: hand it fresh arrays
+        mat = sparse.csr_matrix(
+            (caps.copy(), self.heads.astype(np.int32), self.indptr.copy()),
+            shape=(n1, n1),
+        )
+        flow = maximum_flow(mat, self.s, self.t).flow
+        flow_rows = np.repeat(np.arange(n1), np.diff(flow.indptr))
+        flow_keys = flow_rows * n1 + flow.indices
+        pos = np.minimum(np.searchsorted(self.keys, flow_keys), len(self.keys) - 1)
+        on_arc = self.keys[pos] == flow_keys
+        residual = caps.astype(np.int64)
+        residual[pos[on_arc]] -= flow.data[on_arc]
+        open_arc = residual > 0
+        reach = sparse.csr_matrix(
+            (np.ones(int(open_arc.sum()), dtype=np.int8),
+             self.heads[open_arc].astype(np.int32),
+             np.concatenate([[0], np.cumsum(np.bincount(
+                 self.tails[open_arc], minlength=n1))]).astype(np.int32)),
+            shape=(n1, n1),
+        )
+        return np.sort(breadth_first_order(reach, self.s, return_predecessors=False))
 
 
 def min_sbcc(
@@ -120,78 +135,85 @@ def min_sbcc(
     lam: float,
     source: int | None = None,
 ) -> SbccSolution:
-    """Bicriteria bounded-capacity cut by Lagrangian sweep.
+    """Bicriteria bounded-capacity cut by an exact parametric min-cut sweep.
 
-    Among sweep solutions whose cut size is within budget/lambda, returns
-    the one with the smallest source-side component (hard guarantee on the
-    cut side; the component side is validated empirically against the
-    exhaustive oracle). Falls back to the smallest-cut solution, flagged,
-    when nothing qualifies. Unit edge capacities are required.
+    Among the minimal min-cut sides at every integer sink capacity in
+    [0, C_max] (C_max: 2^16 times a power of two over n that is at least
+    16 n and 4 * budget, capped at 2^30), returns the one with the smallest
+    source-side component whose cut size is within budget/lambda (hard
+    guarantee on the cut side; the component side is validated empirically
+    against the exhaustive oracle). Falls back to the smallest-cut side, flagged, when nothing
+    qualifies. Unit edge capacities are required, and the source degree
+    must stay below 2^15 so that flow values fit in int32.
     """
     if not 0.0 < lam < 1.0:
         raise ValidationError(f"lambda must lie in (0, 1), got {lam}")
-    if budget < 0:
-        raise ValidationError("budget must be nonnegative")
-    if source is not None and source != graph.source:
-        graph = ContactNetwork(n=graph.n, us=graph.us, vs=graph.vs, costs=graph.costs,
-                               probs=graph.probs, source=source, labels=graph.labels)
+    if not 0 <= budget < math.inf:
+        raise ValidationError(f"budget must be finite and nonnegative, got {budget}")
+    graph = graph.with_source(source)
     if graph.m and not np.all(graph.costs == 1.0):
         raise ValidationError("bounded-capacity cut requires unit edge capacities")
+    n, s = graph.n, graph.source
+    degree = int(np.count_nonzero((graph.us == s) ^ (graph.vs == s)))
+    if _SCALE * degree > np.iinfo(np.int32).max:  # the flow value out of s
+        raise InstanceTooLargeError(
+            f"source {s} has degree {degree}; the int32 flow network (capacity "
+            f"unit 2^16) needs source degree below 2^15 = 32768"
+        )
 
-    arrays = _flow_arrays(graph)
-    n = graph.n
+    # top multiplier: a power of two over n, at least 16 n and 4 * budget
+    top = 2.0 ** (math.ceil(2 * math.log2(max(n, 2))) + 4) / n
+    while top < 4.0 * max(budget, 1.0):
+        top *= 2.0
+    c_max = min(round(top * _SCALE), _CAP_MAX)
 
+    network = _FlowNetwork(graph)
     inside = np.zeros(n, dtype=bool)
+    # side size -> (smallest probed capacity, cut size, side); nested sides
+    # have distinct sizes
+    sides: dict[int, tuple[int, int, np.ndarray]] = {}
 
-    def evaluate(alpha: float) -> tuple[int, int, tuple[int, ...]]:
-        side = _source_side(graph, alpha, arrays)
+    def probe(cap: int) -> tuple[int, int, np.ndarray]:
+        side = network.minimal_side(cap)
         inside[:] = False
-        inside[list(side)] = True
+        inside[side] = True
         cut = int(np.count_nonzero(inside[graph.us] ^ inside[graph.vs]))
-        return cut, len(side), side
+        if len(side) not in sides or cap < sides[len(side)][0]:
+            sides[len(side)] = (cap, cut, side)
+        return cap, cut, side
 
-    i_max = math.ceil(2 * math.log2(max(n, 2))) + 4
-    alphas = [0.0] + [(2.0 ** i) / n for i in range(i_max + 1)]
-    while alphas[-1] < 4.0 * max(budget, 1.0):
-        alphas.append(alphas[-1] * 2.0)
-
-    cache: dict[float, tuple[int, int, tuple[int, ...]]] = {}
-
-    def probe(alpha: float):
-        if alpha not in cache:
-            cache[alpha] = evaluate(alpha)
-        return cache[alpha]
-
-    for a in alphas:
-        probe(a)
-
-    # refine between adjacent grid points whose (cut, comp) pairs differ
-    resolution = 1.0 / _SCALE
-    work = [(alphas[i], alphas[i + 1]) for i in range(len(alphas) - 1)]
+    # Between sides S_a > S_b found at C_a < C_b, a third side can be
+    # minimal at an integer C only if it is minimal at floor(x) or ceil(x),
+    # x the intersection of L_a and L_b: L_c - min(L_a, L_b) is convex in C
+    # with its kink at x. x lies in [C_a, C_b], so a point outside the open
+    # interval is an end that was already probed.
+    work = [(probe(0), probe(c_max))]
     while work:
         lo, hi = work.pop()
-        lo_pair = probe(lo)[:2]
-        hi_pair = probe(hi)[:2]
-        if lo_pair == hi_pair or hi - lo <= resolution:
+        (c_a, cut_a, side_a), (c_b, cut_b, side_b) = lo, hi
+        if len(side_a) == len(side_b):
             continue
-        mid = 0.5 * (lo + hi)
-        probe(mid)
-        work.append((lo, mid))
-        work.append((mid, hi))
+        num = _SCALE * (cut_b - cut_a)
+        den = len(side_a) - len(side_b)
+        for cap in sorted({num // den, -(-num // den)}):
+            if not c_a < cap < c_b:
+                continue
+            mid = probe(cap)
+            if len(mid[2]) not in (len(side_a), len(side_b)):
+                work += [(lo, mid), (mid, hi)]
+                break
 
     limit = budget / lam
     qualifying = [
-        (comp, cut, a) for a, (cut, comp, _) in cache.items() if cut <= limit
+        (comp, cut, cap) for comp, (cap, cut, _) in sides.items() if cut <= limit
     ]
     if qualifying:
-        comp, cut, alpha = min(qualifying)
+        comp, cut, cap = min(qualifying)
         within = True
     else:
-        cut, comp, alpha = min(
-            (cut, comp, a) for a, (cut, comp, _) in cache.items()
-        )
+        cut, comp, cap = min((cut, comp, cap) for comp, (cap, cut, _) in sides.items())
         within = False
-    side = cache[alpha][2]
+    side = tuple(int(v) for v in sides[comp][2])
     if within and cut > limit:
         raise AssertionError("sweep returned a cut above budget/lambda")
     return SbccSolution(
@@ -200,7 +222,7 @@ def min_sbcc(
         cut_size=cut,
         component_size=comp,
         lam=lam,
-        lagrange_alpha=alpha,
+        lagrange_alpha=cap / _SCALE,
         within_budget=within,
     )
 
@@ -216,9 +238,7 @@ def min_sbcc_exact(
     """
     if graph.m > 20:
         raise InstanceTooLargeError(f"exact oracle caps at 20 edges, got {graph.m}")
-    if source is not None and source != graph.source:
-        graph = ContactNetwork(n=graph.n, us=graph.us, vs=graph.vs, costs=graph.costs,
-                               probs=graph.probs, source=source, labels=graph.labels)
+    graph = graph.with_source(source)
     limit = min(graph.m, int(budget))
     table = infection_table(graph) if graph.m <= MASK_TABLE_CAP else None
     full = (1 << graph.m) - 1
@@ -304,16 +324,9 @@ def solve_karger(
     eval_keep = sample_keep_matrix(network, eval_seed, 0, eval_samples)
     for cand, members in zip(candidates, members_per_candidate):
         sizes = component_sizes(network, eval_keep, edge_removal(network, members))
-        mean = int(sizes.sum()) / eval_samples
-        if eval_samples > 1:
-            var = max(
-                int((sizes * sizes).sum()) - eval_samples * mean * mean, 0.0
-            ) / (eval_samples - 1)
-            hw = _Z99 * math.sqrt(var / eval_samples)
-        else:
-            hw = math.inf
-        cand["mc_mean"] = mean
-        cand["mc_half_width"] = hw
+        cand["mc_mean"], cand["mc_half_width"] = mean_half_width(
+            int(sizes.sum()), int((sizes * sizes).sum()), eval_samples
+        )
 
     chosen_index = min(range(reps), key=lambda i: (candidates[i]["mc_mean"], i))
     chosen = edge_removal(network, members_per_candidate[chosen_index], "karger")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -88,6 +89,55 @@ def union_find_sizes(network, keep_rows) -> np.ndarray:
     """Reference source-component size of each kept-edge row."""
     return np.array([len(union_find_component(network, row)) for row in keep_rows],
                     dtype=np.int64)
+
+
+def parametric_sbcc_oracle(network, budget, lam):
+    """Reference for ``min_sbcc`` by enumerating every source side (n <= 9).
+
+    Each side S defines the line L_S(C) = 2^16 * cut(S) + C * (|S| - 1). The
+    minimal minimizer (least L, then least |S|) is taken at C = 0, at C_max
+    and at floor/ceil of every pairwise line intersection inside
+    [0, C_max]; the selection rule of ``min_sbcc`` is then applied. Only the
+    lowest line of each slope can be a minimizer, so only those intersect.
+    Returns (side, cut, component size, within budget, lagrange alpha).
+    """
+    n, s, scale = network.n, network.source, 1 << 16
+    assert n <= 9
+    top = 2.0 ** (math.ceil(2 * math.log2(max(n, 2))) + 4) / n
+    while top < 4.0 * max(budget, 1.0):
+        top *= 2.0
+    c_max = min(round(top * scale), 1 << 30)
+    sides = []
+    for mask in range(1 << n):
+        if mask >> s & 1:
+            side = tuple(v for v in range(n) if mask >> v & 1)
+            cut = sum((mask >> int(u) & 1) != (mask >> int(v) & 1)
+                      for u, v in zip(network.us, network.vs))
+            sides.append((side, cut))
+    lowest = {}
+    for side, cut in sides:
+        k = len(side) - 1
+        lowest[k] = min(lowest.get(k, cut), cut)
+    caps = {0, c_max}
+    for (k_a, cut_a), (k_b, cut_b) in itertools.combinations(lowest.items(), 2):
+        num, den = scale * (cut_b - cut_a), k_a - k_b
+        if den < 0:
+            num, den = -num, -den
+        caps |= {c for c in (num // den, -(-num // den)) if 0 <= c <= c_max}
+    first_cap = {}
+    for cap in sorted(caps):
+        side, cut = min(sides, key=lambda sc: (scale * sc[1] + cap * (len(sc[0]) - 1),
+                                               len(sc[0])))
+        first_cap.setdefault((side, cut), cap)
+    limit = budget / lam
+    qualifying = [(len(side), cut, cap, side)
+                  for (side, cut), cap in first_cap.items() if cut <= limit]
+    if qualifying:
+        comp, cut, cap, side = min(qualifying)
+        return side, cut, comp, True, cap / scale
+    cut, comp, cap, side = min((cut, len(side), cap, side)
+                               for (side, cut), cap in first_cap.items())
+    return side, cut, comp, False, cap / scale
 
 
 @pytest.fixture

@@ -297,6 +297,33 @@ def test_duplicate_edges_rejected_in_constructor():
         make_network(3, [(0, 1), (1, 0)])
 
 
+def _first_duplicate_message(edges):
+    """Reference: the per-edge loop the constructor's check must agree with."""
+    us = np.array([e[0] for e in edges], dtype=np.int64)
+    vs = np.array([e[1] for e in edges], dtype=np.int64)
+    seen = set()
+    for e in range(len(us)):
+        key = (min(us[e], vs[e]), max(us[e], vs[e]))
+        if key in seen:
+            return f"duplicate undirected edge {key}"
+        seen.add(key)
+    return None
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (2, 3), (3, 2), (1, 0)],
+    [(4, 4), (1, 2), (4, 4), (2, 1)],
+    [(1, 2), (3, 3), (0, 1), (3, 3), (2, 1), (1, 0)],
+    [(3, 0), (2, 4), (0, 3), (4, 2), (4, 4), (4, 4)],
+    [(0, 0), (1, 1), (0, 4), (1, 1), (4, 0), (0, 0)],
+])
+def test_duplicate_edge_reports_first_repeated_pair(edges):
+    expected = _first_duplicate_message(edges)
+    with pytest.raises(ValidationError) as err:
+        make_network(5, edges)
+    assert str(err.value) == expected
+
+
 def test_boundary_of_matches_definition(rng):
     net = random_connected_network(rng)
     members = [0] + [v for v in range(1, net.n) if rng.random() < 0.4]

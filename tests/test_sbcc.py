@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epictrl import (
     ValidationError,
@@ -18,6 +21,7 @@ from epictrl.percolate import sample_keep_matrix
 from conftest import (
     complete_network,
     make_network,
+    parametric_sbcc_oracle,
     path_network,
     star_network,
     random_connected_network,
@@ -65,6 +69,12 @@ def test_sbcc_lambda_validation():
         min_sbcc(path_network(), budget=1.0, lam=0.0)
     with pytest.raises(ValidationError):
         min_sbcc(path_network(), budget=1.0, lam=1.0)
+
+
+def test_sbcc_budget_validation():
+    for budget in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="budget"):
+            min_sbcc(path_network(), budget=budget, lam=0.5)
 
 
 def test_sbcc_requires_unit_capacities():
@@ -197,3 +207,51 @@ def test_cut_sampling_concentration_smoke():
         good += int(ok.sum())
         total += len(ok)
     assert good / total >= 0.95
+
+
+# ------------------------------------------------------------- parametric sweep
+
+@st.composite
+def sbcc_cases(draw):
+    """A small graph (self-loops allowed), a source, a budget and a lambda."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    m = draw(st.integers(0, min(len(pairs), 20)))
+    edges = draw(st.permutations(pairs))[:m]
+    source = draw(st.integers(0, n - 1))
+    budget = draw(st.integers(0, 22)) / 2
+    lam = draw(st.one_of(st.sampled_from([1e-9, 1 - 1e-9]), st.floats(0.01, 0.99)))
+    return n, edges, source, budget, lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sbcc_cases())
+@example(case=(4, [(1, 2), (2, 3)], 0, 2.0, 0.5))                  # isolated source
+@example(case=(4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)], 1, 1.0, 0.5))  # self-loops
+@example(case=(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], 0, 0.0, 0.5))  # B = 0
+@example(case=(6, [(0, 1), (2, 3), (3, 4), (2, 4), (4, 5)], 3, 1.0, 0.25))  # disconnected
+@example(case=(9, list(itertools.combinations(range(9), 2))[:20], 0, 3.0, 1e-9))
+@example(case=(9, list(itertools.combinations(range(9), 2))[:20], 0, 3.0, 1 - 1e-9))
+@example(case=(1, [(0, 0)], 0, 0.0, 0.5))
+# the probe at the first intersection finds a side with another one between it and C = 0
+@example(case=(7, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (2, 6)], 0, 0.5, 0.5))
+def test_min_sbcc_matches_parametric_oracle(case):
+    n, edges, source, budget, lam = case
+    sol = min_sbcc(make_network(n, edges), budget=budget, lam=lam, source=source)
+    rooted = make_network(n, edges, source=source)
+    side, cut, comp, within, alpha = parametric_sbcc_oracle(rooted, budget, lam)
+    assert sol.component == side
+    assert (sol.cut_size, sol.component_size, sol.within_budget) == (cut, comp, within)
+    assert sol.lagrange_alpha == alpha
+    assert sol.cut_edges == boundary_of(rooted, side)
+
+
+def test_sbcc_source_degree_overflow_guard():
+    from epictrl import InstanceTooLargeError
+
+    with pytest.raises(InstanceTooLargeError, match=r"degree 32768.*2\^15"):
+        min_sbcc(star_network(1 << 15), budget=1.0, lam=0.5)
+    # one leaf fewer: the flow value 2^16 * (2^15 - 1) still fits in int32
+    sol = min_sbcc(star_network((1 << 15) - 1), budget=float(1 << 15), lam=0.5)
+    assert sol.within_budget and sol.component == (0,)
+    assert sol.cut_size == (1 << 15) - 1
