@@ -38,7 +38,6 @@ class ChungLuModel:
     w_min: int
     w_max: int
     class_sizes: tuple[int, ...]  # vertices of weight w_min, w_min+1, ..., w_max
-    percolation_ceiling: float | None = None  # empirical diagnostic, see CLI
 
     @property
     def weights(self) -> np.ndarray:
@@ -116,8 +115,10 @@ def generate(model: ChungLuModel, seed: int, index: int = 0) -> ContactNetwork:
 
     Each unordered pair (u, v) with u <= v is included independently with
     probability w_u * w_v / total_weight; self-loops are allowed but inert.
-    Edge costs default to 1 and transmission probabilities to 1 (callers
-    set them, e.g. via ``with_uniform_probability``).
+    The source is the vertex of highest degree (self-loops not counted),
+    smallest id on ties: low-weight vertices, vertex 0 among them, are
+    often isolated. Edge costs default to 1 and transmission probabilities
+    to 1 (callers set them, e.g. via ``with_uniform_probability``).
     """
     w = model.weights.astype(np.float64)
     total = float(model.total_weight)
@@ -127,10 +128,12 @@ def generate(model: ChungLuModel, seed: int, index: int = 0) -> ContactNetwork:
     hit = u < q
     us = iu[hit].astype(np.int64)
     vs = iv[hit].astype(np.int64)
+    real = us != vs
+    degree = np.bincount(us[real], minlength=model.n) + np.bincount(vs[real], minlength=model.n)
     return ContactNetwork(
         n=model.n, us=us, vs=vs,
         costs=np.ones(len(us)), probs=np.ones(len(us)),
-        source=0,
+        source=int(np.argmax(degree)),
     )
 
 
@@ -162,18 +165,21 @@ class PathCensus:
         return float(self.counts[k - 1])
 
 
-def _path_counts(n: int, adj: list[list[int]], k_max: int) -> np.ndarray:
-    """Count undirected simple paths by depth-limited DFS.
+def _path_counts(
+    network: ContactNetwork, k_max: int, keep: np.ndarray | None = None
+) -> np.ndarray:
+    """Count undirected simple paths over the kept edges by depth-limited DFS.
 
     Every path is walked from both endpoints; counting only walks that end
     at a vertex larger than the start counts each path exactly once.
     """
+    adj = network.adjacency(keep)
     counts = np.zeros(k_max, dtype=np.int64)
-    visited = [False] * n
+    visited = [False] * network.n
 
     def extend(start: int, u: int, depth: int):
         visited[u] = True
-        for v in adj[u]:
+        for v, _ in adj[u]:
             if visited[v]:
                 continue
             if v > start:
@@ -182,22 +188,9 @@ def _path_counts(n: int, adj: list[list[int]], k_max: int) -> np.ndarray:
                 extend(start, v, depth + 1)
         visited[u] = False
 
-    for start in range(n):
+    for start in range(network.n):
         extend(start, start, 0)
     return counts
-
-
-def _loop_free_adjacency(network: ContactNetwork, keep: np.ndarray | None = None) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(network.n)]
-    for e in range(network.m):
-        if keep is not None and not keep[e]:
-            continue
-        u, v = int(network.us[e]), int(network.vs[e])
-        if u == v:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
 
 
 def count_simple_paths(network: ContactNetwork, k_max: int) -> PathCensus:
@@ -212,7 +205,7 @@ def count_simple_paths(network: ContactNetwork, k_max: int) -> PathCensus:
         )
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    counts = _path_counts(network.n, _loop_free_adjacency(network), k_max)
+    counts = _path_counts(network, k_max)
     return PathCensus(counts=counts, total=float(counts.sum()), mode="exact")
 
 
@@ -245,7 +238,7 @@ def estimate_percolated_paths(
         else:
             u = rng.generator(seed, "pathperc", t).random(net.m)
             keep = u < p
-        counts = _path_counts(net.n, _loop_free_adjacency(net, keep), k_max)
+        counts = _path_counts(net, k_max, keep)
         sums += counts
         sq_sums += counts.astype(np.float64) ** 2
         total = float(counts.sum())

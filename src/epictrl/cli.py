@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chunglu, saa, sbcc
+from . import chunglu, rng, saa, sbcc
 from .errors import EpictrlError, SolverError, ValidationError
 from .network import (
     ContactNetwork,
@@ -32,6 +32,7 @@ from .network import (
     load_network,
     no_intervention,
     node_removal,
+    random_connected_network,
     write_network,
 )
 from .percolate import Z99, estimate_infections, exact_expected_infections
@@ -293,7 +294,7 @@ def _cmd_compare(args) -> int:
     })
     net = load_network(args.graph)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    eval_seed = int(np.random.SeedSequence(args.seed, spawn_key=(77,)).generate_state(1)[0])
+    eval_seed = rng.derived_seed(args.seed, "compare")
     rows = []
     for algo in algos:
         t0 = time.perf_counter()
@@ -337,24 +338,10 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _random_oracle_instance(g, p_uniform=None):
-    n = int(g.integers(4, 8))
-    max_m = n * (n - 1) // 2
-    m = int(g.integers(n - 1, min(max_m, 12) + 1))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    idx = g.choice(len(pairs), size=m, replace=False)
-    us = np.array([pairs[j][0] for j in idx])
-    vs = np.array([pairs[j][1] for j in idx])
-    probs = np.full(m, p_uniform) if p_uniform is not None \
-        else g.uniform(0.05, 0.95, size=m)
-    return ContactNetwork(n=n, us=us, vs=vs, costs=np.ones(m),
-                          probs=probs, source=0)
-
-
 def _oracle_percolation(g, instances):
     checks = []
     for i in range(instances):
-        net = _random_oracle_instance(g)
+        net = random_connected_network(g)
         exact = exact_expected_infections(net, None)
         est = estimate_infections(net, None, 20000, int(g.integers(0, 2 ** 31)))
         sigma = est.half_width / Z99
@@ -367,7 +354,7 @@ def _oracle_percolation(g, instances):
 def _oracle_lp(g, instances):
     checks = []
     for i in range(instances):
-        net = _random_oracle_instance(g)
+        net = random_connected_network(g)
         budget = float(max(1, int(g.integers(1, 4))))
         samples = saa.draw_samples(net, 30, seed=int(g.integers(0, 2 ** 31)))
         frac = saa.solve_lp(saa.build_lp(samples, budget))
@@ -382,7 +369,7 @@ def _oracle_lp(g, instances):
 def _oracle_sbcc(g, instances):
     checks = []
     for i in range(instances):
-        net = _random_oracle_instance(g, p_uniform=1.0)
+        net = random_connected_network(g, p_mode=1.0)
         budget = float(int(g.integers(1, 4)))
         lam = float(g.choice([0.25, 0.5, 0.75]))
         sol = sbcc.min_sbcc(net, budget=budget, lam=lam)

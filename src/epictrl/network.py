@@ -332,6 +332,32 @@ def merge_seeds(network: ContactNetwork, seeds) -> ContactNetwork:
                           probs=probs, source=s, labels=labels)
 
 
+def random_connected_network(rng, n_lo=4, n_hi=8, max_m=12, p_mode="random",
+                             unit_costs=True) -> ContactNetwork:
+    """Random connected instance: a spanning tree plus extra edges, source 0.
+
+    ``rng`` is a numpy Generator. n is drawn from [n_lo, n_hi]; vertex v
+    hangs off a uniform earlier vertex, then shuffled distinct pairs are
+    added up to ``max_m`` edges. Probabilities are uniform on [0.05, 0.95]
+    unless ``p_mode`` is a number; costs are 1 or uniform on [0.5, 3].
+    """
+    n = int(rng.integers(n_lo, n_hi + 1))
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    tree = set(edges)
+    extra = [e for e in all_pairs if e not in tree]
+    rng.shuffle(extra)
+    edges += extra[:max(0, min(max_m, len(all_pairs)) - len(edges))]
+    m = len(edges)
+    if p_mode == "random":
+        probs = rng.uniform(0.05, 0.95, size=m)
+    else:
+        probs = np.full(m, float(p_mode))
+    costs = np.ones(m) if unit_costs else rng.uniform(0.5, 3.0, size=m)
+    us, vs = np.array(edges, dtype=np.int64).reshape(m, 2).T
+    return ContactNetwork(n=n, us=us, vs=vs, costs=costs, probs=probs, source=0)
+
+
 def removable_edges(network: ContactNetwork) -> np.ndarray:
     """Edge ids with finite cost (meta-source edges are excluded)."""
     return np.flatnonzero(np.isfinite(network.costs))

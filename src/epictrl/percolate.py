@@ -111,6 +111,31 @@ def keep_rows_to_masks(keep_rows: np.ndarray) -> np.ndarray:
     return keep_rows.astype(np.int64) @ weights
 
 
+def affordable_subsets(
+    removal_masks: np.ndarray, costs: np.ndarray, budget: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every subset of the candidates whose summed cost is <= budget.
+
+    Candidate i removes the edges set in ``removal_masks[i]`` and costs
+    ``costs[i]`` (nonnegative); budget must be >= 0, so the empty subset
+    always fits. Returns ``(picks, removed)``: bit i of ``picks[r]`` is set
+    when candidate i is in subset r, and ``removed[r]`` is the OR of its
+    members' removal masks. Subsets grow one candidate at a time and only
+    rows that still fit are extended; costs are summed in candidate order,
+    and a float partial sum of nonnegative costs never decreases, so the
+    pruning drops exactly the subsets whose full sum exceeds the budget.
+    """
+    picks = np.zeros(1, dtype=np.int64)
+    removed = np.zeros(1, dtype=np.int64)
+    spent = np.zeros(1, dtype=np.float64)
+    for i, (mask, cost) in enumerate(zip(removal_masks, costs)):
+        fits = spent + cost <= budget
+        picks = np.concatenate([picks, picks[fits] | (1 << i)])
+        removed = np.concatenate([removed, removed[fits] | int(mask)])
+        spent = np.concatenate([spent, spent[fits] + cost])
+    return picks, removed
+
+
 def intervention_keep_bits(network: ContactNetwork, removed: Intervention | None) -> int:
     """Bitmask of edges that survive an intervention."""
     keep = removal_edge_keep(network, removed)

@@ -30,6 +30,15 @@ def philox_key(seed: int, *path: int | str) -> np.ndarray:
     return np.random.SeedSequence(seed, spawn_key=spawn).generate_state(2, np.uint64)
 
 
+def derived_seed(seed: int, *path: int | str) -> int:
+    """A 31-bit integer seed for the stream named by (seed, path).
+
+    Solvers use it to seed a second purpose, such as the evaluation draws,
+    from the user's seed.
+    """
+    return int(philox_key(seed, *path)[0] & 0x7FFFFFFF)
+
+
 def _encode(part: int | str) -> int:
     if isinstance(part, int):
         return part & 0xFFFFFFFF

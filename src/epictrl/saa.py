@@ -34,6 +34,7 @@ from .network import (
 )
 from .percolate import (
     MASK_TABLE_CAP,
+    affordable_subsets,
     empirical_infections,
     estimate_infections,
     infection_table,
@@ -366,50 +367,6 @@ def separated_sets(
     return out
 
 
-def _subset_totals_edge(
-    samples: SampleSet, candidates: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Subset costs and infection totals for every subset of candidate edges.
-
-    Subset r (bit i = candidate i removed) maps to its total cost and the
-    summed source-component sizes over all samples.
-    """
-    net = samples.network
-    table = infection_table(net)
-    masks = keep_rows_to_masks(samples.keep_rows)
-    subset_cost = np.zeros(1, dtype=np.float64)
-    keep_bits = np.full(1, (1 << net.m) - 1, dtype=np.int64)
-    for e in candidates:
-        subset_cost = np.concatenate([subset_cost, subset_cost + net.costs[e]])
-        keep_bits = np.concatenate([keep_bits, keep_bits & ~(1 << int(e))])
-    totals = np.empty(len(keep_bits), dtype=np.int64)
-    for r in range(len(keep_bits)):
-        totals[r] = int(table[masks & keep_bits[r]].sum())
-    return subset_cost, totals
-
-
-def _subset_totals_node(
-    samples: SampleSet, candidates: np.ndarray, costs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    net = samples.network
-    table = infection_table(net)
-    masks = keep_rows_to_masks(samples.keep_rows)
-    incident = np.zeros(net.n, dtype=np.int64)
-    for e in range(net.m):
-        incident[net.us[e]] |= 1 << e
-        incident[net.vs[e]] |= 1 << e
-    full = (1 << net.m) - 1
-    subset_cost = np.zeros(1, dtype=np.float64)
-    keep_bits = np.full(1, full, dtype=np.int64)
-    for v in candidates:
-        subset_cost = np.concatenate([subset_cost, subset_cost + costs[v]])
-        keep_bits = np.concatenate([keep_bits, keep_bits & ~incident[v]])
-    totals = np.empty(len(keep_bits), dtype=np.int64)
-    for r in range(len(keep_bits)):
-        totals[r] = int(table[masks & keep_bits[r]].sum())
-    return subset_cost, totals
-
-
 def brute_force_optimum(
     samples: SampleSet,
     budget: float,
@@ -420,57 +377,48 @@ def brute_force_optimum(
 
     Returns the best intervention and its empirical average infections.
     Ties are broken toward the lexicographically smallest member set.
-    Subsets are scored through the 2^m mask table, so both modes need
-    m <= ``MASK_TABLE_CAP`` (16) edges; node mode also caps at 20 vertices.
+    ``percolate.affordable_subsets`` lists only the subsets that fit the
+    budget (an edge removes itself, a vertex its incident edges), and each
+    is scored over all samples through the 2^m mask table, so both modes
+    need m <= ``MASK_TABLE_CAP`` (16) edges; node mode also caps at 20
+    vertices.
     """
     net = samples.network
     if net.m > MASK_TABLE_CAP:
         raise InstanceTooLargeError(
             f"brute force needs m <= {MASK_TABLE_CAP} edges (the mask-table cap), got {net.m}"
         )
+    if not budget >= 0:
+        raise ValidationError(f"budget must be nonnegative, got {budget}")
+    edge_bits = np.int64(1) << np.arange(net.m, dtype=np.int64)
     if mode == "edge":
-        removable = np.isfinite(net.costs) & (net.us != net.vs)
-        candidates = np.flatnonzero(removable & (net.costs <= budget))
-        costs, totals = _subset_totals_edge(samples, candidates)
+        costs = net.costs
+        candidates = np.flatnonzero(np.isfinite(costs) & (net.us != net.vs))
+        removal = edge_bits[candidates]
     else:
         if net.n > 20:
             raise InstanceTooLargeError("brute force caps at 20 vertices")
-        all_costs = _entity_costs(net, "node", node_costs)
-        candidates = np.asarray(
-            [v for v in range(net.n) if v != net.source and all_costs[v] <= budget],
-            dtype=np.int64,
-        )
-        costs, totals = _subset_totals_node(samples, candidates, all_costs)
+        costs = _entity_costs(net, "node", node_costs)
+        candidates = np.flatnonzero(np.arange(net.n) != net.source)
+        incident = np.zeros(net.n, dtype=np.int64)
+        np.bitwise_or.at(incident, net.us, edge_bits)
+        np.bitwise_or.at(incident, net.vs, edge_bits)
+        removal = incident[candidates]
 
-    feasible = costs <= budget
-    best_total = None
-    best_members: tuple[int, ...] | None = None
-    for r in np.flatnonzero(feasible):
-        t = int(totals[r])
-        if best_total is None or t < best_total:
-            best_total = t
-            best_members = _subset_members(int(r), candidates)
-        elif t == best_total:
-            members = _subset_members(int(r), candidates)
-            if members < best_members:
-                best_members = members
-    assert best_total is not None  # the empty set is always feasible
+    picks, removed = affordable_subsets(removal, costs[candidates], budget)
+    table = infection_table(net)
+    masks = keep_rows_to_masks(samples.keep_rows)
+    totals = [int(table[masks & ~r].sum()) for r in removed]
+    best_total = min(totals)
+    best_members = min(
+        tuple(int(c) for i, c in enumerate(candidates) if pick >> i & 1)
+        for t, pick in zip(totals, picks.tolist()) if t == best_total
+    )
     if mode == "edge":
         best = edge_removal(net, best_members, "brute-force")
     else:
         best = node_removal(net, best_members, "brute-force", node_costs=node_costs)
     return best, best_total / samples.N
-
-
-def _subset_members(r: int, candidates: np.ndarray) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while r:
-        if r & 1:
-            out.append(int(candidates[i]))
-        r >>= 1
-        i += 1
-    return tuple(out)
 
 
 def solve_saa(
@@ -506,7 +454,7 @@ def solve_saa(
         chosen = round_randomized(frac, gamma, epsilon, seed)
     else:
         chosen = round_deterministic(frac)
-    fresh_seed = int(rng.philox_key(seed, "eval")[0] & 0x7FFFFFFF)
+    fresh_seed = rng.derived_seed(seed, "eval")
     fresh = estimate_infections(network, chosen, eval_samples, fresh_seed)
     report = {
         "mode": mode,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy import sparse
@@ -45,9 +44,8 @@ from .network import (
     sparsification_regime,
 )
 from .percolate import (
-    MASK_TABLE_CAP,
+    affordable_subsets,
     component_sizes,
-    infection_table,
     mean_half_width,
     sample_keep_matrix,
 )
@@ -234,30 +232,26 @@ def min_sbcc_exact(
 
     Minimum source-component size over all edge subsets of size at most
     the budget; ties prefer fewer edges, then the lexicographically
-    smallest id tuple.
+    smallest id tuple. ``percolate.affordable_subsets`` lists the subsets
+    (every edge, self-loops included, at unit cost) and
+    ``percolate.component_sizes`` sizes them: through the 2^m mask table
+    for m <= 16, through the component kernel above.
     """
     if graph.m > 20:
         raise InstanceTooLargeError(f"exact oracle caps at 20 edges, got {graph.m}")
+    if not budget >= 0:
+        raise ValidationError(f"budget must be nonnegative, got {budget}")
     graph = graph.with_source(source)
-    limit = min(graph.m, int(budget))
-    table = infection_table(graph) if graph.m <= MASK_TABLE_CAP else None
-    full = (1 << graph.m) - 1
-    best_size = None
-    best_set: tuple[int, ...] = ()
-    for k in range(limit + 1):
-        for combo in combinations(range(graph.m), k):
-            if table is not None:
-                mask = full
-                for e in combo:
-                    mask &= ~(1 << e)
-                size = int(table[mask])
-            else:
-                size = component_of(graph, edge_removal(graph, combo)).size
-            if best_size is None or size < best_size:
-                best_size = size
-                best_set = combo
-    assert best_size is not None
-    return best_set, best_size
+    m = graph.m
+    edge_ids = np.arange(m, dtype=np.int64)
+    picks, _ = affordable_subsets(np.int64(1) << edge_ids, np.ones(m), int(min(m, budget)))
+    removed = ((picks[:, np.newaxis] >> edge_ids) & 1).astype(bool)
+    sizes = component_sizes(graph, ~removed)
+    counts = removed.sum(axis=1)
+    best = np.flatnonzero(sizes == sizes.min())
+    best = best[counts[best] == counts[best].min()]
+    best_set = min(tuple(int(e) for e in np.flatnonzero(removed[r])) for r in best)
+    return best_set, int(sizes[best[0]])
 
 
 def solve_karger(
@@ -320,7 +314,7 @@ def solve_karger(
             "within_sample_budget": sol.within_budget,
         })
 
-    eval_seed = int(rng.philox_key(seed, "eval")[0] & 0x7FFFFFFF)
+    eval_seed = rng.derived_seed(seed, "eval")
     eval_keep = sample_keep_matrix(network, eval_seed, 0, eval_samples)
     for cand, members in zip(candidates, members_per_candidate):
         sizes = component_sizes(network, eval_keep, edge_removal(network, members))

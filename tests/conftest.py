@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from epictrl.network import ContactNetwork
+from epictrl.network import random_connected_network  # noqa: F401  (re-exported to the tests)
 
 
 def make_network(n, edges, probs=None, costs=None, source=0) -> ContactNetwork:
@@ -46,30 +47,6 @@ def complete_network(n, p=1.0) -> ContactNetwork:
     return make_network(n, edges, probs=p)
 
 
-def random_connected_network(rng, n_lo=4, n_hi=8, max_m=12, p_mode="random",
-                             unit_costs=True) -> ContactNetwork:
-    """Random connected instance: spanning tree plus extra edges."""
-    n = int(rng.integers(n_lo, n_hi + 1))
-    edges = []
-    for v in range(1, n):
-        edges.append((int(rng.integers(0, v)), v))
-    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    extra = [e for e in all_pairs if e not in set(edges)]
-    rng.shuffle(extra)
-    budget_m = min(max_m, len(all_pairs))
-    for e in extra:
-        if len(edges) >= budget_m:
-            break
-        edges.append(e)
-    m = len(edges)
-    if p_mode == "random":
-        probs = rng.uniform(0.05, 0.95, size=m)
-    else:
-        probs = np.full(m, float(p_mode))
-    costs = np.ones(m) if unit_costs else rng.uniform(0.5, 3.0, size=m)
-    return make_network(n, edges, probs=probs, costs=costs)
-
-
 def union_find_component(network, keep) -> tuple[int, ...]:
     """Reference source component (ascending ids) of one kept-edge row."""
     parent = list(range(network.n))
@@ -89,6 +66,56 @@ def union_find_sizes(network, keep_rows) -> np.ndarray:
     """Reference source-component size of each kept-edge row."""
     return np.array([len(union_find_component(network, row)) for row in keep_rows],
                     dtype=np.int64)
+
+
+def brute_force_reference(samples, budget, mode="edge", node_costs=None):
+    """Reference for ``brute_force_optimum`` by ``itertools.combinations``.
+
+    Tries every set of removable entities (finite-cost non-loop edges, or
+    non-source vertices), sums costs left to right in ascending id order,
+    and scores the feasible ones by union-find. Returns the least
+    (total infections, members).
+    """
+    net = samples.network
+    if mode == "edge":
+        costs = net.costs
+        entities = [e for e in range(net.m)
+                    if math.isfinite(costs[e]) and net.us[e] != net.vs[e]]
+    else:
+        costs = np.ones(net.n) if node_costs is None else node_costs
+        entities = [v for v in range(net.n) if v != net.source]
+    best = None
+    for k in range(len(entities) + 1):
+        for combo in itertools.combinations(entities, k):
+            spent = 0.0
+            for x in combo:
+                spent += float(costs[x])
+            if not spent <= budget:
+                continue
+            keep = np.ones(net.m, dtype=bool)
+            for x in combo:
+                if mode == "edge":
+                    keep[x] = False
+                else:
+                    keep &= (net.us != x) & (net.vs != x)
+            total = int(union_find_sizes(net, samples.keep_rows & keep).sum())
+            if best is None or (total, combo) < best:
+                best = (total, combo)
+    return best
+
+
+def exact_sbcc_reference(network, budget):
+    """Reference for ``min_sbcc_exact``: combinations of at most the budget
+    many edges, sized by union-find; least (size, edge count, ids) wins."""
+    best = None
+    for k in range(min(network.m, int(budget)) + 1):
+        for combo in itertools.combinations(range(network.m), k):
+            keep = np.ones(network.m, dtype=bool)
+            keep[list(combo)] = False
+            size = len(union_find_component(network, keep))
+            if best is None or (size, k, combo) < best:
+                best = (size, k, combo)
+    return best[2], best[0]
 
 
 def parametric_sbcc_oracle(network, budget, lam):

@@ -82,6 +82,18 @@ def test_generate_all_pairs_certain():
     net = generate(model, seed=1)
     assert net.m == 3  # (0,0), (0,1), (1,1)
     assert sorted(net.self_loops) == [0, 2]
+    assert net.source == 0  # degrees tie at 1 (loops not counted): smallest id
+
+
+def test_generate_source_is_not_isolated():
+    # the README example; vertex 0 is isolated in this draw
+    net = generate(build_model(60, 3.5, 1, 3), seed=7)
+    real = net.us != net.vs
+    degree = (np.bincount(net.us[real], minlength=net.n)
+              + np.bincount(net.vs[real], minlength=net.n))
+    assert degree[0] == 0
+    assert degree[net.source] == degree.max() > 0
+    assert net.source == int(np.flatnonzero(degree == degree.max())[0])
 
 
 def test_generate_deterministic():

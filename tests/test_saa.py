@@ -25,6 +25,7 @@ from epictrl import (
 from epictrl.saa import FractionalSolution
 
 from conftest import (
+    brute_force_reference,
     complete_network,
     make_network,
     path_network,
@@ -265,6 +266,38 @@ def test_brute_force_node_mode():
     ss = draw_samples(net, 1, seed=0)
     best, h = brute_force_optimum(ss, budget=1.0, mode="node")
     assert best.members == (1,) and h == 1.0
+
+
+def test_brute_force_matches_itertools_reference():
+    rng = np.random.default_rng(4242)
+    cases = []
+    for i in range(25):
+        net = random_connected_network(rng, n_lo=3, n_hi=6, max_m=7, unit_costs=False)
+        net = net.with_source(int(rng.integers(0, net.n)))
+        node_costs = rng.uniform(0.0, 2.0, size=net.n)
+        cases.append((draw_samples(net, int(rng.integers(1, 9)), seed=i), node_costs,
+                      (0.0, float(rng.uniform(0.0, 4.0)), 100.0)))
+    # 0.1 + 0.2 > 0.3 in binary floats: the pair fits only the second budget;
+    # the merged meta-source adds infinite-cost edges, the loop is inert
+    boundary = make_network(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 4)], probs=0.7,
+                            costs=[0.1, 0.2, 0.3, 0.1, 0.2, 0.1])
+    node_costs = np.array([0.1, 0.2, 0.0, 0.1, 0.3, 0.2])
+    for net in (boundary, merge_seeds(boundary, [0, 3])):
+        cases.append((draw_samples(net, 6, seed=8), node_costs[:net.n],
+                      (0.3, 0.1 + 0.2, 0.6, 0.1 + 0.2 + 0.3)))
+    for samples, node_costs, budgets in cases:
+        for budget in budgets:
+            for mode, costs in (("edge", None), ("node", node_costs), ("node", None)):
+                best, h = brute_force_optimum(samples, budget, mode=mode, node_costs=costs)
+                total, members = brute_force_reference(samples, budget, mode, costs)
+                assert (best.members, h) == (members, total / samples.N), (mode, budget)
+
+
+@pytest.mark.parametrize("budget", [-1.0, math.nan])
+def test_brute_force_rejects_negative_budget(budget):
+    ss = draw_samples(path_network(p=1.0), 1, seed=0)
+    with pytest.raises(ValidationError, match="budget"):
+        brute_force_optimum(ss, budget=budget)
 
 
 @pytest.mark.parametrize("mode", ["edge", "node"])

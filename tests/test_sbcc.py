@@ -20,6 +20,7 @@ from epictrl.percolate import sample_keep_matrix
 
 from conftest import (
     complete_network,
+    exact_sbcc_reference,
     make_network,
     parametric_sbcc_oracle,
     path_network,
@@ -104,6 +105,28 @@ def test_exact_cap():
     big = complete_network(7)  # 21 edges
     with pytest.raises(InstanceTooLargeError):
         min_sbcc_exact(big, None, 2.0)
+
+
+@pytest.mark.parametrize("m", [16, 17, 18, 19, 20])
+def test_exact_matches_union_find_reference(m):
+    """Both sizing branches: the mask table (m <= 16) and the kernel above."""
+    rng = np.random.default_rng(m)
+    nets = [random_connected_network(rng, n_lo=7, n_hi=9, max_m=m, p_mode=1.0)
+            for _ in range(2)]
+    # a star with one spare leaf edge and an inert self-loop on the source
+    star = [(0, i) for i in range(1, m - 1)] + [(1, m - 1), (0, 0)]
+    nets.append(make_network(m, star))
+    for net in nets:
+        assert net.m == m
+        net = net.with_source(int(rng.integers(0, net.n)))
+        for budget in (0.0, 1.0, 2.5, 3.0):
+            assert min_sbcc_exact(net, None, budget) == exact_sbcc_reference(net, budget)
+
+
+@pytest.mark.parametrize("budget", [-1.0, math.nan])
+def test_exact_rejects_negative_budget(budget):
+    with pytest.raises(ValidationError, match="budget"):
+        min_sbcc_exact(path_network(), None, budget)
 
 
 def test_contract_against_oracle_grid(rng):
