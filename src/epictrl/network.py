@@ -243,17 +243,22 @@ def removal_edge_keep(network: ContactNetwork, removed: Intervention | None) -> 
 
 
 def source_component_sizes(network: ContactNetwork, keep_rows: np.ndarray) -> np.ndarray:
-    """Size of the source's component for each row of a kept-edge matrix.
+    """Size of the source's component for each row of a kept-edge matrix."""
+    return source_component_members(network, keep_rows).sum(axis=1)
 
-    This is the one component-size kernel. Rows go through
+
+def source_component_members(network: ContactNetwork, keep_rows: np.ndarray) -> np.ndarray:
+    """Membership of the source's component, one (n,) bool row per kept-edge row.
+
+    This is the one component kernel. Rows go through
     :func:`_component_labels` in blocks of ``max(1, CELLS // (n + m))``.
     """
     step = max(1, CELLS // (network.n + network.m))
-    sizes = np.empty(len(keep_rows), dtype=np.int64)
+    members = np.empty((len(keep_rows), network.n), dtype=bool)
     for start in range(0, len(keep_rows), step):
         labels = _component_labels(network, keep_rows[start:start + step])
-        sizes[start:start + len(labels)] = (labels == labels[:, [network.source]]).sum(axis=1)
-    return sizes
+        members[start:start + len(labels)] = labels == labels[:, [network.source]]
+    return members
 
 
 def _component_labels(network: ContactNetwork, keep_rows: np.ndarray) -> np.ndarray:
@@ -288,8 +293,7 @@ def component_of(
     keep = removal_edge_keep(network, removed)
     if edge_mask is not None:
         keep = keep & np.asarray(edge_mask, dtype=bool)
-    labels = _component_labels(network, keep[np.newaxis, :])[0]
-    inside = labels == labels[network.source]
+    inside = source_component_members(network, keep[np.newaxis, :])[0]
     members = tuple(int(v) for v in np.flatnonzero(inside))
     cross = inside[network.us] ^ inside[network.vs]
     boundary = tuple(int(e) for e in np.flatnonzero(cross))

@@ -9,6 +9,13 @@ from the source survives only if its total removal mass is small, so
 maximizing y makes y_vj = min(1, distance), exactly the path-cover
 constraint without enumerating paths.
 
+The LP is built reduced, with the same optimum: in each scenario only the
+source's component carries constraints (every other vertex sits at y = 1,
+a constant of the objective), and scenarios whose kept component edges
+coincide are merged into one, weighted by their count. The constraint
+matrix is assembled with array operations; ``solve_lp`` rebuilds the dense
+per-scenario y from the distinct scenarios.
+
 Rounding is either randomized (inflate x by (gamma+5) ln(n)/epsilon and pick
 independently) or deterministic (threshold at 1/(4 n^(2/3))). Brute-force
 search over every budget-feasible subset provides the validation oracle.
@@ -31,6 +38,7 @@ from .network import (
     Intervention,
     edge_removal,
     node_removal,
+    source_component_members,
 )
 from .percolate import (
     MASK_TABLE_CAP,
@@ -43,6 +51,12 @@ from .percolate import (
 )
 
 LP_TOLERANCE = 1e-7
+
+# Most constraint-matrix nonzeros build_lp allocates. HiGHS used ~0.7 kB of
+# memory per nonzero on a 129k-nonzero scenario LP (and 17 s of dual
+# simplex), so this caps the solve near 0.7 GB; LPs past it would run for a
+# long time and are better solved with fewer scenarios.
+LP_NNZ_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -103,23 +117,31 @@ def draw_samples(
 
 @dataclass(frozen=True)
 class LpModel:
-    """The compact scenario LP in standard inequality form.
+    """The reduced scenario LP in standard inequality form.
 
-    Columns are the removal variables (one per affordable entity) followed by
-    y_vj for every non-source vertex v and scenario j. Row 0 is the budget
-    constraint with costs scaled by 1/B; the remaining rows propagate
-    distances along each scenario's kept edges. Entities priced above the
-    budget are hard-wired to zero (no column), but their edges still
-    propagate.
+    Only the source's component of a scenario carries constraints, and
+    scenarios whose kept edges inside that component coincide are merged
+    into one distinct scenario weighted by its count. Columns are the
+    removal variables (one per affordable entity) followed by y_vd for every
+    distinct scenario d and every vertex v != s of its component, ordered by
+    d, then v. Row 0 is the budget constraint with costs scaled by 1/B; the
+    remaining rows propagate distances along each distinct scenario's kept
+    component edges. Entities priced above the budget are hard-wired to
+    zero (no column), but their edges still propagate. A vertex outside the
+    component sits at y = 1 and adds nothing to the objective; ``offset``
+    carries the constant part of the objective instead.
     """
 
     samples: SampleSet
     mode: str  # "edge" | "node"
     budget: float
     var_entities: np.ndarray  # entity id per x column
-    objective: np.ndarray
+    objective: np.ndarray  # -count_d / N on every y column of distinct scenario d
     a_ub: sparse.csr_matrix
     b_ub: np.ndarray
+    scenario_map: np.ndarray  # (N,) distinct scenario of each scenario
+    component: np.ndarray  # (D, n) bool, source's component per distinct scenario
+    offset: float  # mean over scenarios of (component size - 1)
     node_costs: np.ndarray | None = None
 
     @property
@@ -132,7 +154,8 @@ class LpModel:
 
     @property
     def num_y(self) -> int:
-        return self.samples.N * (self.network.n - 1)
+        """Non-source component vertices, summed over distinct scenarios."""
+        return len(self.objective) - self.num_x
 
 
 def _entity_costs(network: ContactNetwork, mode: str, node_costs) -> np.ndarray:
@@ -152,7 +175,11 @@ def build_lp(
     mode: str = "edge",
     node_costs: np.ndarray | None = None,
 ) -> LpModel:
-    """Assemble the scenario LP for an edge- or node-removal budget."""
+    """Assemble the reduced scenario LP for an edge- or node-removal budget.
+
+    Raises :class:`InstanceTooLargeError`, before the constraint matrix is
+    allocated, when it would hold more than ``LP_NNZ_CAP`` nonzeros.
+    """
     if mode not in ("edge", "node"):
         raise ValidationError(f"unknown mode {mode!r}")
     net = samples.network
@@ -177,67 +204,76 @@ def build_lp(
         affordable = costs <= budget
         affordable[s] = False  # the source cannot be vaccinated
     var_entities = np.flatnonzero(affordable)
-    col_of_entity = {int(e): i for i, e in enumerate(var_entities)}
     num_x = len(var_entities)
     scale = budget if budget > 0 else 1.0
 
-    # y columns: vertex v != s in scenario j at num_x + j*(n-1) + rank(v)
-    vrank = np.full(n, -1, dtype=np.int64)
-    others = [v for v in range(n) if v != s]
-    for r, v in enumerate(others):
-        vrank[v] = r
-
-    def ycol(j: int, v: int) -> int:
-        return num_x + j * (n - 1) + int(vrank[v])
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    # budget row (always row 0, costs scaled so the row reads <= 1)
-    for i, e in enumerate(var_entities):
-        rows.append(0)
-        cols.append(i)
-        vals.append(float(costs[e]) / scale)
-    b: list[float] = [1.0]
-
-    loops = net.us == net.vs
-    row = 1
-    for j in range(N):
-        kept = np.flatnonzero(samples.keep_rows[j] & ~loops)
-        for e in kept:
-            u, v = int(net.us[e]), int(net.vs[e])
-            for a, bvert in ((u, v), (v, u)):
-                if bvert == s:
-                    continue  # a hop into the source constrains nothing
-                # y_b <= y_a + removal mass on this hop
-                cs, vs_ = [ycol(j, bvert)], [1.0]
-                if a != s:
-                    cs.append(ycol(j, a))
-                    vs_.append(-1.0)
-                if mode == "edge":
-                    xe = col_of_entity.get(int(e))
-                else:
-                    xe = col_of_entity.get(bvert)  # entering b charges x_b
-                if xe is not None:
-                    cs.append(xe)
-                    vs_.append(-1.0)
-                rows.extend([row] * len(cs))
-                cols.extend(cs)
-                vals.extend(vs_)
-                b.append(0.0)
-                row += 1
-
-    num_vars = num_x + N * (n - 1)
-    a_ub = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(row, num_vars), dtype=np.float64
+    # A kept edge touching the source's component lies inside it, and these
+    # edges determine the component, so they identify a distinct scenario.
+    # Rows are packed 8 edges to a byte for the sort, which keeps their order.
+    members = source_component_members(net, samples.keep_rows)
+    inner = samples.keep_rows & members[:, net.us] & (net.us != net.vs)
+    _, first, scenario_map, counts = np.unique(
+        np.packbits(inner, axis=1), axis=0,
+        return_index=True, return_inverse=True, return_counts=True,
     )
-    objective = np.zeros(num_vars)
-    objective[num_x:] = -1.0 / N
+    inner, component = inner[first], members[first]
+
+    # Size check. Each kept component edge is a hop in both directions
+    # except into s; a hop row holds y_b, y_a unless a is s, and x if priced.
+    into_u, into_v = net.us != s, net.vs != s
+    hops = into_u.astype(np.int64) + into_v
+    if mode == "edge":
+        x_hops = hops * affordable
+    else:  # entering b charges x_b, and the source has no x column
+        x_hops = affordable[net.us].astype(np.int64) + affordable[net.vs]
+    per_edge = inner.sum(axis=0)
+    num_rows = 1 + int(per_edge @ hops)
+    nnz = num_x + int(per_edge @ (hops + 2 * (into_u & into_v) + x_hops))
+    if nnz > LP_NNZ_CAP:
+        raise InstanceTooLargeError(
+            f"the scenario LP for N={N} scenarios would have {num_rows} rows and "
+            f"{nnz} nonzeros, above the cap of {LP_NNZ_CAP}; pass fewer scenarios "
+            f"with --samples (num_samples)"
+        )
+
+    # y column of vertex v != s in distinct scenario d, ordered by d, then v
+    y_mask = component.copy()
+    y_mask[:, s] = False
+    num_y = int(y_mask.sum())
+    y_col = np.full(component.shape, -1, dtype=np.int64)
+    y_col[y_mask] = num_x + np.arange(num_y)
+    x_col = np.full(len(costs), -1, dtype=np.int64)
+    x_col[var_entities] = np.arange(num_x)
+
+    # hop a -> b reads y_b <= y_a + removal mass on the hop
+    d, e = np.nonzero(inner)
+    d = np.repeat(d, 2)
+    a = np.stack([net.us[e], net.vs[e]], axis=1).ravel()
+    b = np.stack([net.vs[e], net.us[e]], axis=1).ravel()
+    e = np.repeat(e, 2)
+    hop = b != s
+    d, e, a, b = d[hop], e[hop], a[hop], b[hop]
+    row = 1 + np.arange(len(b))
+    ya = y_col[d, a]  # -1 when a is the source
+    xb = x_col[e] if mode == "edge" else x_col[b]
+    has_a, has_x = ya >= 0, xb >= 0
+    rows = np.concatenate([np.zeros(num_x, dtype=np.int64), row, row[has_a], row[has_x]])
+    cols = np.concatenate([np.arange(num_x), y_col[d, b], ya[has_a], xb[has_x]])
+    vals = np.concatenate([costs[var_entities] / scale, np.ones(len(row)),
+                           np.full(int(has_a.sum() + has_x.sum()), -1.0)])
+    a_ub = sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(num_rows, num_x + num_y), dtype=np.float64
+    )
+    b_ub = np.zeros(num_rows)
+    b_ub[0] = 1.0  # budget row, costs scaled so the row reads <= 1
+    objective = np.zeros(num_x + num_y)
+    objective[num_x:] = -counts[np.nonzero(y_mask)[0]] / N
     return LpModel(
         samples=samples, mode=mode, budget=float(budget),
-        var_entities=var_entities, objective=objective,
-        a_ub=a_ub, b_ub=np.asarray(b), node_costs=None if mode == "edge" else costs,
+        var_entities=var_entities, objective=objective, a_ub=a_ub, b_ub=b_ub,
+        scenario_map=scenario_map.reshape(-1), component=component,
+        offset=int(counts @ y_mask.sum(axis=1)) / N,
+        node_costs=None if mode == "edge" else costs,
     )
 
 
@@ -257,40 +293,51 @@ def solve_lp(model: LpModel) -> FractionalSolution:
 
     The returned objective equals the average, over scenarios, of the
     fractional count of non-source vertices still connected to the source.
+    ``y`` is rebuilt dense over all N scenarios, at 1 outside each
+    scenario's source component. With no y column the objective is
+    constant, so x = 0 is taken as optimal without a solver call.
     """
-    res = linprog(
-        c=model.objective,
-        A_ub=model.a_ub,
-        b_ub=model.b_ub,
-        bounds=(0.0, 1.0),
-        method="highs-ds",
-        options={
-            "primal_feasibility_tolerance": LP_TOLERANCE,
-            "dual_feasibility_tolerance": LP_TOLERANCE,
-        },
-    )
-    if res.status == 1:
-        status = "iteration-limit"
-    elif res.status == 0:
-        status = "optimal"
+    if model.num_y:
+        res = linprog(
+            c=model.objective,
+            A_ub=model.a_ub,
+            b_ub=model.b_ub,
+            bounds=(0.0, 1.0),
+            method="highs-ds",
+            options={
+                "primal_feasibility_tolerance": LP_TOLERANCE,
+                "dual_feasibility_tolerance": LP_TOLERANCE,
+            },
+        )
+        if res.status == 1:
+            status = "iteration-limit"
+        elif res.status == 0:
+            status = "optimal"
+        else:
+            raise SolverError(f"LP solve failed: {res.message}")
+        solution, value = res.x, float(res.fun)
     else:
-        raise SolverError(f"LP solve failed: {res.message}")
+        solution, value, status = np.zeros(len(model.objective)), 0.0, "optimal"
 
     net = model.network
     n, s, N = net.n, net.source, model.samples.N
     num_x = model.num_x
     width = net.m if model.mode == "edge" else net.n
     x = np.zeros(width)
-    x[model.var_entities] = np.clip(res.x[:num_x], 0.0, 1.0)
-    y = np.zeros((N, n))
+    x[model.var_entities] = np.clip(solution[:num_x], 0.0, 1.0)
+    y_mask = model.component.copy()
+    y_mask[:, s] = False
+    y_distinct = np.ones(y_mask.shape)
+    y_distinct[:, s] = 0.0
+    y_distinct[y_mask] = np.clip(solution[num_x:], 0.0, 1.0)
+    y = y_distinct[model.scenario_map]
     others = [v for v in range(n) if v != s]
-    y[:, others] = np.clip(res.x[num_x:].reshape(N, n - 1), 0.0, 1.0)
 
-    objective = float(res.fun) + (n - 1)
+    objective = value + model.offset
     objective = min(max(objective, 0.0), float(n - 1))  # strip solver noise
     # sanity: budget row and objective identity within solver tolerance
     if num_x:
-        row = float(model.a_ub.getrow(0).dot(res.x)[0])
+        row = float(model.a_ub.getrow(0).dot(solution)[0])
         if row > 1.0 + 10 * LP_TOLERANCE:
             raise SolverError(f"budget row violated: {row}")
     recomputed = float(np.sum(1.0 - y[:, others]) / N)
@@ -361,10 +408,9 @@ def separated_sets(
         raise ValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
     if samples is not frac.model.samples:
         raise ValidationError("samples do not match the solved model")
-    out = []
-    for j in range(samples.N):
-        out.append(frozenset(int(v) for v in np.flatnonzero(frac.y[j] >= epsilon)))
-    return out
+    rows, verts = np.nonzero(frac.y >= epsilon)
+    splits = np.searchsorted(rows, np.arange(1, samples.N))
+    return [frozenset(part.tolist()) for part in np.split(verts, splits)]
 
 
 def brute_force_optimum(
@@ -468,6 +514,10 @@ def solve_saa(
         "sample_override": num_samples is not None,
         "lp_objective": frac.objective,
         "lp_status": frac.solver_status,
+        "lp_rows": model.a_ub.shape[0],
+        "lp_cols": model.a_ub.shape[1],
+        "lp_nnz": model.a_ub.nnz,
+        "scenarios_distinct": len(model.component),
         "cost": chosen.cost,
         "cost_ratio": chosen.cost / budget if budget > 0 else math.inf,
         "members": list(chosen.members),

@@ -53,6 +53,11 @@ from .percolate import (
 _SCALE = 1 << 16  # integer capacity unit for the flow solver
 _CAP_MAX = 1 << 30
 
+# Subsets sized per block by min_sbcc_exact. Sizing all 2^20 subsets of an
+# m = 20 graph at once peaked at 281 MB of RSS; a block's removal matrix is
+# EXACT_BLOCK x m bools.
+EXACT_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class SbccSolution:
@@ -234,8 +239,9 @@ def min_sbcc_exact(
     the budget; ties prefer fewer edges, then the lexicographically
     smallest id tuple. ``percolate.affordable_subsets`` lists the subsets
     (every edge, self-loops included, at unit cost) and
-    ``percolate.component_sizes`` sizes them: through the 2^m mask table
-    for m <= 16, through the component kernel above.
+    ``percolate.component_sizes`` sizes them, ``EXACT_BLOCK`` subsets at a
+    time with a running best: through the 2^m mask table for m <= 16,
+    through the component kernel above.
     """
     if graph.m > 20:
         raise InstanceTooLargeError(f"exact oracle caps at 20 edges, got {graph.m}")
@@ -245,13 +251,18 @@ def min_sbcc_exact(
     m = graph.m
     edge_ids = np.arange(m, dtype=np.int64)
     picks, _ = affordable_subsets(np.int64(1) << edge_ids, np.ones(m), int(min(m, budget)))
-    removed = ((picks[:, np.newaxis] >> edge_ids) & 1).astype(bool)
-    sizes = component_sizes(graph, ~removed)
-    counts = removed.sum(axis=1)
-    best = np.flatnonzero(sizes == sizes.min())
-    best = best[counts[best] == counts[best].min()]
-    best_set = min(tuple(int(e) for e in np.flatnonzero(removed[r])) for r in best)
-    return best_set, int(sizes[best[0]])
+    best = None
+    for start in range(0, len(picks), EXACT_BLOCK):
+        removed = ((picks[start:start + EXACT_BLOCK, np.newaxis] >> edge_ids) & 1).astype(bool)
+        sizes = component_sizes(graph, ~removed)
+        counts = removed.sum(axis=1)
+        rows = np.flatnonzero(sizes == sizes.min())
+        rows = rows[counts[rows] == counts[rows].min()]
+        ids = min(tuple(int(e) for e in np.flatnonzero(removed[r])) for r in rows)
+        block_best = (int(sizes[rows[0]]), int(counts[rows[0]]), ids)
+        if best is None or block_best < best:
+            best = block_best
+    return best[2], best[0]
 
 
 def solve_karger(

@@ -7,9 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from epictrl.network import ContactNetwork
 from epictrl.network import random_connected_network  # noqa: F401  (re-exported to the tests)
+from epictrl.saa import LP_TOLERANCE
 
 
 def make_network(n, edges, probs=None, costs=None, source=0) -> ContactNetwork:
@@ -170,3 +173,74 @@ def parametric_sbcc_oracle(network, budget, lam):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def unreduced_lp_solution(samples, budget, mode="edge", node_costs=None):
+    """Reference for ``build_lp``/``solve_lp``: the unreduced scenario LP.
+
+    Every scenario gets a y column for each vertex v != s and a row for
+    each hop along every kept edge, built in Python loops, and is solved by
+    the same HiGHS dual simplex. Returns (objective, x, y) with x per entity
+    and y of shape (N, n).
+    """
+    net = samples.network
+    n, s, N = net.n, net.source, samples.N
+    if mode == "edge":
+        costs = net.costs
+        affordable = np.isfinite(costs) & (costs <= budget) & (net.us != net.vs)
+    else:
+        costs = np.ones(n) if node_costs is None else np.asarray(node_costs, dtype=float)
+        affordable = costs <= budget
+        affordable[s] = False
+    var_entities = np.flatnonzero(affordable)
+    col_of_entity = {int(e): i for i, e in enumerate(var_entities)}
+    num_x = len(var_entities)
+    scale = budget if budget > 0 else 1.0
+    others = [v for v in range(n) if v != s]
+    vrank = {v: r for r, v in enumerate(others)}
+
+    def ycol(j, v):
+        return num_x + j * (n - 1) + vrank[v]
+
+    rows, cols, vals, b = [], [], [], [1.0]
+    for i, e in enumerate(var_entities):
+        rows.append(0)
+        cols.append(i)
+        vals.append(float(costs[e]) / scale)
+    row = 1
+    for j in range(N):
+        for e in np.flatnonzero(samples.keep_rows[j] & (net.us != net.vs)):
+            u, v = int(net.us[e]), int(net.vs[e])
+            for a, bvert in ((u, v), (v, u)):
+                if bvert == s:
+                    continue
+                cs, vs_ = [ycol(j, bvert)], [1.0]
+                if a != s:
+                    cs.append(ycol(j, a))
+                    vs_.append(-1.0)
+                xe = col_of_entity.get(int(e) if mode == "edge" else bvert)
+                if xe is not None:
+                    cs.append(xe)
+                    vs_.append(-1.0)
+                rows.extend([row] * len(cs))
+                cols.extend(cs)
+                vals.extend(vs_)
+                b.append(0.0)
+                row += 1
+    num_vars = num_x + N * (n - 1)
+    objective = np.zeros(num_vars)
+    objective[num_x:] = -1.0 / N
+    res = linprog(
+        c=objective,
+        A_ub=sparse.csr_matrix((vals, (rows, cols)), shape=(row, num_vars)),
+        b_ub=np.asarray(b), bounds=(0.0, 1.0), method="highs-ds",
+        options={"primal_feasibility_tolerance": LP_TOLERANCE,
+                 "dual_feasibility_tolerance": LP_TOLERANCE},
+    )
+    assert res.status == 0, res.message
+    x = np.zeros(net.m if mode == "edge" else n)
+    x[var_entities] = np.clip(res.x[:num_x], 0.0, 1.0)
+    y = np.zeros((N, n))
+    y[:, others] = np.clip(res.x[num_x:].reshape(N, n - 1), 0.0, 1.0)
+    objective = min(max(float(res.fun) + (n - 1), 0.0), float(n - 1))
+    return objective, x, y

@@ -253,6 +253,10 @@ def test_component_kernel_matches_union_find(case):
     # small blocks: many per batch, the last one usually partial
     with mock.patch.object(network_module, "CELLS", cells):
         assert np.array_equal(network_module.source_component_sizes(net, effective), expected)
+        inside = network_module.source_component_members(net, effective)
+        assert inside.shape == (len(effective), net.n)
+        for row, kept in zip(inside, effective):
+            assert tuple(np.flatnonzero(row)) == union_find_component(net, kept)
         for row, kept in zip(keep[:3], effective):
             rep = component_of(net, removed, edge_mask=row)
             members = union_find_component(net, kept)

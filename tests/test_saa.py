@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epictrl import (
     InstanceTooLargeError,
@@ -22,6 +24,7 @@ from epictrl import (
     solve_lp,
     solve_saa,
 )
+from epictrl import saa
 from epictrl.saa import FractionalSolution
 
 from conftest import (
@@ -31,6 +34,8 @@ from conftest import (
     path_network,
     star_network,
     random_connected_network,
+    union_find_component,
+    unreduced_lp_solution,
 )
 
 
@@ -157,6 +162,138 @@ def test_lp_relaxation_lower_bounds_every_feasible_removal(rng):
                     continue
                 h = empirical_infections(ss, net, edge_removal(net, combo))
                 assert frac.objective + 1.0 <= h + 1e-6
+
+
+def assert_matches_unreduced(samples, budget, mode="edge", node_costs=None, tied=False):
+    """The reduced LP solves the unreduced LP: same objective, and its x
+    with its y (the capped x-distances) is an optimum of the unreduced LP.
+
+    An entity that no scenario's source component reaches changes neither
+    objective, so the unreduced LP may leave mass on it; the reduced LP has
+    no row for it and leaves it at 0. Unless the instance may have tied
+    optima, the rounded members on the other entities and y must also equal
+    the unreduced LP's.
+    """
+    frac = solve_lp(build_lp(samples, budget, mode=mode, node_costs=node_costs))
+    objective, x, y = unreduced_lp_solution(samples, budget, mode, node_costs)
+    assert abs(frac.objective - objective) <= 1e-9, (mode, frac.objective, objective)
+    net = samples.network
+    live = np.zeros(len(x), dtype=bool)
+    for j, row in enumerate(samples.keep_rows):
+        want = dijkstra_capped(net, row, frac.x, mode)
+        assert np.abs(frac.y[j] - want).max() <= 1e-7, (mode, j)
+        members = list(union_find_component(net, row))
+        if mode == "edge":
+            live |= row & np.isin(net.us, members)
+        else:
+            live[members] = True
+    assert np.all(frac.x[~live] == 0.0)
+    if not tied:
+        threshold = 1.0 / (4.0 * net.n ** (2.0 / 3.0))
+        assert np.array_equal(np.flatnonzero(frac.x >= threshold),
+                              np.flatnonzero(live & (x >= threshold))), mode
+        assert np.abs(frac.y - y).max() <= 1e-7, mode
+    return frac
+
+
+@st.composite
+def lp_cases(draw):
+    """Small graphs with self-loops, any source (often isolated), either mode,
+    unit or random edge and node costs, budgets down to 0 in node mode, and
+    sometimes a merged meta-source behind infinite-cost edges."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    m = draw(st.integers(1, min(len(pairs), 12)))
+    edges = draw(st.permutations(pairs))[:m]
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = g.choice([0.0, 0.2, 0.5, 0.9, 1.0], size=m)
+    costs = np.ones(m) if draw(st.booleans()) else g.uniform(0.5, 3.0, size=m)
+    net = make_network(n, edges, probs=probs, costs=costs, source=draw(st.integers(0, n - 1)))
+    if draw(st.booleans()):
+        net = merge_seeds(net, draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
+    mode = draw(st.sampled_from(["edge", "node"]))
+    node_costs = None
+    if mode == "node" and draw(st.booleans()):
+        node_costs = g.uniform(0.0, 2.0, size=net.n)
+    budget = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]))
+    if mode == "edge" and budget == 0.0:
+        budget = 1.0
+    samples = draw_samples(net, draw(st.integers(1, 25)), seed=draw(st.integers(0, 2**31)))
+    return samples, budget, mode, node_costs
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lp_cases())
+def test_lp_matches_unreduced_oracle(case):
+    # unit costs and few scenarios often tie several optima (three leaves of
+    # the source, one removable), and the two LPs may pick different ones
+    samples, budget, mode, node_costs = case
+    assert_matches_unreduced(samples, budget, mode, node_costs, tied=True)
+
+
+def test_lp_matches_unreduced_oracle_on_batteries():
+    """The LP instances of acceptance criteria 2/3 (edge) and 11 (node), and
+    sources isolated in every scenario: no y column, and in node mode with
+    B = 0 (or in edge mode with every edge above budget) no column at all."""
+    rng = np.random.default_rng(202)
+    for i in range(20):
+        net = random_connected_network(rng, n_lo=4, n_hi=8, max_m=14, p_mode="random",
+                                       unit_costs=bool(i % 2))
+        budget = max(1.0, round(0.35 * float(net.costs.sum()), 2))
+        assert_matches_unreduced(draw_samples(net, 40, seed=500 + i), budget)
+    rng = np.random.default_rng(1111)
+    for i in range(10):
+        net = random_connected_network(rng, n_lo=6, n_hi=12, max_m=16, p_mode="random")
+        assert_matches_unreduced(draw_samples(net, 40, seed=920 + i), 2.0, "node")
+    net = random_connected_network(np.random.default_rng(1212), n_lo=12, n_hi=12, max_m=16,
+                                   p_mode="random")
+    assert_matches_unreduced(draw_samples(net, 40, seed=33, epsilon=0.3), 2.0, "node")
+
+    isolated = make_network(4, [(0, 0), (1, 2), (2, 3)], probs=[1.0, 1.0, 0.5],
+                            costs=[1.0, 0.5, 2.0])
+    for net, budget, mode, node_costs in [
+        (path_network(p=0.0), 1.0, "edge", None),
+        (path_network(p=0.0), 0.0, "node", None),
+        (path_network(p=0.0, costs=[5.0, 5.0]), 1.0, "edge", None),
+        (isolated, 1.0, "edge", None),
+        (isolated, 0.0, "node", np.array([0.0, 0.0, 1.0, 1.0])),
+        (isolated, 1.0, "node", np.array([0.0, 3.0, 0.5, 1.5])),
+    ]:
+        frac = assert_matches_unreduced(draw_samples(net, 6, seed=2), budget, mode, node_costs)
+        assert frac.model.num_y == 0
+    merged = merge_seeds(isolated.with_source(1), [1, 3])
+    samples = draw_samples(merged, 6, seed=2)
+    assert_matches_unreduced(samples, 1.0)
+    assert_matches_unreduced(samples, 1.5, "node", np.array([1.0, 0.2, 0.7, 2.0, 0.0]))
+
+
+def test_lp_restricts_and_merges_scenarios():
+    # the source's edge is kept in every scenario and the far edge never
+    net = make_network(4, [(0, 1), (2, 3)], probs=[1.0, 0.0])
+    model = build_lp(draw_samples(net, 5, seed=0), budget=1.0)
+    assert len(model.component) == 1 and np.array_equal(model.scenario_map, np.zeros(5))
+    assert model.component[0].tolist() == [True, True, False, False]
+    assert (model.num_x, model.num_y) == (2, 1)
+    assert model.a_ub.shape == (2, 3)  # budget row and the hop 0 -> 1
+    assert model.offset == 1.0
+
+
+@pytest.mark.parametrize("mode", ["edge", "node"])
+def test_lp_size_guard(monkeypatch, mode):
+    """The size estimate is exact: at the cap the LP builds, one below it raises."""
+    edges = list(itertools.combinations(range(6), 2)) + [(3, 3)]
+    net = make_network(6, edges, probs=0.5, costs=np.resize([1.0, 3.0], len(edges)))
+    node_costs = np.resize([1.0, 3.0], 6) if mode == "node" else None
+    samples = draw_samples(net, 30, seed=3)
+    nnz = build_lp(samples, 2.0, mode=mode, node_costs=node_costs).a_ub.nnz
+    monkeypatch.setattr(saa, "LP_NNZ_CAP", nnz)
+    assert build_lp(samples, 2.0, mode=mode, node_costs=node_costs).a_ub.nnz == nnz
+    monkeypatch.setattr(saa, "LP_NNZ_CAP", nnz - 1)
+    with pytest.raises(InstanceTooLargeError, match=f"{nnz} nonzeros.*--samples"):
+        build_lp(samples, 2.0, mode=mode, node_costs=node_costs)
+    with pytest.raises(InstanceTooLargeError, match="num_samples"):
+        solve_saa(net, budget=2.0, epsilon=0.5, mode=mode, seed=3, num_samples=30,
+                  eval_samples=10, node_costs=node_costs)
 
 
 # ------------------------------------------------------------- rounding
@@ -329,6 +466,16 @@ def test_separated_sets_contains_disconnected_vertices():
     assert all({1, 2} <= s for s in sets)
 
 
+def test_separated_sets_match_per_scenario_threshold(rng):
+    net = random_connected_network(rng, n_lo=5, n_hi=7, max_m=10, p_mode=0.5)
+    ss = draw_samples(net, 25, seed=4)
+    frac = solve_lp(build_lp(ss, budget=1.0))
+    for eps in (0.05, 0.5, 0.95):
+        want = [frozenset(int(v) for v in np.flatnonzero(frac.y[j] >= eps))
+                for j in range(ss.N)]
+        assert separated_sets(frac, ss, eps) == want
+
+
 def test_separated_sets_validation():
     net = path_network(p=1.0)
     ss = draw_samples(net, 1, seed=1)
@@ -379,6 +526,17 @@ def test_solve_saa_source_accounting():
     ss = draw_samples(net, 30, seed=3, epsilon=0.4)
     assert report["empirical_infections"] == empirical_infections(ss, net, iv)
     assert report["empirical_infections"] >= 1.0
+
+
+def test_solve_saa_reports_lp_size():
+    net = path_network(p=0.5)
+    _, report = solve_saa(net, budget=1.0, epsilon=0.4, seed=3, num_samples=30,
+                          eval_samples=10)
+    model = build_lp(draw_samples(net, 30, seed=3), budget=1.0)
+    assert (report["lp_rows"], report["lp_cols"]) == model.a_ub.shape
+    assert report["lp_nnz"] == model.a_ub.nnz
+    # the source's component keeps no edge, the first edge, or both
+    assert report["scenarios_distinct"] == len(model.component) == 3
 
 
 def test_solve_saa_node_mode_never_selects_source(rng):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from epictrl import (
     solve_karger,
     sparsification_regime,
 )
+from epictrl import sbcc as sbcc_module
 from epictrl.network import boundary_of
 from epictrl.percolate import sample_keep_matrix
 
@@ -120,7 +123,27 @@ def test_exact_matches_union_find_reference(m):
         assert net.m == m
         net = net.with_source(int(rng.integers(0, net.n)))
         for budget in (0.0, 1.0, 2.5, 3.0):
-            assert min_sbcc_exact(net, None, budget) == exact_sbcc_reference(net, budget)
+            want = exact_sbcc_reference(net, budget)
+            assert min_sbcc_exact(net, None, budget) == want
+            # blocks of 7 subsets: ties are settled across blocks
+            with mock.patch.object(sbcc_module, "EXACT_BLOCK", 7):
+                assert min_sbcc_exact(net, None, budget) == want
+
+
+def test_exact_full_budget_at_m20_sizes_subsets_in_blocks():
+    """All 2^20 subsets fit the budget; the least is the source's edges."""
+    net = random_connected_network(np.random.default_rng(20), n_lo=8, n_hi=8,
+                                   max_m=20, p_mode=1.0)
+    assert net.m == 20
+    at_source = tuple(int(e) for e in np.flatnonzero((net.us == 0) | (net.vs == 0)))
+    tracemalloc.start()
+    try:
+        assert min_sbcc_exact(net, None, 20.0) == (at_source, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # sizing every subset at once peaked near 200 MB
+    assert peak < 64 * 2**20, peak
 
 
 @pytest.mark.parametrize("budget", [-1.0, math.nan])
