@@ -28,6 +28,11 @@ from .percolate import Z99
 PATH_GRAPH_CAP = 12  # exhaustive path census cap on vertex count
 ENUMERATION_CAP = 10_000_000  # max composition vectors for direct sums
 
+# Most vertex pairs, n(n+1)/2, that generate draws. It holds one uniform and
+# one probability per pair, ~33 bytes per pair at its peak, so this cap
+# (n <= 4095) bounds a draw near 280 MB.
+PAIR_CAP = 1 << 23
+
 
 @dataclass(frozen=True)
 class ChungLuModel:
@@ -118,8 +123,16 @@ def generate(model: ChungLuModel, seed: int, index: int = 0) -> ContactNetwork:
     The source is the vertex of highest degree (self-loops not counted),
     smallest id on ties: low-weight vertices, vertex 0 among them, are
     often isolated. Edge costs default to 1 and transmission probabilities
-    to 1 (callers set them, e.g. via ``with_uniform_probability``).
+    to 1 (callers set them, e.g. via ``with_uniform_probability``). More
+    than ``PAIR_CAP`` vertex pairs raise ``InstanceTooLargeError`` before
+    any pair array is allocated.
     """
+    pairs = model.n * (model.n + 1) // 2
+    if pairs > PAIR_CAP:
+        raise InstanceTooLargeError(
+            f"n = {model.n} vertices give {pairs} vertex pairs, above the cap of "
+            f"{PAIR_CAP} pairs that generate draws at once; use a smaller n"
+        )
     w = model.weights.astype(np.float64)
     total = float(model.total_weight)
     iu, iv = np.triu_indices(model.n)

@@ -22,6 +22,7 @@ from .network import (
     ContactNetwork,
     Intervention,
     removal_edge_keep,
+    source_component_members,
     source_component_sizes,
 )
 
@@ -152,7 +153,13 @@ def component_sizes(
 
     Uses the 2^m reachability table when the instance is small enough
     (or one is supplied); otherwise runs the rows through the batched
-    component kernel.
+    component kernel. There, a removal that drops edges is evaluated only
+    on the source's component C of G - removal, labelled once: in every
+    sample the source's component lies inside C, so the rows are cut to
+    the kept edges with an endpoint in C, on C's vertices relabelled
+    0..|C|-1, and the sizes are unchanged. When C holds every kept edge
+    (say, G - removal is connected apart from removed vertices) the rows
+    run on the whole network.
     """
     keep_rows = np.asarray(keep_rows, dtype=bool)
     if table is None and network.m <= MASK_TABLE_CAP:
@@ -160,7 +167,23 @@ def component_sizes(
     if table is not None:
         masks = keep_rows_to_masks(keep_rows) & intervention_keep_bits(network, removed)
         return table[masks]
-    return source_component_sizes(network, keep_rows & removal_edge_keep(network, removed))
+    keep = removal_edge_keep(network, removed)
+    if not keep.all():
+        inside = source_component_members(network, keep[np.newaxis, :])[0]
+        # a kept edge with one endpoint in C has both there
+        edges = np.flatnonzero(keep & inside[network.us])
+        if len(edges) < np.count_nonzero(keep):
+            relabel = np.cumsum(inside) - 1
+            restricted = ContactNetwork(
+                n=int(inside.sum()),
+                us=relabel[network.us[edges]],
+                vs=relabel[network.vs[edges]],
+                costs=network.costs[edges],
+                probs=network.probs[edges],
+                source=int(relabel[network.source]),
+            )
+            return source_component_sizes(restricted, keep_rows[:, edges])
+    return source_component_sizes(network, keep_rows & keep)
 
 
 def estimate_infections(

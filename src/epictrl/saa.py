@@ -58,6 +58,11 @@ LP_TOLERANCE = 1e-7
 # long time and are better solved with fewer scenarios.
 LP_NNZ_CAP = 1 << 20
 
+# Most uniforms, N x rng.stride_for(m), that draw_samples draws. They are
+# float64, so this caps the draw at 134 MB; a theory-sized N on a graph with
+# a hundred edges would otherwise draw hundreds of MB before any LP guard.
+SAMPLE_DRAW_CAP = 1 << 24
+
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -108,9 +113,20 @@ def required_sample_count(n: int, m: int, epsilon: float) -> int:
 def draw_samples(
     network: ContactNetwork, N: int, seed: int, epsilon: float | None = None
 ) -> SampleSet:
-    """Draw N independent scenario subgraphs (indices 0..N-1)."""
+    """Draw N independent scenario subgraphs (indices 0..N-1).
+
+    More than ``SAMPLE_DRAW_CAP`` uniforms (N times the network's padded
+    per-sample stride) raise ``InstanceTooLargeError`` before drawing.
+    """
     if N < 1:
         raise ValidationError("N must be >= 1")
+    draws = N * rng.stride_for(network.m)
+    if draws > SAMPLE_DRAW_CAP:
+        raise InstanceTooLargeError(
+            f"N = {N} scenarios of a network with m = {network.m} edges need "
+            f"{draws} uniform draws, above the cap of {SAMPLE_DRAW_CAP}; pass fewer "
+            f"scenarios with --samples (num_samples)"
+        )
     return SampleSet(network=network, keep_rows=sample_keep_matrix(network, seed, 0, N),
                      seed=seed, epsilon=epsilon)
 

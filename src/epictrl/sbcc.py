@@ -39,7 +39,6 @@ from .network import (
     ContactNetwork,
     Intervention,
     boundary_of,
-    component_of,
     edge_removal,
     sparsification_regime,
 )
@@ -64,9 +63,11 @@ class SbccSolution:
     """One point of the cut-size / component-size trade-off curve.
 
     ``cut_edges`` is exactly the boundary of ``component`` in the solved
-    graph. ``lagrange_alpha`` is the breakpoint of ``component``: C / 2^16
-    for the smallest integer sink capacity C at which it is the minimal
-    min-cut source side.
+    graph. ``component`` is connected there (it is what the source reaches
+    in the residual network), so it is the source's component once
+    ``cut_edges`` are removed. ``lagrange_alpha`` is the breakpoint of
+    ``component``: C / 2^16 for the smallest integer sink capacity C at
+    which it is the minimal min-cut source side.
     ``within_budget`` records whether the relaxed budget cut_size <=
     budget/lambda was met (otherwise the smallest-cut fallback is returned).
     """
@@ -313,13 +314,12 @@ def solve_karger(
             source=network.source,
         )
         sol = min_sbcc(sub, budget=gamma * budget * p, lam=lam)
-        realized = component_of(sub, edge_removal(sub, sol.cut_edges))
-        barrier = boundary_of(network, realized.members)
+        barrier = boundary_of(network, sol.component)
         members_per_candidate.append(barrier)
         candidates.append({
             "cut_cost": float(len(barrier)),
-            "component_size": realized.size,
-            "component_members": [int(v) for v in realized.members],
+            "component_size": len(sol.component),
+            "component_members": list(sol.component),
             "members": [int(e) for e in barrier],
             "sample_cut_size": sol.cut_size,
             "within_sample_budget": sol.within_budget,

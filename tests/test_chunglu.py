@@ -18,6 +18,7 @@ from epictrl import (
     expected_path_count_bound,
     generate,
 )
+from epictrl import chunglu
 
 from conftest import complete_network, make_network, path_network
 
@@ -94,6 +95,16 @@ def test_generate_source_is_not_isolated():
     assert degree[0] == 0
     assert degree[net.source] == degree.max() > 0
     assert net.source == int(np.flatnonzero(degree == degree.max())[0])
+
+
+def test_generate_pair_guard(monkeypatch):
+    """n(n+1)/2 pairs: at the cap the graph draws, one below it raises."""
+    model = build_model(30, 2.5, 1, 3)
+    monkeypatch.setattr(chunglu, "PAIR_CAP", 465)
+    assert generate(model, seed=9).n == 30
+    monkeypatch.setattr(chunglu, "PAIR_CAP", 464)
+    with pytest.raises(InstanceTooLargeError, match="n = 30 .*465 .*cap of 464"):
+        generate(model, seed=9)
 
 
 def test_generate_deterministic():

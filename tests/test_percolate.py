@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -24,7 +25,7 @@ from epictrl.percolate import (
 )
 
 from epictrl import network as network_module
-from epictrl.network import component_of, node_removal, removal_edge_keep
+from epictrl.network import boundary_of, component_of, node_removal, removal_edge_keep
 
 from conftest import complete_network, make_network, path_network, star_network, \
     triangle_network, random_connected_network, union_find_component, union_find_sizes
@@ -263,6 +264,64 @@ def test_component_kernel_matches_union_find(case):
             assert rep.members == members
             inside = np.isin(net.us, members) != np.isin(net.vs, members)
             assert rep.boundary == tuple(np.flatnonzero(inside))
+
+
+@st.composite
+def restriction_cases(draw):
+    """A graph (self-loops allowed), kept-edge rows and a removal that may
+    cut the source's component off, isolate the source, or leave G whole."""
+    kernel = draw(st.booleans())  # m above MASK_TABLE_CAP, or at most it
+    n = draw(st.integers(6 if kernel else 2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    if kernel:
+        m = draw(st.integers(MASK_TABLE_CAP + 1, min(len(pairs), MASK_TABLE_CAP + 10)))
+    else:
+        m = draw(st.integers(1, min(len(pairs), MASK_TABLE_CAP)))
+    edges = draw(st.permutations(pairs))[:m]
+    net = make_network(n, edges, probs=0.5, source=draw(st.integers(0, n - 1)))
+    rows = draw(st.sampled_from([1, 2, 17, 40]))  # R = 0 is an explicit example
+    density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    keep = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((rows, m)) < density
+    kind = draw(st.sampled_from(["cut", "isolate", "edge", "node"]))
+    if kind in ("cut", "isolate"):
+        # the boundary of a vertex set around the source: C lies inside it
+        side = {net.source}
+        if kind == "cut":
+            side |= draw(st.sets(st.integers(0, n - 1)))
+        removed = edge_removal(net, boundary_of(net, side))
+    elif kind == "edge":
+        removed = edge_removal(net, draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=3)))
+    else:
+        others = [v for v in range(n) if v != net.source]
+        removed = node_removal(net, draw(st.sets(st.sampled_from(others), min_size=1, max_size=3)))
+    return net, keep, removed, draw(st.integers(1, 200))
+
+
+LOOPED = make_network(9, [(0, 1), (1, 1), (1, 2), (2, 3), (3, 3)]
+                      + list(itertools.combinations(range(3, 9), 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=restriction_cases())
+# isolated source: C = {s} and no restricted edges, for R = 0, 1 and 3
+@example(case=(complete_network(7), np.ones((0, 21), dtype=bool),
+               edge_removal(complete_network(7), range(6)), 1))
+@example(case=(complete_network(7), np.ones((1, 21), dtype=bool),
+               edge_removal(complete_network(7), range(6)), 1))
+@example(case=(complete_network(7), np.ones((3, 21), dtype=bool),
+               edge_removal(complete_network(7), range(6)), 1))
+# C = {0, 1, 2} (m = 20): a self-loop inside it and one outside, R = 5 and 0
+@example(case=(LOOPED, np.ones((5, LOOPED.m), dtype=bool), edge_removal(LOOPED, [3]), 3))
+@example(case=(LOOPED, np.ones((0, LOOPED.m), dtype=bool), edge_removal(LOOPED, [3]), 3))
+def test_component_sizes_restricted_to_source_component(case):
+    net, keep, removed, cells = case
+    expected = union_find_sizes(net, keep & removal_edge_keep(net, removed))
+    if net.m <= MASK_TABLE_CAP:
+        infection_table(net)  # built at full block size; small blocks are for the kernel
+    # small blocks: the restricted rows span several
+    with mock.patch.object(network_module, "CELLS", cells):
+        sizes = component_sizes(net, keep, removed)
+    assert np.array_equal(sizes, expected)
 
 
 def test_estimate_order_insensitive_totals():

@@ -296,6 +296,23 @@ def test_lp_size_guard(monkeypatch, mode):
                   eval_samples=10, node_costs=node_costs)
 
 
+def test_draw_guard_fails_before_drawing(monkeypatch):
+    """N x stride uniforms: at the cap the draw runs, one below it raises."""
+    net = complete_network(4, p=0.5)
+    N = required_sample_count(net.n, net.m, 0.9)
+    draws = N * 8  # m = 6 pads to a stride of 8
+    monkeypatch.setattr(saa, "SAMPLE_DRAW_CAP", draws)
+    assert draw_samples(net, N, seed=1).N == N
+    _, report = solve_saa(net, budget=1.0, epsilon=0.9, seed=1, eval_samples=10)
+    assert report["n_samples"] == N
+    monkeypatch.setattr(saa, "SAMPLE_DRAW_CAP", draws - 1)
+    message = f"N = {N} .* m = 6 .*{draws} uniform draws.*--samples \\(num_samples\\)"
+    with pytest.raises(InstanceTooLargeError, match=message):
+        draw_samples(net, N, seed=1)
+    with pytest.raises(InstanceTooLargeError, match=message):
+        solve_saa(net, budget=1.0, epsilon=0.9, seed=1, eval_samples=10)
+
+
 # ------------------------------------------------------------- rounding
 
 def craft_fraction(net, x_values, budget=1.0, mode="edge", N=1):

@@ -199,6 +199,29 @@ def test_karger_reconstruction_consistency():
             assert boundary_of(net, members) == tuple(cand["members"])
 
 
+def test_min_sbcc_side_is_the_component_its_cut_leaves():
+    # solve_karger reports the sweep's side as the source's component of the
+    # sample minus the cut: a minimal min-cut side is connected in the sample
+    rng = np.random.default_rng(29)
+    graphs = [complete_network(40, p=0.9)]
+    for i in range(40):
+        base = random_connected_network(rng, n_lo=4, n_hi=10, max_m=20, p_mode=0.6)
+        loops = [(int(v), int(v)) for v in rng.choice(base.n, size=2, replace=False)]
+        # vertex base.n is isolated; every fourth graph has its source there
+        source = base.n if i % 4 == 0 else int(rng.integers(base.n))
+        edges = list(zip(base.us.tolist(), base.vs.tolist())) + loops
+        graphs.append(make_network(base.n + 1, edges, probs=0.6, source=source))
+    for i, net in enumerate(graphs):
+        for keep in sample_keep_matrix(net, i, 0, 3):
+            kept = np.flatnonzero(keep)
+            sub = make_network(net.n, list(zip(net.us[kept], net.vs[kept])),
+                               source=net.source)
+            for budget in (0.5, 1.0, 3.0, 40.0):
+                sol = min_sbcc(sub, budget=budget, lam=0.5)
+                realized = component_of(sub, edge_removal(sub, sol.cut_edges))
+                assert realized.members == sol.component
+
+
 def test_karger_validation():
     nonuniform = make_network(3, [(0, 1), (1, 2)], probs=[0.5, 0.6])
     with pytest.raises(ValidationError):
