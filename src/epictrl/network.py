@@ -540,7 +540,8 @@ def sparsification_regime(network: ContactNetwork, p: float, d: float = 1.0) -> 
 
     epsilon = sqrt(3 (d+2) ln n / (c_min p)); the high-probability regime
     holds when c_min * p >= 9 ln n. Requires n >= 2, unit edge costs,
-    and p > 0 (the epsilon formula divides by p).
+    p on every non-loop edge (self-loops are inert), and p > 0 (the
+    epsilon formula divides by p).
     """
     if network.n < 2:
         raise ValidationError("regime check needs at least two vertices")
@@ -550,7 +551,7 @@ def sparsification_regime(network: ContactNetwork, p: float, d: float = 1.0) -> 
         raise ValidationError("d must be positive")
     if network.m and not np.all(network.costs == 1.0):
         raise ValidationError("regime check requires unit edge costs")
-    if network.m and not np.all(network.probs == p):
+    if not np.all(network.probs[network.us != network.vs] == p):
         raise ValidationError("network probabilities disagree with the uniform p")
     c_min = global_min_cut(network)
     ln_n = math.log(network.n)

@@ -283,14 +283,14 @@ def solve_karger(
     cut on the sample with budget gamma*B*p, takes the realized component S
     of the source, and proposes the boundary of S in the original graph.
     Candidates are compared on a shared fresh Monte Carlo evaluation stream
-    and the lowest estimated infection count wins.
+    and the lowest estimated infection count wins. Self-loops are inert, so
+    only non-loop edges must carry probability p (``sparsification_regime``
+    checks this before any sampling).
     """
     if network.m == 0:
         raise ValidationError("network has no edges")
     if not np.all(np.isfinite(network.costs)) or not np.all(network.costs == 1.0):
         raise ValidationError("cut-sampling solver requires unit edge costs")
-    if not np.all(network.probs == p):
-        raise ValidationError("network probabilities disagree with the uniform p")
     if gamma <= 2:
         raise ValidationError("gamma must exceed 2 for a positive success probability")
     if budget < 0:

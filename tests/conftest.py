@@ -180,8 +180,9 @@ def unreduced_lp_solution(samples, budget, mode="edge", node_costs=None):
 
     Every scenario gets a y column for each vertex v != s and a row for
     each hop along every kept edge, built in Python loops, and is solved by
-    the same HiGHS dual simplex. Returns (objective, x, y) with x per entity
-    and y of shape (N, n).
+    HiGHS's dual simplex with its default pricing, so the comparison also
+    crosses ``solve_lp``'s devex pricing. Returns (objective, x, y) with x
+    per entity and y of shape (N, n).
     """
     net = samples.network
     n, s, N = net.n, net.source, samples.N

@@ -109,6 +109,22 @@ def test_solve_karger_and_strict_regime(tmp_path):
     assert rc == 4
 
 
+def test_readme_generate_then_solve_karger(tmp_path):
+    # the graph file anchors isolated vertices with probability-0 self-loops
+    graph = tmp_path / "g.tsv"
+    rc = main(["generate", "--n", "60", "--beta", "3.5", "--w-min", "1", "--w-max", "3",
+               "--p", "0.4", "--seed", "7", "--graph-out", str(graph),
+               "--output", str(tmp_path / "gen.json")])
+    assert rc == 0
+    net = load_network(graph)
+    assert any(net.probs[e] == 0.0 for e in net.self_loops)
+    out = tmp_path / "k.json"
+    rc = main(["solve-karger", "--graph", str(graph), "--budget", "5", "--gamma", "4",
+               "--lam", "0.5", "--seed", "7", "--output", str(out)])
+    assert rc == 0
+    assert read_json(out)["candidates"]
+
+
 def test_count_paths_csv(tmp_path):
     out_csv = tmp_path / "census.csv"
     rc = main(["count-paths", "--n", "8", "--beta", "2.5", "--w-min", "1",

@@ -282,6 +282,12 @@ def test_regime_requires_uniform_probability():
     net = make_network(3, [(0, 1), (1, 2)], probs=[0.5, 0.6])
     with pytest.raises(ValidationError, match="uniform|disagree"):
         sparsification_regime(net, 0.5)
+    # self-loops are inert: a p = 0 anchor loop does not break uniformity
+    looped = make_network(4, [(0, 1), (1, 2), (3, 3)], probs=[0.5, 0.5, 0.0])
+    assert sparsification_regime(looped, 0.5).c_min == 0.0
+    looped = make_network(4, [(0, 1), (1, 2), (3, 3)], probs=[0.5, 0.6, 0.0])
+    with pytest.raises(ValidationError, match="disagree"):
+        sparsification_regime(looped, 0.5)
 
 
 def test_regime_requires_unit_costs():

@@ -260,7 +260,7 @@ def test_lp_matches_unreduced_oracle_on_batteries():
         (isolated, 1.0, "node", np.array([0.0, 3.0, 0.5, 1.5])),
     ]:
         frac = assert_matches_unreduced(draw_samples(net, 6, seed=2), budget, mode, node_costs)
-        assert frac.model.num_y == 0
+        assert frac.model.num_y == frac.iterations == 0  # no solver call
     merged = merge_seeds(isolated.with_source(1), [1, 3])
     samples = draw_samples(merged, 6, seed=2)
     assert_matches_unreduced(samples, 1.0)
@@ -311,6 +311,31 @@ def test_draw_guard_fails_before_drawing(monkeypatch):
         draw_samples(net, N, seed=1)
     with pytest.raises(InstanceTooLargeError, match=message):
         solve_saa(net, budget=1.0, epsilon=0.9, seed=1, eval_samples=10)
+
+
+@pytest.mark.parametrize("mode", ["edge", "node"])
+def test_cell_guard_fails_before_labelling(monkeypatch, mode):
+    """N x n cells: at the cap the LP builds, one below it raises unlabelled."""
+    net = make_network(7, [(0, 1), (1, 2), (0, 3), (6, 6)], probs=0.5)  # 4, 5 isolated
+    N = 30
+    samples = draw_samples(net, N, seed=3)
+    monkeypatch.setattr(saa, "SCENARIO_CELL_CAP", N * 7)
+    assert build_lp(samples, 1.0, mode=mode).samples is samples
+    _, report = solve_saa(net, budget=1.0, epsilon=0.5, mode=mode, seed=3,
+                          num_samples=N, eval_samples=10)
+    assert report["n_samples"] == N
+    monkeypatch.setattr(saa, "SCENARIO_CELL_CAP", N * 7 - 1)
+
+    def no_labelling(*args):
+        raise AssertionError("labelled the scenarios above the cell cap")
+
+    monkeypatch.setattr(saa, "source_component_members", no_labelling)
+    message = f"N = {N} .* n = 7 .*{N * 7} scenario-vertex cells.*--samples \\(num_samples\\)"
+    with pytest.raises(InstanceTooLargeError, match=message):
+        build_lp(samples, 1.0, mode=mode)
+    with pytest.raises(InstanceTooLargeError, match=message):
+        solve_saa(net, budget=1.0, epsilon=0.5, mode=mode, seed=3, num_samples=N,
+                  eval_samples=10)
 
 
 # ------------------------------------------------------------- rounding
@@ -554,6 +579,20 @@ def test_solve_saa_reports_lp_size():
     assert report["lp_nnz"] == model.a_ub.nnz
     # the source's component keeps no edge, the first edge, or both
     assert report["scenarios_distinct"] == len(model.component) == 3
+
+
+def test_lp_iterations_repeat_across_reruns():
+    """HiGHS is deterministic: a rerun repeats its iterations, x and objective."""
+    net = complete_network(8, p=0.5)
+    reports = [solve_saa(net, budget=2.0, epsilon=0.5, rounding="deterministic", seed=3,
+                         num_samples=60, eval_samples=20)[1] for _ in range(2)]
+    fracs = [solve_lp(build_lp(draw_samples(net, 60, seed=3), budget=2.0)) for _ in range(2)]
+    assert reports[0]["lp_iterations"] == reports[1]["lp_iterations"] > 0
+    assert reports[0]["lp_objective"] == reports[1]["lp_objective"]
+    for frac in fracs:
+        assert frac.iterations == reports[0]["lp_iterations"]
+        assert frac.objective == reports[0]["lp_objective"]
+    assert fracs[0].x.tobytes() == fracs[1].x.tobytes()
 
 
 def test_solve_saa_node_mode_never_selects_source(rng):

@@ -224,7 +224,7 @@ def test_min_sbcc_side_is_the_component_its_cut_leaves():
 
 def test_karger_validation():
     nonuniform = make_network(3, [(0, 1), (1, 2)], probs=[0.5, 0.6])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="disagree"):
         solve_karger(nonuniform, budget=1.0, p=0.5)
     weighted = make_network(3, [(0, 1), (1, 2)], probs=0.5, costs=[2.0, 1.0])
     with pytest.raises(ValidationError, match="unit"):
