@@ -76,6 +76,7 @@ from .sbcc import (
     SbccSolution,
     min_sbcc,
     min_sbcc_exact,
+    min_sbcc_many,
     solve_karger,
 )
 

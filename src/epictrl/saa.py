@@ -60,9 +60,11 @@ LP_NNZ_CAP = 1 << 20
 
 # Most scenario-vertex cells, N x n, that build_lp takes on. Labelling the
 # source's component and rebuilding the dense (N, n) y in solve_lp allocate
-# per cell: measured peaks were 12 bytes per cell in build_lp and 35 in
-# solve_lp, so this caps the pair near 100 MB and 290 MB, with or without
-# a large LP (vertices outside every source component still cost a cell).
+# per cell: measured peaks (tracemalloc, a 50-leaf star in n = 5000, N = 200
+# to 1000, every scenario distinct) were 12 bytes per cell in build_lp and
+# 17.3 in solve_lp, so this caps the pair near 100 MB and 145 MB, with or
+# without a large LP (vertices outside every source component still cost a
+# cell).
 SCENARIO_CELL_CAP = 1 << 23
 
 # Most uniforms, N x rng.stride_for(m), that draw_samples draws. They are
@@ -369,7 +371,6 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     y_distinct[:, s] = 0.0
     y_distinct[y_mask] = np.clip(solution[num_x:], 0.0, 1.0)
     y = y_distinct[model.scenario_map]
-    others = [v for v in range(n) if v != s]
 
     objective = value + model.offset
     objective = min(max(objective, 0.0), float(n - 1))  # strip solver noise
@@ -378,7 +379,10 @@ def solve_lp(model: LpModel) -> FractionalSolution:
         row = float(model.a_ub.getrow(0).dot(solution)[0])
         if row > 1.0 + 10 * LP_TOLERANCE:
             raise SolverError(f"budget row violated: {row}")
-    recomputed = float(np.sum(1.0 - y[:, others]) / N)
+    # over the distinct scenarios, weighted by their counts: no (N, n) copy;
+    # y is 0 at s, so the n - 1 others give n - 1 - (row sum) unconnected
+    counts = np.bincount(model.scenario_map, minlength=len(y_distinct))
+    recomputed = float(counts @ (n - 1 - y_distinct.sum(axis=1)) / N)
     if abs(recomputed - objective) > 1e-6 * max(1.0, abs(objective)):
         raise SolverError("objective/variable inconsistency in LP solution")
     return FractionalSolution(model=model, x=x, y=y, objective=objective,

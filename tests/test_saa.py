@@ -1,6 +1,8 @@
+import dataclasses
 import heapq
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +338,29 @@ def test_cell_guard_fails_before_labelling(monkeypatch, mode):
     with pytest.raises(InstanceTooLargeError, match=message):
         solve_saa(net, budget=1.0, epsilon=0.5, mode=mode, seed=3, num_samples=N,
                   eval_samples=10)
+
+
+def test_solve_lp_peak_memory_per_cell():
+    """The dense y costs 8 bytes per scenario-vertex cell; solve_lp stays near 2x.
+
+    A 50-leaf star among 5000 vertices: nearly every scenario is distinct,
+    so the distinct y is as large as the returned one. The objective check
+    once copied y twice more, for 33.5 bytes per cell.
+    """
+    n, N = 5000, 200
+    net = make_network(n, [(0, i) for i in range(1, 51)], probs=0.5)
+    model = build_lp(draw_samples(net, N, seed=1), 3.0)
+    tracemalloc.start()
+    try:
+        frac = solve_lp(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frac.y.shape == (N, n)
+    assert peak <= 20 * N * n, peak / (N * n)
+    # the count-weighted check still sees an objective that y does not carry
+    with pytest.raises(SolverError, match="inconsistency"):
+        solve_lp(dataclasses.replace(model, offset=model.offset + 0.5))
 
 
 # ------------------------------------------------------------- rounding

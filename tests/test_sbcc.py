@@ -12,11 +12,14 @@ from epictrl import (
     ValidationError,
     component_of,
     edge_removal,
+    estimate_infections,
     min_sbcc,
     min_sbcc_exact,
+    min_sbcc_many,
     solve_karger,
     sparsification_regime,
 )
+from epictrl import rng as rng_module
 from epictrl import sbcc as sbcc_module
 from epictrl.network import boundary_of
 from epictrl.percolate import sample_keep_matrix
@@ -250,6 +253,50 @@ def test_karger_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("net, budget", [
+    (complete_network(40, p=0.9), 40.0),  # every candidate isolates the source
+    # 3 distinct of 6, two of them of equal size
+    (random_connected_network(np.random.default_rng(1), n_lo=10, n_hi=12, max_m=20,
+                              p_mode=0.5), 0.25),
+])
+def test_karger_counters_and_one_score_per_distinct_candidate(net, budget):
+    p = float(net.probs[0])
+    counts = {"flow": 0, "sizes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with mock.patch.object(sbcc_module, "maximum_flow",
+                           counted("flow", sbcc_module.maximum_flow)), \
+         mock.patch.object(sbcc_module, "component_sizes",
+                           counted("sizes", sbcc_module.component_sizes)):
+        _, report = solve_karger(net, budget=budget, p=p, repetitions=6,
+                                 eval_samples=50, seed=4)
+    distinct = {tuple(c["members"]) for c in report["candidates"]}
+    assert report["candidates_distinct"] == len(distinct) == counts["sizes"]
+    assert report["flow_calls"] == counts["flow"]
+    # one call per round answers every running sweep's probe
+    assert -(-report["sweep_probes"] // 6) <= report["flow_calls"] < report["sweep_probes"]
+    assert report["candidates_distinct"] == (1 if net.n == 40 else 3)
+    # a repeated candidate carries the estimate scoring it afresh would give
+    eval_seed = rng_module.derived_seed(4, "eval")
+    for cand in report["candidates"]:
+        est = estimate_infections(net, edge_removal(net, cand["members"]), 50, eval_seed)
+        assert (cand["mc_mean"], cand["mc_half_width"]) == (est.mean, est.half_width)
+    # the counters repeat, and one copy per flow call makes one call per probe
+    _, again = solve_karger(net, budget=budget, p=p, repetitions=6,
+                            eval_samples=50, seed=4)
+    assert again == report
+    with mock.patch.object(sbcc_module, "CELLS", 1):
+        _, split = solve_karger(net, budget=budget, p=p, repetitions=6,
+                                eval_samples=50, seed=4)
+    assert split["flow_calls"] == split["sweep_probes"] == report["sweep_probes"]
+    assert {**split, "flow_calls": report["flow_calls"]} == report
+
+
 def test_cut_sampling_concentration_smoke():
     # sampled cut sizes concentrate around p * |F| inside the regime
     n, p = 40, 0.9
@@ -315,12 +362,38 @@ def test_min_sbcc_matches_parametric_oracle(case):
     assert sol.cut_edges == boundary_of(rooted, side)
 
 
+@settings(max_examples=60, deadline=None)
+@given(cases=st.lists(sbcc_cases(), min_size=1, max_size=6), cells=st.integers(1, 60))
+@example(cases=[(4, [(1, 2), (2, 3)], 0, 0.0, 0.5),          # isolated source, B = 0
+                (4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)], 1, 0.0, 0.5),
+                (1, [(0, 0)], 0, 0.0, 0.5)], cells=1)
+def test_min_sbcc_many_matches_one_at_a_time(cases, cells):
+    """Stacked sweeps give each graph's own answer, however the rounds split."""
+    _, _, _, budget, lam = cases[0]
+    graphs = [make_network(n, edges, source=source) for n, edges, source, _, _ in cases]
+    alone = [min_sbcc(g, budget=budget, lam=lam) for g in graphs]
+    stacked, calls = min_sbcc_many(graphs, budget, lam)
+    assert stacked == alone
+    assert calls == max(sol.probes for sol in alone)
+    with mock.patch.object(sbcc_module, "CELLS", cells):
+        split, split_calls = min_sbcc_many(graphs, budget, lam)
+    assert split == alone
+    assert calls <= split_calls <= sum(sol.probes for sol in alone)
+
+
 def test_sbcc_source_degree_overflow_guard():
     from epictrl import InstanceTooLargeError
 
     with pytest.raises(InstanceTooLargeError, match=r"degree 32768.*2\^15"):
         min_sbcc(star_network(1 << 15), budget=1.0, lam=0.5)
     # one leaf fewer: the flow value 2^16 * (2^15 - 1) still fits in int32
-    sol = min_sbcc(star_network((1 << 15) - 1), budget=float(1 << 15), lam=0.5)
+    star = star_network((1 << 15) - 1)
+    sol = min_sbcc(star, budget=float(1 << 15), lam=0.5)
     assert sol.within_budget and sol.component == (0,)
     assert sol.cut_size == (1 << 15) - 1
+    # three copies in one flow network: the total flow exceeds 2^31, each
+    # copy's does not
+    with mock.patch.object(sbcc_module, "CELLS", 1 << 20):
+        stacked, calls = min_sbcc_many([star] * 3, float(1 << 15), 0.5)
+    assert stacked == [sol] * 3
+    assert calls == sol.probes
