@@ -13,22 +13,26 @@ threads.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
 
-from .errors import ParseError, ValidationError
+from .errors import InstanceTooLargeError, ParseError, ValidationError
 
 META_SOURCE_LABEL = "__source__"
 
 # Cells, rows x (n + m), per block of the component kernel. It bounds a
 # block's edge arrays and label array together and keeps block vertex ids
 # far below int32. On the sparse Monte Carlo benchmark, half this ran ~7%
-# slower and four times this raised peak memory by ~6 MB.
+# slower and four times this raised peak memory by ~6 MB. Stacked flow
+# networks take the same bound on vertices plus arcs per max-flow call.
 CELLS = 1 << 16
+
+_SCALE = 1 << 16  # integer capacity of an edge in the flow networks
 
 
 @dataclass(frozen=True)
@@ -477,62 +481,155 @@ def write_network(network: ContactNetwork, path) -> None:
             fh.write(f"{lab} {lab} 1.0 0.0\n")
 
 
+class _FlowNetwork:
+    """The super-sink flow network of one graph, built once.
+
+    Arcs are both directions of every non-loop edge, with capacity
+    ``_SCALE``, and v -> t for every sink v, with the capacity that each
+    :func:`_minimal_sides` call passes; t is vertex n. The edge arcs are
+    sorted by (tail, head) once; a sink arc, whose head is the largest,
+    goes after them, so :meth:`with_sinks` changes the sinks without a sort.
+    """
+
+    def __init__(self, graph: ContactNetwork, source: int, sinks):
+        degree = int(np.count_nonzero((graph.us == source) ^ (graph.vs == source)))
+        if _SCALE * degree > np.iinfo(np.int32).max:  # the flow value out of the source
+            raise InstanceTooLargeError(
+                f"flow source {source} has degree {degree}; the int32 flow network "
+                f"(capacity unit 2^16) needs source degree below 2^15 = 32768"
+            )
+        real = graph.us != graph.vs
+        tails = np.concatenate([graph.us[real], graph.vs[real]])
+        heads = np.concatenate([graph.vs[real], graph.us[real]])
+        order = np.lexsort((heads, tails))
+        self.n, self.s = graph.n, source
+        self.tails, self.heads = tails[order], heads[order]
+        # more than the out-arcs of s carry, so never saturated
+        self.source_cap = _SCALE * degree + 1
+        self.sinks = np.asarray(sinks, dtype=np.int64)
+        self.cells = self.n + len(self.tails) + len(self.sinks)
+
+    def with_sinks(self, sinks) -> "_FlowNetwork":
+        """The same network with sink arcs from ``sinks`` instead."""
+        other = copy.copy(self)
+        other.sinks = np.asarray(sinks, dtype=np.int64)
+        other.cells = self.n + len(self.tails) + len(other.sinks)
+        return other
+
+
+def _minimal_sides(networks: list[_FlowNetwork], caps: list[int]) -> list[np.ndarray]:
+    """Ascending minimal min-cut source side of each network at its sink capacity.
+
+    The networks are stacked block-diagonally into one graph: copy i's
+    vertices are offset by the vertex counts of the copies before it, every
+    copy's sink arcs go to one shared super-sink T, and a super-source S
+    feeds each copy's source through an arc its out-arcs cannot saturate.
+    One max flow from S to T is then a max flow of every copy; T is
+    unreachable from S in the residual network, so the copies cannot
+    affect each other, and a residual search from S reaches exactly the
+    union of every copy's minimal min-cut side.
+    """
+    offsets = np.cumsum([0] + [net.n for net in networks])
+    t = offsets[-1]
+    s_super = t + 1
+    size = t + 2
+    # the edge arcs, the sink arcs, then the arcs out of S: a row built in
+    # this order lists its heads in ascending order, as CSR keeps them
+    tails = np.concatenate([net.tails + off for net, off in zip(networks, offsets)]
+                           + [net.sinks + off for net, off in zip(networks, offsets)]
+                           + [np.full(len(networks), s_super)])
+    heads = np.concatenate([net.heads + off for net, off in zip(networks, offsets)]
+                           + [np.full(len(net.sinks), t) for net in networks]
+                           + [[net.s + off for net, off in zip(networks, offsets)]])
+    edge_arcs = sum(len(net.tails) for net in networks)
+    arc_caps = np.concatenate([np.full(edge_arcs, _SCALE),
+                               np.repeat(caps, [len(net.sinks) for net in networks]),
+                               [net.source_cap for net in networks]]).astype(np.int32)
+    capacity = sparse.csr_matrix((arc_caps, (tails, heads)), shape=(size, size))
+    del tails, heads, arc_caps  # free them before the max flow's own arrays
+    # maximum_flow may rewrite its input in place: hand it a copy
+    flow = maximum_flow(capacity.copy(), s_super, t).flow
+    # the residual network: arcs below capacity, reverse arcs of a positive flow
+    residual = (capacity - flow) > 0
+    reached = np.sort(breadth_first_order(residual, s_super, return_predecessors=False))
+    reached = reached[reached < t]
+    parts = np.split(reached, np.searchsorted(reached, offsets[1:-1]))
+    return [part - off for part, off in zip(parts, offsets)]
+
+
 def global_min_cut(network: ContactNetwork) -> float:
-    """Exact global minimum cut weight (edge costs) by Stoer-Wagner.
+    """Exact global minimum cut of a unit-cost network: its edge connectivity.
 
     Returns 0.0 for a disconnected network and +inf for a single vertex.
-    Self-loops are ignored. Deterministic: maximum-adjacency selection
-    breaks ties toward the smallest vertex id.
+    Self-loops are ignored; any cost other than 1 raises
+    ``ValidationError``. :func:`_edge_connectivity` has the method.
     """
+    return _edge_connectivity(network)[0]
+
+
+def _edge_connectivity(network: ContactNetwork) -> tuple[float, int]:
+    """Edge connectivity by max flows from a minimum-degree vertex.
+
+    Let δ be the minimum degree over non-loop edges and v the smallest-id
+    vertex of degree δ. Then the connectivity is min(δ, λ(v, w) over every
+    w outside v's closed neighbourhood) (Esfahanian and Hakimi, 1984): in a
+    simple graph a side of k <= δ vertices has at least k(δ - k + 1) >= δ
+    boundary edges, so a cut below δ leaves at least δ + 1 vertices on the
+    side without v, more than v's δ neighbours. A complete graph therefore
+    needs no flow, and neither does δ = 0. Each λ(v, w) is the boundary of
+    the minimal source side of a copy of the flow network whose one sink
+    arc, from w, carries the source's capacity and so is never the cut;
+    :func:`_minimal_sides` answers up to ``CELLS`` cells of copies per
+    max-flow call, targets in ascending id, and the calls stop at a cut of
+    0. Returns the connectivity and the number of max-flow calls.
+    """
+    if network.m and not np.all(network.costs == 1.0):
+        raise ValidationError("global minimum cut requires unit edge costs")
     n = network.n
     if n <= 1:
-        return math.inf
-    w = np.zeros((n, n), dtype=np.float64)
-    for e in range(network.m):
-        u, v = int(network.us[e]), int(network.vs[e])
-        if u == v:
-            continue
-        w[u, v] += network.costs[e]
-        w[v, u] += network.costs[e]
-    # connectivity check (cost-0 edges still connect)
-    rep = component_of(network)
-    if rep.size < n:
-        return 0.0
-    active = list(range(n))
-    best = math.inf
-    while len(active) > 1:
-        # maximum-adjacency order starting from the smallest active id
-        a = active[0]
-        in_a = {a}
-        order = [a]
-        weights = {v: w[a, v] for v in active if v != a}
-        while len(order) < len(active):
-            nxt = max(sorted(weights), key=lambda v: weights[v])
-            order.append(nxt)
-            in_a.add(nxt)
-            del weights[nxt]
-            for v in weights:
-                weights[v] += w[nxt, v]
-        s_, t_ = order[-2], order[-1]
-        cut_of_phase = float(sum(w[t_, v] for v in active if v != t_))
-        best = min(best, cut_of_phase)
-        # contract t_ into s_
-        for v in active:
-            if v not in (s_, t_):
-                w[s_, v] += w[t_, v]
-                w[v, s_] = w[s_, v]
-        active.remove(t_)
-    return best
+        return math.inf, 0
+    real = network.us != network.vs
+    us, vs = network.us[real], network.vs[real]
+    degree = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+    v = int(np.argmin(degree))
+    best = int(degree[v])
+    outside = np.ones(n, dtype=bool)
+    outside[v] = False
+    outside[vs[us == v]] = False
+    outside[us[vs == v]] = False
+    targets = np.flatnonzero(outside)
+    flow_calls = 0
+    if len(targets):
+        base = _FlowNetwork(network, v, targets[:1])
+        step = max(1, CELLS // base.cells)
+        inside = np.zeros(n, dtype=bool)
+        for start in range(0, len(targets), step):
+            if best == 0:  # no cut is smaller
+                break
+            batch = targets[start:start + step]
+            sides = _minimal_sides([base.with_sinks([w]) for w in batch],
+                                   [base.source_cap] * len(batch))
+            flow_calls += 1
+            for side in sides:
+                inside[:] = False
+                inside[side] = True
+                best = min(best, int(np.count_nonzero(inside[us] ^ inside[vs])))
+    return float(best), flow_calls
 
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Sparsification check for uniform-probability unit-cost networks."""
+    """Sparsification check for uniform-probability unit-cost networks.
+
+    ``flow_calls`` counts the max-flow calls that found ``c_min``: 0 on a
+    complete graph, where every vertex neighbours the minimum-degree one.
+    """
 
     epsilon: float
     in_regime: bool
     c_min: float
     threshold: float  # 9 ln n
+    flow_calls: int
 
 
 def sparsification_regime(network: ContactNetwork, p: float, d: float = 1.0) -> RegimeReport:
@@ -541,7 +638,9 @@ def sparsification_regime(network: ContactNetwork, p: float, d: float = 1.0) -> 
     epsilon = sqrt(3 (d+2) ln n / (c_min p)); the high-probability regime
     holds when c_min * p >= 9 ln n. Requires n >= 2, unit edge costs,
     p on every non-loop edge (self-loops are inert), and p > 0 (the
-    epsilon formula divides by p).
+    epsilon formula divides by p). c_min is the global minimum cut, found
+    by max flows from a minimum-degree vertex to its non-neighbours only
+    (:func:`global_min_cut`), so a dense graph needs few flows or none.
     """
     if network.n < 2:
         raise ValidationError("regime check needs at least two vertices")
@@ -553,9 +652,9 @@ def sparsification_regime(network: ContactNetwork, p: float, d: float = 1.0) -> 
         raise ValidationError("regime check requires unit edge costs")
     if not np.all(network.probs[network.us != network.vs] == p):
         raise ValidationError("network probabilities disagree with the uniform p")
-    c_min = global_min_cut(network)
+    c_min, flow_calls = _edge_connectivity(network)
     ln_n = math.log(network.n)
     if c_min == 0.0:
-        return RegimeReport(math.inf, False, 0.0, 9.0 * ln_n)
+        return RegimeReport(math.inf, False, 0.0, 9.0 * ln_n, flow_calls)
     eps = math.sqrt(3.0 * (d + 2.0) * ln_n / (c_min * p))
-    return RegimeReport(eps, c_min * p >= 9.0 * ln_n, c_min, 9.0 * ln_n)
+    return RegimeReport(eps, c_min * p >= 9.0 * ln_n, c_min, 9.0 * ln_n, flow_calls)

@@ -27,7 +27,10 @@ each round stacks the next probe of every running sweep into one
 block-diagonal flow network behind a shared super-source and super-sink,
 so one max-flow call answers them all. On K40 that is 4 calls for 16
 sweeps instead of about 64, and a max-flow call costs about as much on a
-2-vertex graph as on one sample's network.
+2-vertex graph as on one sample's network. The flow helper is
+``network._minimal_sides``, which also answers the regime check: the
+global minimum cut c_min needs max flows only from a minimum-degree vertex
+to its non-neighbours, so on a dense graph such as K40 it needs none.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from . import rng
 from .errors import InstanceTooLargeError, ValidationError
@@ -46,6 +47,9 @@ from .network import (
     CELLS,
     ContactNetwork,
     Intervention,
+    _FlowNetwork,
+    _SCALE,
+    _minimal_sides,
     boundary_of,
     edge_removal,
     sparsification_regime,
@@ -57,7 +61,6 @@ from .percolate import (
     sample_keep_matrix,
 )
 
-_SCALE = 1 << 16  # integer capacity unit for the flow solver
 _CAP_MAX = 1 << 30
 
 # Subsets sized per block by min_sbcc_exact. Sizing all 2^20 subsets of an
@@ -90,81 +93,6 @@ class SbccSolution:
     lagrange_alpha: float
     within_budget: bool
     probes: int
-
-
-class _FlowNetwork:
-    """The super-sink flow network of one graph, built once per sweep.
-
-    Arcs are both directions of every non-loop edge, with capacity 2^16,
-    and v -> t for every non-source v, with the probed capacity C; t is
-    vertex n. Arcs are sorted by (tail, head) once.
-    """
-
-    def __init__(self, graph: ContactNetwork):
-        n, s = graph.n, graph.source
-        self.n, self.s = n, s
-        real = graph.us != graph.vs
-        others = np.flatnonzero(np.arange(n) != s)
-        tails = np.concatenate([graph.us[real], graph.vs[real], others])
-        heads = np.concatenate([graph.vs[real], graph.us[real], np.full(len(others), n)])
-        order = np.lexsort((heads, tails))
-        self.tails, self.heads = tails[order], heads[order]
-        self.to_sink = self.heads == n
-        # more than the out-arcs of s carry, so never saturated
-        self.source_cap = _SCALE * int(np.count_nonzero(self.tails == s)) + 1
-        self.cells = n + len(self.tails)
-
-
-def _minimal_sides(networks: list[_FlowNetwork], caps: list[int]) -> list[np.ndarray]:
-    """Ascending minimal min-cut source side of each network at its sink capacity.
-
-    The networks are stacked block-diagonally into one graph: copy i's
-    vertices are offset by the vertex counts of the copies before it, every
-    copy's sink arcs go to one shared super-sink T, and a super-source S
-    feeds each copy's source through an arc its out-arcs cannot saturate.
-    One max flow from S to T is then a max flow of every copy; T is
-    unreachable from S in the residual network, so the copies cannot
-    affect each other, and a residual search from S reaches exactly the
-    union of every copy's minimal min-cut side.
-    """
-    offsets = np.cumsum([0] + [net.n for net in networks])
-    t = offsets[-1]
-    s_super = t + 1
-    size = t + 2
-    # copies in order, then the arcs out of S: already sorted by (tail, head)
-    tails = np.concatenate([net.tails + off for net, off in zip(networks, offsets)]
-                           + [np.full(len(networks), s_super)])
-    heads = np.concatenate([np.where(net.to_sink, t, net.heads + off)
-                            for net, off in zip(networks, offsets)]
-                           + [[net.s + off for net, off in zip(networks, offsets)]])
-    caps = np.concatenate([np.where(net.to_sink, cap, _SCALE)
-                           for net, cap in zip(networks, caps)]
-                          + [[net.source_cap for net in networks]]).astype(np.int32)
-    keys = tails * size + heads  # ascending
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=size))])
-    # maximum_flow may rewrite its input in place: hand it fresh arrays
-    mat = sparse.csr_matrix(
-        (caps.copy(), heads.astype(np.int32), indptr.astype(np.int32)), shape=(size, size)
-    )
-    flow = maximum_flow(mat, s_super, t).flow
-    flow_rows = np.repeat(np.arange(size), np.diff(flow.indptr))
-    flow_keys = flow_rows * size + flow.indices
-    pos = np.minimum(np.searchsorted(keys, flow_keys), len(keys) - 1)
-    on_arc = keys[pos] == flow_keys
-    residual = caps.astype(np.int64)
-    residual[pos[on_arc]] -= flow.data[on_arc]
-    open_arc = residual > 0
-    reach = sparse.csr_matrix(
-        (np.ones(int(open_arc.sum()), dtype=np.int8),
-         heads[open_arc].astype(np.int32),
-         np.concatenate([[0], np.cumsum(np.bincount(
-             tails[open_arc], minlength=size))]).astype(np.int32)),
-        shape=(size, size),
-    )
-    reached = np.sort(breadth_first_order(reach, s_super, return_predecessors=False))
-    reached = reached[reached < t]
-    parts = np.split(reached, np.searchsorted(reached, offsets[1:-1]))
-    return [part - off for part, off in zip(parts, offsets)]
 
 
 def _sweep(
@@ -265,15 +193,9 @@ def min_sbcc_many(
     for graph in graphs:
         if graph.m and not np.all(graph.costs == 1.0):
             raise ValidationError("bounded-capacity cut requires unit edge capacities")
-        s = graph.source
-        degree = int(np.count_nonzero((graph.us == s) ^ (graph.vs == s)))
-        if _SCALE * degree > np.iinfo(np.int32).max:  # the flow value out of s
-            raise InstanceTooLargeError(
-                f"source {s} has degree {degree}; the int32 flow network (capacity "
-                f"unit 2^16) needs source degree below 2^15 = 32768"
-            )
 
-    networks = [_FlowNetwork(graph) for graph in graphs]
+    networks = [_FlowNetwork(graph, graph.source, np.delete(np.arange(graph.n), graph.source))
+                for graph in graphs]
     sweeps = [_sweep(graph, budget, lam) for graph in graphs]
     solutions: list[SbccSolution | None] = [None] * len(graphs)
     pending = {i: next(sweep) for i, sweep in enumerate(sweeps)}
@@ -450,6 +372,8 @@ def solve_karger(
         "cost": chosen.cost,
         "epsilon_regime": regime.epsilon,
         "in_regime": regime.in_regime,
+        "c_min": regime.c_min,
+        "regime_flow_calls": regime.flow_calls,
         "budget_bound": budget_bound,
     }
     if not regime.in_regime:

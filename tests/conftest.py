@@ -71,6 +71,47 @@ def union_find_sizes(network, keep_rows) -> np.ndarray:
                     dtype=np.int64)
 
 
+def stoer_wagner_min_cut(network) -> float:
+    """Reference global minimum cut (edge costs) by Stoer-Wagner.
+
+    Returns 0.0 for a disconnected network and +inf for a single vertex;
+    self-loops are ignored. Maximum-adjacency selection breaks ties toward
+    the smallest vertex id. O(n^3) time on a dense n x n matrix.
+    """
+    n = network.n
+    if n <= 1:
+        return math.inf
+    if len(union_find_component(network, np.ones(network.m, dtype=bool))) < n:
+        return 0.0
+    w = np.zeros((n, n), dtype=np.float64)
+    for e in range(network.m):
+        u, v = int(network.us[e]), int(network.vs[e])
+        if u != v:
+            w[u, v] += network.costs[e]
+            w[v, u] += network.costs[e]
+    active = list(range(n))
+    best = math.inf
+    while len(active) > 1:
+        # maximum-adjacency order starting from the smallest active id
+        order = [active[0]]
+        weights = {v: w[order[0], v] for v in active[1:]}
+        while weights:
+            nxt = max(sorted(weights), key=lambda v: weights[v])
+            order.append(nxt)
+            del weights[nxt]
+            for v in weights:
+                weights[v] += w[nxt, v]
+        s_, t_ = order[-2], order[-1]
+        best = min(best, float(sum(w[t_, v] for v in active if v != t_)))
+        # contract t_ into s_
+        for v in active:
+            if v not in (s_, t_):
+                w[s_, v] += w[t_, v]
+                w[v, s_] = w[s_, v]
+        active.remove(t_)
+    return best
+
+
 def brute_force_reference(samples, budget, mode="edge", node_costs=None):
     """Reference for ``brute_force_optimum`` by ``itertools.combinations``.
 

@@ -1,10 +1,15 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epictrl import (
+    InstanceTooLargeError,
     ParseError,
     ValidationError,
     component_of,
@@ -16,6 +21,7 @@ from epictrl import (
     node_removal,
     sparsification_regime,
 )
+from epictrl import network as network_module
 from epictrl.network import boundary_of, removable_edges
 
 from conftest import (
@@ -24,6 +30,8 @@ from conftest import (
     path_network,
     star_network,
     random_connected_network,
+    stoer_wagner_min_cut,
+    union_find_component,
 )
 
 
@@ -234,9 +242,173 @@ def test_min_cut_disconnected_zero():
 
 
 def test_min_cut_matches_brute_force_on_random_weighted(rng):
+    # global_min_cut takes unit costs only, so the random graphs carry them
     for _ in range(15):
-        net = random_connected_network(rng, n_lo=4, n_hi=7, max_m=12, unit_costs=False)
-        assert global_min_cut(net) == pytest.approx(brute_force_min_cut(net), rel=1e-12)
+        net = random_connected_network(rng, n_lo=4, n_hi=7, max_m=12)
+        assert global_min_cut(net) == brute_force_min_cut(net) == stoer_wagner_min_cut(net)
+
+
+def test_min_cut_rejects_non_unit_costs():
+    for edges, costs in (([(0, 1), (1, 2)], [1.0, 2.0]),
+                         ([(0, 1), (1, 2)], [1.0, 0.0]),
+                         ([(0, 1), (1, 2)], [1.0, math.inf]),
+                         ([(0, 1), (1, 1)], [1.0, 0.5])):
+        with pytest.raises(ValidationError, match="unit"):
+            global_min_cut(make_network(3, edges, costs=costs))
+
+
+@st.composite
+def unit_graphs(draw):
+    """A unit-cost graph on at most 10 vertices.
+
+    A random edge set, a complete graph, a path, a cycle or two cliques
+    joined by k < δ edges (the connectivity is then k, below the minimum
+    degree δ), then padded with isolated vertices, given self-loops and
+    relabelled at random.
+    """
+    kind = draw(st.sampled_from(["random", "complete", "path", "cycle", "cliques"]))
+    if kind == "cliques":
+        a = draw(st.integers(3, 5))
+        b = draw(st.integers(3, 10 - a))
+        k = draw(st.integers(0, min(a, b) - 2))
+        cross = [(u, a + v) for u in range(a) for v in range(b)]
+        edges = (list(itertools.combinations(range(a), 2))
+                 + [(a + u, a + v) for u, v in itertools.combinations(range(b), 2)]
+                 + draw(st.permutations(cross))[:k])
+        n = a + b
+    else:
+        n = draw(st.integers(3 if kind == "cycle" else 1, 10))
+        if kind == "random":
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = draw(st.permutations(pairs))[:draw(st.integers(0, len(pairs)))]
+        elif kind == "complete":
+            edges = list(itertools.combinations(range(n), 2))
+        else:
+            edges = [(v, v + 1) for v in range(n - 1)] + ([(0, n - 1)] if kind == "cycle" else [])
+    n += draw(st.integers(0, 10 - n))  # isolated vertices
+    edges += [(v, v) for v in draw(st.sets(st.integers(0, n - 1)))]
+    perm = draw(st.permutations(range(n)))
+    return make_network(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+ORACLE_EXAMPLES = (
+    make_network(2, [(0, 1), (0, 0), (1, 1)]),            # every vertex looped
+    make_network(3, [(0, 1), (1, 2), (0, 0), (2, 2)]),
+    make_network(4, [(0, 1), (2, 3), (0, 0)]),            # disconnected pieces
+    make_network(3, [(0, 1), (1, 1)]),                     # isolated vertex
+    make_network(1, [(0, 0)]),
+    # two K5 joined by one edge: the non-neighbours of vertex 0 find the bridge
+    make_network(10, list(itertools.combinations(range(5), 2))
+                 + list(itertools.combinations(range(5, 10), 2)) + [(4, 5)]),
+    # two K4 joined by two edges; a tie for the minimum degree
+    make_network(8, list(itertools.combinations(range(4), 2))
+                 + list(itertools.combinations(range(4, 8), 2)) + [(3, 4), (2, 5)]),
+)
+
+
+def _with_examples(**extra):
+    def decorate(test):
+        for net in ORACLE_EXAMPLES:
+            test = example(net=net, **extra)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=120, deadline=None)
+@given(net=unit_graphs())
+@_with_examples()
+def test_min_cut_matches_both_oracles(net):
+    expected = brute_force_min_cut(net)
+    assert stoer_wagner_min_cut(net) == expected
+    assert global_min_cut(net) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=unit_graphs(), cells=st.integers(1, 60))
+@_with_examples(cells=1)
+def test_min_cut_matches_both_oracles_with_targets_split(net, cells):
+    """The same answer when a flow call holds only a few target copies."""
+    with mock.patch.object(network_module, "CELLS", cells):
+        cut = global_min_cut(net)
+    assert cut == brute_force_min_cut(net) == stoer_wagner_min_cut(net)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=unit_graphs())
+@_with_examples()
+def test_min_cut_flows_to_non_neighbours_of_min_degree_vertex(net):
+    """With one copy per call, a flow goes to each vertex outside the closed
+    neighbourhood of the smallest-id minimum-degree vertex, in ascending
+    id, until one finds a cut of 0; a minimum degree of 0 needs none."""
+    if net.n < 2:
+        return
+    degree = [0] * net.n
+    neighbours = [set() for _ in range(net.n)]
+    for u, v in zip(net.us.tolist(), net.vs.tolist()):
+        if u != v:
+            degree[u] += 1
+            degree[v] += 1
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+    v = min(range(net.n), key=lambda x: (degree[x], x))
+    targets = [w for w in range(net.n) if w != v and w not in neighbours[v]]
+    reached = set(union_find_component(net.with_source(v), np.ones(net.m, dtype=bool)))
+    apart = [i for i, w in enumerate(targets) if w not in reached]
+    expected = 0 if degree[v] == 0 else (apart[0] + 1 if apart else len(targets))
+    with mock.patch.object(network_module, "CELLS", 1):
+        assert sparsification_regime(net, 1.0).flow_calls == expected
+
+
+def test_min_cut_memory_stays_linear_on_sparse_graph():
+    """No n x n matrix: on a random tree of 1500 vertices the cut peaks far
+    below the 8 n^2 = 18 MB of a dense cost matrix (about 2.5 MB measured)."""
+    n = 1500
+    gen = np.random.default_rng(5)
+    net = make_network(n, [(int(gen.integers(0, v)), v) for v in range(1, n)])
+    tracemalloc.start()
+    try:
+        cut = global_min_cut(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cut == 1.0
+    assert peak < 2 * n * n
+
+
+def test_min_cut_exact_when_stacked_flow_exceeds_int32():
+    """Every target copy keeps its exact side when the stack's total flow
+    passes 2^31 and each copy's flow does not.
+
+    Two K_{8,8} joined by 3 edges: vertex 0 has the minimum degree 8, and
+    its 23 non-neighbours are 7 at connectivity 8 and 16 at connectivity 3.
+    A real instance needs degree near 2^15 to get there, so the capacity
+    unit is raised from 2^16 to 2^27: each copy then carries at most
+    8 * 2^27 = 2^30, and the one stacked call 104 * 2^27 = 13 * 2^30.
+    """
+    edges = ([(u, 8 + v) for u in range(8) for v in range(8)]
+             + [(16 + u, 24 + v) for u in range(8) for v in range(8)]
+             + [(1, 17), (2, 18), (3, 19)])
+    net = make_network(32, edges)
+    targets = list(range(1, 8)) + list(range(16, 32))
+
+    def sides():
+        base = network_module._FlowNetwork(net, 0, [])
+        return network_module._minimal_sides([base.with_sinks([w]) for w in targets],
+                                             [base.source_cap] * len(targets))
+
+    with mock.patch.object(network_module, "_SCALE", 1 << 27):
+        wide = sides()
+        regime = sparsification_regime(net, 1.0)
+    for w, side, narrow in zip(targets, wide, sides()):
+        assert 0 in side and w not in side
+        assert len(boundary_of(net, side)) == (8 if w < 8 else 3)
+        assert np.array_equal(side, narrow)
+    assert (regime.c_min, regime.flow_calls) == (3.0, 1) == (stoer_wagner_min_cut(net), 1)
+    # at 2^27 a source of degree 16 would overflow int32 and is refused
+    k16 = make_network(32, [(u, 16 + v) for u in range(16) for v in range(16)])
+    with mock.patch.object(network_module, "_SCALE", 1 << 27), \
+         pytest.raises(InstanceTooLargeError, match="degree 16"):
+        global_min_cut(k16)
 
 
 # ------------------------------------------------------------ regime check

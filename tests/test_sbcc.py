@@ -19,6 +19,7 @@ from epictrl import (
     solve_karger,
     sparsification_regime,
 )
+from epictrl import network as network_module
 from epictrl import rng as rng_module
 from epictrl import sbcc as sbcc_module
 from epictrl.network import boundary_of
@@ -269,15 +270,17 @@ def test_karger_counters_and_one_score_per_distinct_candidate(net, budget):
             return fn(*args, **kwargs)
         return wrapper
 
-    with mock.patch.object(sbcc_module, "maximum_flow",
-                           counted("flow", sbcc_module.maximum_flow)), \
+    with mock.patch.object(network_module, "maximum_flow",
+                           counted("flow", network_module.maximum_flow)), \
          mock.patch.object(sbcc_module, "component_sizes",
                            counted("sizes", sbcc_module.component_sizes)):
         _, report = solve_karger(net, budget=budget, p=p, repetitions=6,
                                  eval_samples=50, seed=4)
     distinct = {tuple(c["members"]) for c in report["candidates"]}
     assert report["candidates_distinct"] == len(distinct) == counts["sizes"]
-    assert report["flow_calls"] == counts["flow"]
+    # the sweeps' calls and the regime check's; K40 needs no regime flow
+    assert report["flow_calls"] + report["regime_flow_calls"] == counts["flow"]
+    assert (report["regime_flow_calls"] == 0) == (net.n == 40)
     # one call per round answers every running sweep's probe
     assert -(-report["sweep_probes"] // 6) <= report["flow_calls"] < report["sweep_probes"]
     assert report["candidates_distinct"] == (1 if net.n == 40 else 3)
@@ -295,6 +298,22 @@ def test_karger_counters_and_one_score_per_distinct_candidate(net, budget):
                                 eval_samples=50, seed=4)
     assert split["flow_calls"] == split["sweep_probes"] == report["sweep_probes"]
     assert {**split, "flow_calls": report["flow_calls"]} == report
+
+
+def test_karger_reports_regime_cut_and_flow_calls():
+    """c_min and the regime check's flow calls repeat across reruns; K_n
+    needs no flow, a barbell some."""
+    barbell = make_network(10, list(itertools.combinations(range(5), 2))
+                           + list(itertools.combinations(range(5, 10), 2)) + [(4, 5)],
+                           probs=0.5)
+    for net, c_min in ((complete_network(8, p=0.5), 7.0), (barbell, 1.0)):
+        first, again = (solve_karger(net, budget=1.0, p=0.5, repetitions=2,
+                                     eval_samples=20, seed=3)[1] for _ in range(2))
+        assert first == again
+        regime = sparsification_regime(net, 0.5)
+        assert first["c_min"] == regime.c_min == c_min
+        assert first["regime_flow_calls"] == regime.flow_calls
+        assert (regime.flow_calls > 0) == (net is barbell)
 
 
 def test_cut_sampling_concentration_smoke():
