@@ -298,9 +298,9 @@ def component_of(
     if edge_mask is not None:
         keep = keep & np.asarray(edge_mask, dtype=bool)
     inside = source_component_members(network, keep[np.newaxis, :])[0]
-    members = tuple(int(v) for v in np.flatnonzero(inside))
+    members = tuple(np.flatnonzero(inside).tolist())
     cross = inside[network.us] ^ inside[network.vs]
-    boundary = tuple(int(e) for e in np.flatnonzero(cross))
+    boundary = tuple(np.flatnonzero(cross).tolist())
     return ComponentReport(members=members, boundary=boundary)
 
 
@@ -309,7 +309,7 @@ def boundary_of(network: ContactNetwork, members) -> tuple[int, ...]:
     inside = np.zeros(network.n, dtype=bool)
     inside[list(members)] = True
     cross = inside[network.us] ^ inside[network.vs]
-    return tuple(int(e) for e in np.flatnonzero(cross))
+    return tuple(np.flatnonzero(cross).tolist())
 
 
 def merge_seeds(network: ContactNetwork, seeds) -> ContactNetwork:
@@ -487,33 +487,42 @@ class _FlowNetwork:
     Arcs are both directions of every non-loop edge, with capacity
     ``_SCALE``, and v -> t for every sink v, with the capacity that each
     :func:`_minimal_sides` call passes; t is vertex n. The edge arcs are
-    sorted by (tail, head) once; a sink arc, whose head is the largest,
-    goes after them, so :meth:`with_sinks` changes the sinks without a sort.
+    sorted by (tail, head) once and ``edges`` maps each to its edge id; a
+    sink arc, whose head is the largest, goes after them, so
+    :meth:`with_sinks` changes the sinks without a sort, and
+    :meth:`with_edges` keeps a subset of the edges by masking the sorted
+    arcs. ``degree`` is the source's non-loop degree in this copy; it sets
+    ``source_cap`` and the int32 guard of :func:`_minimal_sides`.
     """
 
     def __init__(self, graph: ContactNetwork, source: int, sinks):
-        degree = int(np.count_nonzero((graph.us == source) ^ (graph.vs == source)))
-        if _SCALE * degree > np.iinfo(np.int32).max:  # the flow value out of the source
-            raise InstanceTooLargeError(
-                f"flow source {source} has degree {degree}; the int32 flow network "
-                f"(capacity unit 2^16) needs source degree below 2^15 = 32768"
-            )
-        real = graph.us != graph.vs
+        real = np.flatnonzero(graph.us != graph.vs)
         tails = np.concatenate([graph.us[real], graph.vs[real]])
         heads = np.concatenate([graph.vs[real], graph.us[real]])
         order = np.lexsort((heads, tails))
         self.n, self.s = graph.n, source
-        self.tails, self.heads = tails[order], heads[order]
-        # more than the out-arcs of s carry, so never saturated
-        self.source_cap = _SCALE * degree + 1
         self.sinks = np.asarray(sinks, dtype=np.int64)
-        self.cells = self.n + len(self.tails) + len(self.sinks)
+        self._set_arcs(tails[order], heads[order], np.concatenate([real, real])[order])
+
+    def _set_arcs(self, tails, heads, edges) -> None:
+        self.tails, self.heads, self.edges = tails, heads, edges
+        self.degree = int(np.count_nonzero(tails == self.s))
+        # more than the out-arcs of s carry, so never saturated
+        self.source_cap = _SCALE * self.degree + 1
+        self.cells = self.n + len(tails) + len(self.sinks)
 
     def with_sinks(self, sinks) -> "_FlowNetwork":
         """The same network with sink arcs from ``sinks`` instead."""
         other = copy.copy(self)
         other.sinks = np.asarray(sinks, dtype=np.int64)
         other.cells = self.n + len(self.tails) + len(other.sinks)
+        return other
+
+    def with_edges(self, keep: np.ndarray) -> "_FlowNetwork":
+        """The same network on the edges that the (m,) bool ``keep`` marks."""
+        kept = keep[self.edges]
+        other = copy.copy(self)
+        other._set_arcs(self.tails[kept], self.heads[kept], self.edges[kept])
         return other
 
 
@@ -527,8 +536,16 @@ def _minimal_sides(networks: list[_FlowNetwork], caps: list[int]) -> list[np.nda
     One max flow from S to T is then a max flow of every copy; T is
     unreachable from S in the residual network, so the copies cannot
     affect each other, and a residual search from S reaches exactly the
-    union of every copy's minimal min-cut side.
+    union of every copy's minimal min-cut side. Raises
+    ``InstanceTooLargeError`` before building anything when a copy's flow
+    value, 2^16 times its source degree, would overflow int32.
     """
+    worst = max(networks, key=lambda net: net.degree)
+    if _SCALE * worst.degree > np.iinfo(np.int32).max:
+        raise InstanceTooLargeError(
+            f"flow source {worst.s} has degree {worst.degree}; the int32 flow network "
+            f"(capacity unit 2^16) needs source degree below 2^15 = 32768"
+        )
     offsets = np.cumsum([0] + [net.n for net in networks])
     t = offsets[-1]
     s_super = t + 1

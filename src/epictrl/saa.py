@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from . import rng
 from .errors import InstanceTooLargeError, SolverError, ValidationError
@@ -336,6 +335,10 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     constant, so x = 0 is taken as optimal without a solver call.
     """
     if model.num_y:
+        # imported here: loading scipy.optimize takes ~0.1 s, and solvers
+        # without an LP never pay it
+        from scipy.optimize import linprog
+
         res = linprog(
             c=model.objective,
             A_ub=model.a_ub,

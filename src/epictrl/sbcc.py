@@ -19,18 +19,22 @@ curve is an intersection of two such lines (Eisner and Severance, 1976). The
 sweep probes C = 0 and a top capacity, then the integers around the line
 intersection of each pair of adjacent known sides, until no probe finds a
 new side; it thereby finds the minimal min-cut side at every integer C in
-between. The sweep is verified against an exhaustive oracle rather than
-assumed correct.
+between. Both ends are known without a flow: at C = 0 the minimal side is
+the source's component, and at the top capacity it is {s} unless the cap
+of 2^30 meets a source degree of 2^14 or more. The sweep is verified
+against an exhaustive oracle rather than assumed correct.
 
-The solver runs its repetitions' sweeps in lockstep (``min_sbcc_many``):
-each round stacks the next probe of every running sweep into one
-block-diagonal flow network behind a shared super-source and super-sink,
-so one max-flow call answers them all. On K40 that is 4 calls for 16
-sweeps instead of about 64, and a max-flow call costs about as much on a
-2-vertex graph as on one sample's network. The flow helper is
-``network._minimal_sides``, which also answers the regime check: the
-global minimum cut c_min needs max flows only from a minimum-degree vertex
-to its non-neighbours, so on a dense graph such as K40 it needs none.
+The solver runs its repetitions' sweeps in lockstep on the kept-edge rows
+of one network (``min_sbcc_many``): the flow network is built once and
+masked per row, and each round stacks the next max-flow probe of every
+running sweep into one block-diagonal flow network behind a shared
+super-source and super-sink, so one max-flow call answers them all. On
+K40 that is 2 calls for 16 sweeps instead of about 32, and a max-flow
+call costs about as much on a 2-vertex graph as on one sample's network.
+The flow helper is ``network._minimal_sides``, which also answers the
+regime check: the global minimum cut c_min needs max flows only from a
+minimum-degree vertex to its non-neighbours, so on a dense graph such as
+K40 it needs none.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .network import (
     _minimal_sides,
     boundary_of,
     edge_removal,
+    source_component_members,
     sparsification_regime,
 )
 from .percolate import (
@@ -74,15 +79,16 @@ class SbccSolution:
     """One point of the cut-size / component-size trade-off curve.
 
     ``cut_edges`` is exactly the boundary of ``component`` in the solved
-    graph. ``component`` is connected there (it is what the source reaches
+    graph, a row's kept edges, as edge ids of the whole network.
+    ``component`` is connected there (it is what the source reaches
     in the residual network), so it is the source's component once
     ``cut_edges`` are removed. ``lagrange_alpha`` is the breakpoint of
     ``component``: C / 2^16 for the smallest integer sink capacity C at
     which it is the minimal min-cut source side.
     ``within_budget`` records whether the relaxed budget cut_size <=
     budget/lambda was met (otherwise the smallest-cut fallback is returned).
-    ``probes`` counts the sink capacities the sweep probed, one max flow
-    each.
+    ``probes`` counts the sink capacities the sweep answered by a max
+    flow; the end probes it answers without one do not count.
     """
 
     cut_edges: tuple[int, ...]
@@ -96,14 +102,16 @@ class SbccSolution:
 
 
 def _sweep(
-    graph: ContactNetwork, budget: float, lam: float
+    net: _FlowNetwork, component: np.ndarray, budget: float, lam: float
 ) -> Generator[int, np.ndarray, SbccSolution]:
-    """The parametric sweep of one graph, one probe at a time.
+    """The parametric sweep of one flow network, one probe at a time.
 
-    Yields each sink capacity to probe, receives the minimal min-cut side
-    at that capacity, and returns the selected solution.
+    ``component`` is the source's component in ``net``, the minimal side at
+    C = 0. Yields each sink capacity that needs a max flow, receives the
+    minimal min-cut side at that capacity, and returns the selected
+    solution.
     """
-    n = graph.n
+    n = net.n
     # top multiplier: a power of two over n, at least 16 n and 4 * budget
     top = 2.0 ** (math.ceil(2 * math.log2(max(n, 2))) + 4) / n
     while top < 4.0 * max(budget, 1.0):
@@ -116,23 +124,36 @@ def _sweep(
     sides: dict[int, tuple[int, int, np.ndarray]] = {}
     probes = 0
 
-    def record(cap: int, side: np.ndarray) -> tuple[int, int, np.ndarray]:
-        nonlocal probes
-        probes += 1
+    def leaving(side: np.ndarray) -> np.ndarray:
+        """Arc mask of the side's boundary: one arc out per boundary edge."""
         inside[:] = False
         inside[side] = True
-        cut = int(np.count_nonzero(inside[graph.us] ^ inside[graph.vs]))
+        return inside[net.tails] & ~inside[net.heads]
+
+    def record(cap: int, side: np.ndarray) -> tuple[int, int, np.ndarray]:
+        cut = int(np.count_nonzero(leaving(side)))
         if len(side) not in sides or cap < sides[len(side)][0]:
             sides[len(side)] = (cap, cut, side)
         return cap, cut, side
 
+    # The ends need no flow when their answer is known. At C = 0 every sink
+    # arc has capacity 0, so the minimal side is the source's component.
+    # At C_max any side of two or more vertices costs at least C_max, so
+    # {s}, which costs 2^16 deg(s), is the unique minimizer whenever
+    # C_max > 2^16 deg(s); top >= 16 n makes that fail only when C_max is
+    # capped at 2^30 and deg(s) >= 2^14.
+    lo = record(0, component)
+    if c_max > _SCALE * net.degree:
+        hi = record(c_max, np.array([net.s]))
+    else:
+        probes += 1
+        hi = record(c_max, (yield c_max))
     # Between sides S_a > S_b found at C_a < C_b, a third side can be
     # minimal at an integer C only if it is minimal at floor(x) or ceil(x),
     # x the intersection of L_a and L_b: L_c - min(L_a, L_b) is convex in C
     # with its kink at x. x lies in [C_a, C_b], so a point outside the open
     # interval is an end that was already probed.
-    lo = record(0, (yield 0))
-    work = [(lo, record(c_max, (yield c_max)))]
+    work = [(lo, hi)]
     while work:
         lo, hi = work.pop()
         (c_a, cut_a, side_a), (c_b, cut_b, side_b) = lo, hi
@@ -143,6 +164,7 @@ def _sweep(
         for cap in sorted({num // den, -(-num // den)}):
             if not c_a < cap < c_b:
                 continue
+            probes += 1
             mid = record(cap, (yield cap))
             if len(mid[2]) not in (len(side_a), len(side_b)):
                 work += [(lo, mid), (mid, hi)]
@@ -158,12 +180,12 @@ def _sweep(
     else:
         cut, comp, cap = min((cut, comp, cap) for comp, (cap, cut, _) in sides.items())
         within = False
-    side = tuple(int(v) for v in sides[comp][2])
+    side = sides[comp][2]
     if within and cut > limit:
         raise AssertionError("sweep returned a cut above budget/lambda")
     return SbccSolution(
-        cut_edges=boundary_of(graph, side),
-        component=side,
+        cut_edges=tuple(np.sort(net.edges[leaving(side)]).tolist()),
+        component=tuple(side.tolist()),
         cut_size=cut,
         component_size=comp,
         lam=lam,
@@ -174,31 +196,49 @@ def _sweep(
 
 
 def min_sbcc_many(
-    graphs: list[ContactNetwork], budget: float, lam: float
+    network: ContactNetwork, keep_rows: np.ndarray, budget: float, lam: float
 ) -> tuple[list[SbccSolution], int]:
-    """Bicriteria bounded-capacity cut of each graph, all sweeps in lockstep.
+    """Bicriteria bounded-capacity cut of each kept-edge row, sweeps in lockstep.
 
-    Each graph gets the exact parametric sweep of :func:`min_sbcc`; the
-    solutions are the ones it returns, in order. The sweeps advance in
-    rounds: a round takes the next probe of every sweep still running and
-    answers them with one max-flow call on a block-diagonal stack of their
-    flow networks, or with several when the stack would exceed ``CELLS``
-    vertices and arcs (at least one copy per call). Returns the solutions
-    and the number of max-flow calls made.
+    Row r of the (R, m) bool ``keep_rows`` is the subgraph of ``network``
+    on the edges it keeps, with the network's source; it gets the exact
+    parametric sweep of :func:`min_sbcc`, and ``cut_edges`` are edge ids of
+    ``network``. The flow network is built once, with one sort of its
+    arcs, and each row's copy masks those sorted arcs. The C = 0 side of
+    every row comes from one call of the component kernel, and the C_max
+    side is {s} without a flow whenever C_max > 2^16 deg(s). The sweeps
+    advance in rounds: a round takes the next probe of every sweep still
+    running and answers them with one max-flow call on a block-diagonal
+    stack of their flow networks, or with several when the stack would
+    exceed ``CELLS`` vertices and arcs (at least one copy per call).
+    Returns the solutions, in row order, and the number of max-flow calls
+    made.
     """
     if not 0.0 < lam < 1.0:
         raise ValidationError(f"lambda must lie in (0, 1), got {lam}")
     if not 0 <= budget < math.inf:
         raise ValidationError(f"budget must be finite and nonnegative, got {budget}")
-    for graph in graphs:
-        if graph.m and not np.all(graph.costs == 1.0):
-            raise ValidationError("bounded-capacity cut requires unit edge capacities")
+    if network.m and not np.all(network.costs == 1.0):
+        raise ValidationError("bounded-capacity cut requires unit edge capacities")
+    keep_rows = np.asarray(keep_rows, dtype=bool)
+    if keep_rows.ndim != 2 or keep_rows.shape[1] != network.m:
+        raise ValidationError(
+            f"kept-edge rows must have shape (rows, {network.m}), got {keep_rows.shape}"
+        )
 
-    networks = [_FlowNetwork(graph, graph.source, np.delete(np.arange(graph.n), graph.source))
-                for graph in graphs]
-    sweeps = [_sweep(graph, budget, lam) for graph in graphs]
-    solutions: list[SbccSolution | None] = [None] * len(graphs)
-    pending = {i: next(sweep) for i, sweep in enumerate(sweeps)}
+    s = network.source
+    base = _FlowNetwork(network, s, np.delete(np.arange(network.n), s))
+    networks = [base.with_edges(keep) for keep in keep_rows]
+    components = source_component_members(network, keep_rows)
+    sweeps = [_sweep(net, np.flatnonzero(comp), budget, lam)
+              for net, comp in zip(networks, components)]
+    solutions: list[SbccSolution | None] = [None] * len(sweeps)
+    pending: dict[int, int] = {}
+    for i, sweep in enumerate(sweeps):
+        try:
+            pending[i] = next(sweep)
+        except StopIteration as done:  # both ends known: no flow at all
+            solutions[i] = done.value
     flow_calls = 0
     while pending:
         batches: list[list[int]] = [[]]
@@ -237,9 +277,10 @@ def min_sbcc(
     against the exhaustive oracle). Falls back to the smallest-cut side, flagged, when nothing
     qualifies. Unit edge capacities are required, and the source degree
     must stay below 2^15 so that flow values fit in int32. This is
-    :func:`min_sbcc_many` on one graph.
+    :func:`min_sbcc_many` on one row that keeps every edge.
     """
-    return min_sbcc_many([graph.with_source(source)], budget, lam)[0][0]
+    graph = graph.with_source(source)
+    return min_sbcc_many(graph, np.ones((1, graph.m), dtype=bool), budget, lam)[0][0]
 
 
 def min_sbcc_exact(
@@ -312,18 +353,7 @@ def solve_karger(
     regime = sparsification_regime(network, p, d=d)
 
     keep_rows = sample_keep_matrix(network, seed, 0, reps)
-    samples = [
-        ContactNetwork(
-            n=network.n,
-            us=network.us[kept_ids],
-            vs=network.vs[kept_ids],
-            costs=np.ones(len(kept_ids)),
-            probs=np.ones(len(kept_ids)),
-            source=network.source,
-        )
-        for kept_ids in map(np.flatnonzero, keep_rows)
-    ]
-    solutions, flow_calls = min_sbcc_many(samples, budget=gamma * budget * p, lam=lam)
+    solutions, flow_calls = min_sbcc_many(network, keep_rows, budget=gamma * budget * p, lam=lam)
     candidates: list[dict] = []
     members_per_candidate: list[tuple[int, ...]] = []
     for sol in solutions:

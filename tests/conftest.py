@@ -162,6 +162,15 @@ def exact_sbcc_reference(network, budget):
     return best[2], best[0]
 
 
+def sweep_c_max(n, budget):
+    """The sweep's top sink capacity: 2^16 times a power of two over n that
+    is at least 16 n and 4 * budget, capped at 2^30."""
+    top = 2.0 ** (math.ceil(2 * math.log2(max(n, 2))) + 4) / n
+    while top < 4.0 * max(budget, 1.0):
+        top *= 2.0
+    return min(round(top * (1 << 16)), 1 << 30)
+
+
 def parametric_sbcc_oracle(network, budget, lam):
     """Reference for ``min_sbcc`` by enumerating every source side (n <= 9).
 
@@ -174,10 +183,7 @@ def parametric_sbcc_oracle(network, budget, lam):
     """
     n, s, scale = network.n, network.source, 1 << 16
     assert n <= 9
-    top = 2.0 ** (math.ceil(2 * math.log2(max(n, 2))) + 4) / n
-    while top < 4.0 * max(budget, 1.0):
-        top *= 2.0
-    c_max = min(round(top * scale), 1 << 30)
+    c_max = sweep_c_max(n, budget)
     sides = []
     for mask in range(1 << n):
         if mask >> s & 1:

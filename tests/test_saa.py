@@ -2,7 +2,11 @@ import dataclasses
 import heapq
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,17 @@ def test_draw_samples_binomial_presence():
 
 
 # ------------------------------------------------------------- LP building
+
+def test_import_leaves_the_lp_solver_unloaded():
+    """scipy.optimize loads on the first LP solve, not on ``import epictrl``."""
+    src = str(Path(saa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, epictrl; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.strip()
+    assert loaded == "False"
+
 
 def test_lp_path_hand_solution():
     net = path_network(p=1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -22,7 +23,7 @@ from epictrl import (
 from epictrl import network as network_module
 from epictrl import rng as rng_module
 from epictrl import sbcc as sbcc_module
-from epictrl.network import boundary_of
+from epictrl.network import boundary_of, source_component_members
 from epictrl.percolate import sample_keep_matrix
 
 from conftest import (
@@ -33,6 +34,7 @@ from conftest import (
     path_network,
     star_network,
     random_connected_network,
+    sweep_c_max,
 )
 
 
@@ -83,6 +85,13 @@ def test_sbcc_budget_validation():
     for budget in (-1.0, math.inf, math.nan):
         with pytest.raises(ValidationError, match="budget"):
             min_sbcc(path_network(), budget=budget, lam=0.5)
+
+
+def test_sbcc_many_rejects_rows_of_the_wrong_shape():
+    net = path_network()
+    for rows in (np.ones(net.m, dtype=bool), np.ones((2, net.m + 1), dtype=bool)):
+        with pytest.raises(ValidationError, match="shape"):
+            min_sbcc_many(net, rows, 1.0, 0.5)
 
 
 def test_sbcc_requires_unit_capacities():
@@ -372,30 +381,104 @@ def sbcc_cases(draw):
 @example(case=(7, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (2, 6)], 0, 0.5, 0.5))
 def test_min_sbcc_matches_parametric_oracle(case):
     n, edges, source, budget, lam = case
-    sol = min_sbcc(make_network(n, edges), budget=budget, lam=lam, source=source)
+    with mock.patch.object(sbcc_module, "_minimal_sides",
+                           recording_minimal_sides(probed := [])):
+        sol = min_sbcc(make_network(n, edges), budget=budget, lam=lam, source=source)
     rooted = make_network(n, edges, source=source)
     side, cut, comp, within, alpha = parametric_sbcc_oracle(rooted, budget, lam)
     assert sol.component == side
     assert (sol.cut_size, sol.component_size, sol.within_budget) == (cut, comp, within)
     assert sol.lagrange_alpha == alpha
     assert sol.cut_edges == boundary_of(rooted, side)
+    # n <= 9 keeps C_max below its cap, so neither end needs a flow
+    assert sol.probes == len(probed)
+    assert not {0, sweep_c_max(n, budget)} & set(probed)
+
+
+def recording_minimal_sides(probed):
+    """``_minimal_sides`` that appends every probed sink capacity to ``probed``."""
+    def record(networks, caps):
+        probed.extend(caps)
+        return network_module._minimal_sides(networks, caps)
+    return record
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sbcc_cases())
+@example(case=(4, [(1, 2), (2, 3)], 0, 2.0, 0.5))                  # isolated source
+@example(case=(4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)], 1, 1.0, 0.5))  # self-loops
+@example(case=(1, [(0, 0)], 0, 0.0, 0.5))
+def test_sweep_ends_are_known_without_a_flow(case):
+    """At C = 0 the minimal side is the kernel's component of the source; at
+    every C above 2^16 deg(s), the sweep's C_max among them, it is {s}."""
+    n, edges, source, budget, _ = case
+    net = make_network(n, edges, source=source)
+    flow_net = network_module._FlowNetwork(net, source, np.delete(np.arange(n), source))
+    above = network_module._SCALE * flow_net.degree + 1
+    c_max = sweep_c_max(n, budget)
+    assert c_max >= above
+    zero, just_above, top = network_module._minimal_sides([flow_net] * 3, [0, above, c_max])
+    component = source_component_members(net, np.ones((1, net.m), dtype=bool))[0]
+    assert zero.tolist() == np.flatnonzero(component).tolist()
+    assert just_above.tolist() == top.tolist() == [source]
+
+
+@pytest.mark.parametrize("leaves, flow_at_top", [((1 << 14) - 1, False), (1 << 14, True)])
+def test_sweep_flows_at_capped_top_only_for_high_source_degree(leaves, flow_at_top):
+    """C_max is capped at 2^30 on these stars; {s} is known there only while
+    2^30 > 2^16 deg(s), that is below 2^14 leaves."""
+    star = star_network(leaves)
+    assert sweep_c_max(star.n, float(leaves)) == sbcc_module._CAP_MAX
+    with mock.patch.object(sbcc_module, "_minimal_sides",
+                           recording_minimal_sides(probed := [])):
+        sol = min_sbcc(star, budget=float(leaves), lam=0.5)
+    assert (sbcc_module._CAP_MAX in probed) == flow_at_top
+    assert 0 not in probed
+    assert sol.probes == len(probed) == 1 + flow_at_top
+    # every side ties at C = 2^16, where the minimal one is {s}
+    assert (sol.component, sol.cut_size, sol.lagrange_alpha, sol.within_budget) \
+        == ((0,), leaves, 1.0, True)
+    assert sol.cut_edges == tuple(range(leaves))
+
+
+@st.composite
+def sbcc_rows(draw):
+    """An ``sbcc_cases`` case and kept-edge rows of its graph: random ones,
+    one that keeps nothing (an isolated source) and one that keeps all."""
+    case = draw(sbcc_cases())
+    m = len(case[1])
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m), max_size=4))
+    rows = np.array(rows + [[False] * m, [True] * m], dtype=bool).reshape(len(rows) + 2, m)
+    return case, rows[draw(st.permutations(range(len(rows))))]
 
 
 @settings(max_examples=60, deadline=None)
-@given(cases=st.lists(sbcc_cases(), min_size=1, max_size=6), cells=st.integers(1, 60))
-@example(cases=[(4, [(1, 2), (2, 3)], 0, 0.0, 0.5),          # isolated source, B = 0
-                (4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)], 1, 0.0, 0.5),
-                (1, [(0, 0)], 0, 0.0, 0.5)], cells=1)
-def test_min_sbcc_many_matches_one_at_a_time(cases, cells):
-    """Stacked sweeps give each graph's own answer, however the rounds split."""
-    _, _, _, budget, lam = cases[0]
-    graphs = [make_network(n, edges, source=source) for n, edges, source, _, _ in cases]
-    alone = [min_sbcc(g, budget=budget, lam=lam) for g in graphs]
-    stacked, calls = min_sbcc_many(graphs, budget, lam)
+@given(case_rows=sbcc_rows(), cells=st.integers(1, 60))
+@example(case_rows=((4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)], 1, 0.0, 0.5),
+                    [[True] * 5, [False] * 5, [True, False, True, True, True]]), cells=1)
+@example(case_rows=((4, [(1, 2), (2, 3)], 0, 2.0, 0.5), [[True, True]]), cells=1)
+@example(case_rows=((1, [(0, 0)], 0, 0.0, 0.5), [[True], [False]]), cells=60)
+def test_min_sbcc_many_matches_one_at_a_time(case_rows, cells):
+    """Each row's sweep gives the answer of min_sbcc on the row's own
+    subgraph, with cut edges as ids of the full graph, however the rounds
+    split."""
+    (n, edges, source, budget, lam), rows = case_rows
+    rows = np.asarray(rows, dtype=bool)
+    net = make_network(n, edges, source=source)
+    alone = []
+    for keep in rows:
+        kept = np.flatnonzero(keep)
+        sub = make_network(n, [edges[e] for e in kept], source=source)
+        sol = min_sbcc(sub, budget=budget, lam=lam)
+        side, cut, comp, within, alpha = parametric_sbcc_oracle(sub, budget, lam)
+        assert (sol.component, sol.cut_size, sol.component_size, sol.within_budget,
+                sol.lagrange_alpha) == (side, cut, comp, within, alpha)
+        alone.append(dataclasses.replace(sol, cut_edges=tuple(kept[list(sol.cut_edges)].tolist())))
+    stacked, calls = min_sbcc_many(net, rows, budget, lam)
     assert stacked == alone
     assert calls == max(sol.probes for sol in alone)
     with mock.patch.object(sbcc_module, "CELLS", cells):
-        split, split_calls = min_sbcc_many(graphs, budget, lam)
+        split, split_calls = min_sbcc_many(net, rows, budget, lam)
     assert split == alone
     assert calls <= split_calls <= sum(sol.probes for sol in alone)
 
@@ -413,6 +496,14 @@ def test_sbcc_source_degree_overflow_guard():
     # three copies in one flow network: the total flow exceeds 2^31, each
     # copy's does not
     with mock.patch.object(sbcc_module, "CELLS", 1 << 20):
-        stacked, calls = min_sbcc_many([star] * 3, float(1 << 15), 0.5)
+        stacked, calls = min_sbcc_many(star, np.ones((3, star.m), dtype=bool),
+                                       float(1 << 15), 0.5)
     assert stacked == [sol] * 3
     assert calls == sol.probes
+    # the guard reads each row's source degree, not the full graph's
+    big = star_network(1 << 15)
+    rows = np.ones((2, big.m), dtype=bool)
+    rows[0, -1] = rows[1, 0] = False
+    sols, _ = min_sbcc_many(big, rows, float(1 << 15), 0.5)
+    assert [s.component for s in sols] == [(0,), (0,)]
+    assert [s.cut_edges for s in sols] == [tuple(range(big.m - 1)), tuple(range(1, big.m))]
