@@ -40,11 +40,9 @@ from .network import (
 )
 from .percolate import (
     InfectionEstimate,
-    PercolationSample,
     empirical_infections,
     estimate_infections,
     exact_expected_infections,
-    sample_subgraph,
 )
 from .chunglu import (
     ChungLuModel,

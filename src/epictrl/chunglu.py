@@ -72,10 +72,6 @@ class ChungLuModel:
         """True when beta > 3, where expected path counts stay polynomial."""
         return self.beta > 3.0
 
-    def pair_probability(self, u: int, v: int) -> float:
-        w = self.weights
-        return float(w[u]) * float(w[v]) / self.total_weight
-
 
 def build_model(n: int, beta: float, w_min: int, w_max: int) -> ChungLuModel:
     """Apportion n vertices across weight classes w_min..w_max.
@@ -115,6 +111,24 @@ def build_model(n: int, beta: float, w_min: int, w_max: int) -> ChungLuModel:
     return model
 
 
+def _pairs(model: ChungLuModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every vertex pair (iu, iv) with iu <= iv and its edge probability q.
+
+    More than ``PAIR_CAP`` pairs raise ``InstanceTooLargeError`` before any
+    pair array is allocated.
+    """
+    pairs = model.n * (model.n + 1) // 2
+    if pairs > PAIR_CAP:
+        raise InstanceTooLargeError(
+            f"n = {model.n} vertices give {pairs} vertex pairs, above the cap of "
+            f"{PAIR_CAP} pairs that generate draws at once; use a smaller n"
+        )
+    w = model.weights.astype(np.float64)
+    total = float(model.total_weight)
+    iu, iv = np.triu_indices(model.n)
+    return iu, iv, w[iu] * w[iv] / total
+
+
 def generate(model: ChungLuModel, seed: int, index: int = 0) -> ContactNetwork:
     """Draw one graph from the model.
 
@@ -127,18 +141,8 @@ def generate(model: ChungLuModel, seed: int, index: int = 0) -> ContactNetwork:
     than ``PAIR_CAP`` vertex pairs raise ``InstanceTooLargeError`` before
     any pair array is allocated.
     """
-    pairs = model.n * (model.n + 1) // 2
-    if pairs > PAIR_CAP:
-        raise InstanceTooLargeError(
-            f"n = {model.n} vertices give {pairs} vertex pairs, above the cap of "
-            f"{PAIR_CAP} pairs that generate draws at once; use a smaller n"
-        )
-    w = model.weights.astype(np.float64)
-    total = float(model.total_weight)
-    iu, iv = np.triu_indices(model.n)
-    q = w[iu] * w[iv] / total
-    u = rng.generator(seed, "chunglu", index).random(len(q))
-    hit = u < q
+    iu, iv, q = _pairs(model)
+    hit = rng.generator(seed, "chunglu", index).random(len(q)) < q
     us = iu[hit].astype(np.int64)
     vs = iv[hit].astype(np.int64)
     real = us != vs
@@ -178,21 +182,24 @@ class PathCensus:
         return float(self.counts[k - 1])
 
 
-def _path_counts(
-    network: ContactNetwork, k_max: int, keep: np.ndarray | None = None
-) -> np.ndarray:
-    """Count undirected simple paths over the kept edges by depth-limited DFS.
+def _path_counts(n: int, us: np.ndarray, vs: np.ndarray, k_max: int) -> np.ndarray:
+    """Count undirected simple paths over the edges (us[e], vs[e]) by DFS.
 
-    Every path is walked from both endpoints; counting only walks that end
-    at a vertex larger than the start counts each path exactly once.
+    Self-loops are skipped. Every path is walked from both endpoints;
+    counting only walks that end at a vertex larger than the start counts
+    each path exactly once.
     """
-    adj = network.adjacency(keep)
-    counts = np.zeros(k_max, dtype=np.int64)
-    visited = [False] * network.n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(us.tolist(), vs.tolist()):
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    counts = [0] * k_max
+    visited = [False] * n
 
     def extend(start: int, u: int, depth: int):
         visited[u] = True
-        for v, _ in adj[u]:
+        for v in adj[u]:
             if visited[v]:
                 continue
             if v > start:
@@ -201,9 +208,9 @@ def _path_counts(
                 extend(start, v, depth + 1)
         visited[u] = False
 
-    for start in range(network.n):
+    for start in range(n):
         extend(start, start, 0)
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 def count_simple_paths(network: ContactNetwork, k_max: int) -> PathCensus:
@@ -218,7 +225,7 @@ def count_simple_paths(network: ContactNetwork, k_max: int) -> PathCensus:
         )
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    counts = _path_counts(network, k_max)
+    counts = _path_counts(network.n, network.us, network.vs, k_max)
     return PathCensus(counts=counts, total=float(counts.sum()), mode="exact")
 
 
@@ -227,8 +234,9 @@ def estimate_percolated_paths(
 ) -> PathCensus:
     """Monte Carlo estimate of expected path counts in percolated graphs.
 
-    Each trial draws a fresh graph from the model, percolates its edges
-    with uniform probability p, and counts simple paths exactly. With
+    Each trial draws a fresh graph from the model (the edge arrays of
+    ``generate(model, seed, t)``, with no network built), percolates its
+    edges with uniform probability p, and counts simple paths exactly. With
     p = 1 this estimates the generated graphs' own expected counts; the
     census total estimates the expected number of surviving paths.
     """
@@ -238,20 +246,22 @@ def estimate_percolated_paths(
         )
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if k_max < 1:
+        raise ValidationError("k_max must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"percolation probability {p} outside [0, 1]")
     sums = np.zeros(k_max, dtype=np.float64)
     sq_sums = np.zeros(k_max, dtype=np.float64)
     tot_sum = 0.0
     tot_sq = 0.0
+    iu, iv, q = _pairs(model)
     for t in range(trials):
-        net = generate(model, seed, index=t)
-        if p >= 1.0:
-            keep = None
-        else:
-            u = rng.generator(seed, "pathperc", t).random(net.m)
-            keep = u < p
-        counts = _path_counts(net, k_max, keep)
+        hit = rng.generator(seed, "chunglu", t).random(len(q)) < q
+        us, vs = iu[hit], iv[hit]
+        if p < 1.0:
+            keep = rng.generator(seed, "pathperc", t).random(len(us)) < p
+            us, vs = us[keep], vs[keep]
+        counts = _path_counts(model.n, us, vs, k_max)
         sums += counts
         sq_sums += counts.astype(np.float64) ** 2
         total = float(counts.sum())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chunglu, rng, saa, sbcc
-from .errors import EpictrlError, SolverError, ValidationError
+from .errors import EpictrlError, ParseError, SolverError, ValidationError
 from .network import (
     ContactNetwork,
     edge_removal,
@@ -90,14 +90,28 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _read_json_object(path: str) -> dict:
+    """A JSON file that must hold one object; anything else is a ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not valid JSON ({exc})", path) from None
+    if not isinstance(doc, dict):
+        raise ParseError("expected a JSON object", path)
+    return doc
+
+
 def _load_model(args) -> chunglu.ChungLuModel:
     if args.model:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return chunglu.build_model(
-            n=int(doc["n"]), beta=float(doc["beta"]),
-            w_min=int(doc["w_min"]), w_max=int(doc["w_max"]),
-        )
+        doc = _read_json_object(args.model)
+        try:
+            n, beta = int(doc["n"]), float(doc["beta"])
+            w_min, w_max = int(doc["w_min"]), int(doc["w_max"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"model needs numbers n, beta, w_min and w_max ({exc!r})",
+                             args.model) from None
+        return chunglu.build_model(n=n, beta=beta, w_min=w_min, w_max=w_max)
     if args.n is None or args.beta is None:
         raise ValidationError("provide --model or all of --n/--beta/--w-min/--w-max")
     return chunglu.build_model(args.n, args.beta, args.w_min, args.w_max)
@@ -105,7 +119,12 @@ def _load_model(args) -> chunglu.ChungLuModel:
 
 def _parse_intervention(net: ContactNetwork, args):
     if getattr(args, "remove_edges", None):
-        ids = [int(x) for x in args.remove_edges.split(",") if x]
+        try:
+            ids = [int(x) for x in args.remove_edges.split(",") if x]
+        except ValueError:
+            raise ValidationError(
+                f"--remove-edges takes comma-separated edge ids, got {args.remove_edges!r}"
+            ) from None
         return edge_removal(net, ids, "cli")
     if getattr(args, "remove_nodes", None):
         ids = [net.index_of(x) for x in args.remove_nodes.split(",") if x]
@@ -115,10 +134,7 @@ def _parse_intervention(net: ContactNetwork, args):
 
 def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
     """Fill None-valued args from a JSON config, then from hard defaults."""
-    config = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+    config = _read_json_object(args.config) if getattr(args, "config", None) else {}
     for key, value in {**defaults, **config}.items():
         attr = key.replace("-", "_")
         if getattr(args, attr, None) is None:
@@ -249,7 +265,12 @@ def _cmd_count_paths(args) -> int:
         "census": rows,
     }
     if args.ceiling_poly:
-        coeff, degree = (float(x) for x in args.ceiling_poly.split(","))
+        try:
+            coeff, degree = (float(x) for x in args.ceiling_poly.split(","))
+        except ValueError:
+            raise ValidationError(
+                f"--ceiling-poly takes C,D (two numbers), got {args.ceiling_poly!r}"
+            ) from None
         payload["percolation_ceiling"] = chunglu.estimate_percolation_ceiling(
             model, k_max=args.kmax, trials=max(args.trials // 10, 1),
             seed=args.seed, poly_coefficient=coeff, poly_degree=degree,

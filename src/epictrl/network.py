@@ -95,15 +95,6 @@ class ContactNetwork:
         """Edge ids of self-loops (flagged on ingest, epidemiologically inert)."""
         return tuple(int(e) for e in np.flatnonzero(self.us == self.vs))
 
-    @property
-    def max_degree(self) -> int:
-        """Maximum vertex degree; a self-loop contributes 1 to its endpoint."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.us, 1)
-        loops = self.us != self.vs
-        np.add.at(deg, self.vs[loops], 1)
-        return int(deg.max()) if self.n else 0
-
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
@@ -114,19 +105,6 @@ class ContactNetwork:
             return self.labels.index(label)
         except ValueError:
             raise ValidationError(f"unknown vertex label {label!r}") from None
-
-    def adjacency(self, edge_keep: np.ndarray | None = None) -> list[list[tuple[int, int]]]:
-        """Adjacency lists of (neighbor, edge id); self-loops omitted."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for e in range(self.m):
-            if edge_keep is not None and not edge_keep[e]:
-                continue
-            u, v = int(self.us[e]), int(self.vs[e])
-            if u == v:
-                continue
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-        return adj
 
     def with_source(self, source: int | None) -> "ContactNetwork":
         """This network with its source moved to ``source`` (None keeps it)."""
@@ -364,11 +342,6 @@ def random_connected_network(rng, n_lo=4, n_hi=8, max_m=12, p_mode="random",
     costs = np.ones(m) if unit_costs else rng.uniform(0.5, 3.0, size=m)
     us, vs = np.array(edges, dtype=np.int64).reshape(m, 2).T
     return ContactNetwork(n=n, us=us, vs=vs, costs=costs, probs=probs, source=0)
-
-
-def removable_edges(network: ContactNetwork) -> np.ndarray:
-    """Edge ids with finite cost (meta-source edges are excluded)."""
-    return np.flatnonzero(np.isfinite(network.costs))
 
 
 def load_network(path) -> ContactNetwork:

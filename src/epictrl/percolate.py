@@ -35,20 +35,6 @@ Z99 = 2.5758293035489004
 
 
 @dataclass(frozen=True)
-class PercolationSample:
-    """One realized subgraph: the kept edge ids of a single draw."""
-
-    kept_edges: tuple[int, ...]
-    sample_index: int
-    seed: int
-
-    def keep_mask(self, m: int) -> np.ndarray:
-        mask = np.zeros(m, dtype=bool)
-        mask[list(self.kept_edges)] = True
-        return mask
-
-
-@dataclass(frozen=True)
 class InfectionEstimate:
     """Expected infections: a mean with a normal-approximation half-width."""
 
@@ -71,16 +57,6 @@ def sample_keep_matrix(
     """
     u = rng.uniform_block(seed, start_index, count, network.m)
     return u < network.probs[np.newaxis, :]
-
-
-def sample_subgraph(network: ContactNetwork, seed: int, index: int = 0) -> PercolationSample:
-    """Draw one percolation sample (bit-reproducible for fixed inputs)."""
-    keep = sample_keep_matrix(network, seed, index, 1)[0]
-    return PercolationSample(
-        kept_edges=tuple(int(e) for e in np.flatnonzero(keep)),
-        sample_index=index,
-        seed=seed,
-    )
 
 
 def infection_table(network: ContactNetwork) -> np.ndarray:
@@ -147,26 +123,22 @@ def component_sizes(
     network: ContactNetwork,
     keep_rows: np.ndarray,
     removed: Intervention | None = None,
-    table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Source-component sizes for a batch of samples under an intervention.
 
-    Uses the 2^m reachability table when the instance is small enough
-    (or one is supplied); otherwise runs the rows through the batched
-    component kernel. There, a removal that drops edges is evaluated only
-    on the source's component C of G - removal, labelled once: in every
-    sample the source's component lies inside C, so the rows are cut to
-    the kept edges with an endpoint in C, on C's vertices relabelled
-    0..|C|-1, and the sizes are unchanged. When C holds every kept edge
-    (say, G - removal is connected apart from removed vertices) the rows
-    run on the whole network.
+    Uses the 2^m reachability table when the instance is small enough;
+    otherwise runs the rows through the batched component kernel. There, a
+    removal that drops edges is evaluated only on the source's component C
+    of G - removal, labelled once: in every sample the source's component
+    lies inside C, so the rows are cut to the kept edges with an endpoint in
+    C, on C's vertices relabelled 0..|C|-1, and the sizes are unchanged.
+    When C holds every kept edge (say, G - removal is connected apart from
+    removed vertices) the rows run on the whole network.
     """
     keep_rows = np.asarray(keep_rows, dtype=bool)
-    if table is None and network.m <= MASK_TABLE_CAP:
-        table = infection_table(network)
-    if table is not None:
+    if network.m <= MASK_TABLE_CAP:
         masks = keep_rows_to_masks(keep_rows) & intervention_keep_bits(network, removed)
-        return table[masks]
+        return infection_table(network)[masks]
     keep = removal_edge_keep(network, removed)
     if not keep.all():
         inside = source_component_members(network, keep[np.newaxis, :])[0]
@@ -204,11 +176,10 @@ def estimate_infections(
     total = 0
     total_sq = 0
     done = 0
-    table = infection_table(network) if network.m <= MASK_TABLE_CAP else None
     while done < num_samples:
         count = min(batch, num_samples - done)
         keep = sample_keep_matrix(network, seed, done, count)
-        sizes = component_sizes(network, keep, intervention, table=table)
+        sizes = component_sizes(network, keep, intervention)
         total += int(sizes.sum())
         total_sq += int((sizes * sizes).sum())
         done += count
@@ -231,25 +202,18 @@ def mean_half_width(total: int, total_sq: int, num_samples: int) -> tuple[float,
     return mean, half
 
 
-def _fold_deterministic(network: ContactNetwork, removed: Intervention | None):
-    """Split edges into always-kept, never-kept, and random after a removal."""
-    keep = removal_edge_keep(network, removed)
-    always = keep & (network.probs == 1.0)
-    never = (~keep) | (network.probs == 0.0)
-    random = keep & ~always & ~never
-    return always, np.flatnonzero(random)
-
-
 def exact_expected_infections(
     network: ContactNetwork, intervention: Intervention | None = None
 ) -> InfectionEstimate:
     """Exact expectation by enumerating all retention patterns.
 
-    Deterministic edges (p in {0, 1}, or removed) are folded first; the
-    remaining r random edges are enumerated over all 2^r patterns weighted
-    by their Bernoulli probabilities. Requires r <= 22.
+    Deterministic edges (p in {0, 1}, or removed) are fixed; the remaining
+    r random edges are enumerated over all 2^r patterns weighted by their
+    Bernoulli probabilities. Requires r <= 22.
     """
-    always, random_ids = _fold_deterministic(network, intervention)
+    keep = removal_edge_keep(network, intervention)
+    always = keep & (network.probs == 1.0)
+    random_ids = np.flatnonzero(keep & (network.probs > 0.0) & ~always)
     r = len(random_ids)
     if r > 22:
         raise InstanceTooLargeError(f"exact oracle caps at 22 random edges, got {r}")
@@ -258,18 +222,11 @@ def exact_expected_infections(
     for e in random_ids:
         p = float(network.probs[e])
         weights = np.concatenate([weights * (1.0 - p), weights * p])
-    if network.m <= MASK_TABLE_CAP:
-        base = int(keep_rows_to_masks(always[np.newaxis, :])[0])
-        masks = np.full(1, base, dtype=np.int64)
-        for e in random_ids:
-            masks = np.concatenate([masks, masks | (1 << int(e))])
-        sizes = infection_table(network)[masks]
-    else:
-        rows = np.tile(always, (1 << r, 1))
-        for bit, e in enumerate(random_ids):
-            on = (np.arange(1 << r) >> bit) & 1
-            rows[:, e] = on.astype(bool)
-        sizes = source_component_sizes(network, rows)
+    rows = np.tile(always, (1 << r, 1))
+    patterns = np.arange(1 << r)
+    for bit, e in enumerate(random_ids):
+        rows[:, e] = (patterns >> bit) & 1
+    sizes = component_sizes(network, rows, intervention)
     mean = float(np.dot(weights, sizes.astype(np.float64)))
     return InfectionEstimate(mean=mean, half_width=0.0, num_samples=1 << r, exact=True)
 
@@ -292,19 +249,12 @@ def empirical_infections(
 
 
 def _as_keep_rows(samples, network: ContactNetwork) -> np.ndarray:
-    """Normalize a SampleSet / sample list / boolean matrix to keep rows."""
+    """Normalize a SampleSet or an (N, m) boolean matrix to keep rows."""
     if hasattr(samples, "keep_rows"):  # SampleSet
         if samples.network is not network:
             raise ValidationError("samples were drawn from a different network")
         return samples.keep_rows
-    if isinstance(samples, np.ndarray):
-        if samples.ndim != 2 or samples.shape[1] != network.m:
-            raise ValidationError("keep matrix shape does not match the network")
-        return samples.astype(bool)
-    rows = np.zeros((len(samples), network.m), dtype=bool)
-    for i, s in enumerate(samples):
-        ids = list(s.kept_edges)
-        if ids and (min(ids) < 0 or max(ids) >= network.m):
-            raise ValidationError("sample references edges outside this network")
-        rows[i, ids] = True
+    rows = np.asarray(samples, dtype=bool)
+    if rows.ndim != 2 or rows.shape[1] != network.m:
+        raise ValidationError("keep matrix shape does not match the network")
     return rows

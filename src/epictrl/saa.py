@@ -79,7 +79,6 @@ class SampleSet:
     network: ContactNetwork
     keep_rows: np.ndarray  # (N, m) bool
     seed: int
-    epsilon: float | None = None  # the epsilon used to size N, when auto-sized
 
     def __post_init__(self):
         rows = np.asarray(self.keep_rows, dtype=bool)
@@ -93,15 +92,6 @@ class SampleSet:
     @property
     def N(self) -> int:
         return self.keep_rows.shape[0]
-
-    def sample(self, j: int):
-        from .percolate import PercolationSample
-
-        return PercolationSample(
-            kept_edges=tuple(int(e) for e in np.flatnonzero(self.keep_rows[j])),
-            sample_index=j,
-            seed=self.seed,
-        )
 
 
 def required_sample_count(n: int, m: int, epsilon: float) -> int:
@@ -118,9 +108,7 @@ def required_sample_count(n: int, m: int, epsilon: float) -> int:
     return math.ceil(3.0 * n / (epsilon * epsilon) * log_term)
 
 
-def draw_samples(
-    network: ContactNetwork, N: int, seed: int, epsilon: float | None = None
-) -> SampleSet:
+def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
     """Draw N independent scenario subgraphs (indices 0..N-1).
 
     More than ``SAMPLE_DRAW_CAP`` uniforms (N times the network's padded
@@ -136,7 +124,7 @@ def draw_samples(
             f"scenarios with --samples (num_samples)"
         )
     return SampleSet(network=network, keep_rows=sample_keep_matrix(network, seed, 0, N),
-                     seed=seed, epsilon=epsilon)
+                     seed=seed)
 
 
 @dataclass(frozen=True)
@@ -536,7 +524,7 @@ def solve_saa(
     t0 = time.perf_counter()
     auto_n = required_sample_count(network.n, max(network.m, 1), epsilon)
     N = num_samples if num_samples is not None else auto_n
-    samples = draw_samples(network, N, seed, epsilon=epsilon)
+    samples = draw_samples(network, N, seed)
     model = build_lp(samples, budget, mode=mode, node_costs=node_costs)
     frac = solve_lp(model)
     if frac.solver_status != "optimal":

@@ -50,6 +50,19 @@ def complete_network(n, p=1.0) -> ContactNetwork:
     return make_network(n, edges, probs=p)
 
 
+def adjacency(network, edge_keep=None) -> list[list[tuple[int, int]]]:
+    """Adjacency lists of (neighbor, edge id) over the kept edges; no self-loops."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(network.n)]
+    for e in range(network.m):
+        if edge_keep is not None and not edge_keep[e]:
+            continue
+        u, v = int(network.us[e]), int(network.vs[e])
+        if u != v:
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+    return adj
+
+
 def union_find_component(network, keep) -> tuple[int, ...]:
     """Reference source component (ascending ids) of one kept-edge row."""
     parent = list(range(network.n))

@@ -132,7 +132,7 @@ def big_instance(n=50, m=120, p=0.5, seed=404):
 def test_criterion_04_randomized_budget_tail():
     net = big_instance()
     epsilon, gamma, budget = 0.3, 2.0, 10.0
-    samples = draw_samples(net, 30, seed=7, epsilon=epsilon)
+    samples = draw_samples(net, 30, seed=7)
     frac = solve_lp(build_lp(samples, budget))
     cap = (6.0 * (gamma + 5.0) * math.log(net.n) / epsilon) * budget
     good = 0
@@ -316,7 +316,7 @@ def test_criterion_11_node_variant():
     net = random_connected_network(np.random.default_rng(1212),
                                    n_lo=12, n_hi=12, max_m=16, p_mode="random")
     epsilon, gamma = 0.3, 2.0
-    samples = draw_samples(net, 40, seed=33, epsilon=epsilon)
+    samples = draw_samples(net, 40, seed=33)
     frac = solve_lp(build_lp(samples, budget, mode="node"))
     cap = (6.0 * (gamma + 5.0) * math.log(net.n) / epsilon) * budget
     good = sum(

@@ -19,6 +19,8 @@ from epictrl import (
     generate,
 )
 from epictrl import chunglu
+from epictrl import rng as streams
+from epictrl.percolate import Z99
 
 from conftest import complete_network, make_network, path_network
 
@@ -219,6 +221,31 @@ def test_percolation_one_single_trial_equals_exact_census():
     census = estimate_percolated_paths(model, p=1.0, trials=1, k_max=4, seed=12)
     direct = count_simple_paths(generate(model, seed=12, index=0), 4)
     assert np.array_equal(census.counts, direct.counts.astype(float))
+
+
+@pytest.mark.parametrize("p, seed", [(0.35, 3), (0.8, 12), (1.0, 5)])
+def test_percolated_trials_equal_census_of_rebuilt_networks(p, seed):
+    """Each trial is generate(model, seed, t), thinned by its "pathperc" keep."""
+    model = build_model(9, 2.5, 1, 3)
+    trials, k_max = 6, 4
+    per_trial = []
+    for t in range(trials):
+        net = generate(model, seed=seed, index=t)
+        keep = np.ones(net.m, dtype=bool)
+        if p < 1.0:
+            keep = streams.generator(seed, "pathperc", t).random(net.m) < p
+        kept = make_network(net.n, list(zip(net.us[keep], net.vs[keep])))
+        per_trial.append(count_simple_paths(kept, k_max).counts)
+    per_trial = np.array(per_trial)
+    assert per_trial.sum() > 0
+    census = estimate_percolated_paths(model, p=p, trials=trials, k_max=k_max, seed=seed)
+    assert np.array_equal(census.counts, per_trial.sum(axis=0) / trials)
+    assert census.total == per_trial.sum() / trials
+    expected_hw = Z99 * per_trial.std(axis=0, ddof=1) / math.sqrt(trials)
+    assert np.allclose(census.half_widths, expected_hw, rtol=1e-9, atol=1e-12)
+    totals = per_trial.sum(axis=1)
+    assert census.total_half_width == pytest.approx(
+        Z99 * totals.std(ddof=1) / math.sqrt(trials), rel=1e-9, abs=1e-12)
 
 
 def test_two_independent_runs_agree():

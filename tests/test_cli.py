@@ -191,6 +191,31 @@ def test_missing_file_exit_code(tmp_path):
     assert rc == 2
 
 
+def malformed_argv(tmp_path, case):
+    graph = path_graph_file(tmp_path)
+    if case == "remove-edges":
+        return ["percolate", "--graph", graph, "--remove-edges", "x"]
+    if case == "ceiling-poly":
+        return ["count-paths", "--n", "8", "--beta", "2.5", "--trials", "5",
+                "--ceiling-poly", "1", "--output", str(tmp_path / "c.json")]
+    if case == "kmax-zero":
+        return ["count-paths", "--n", "8", "--beta", "2.5", "--trials", "5", "--kmax", "0"]
+    if case == "model-without-beta":
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"n": 10, "w_min": 1, "w_max": 2}))
+        return ["bounds", "--model", str(model)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{samples: 25")
+    return ["percolate", "--graph", graph, "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("case", ["remove-edges", "ceiling-poly", "kmax-zero",
+                                  "model-without-beta", "config-not-json"])
+def test_malformed_flag_or_file_exit_code(tmp_path, capsys, case):
+    assert main(malformed_argv(tmp_path, case)) == 2
+    assert "error_code=validation" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     g = path_graph_file(tmp_path)
     cfg = tmp_path / "cfg.json"

@@ -22,7 +22,7 @@ from epictrl import (
     sparsification_regime,
 )
 from epictrl import network as network_module
-from epictrl.network import boundary_of, removable_edges
+from epictrl.network import boundary_of
 
 from conftest import (
     complete_network,
@@ -203,11 +203,6 @@ def test_intervention_cost_recomputed():
     net = make_network(3, [(0, 1), (1, 2)], costs=[2.0, 3.5])
     assert edge_removal(net, [0, 1]).cost == 5.5
     assert node_removal(net, [1, 2]).cost == 2.0
-
-
-def test_removable_edges_excludes_meta():
-    merged = merge_seeds(path_network(), [0])
-    assert list(removable_edges(merged)) == [0, 1]
 
 
 # ------------------------------------------------------------ min cut
@@ -510,9 +505,3 @@ def test_boundary_of_matches_definition(rng):
         if (net.us[e] in members) != (net.vs[e] in members)
     )
     assert boundary_of(net, members) == expected
-
-
-def test_max_degree():
-    assert star_network(4).max_degree == 4
-    loopy = make_network(2, [(0, 0), (0, 1)])
-    assert loopy.max_degree == 2  # loop counts once

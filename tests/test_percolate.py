@@ -14,17 +14,16 @@ from epictrl import (
     empirical_infections,
     estimate_infections,
     exact_expected_infections,
-    sample_subgraph,
 )
 from epictrl.percolate import (
     MASK_TABLE_CAP,
-    PercolationSample,
     component_sizes,
     infection_table,
     sample_keep_matrix,
 )
 
 from epictrl import network as network_module
+from epictrl.saa import draw_samples
 from epictrl.network import boundary_of, component_of, node_removal, removal_edge_keep
 
 from conftest import complete_network, make_network, path_network, star_network, \
@@ -35,20 +34,20 @@ from conftest import complete_network, make_network, path_network, star_network,
 
 def test_deterministic_edges():
     sure = path_network(p=1.0)
-    assert sample_subgraph(sure, 1, 0).kept_edges == (0, 1)
+    assert sample_keep_matrix(sure, 1, 0, 3).all()
     never = path_network(p=0.0)
-    assert sample_subgraph(never, 1, 0).kept_edges == ()
+    assert not sample_keep_matrix(never, 1, 0, 3).any()
 
 
 def test_sample_reproducible_and_batch_invariant():
     net = random_connected_network(np.random.default_rng(5), max_m=9, p_mode=0.37)
-    a = sample_subgraph(net, seed=42, index=6)
-    b = sample_subgraph(net, seed=42, index=6)
-    assert a == b
+    a = sample_keep_matrix(net, 42, 6, 1)
+    b = sample_keep_matrix(net, 42, 6, 1)
+    assert a.dtype == bool and a.shape == (1, net.m)
+    assert np.array_equal(a, b)
     full = sample_keep_matrix(net, 42, 0, 10)
-    offset = sample_keep_matrix(net, 42, 6, 1)
-    assert np.array_equal(full[6], offset[0])
-    assert tuple(np.flatnonzero(full[6])) == a.kept_edges
+    assert np.array_equal(full[6], a[0])
+    assert not np.array_equal(full, sample_keep_matrix(net, 43, 0, 10))
 
 
 def test_sample_mean_kept_count_binomial():
@@ -161,30 +160,33 @@ def test_estimate_within_4sigma_of_exact(rng):
 
 def test_empirical_all_empty_samples():
     net = path_network(p=0.5)
-    samples = [PercolationSample((), j, 0) for j in range(3)]
-    assert empirical_infections(samples, net) == 1.0
+    assert empirical_infections(np.zeros((3, net.m), dtype=bool), net) == 1.0
 
 
 def test_empirical_single_full_sample():
     net = star_network(3, p=1.0)
-    assert empirical_infections([sample_subgraph(net, 0, 0)], net) == 4.0
+    assert empirical_infections(sample_keep_matrix(net, 0, 0, 1), net) == 4.0
 
 
 def test_empirical_two_fixed_samples():
     net = path_network(p=0.5)
-    samples = [PercolationSample((0,), 0, 0), PercolationSample((0, 1), 1, 0)]
+    samples = np.array([[True, False], [True, True]])
     assert empirical_infections(samples, net) == pytest.approx(2.5)
 
 
 def test_empirical_rejects_empty_list():
-    with pytest.raises(ValidationError):
-        empirical_infections([], path_network())
+    with pytest.raises(ValidationError, match="empty"):
+        empirical_infections(np.zeros((0, 2), dtype=bool), path_network())
 
 
 def test_empirical_rejects_foreign_samples():
     net = path_network()
-    with pytest.raises(ValidationError):
-        empirical_infections([PercolationSample((5,), 0, 0)], net)
+    for shape in ((1, 5), (1, 1), (2,), (1, 2, 1)):
+        with pytest.raises(ValidationError, match="shape"):
+            empirical_infections(np.ones(shape, dtype=bool), net)
+    twin = path_network()  # equal arrays, but another network
+    with pytest.raises(ValidationError, match="different network"):
+        empirical_infections(draw_samples(twin, 2, seed=0), net)
 
 
 @settings(max_examples=40, deadline=None)
