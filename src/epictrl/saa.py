@@ -2,18 +2,20 @@
 
 The stochastic objective (expected infections under percolation) is replaced
 by its empirical average over N drawn scenario subgraphs. Over those
-scenarios, a compact LP lower-bounds the best budget-feasible removal:
-fractional removal mass x on edges (or vertices), and per-scenario variables
-y that propagate x-weighted shortest-path distances from the source. A path
-from the source survives only if its total removal mass is small, so
-maximizing y makes y_vj = min(1, distance), exactly the path-cover
-constraint without enumerating paths.
+scenarios, an LP lower-bounds the best budget-feasible removal: fractional
+removal mass x on edges (or vertices), and per scenario the disconnection
+level y_vj = min(1, x-weighted distance from the source to v), which is
+the path-cover constraint without enumerating paths. For fixed x the best
+y is exactly that capped distance, so the LP is solved over x alone: its
+objective is a convex, piecewise-linear function of x, minimised by
+Kelley's cutting planes with one shortest-path run per round.
 
-The LP is built reduced, with the same optimum: in each scenario only the
-source's component carries constraints (every other vertex sits at y = 1,
-a constant of the objective), and scenarios whose kept component edges
-coincide are merged into one, weighted by their count. The constraint
-matrix is assembled with array operations; ``solve_lp`` rebuilds the dense
+The LP is reduced first, with the same optimum: in each scenario only the
+source's component matters (every other vertex sits at y = 1, a constant
+of the objective), and scenarios whose kept component edges coincide are
+merged into one, weighted by their count. The distinct scenarios' kept
+component edges become one graph whose source copies are merged, so one
+Dijkstra run gives every distance; ``solve_lp`` rebuilds the dense
 per-scenario y from the distinct scenarios.
 
 Rounding is either randomized (inflate x by (gamma+5) ln(n)/epsilon and pick
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
 from . import rng
 from .errors import InstanceTooLargeError, SolverError, ValidationError
@@ -51,24 +54,24 @@ from .percolate import (
 
 LP_TOLERANCE = 1e-7
 
-# Most constraint-matrix nonzeros build_lp allocates. HiGHS used ~0.7 kB of
-# memory per nonzero on a 129k-nonzero scenario LP (and 17 s of dual
-# simplex), so this caps the solve near 0.7 GB; LPs past it would run for a
-# long time and are better solved with fewer scenarios.
-LP_NNZ_CAP = 1 << 20
+# Kelley's loop stops once the best F seen is within CUT_GAP max(1, F) of
+# the master LP's bound, or at MAX_CUT_ROUNDS oracle calls; desk-sized LPs
+# take up to ~16 rounds and the n = 200, N = 400 Chung-Lu LPs 2 to 3.
+CUT_GAP = 1e-9
+MAX_CUT_ROUNDS = 500
 
 # Most scenario-vertex cells, N x n, that build_lp takes on. Labelling the
 # source's component and rebuilding the dense (N, n) y in solve_lp allocate
 # per cell: measured peaks (tracemalloc, a 50-leaf star in n = 5000, N = 200
-# to 1000, every scenario distinct) were 12 bytes per cell in build_lp and
-# 17.3 in solve_lp, so this caps the pair near 100 MB and 145 MB, with or
-# without a large LP (vertices outside every source component still cost a
-# cell).
+# to 1000, every scenario distinct) were 3.6 bytes per cell in build_lp and
+# 16.3 in solve_lp, so this caps the pair near 30 MB and 137 MB, however
+# small the LP (vertices outside every source component still cost a cell).
 SCENARIO_CELL_CAP = 1 << 23
 
 # Most uniforms, N x rng.stride_for(m), that draw_samples draws. They are
 # float64, so this caps the draw at 134 MB; a theory-sized N on a graph with
-# a hundred edges would otherwise draw hundreds of MB before any LP guard.
+# a hundred edges would otherwise draw hundreds of MB before build_lp's cell
+# guard.
 SAMPLE_DRAW_CAP = 1 << 24
 
 
@@ -78,7 +81,6 @@ class SampleSet:
 
     network: ContactNetwork
     keep_rows: np.ndarray  # (N, m) bool
-    seed: int
 
     def __post_init__(self):
         rows = np.asarray(self.keep_rows, dtype=bool)
@@ -123,37 +125,42 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
             f"{draws} uniform draws, above the cap of {SAMPLE_DRAW_CAP}; pass fewer "
             f"scenarios with --samples (num_samples)"
         )
-    return SampleSet(network=network, keep_rows=sample_keep_matrix(network, seed, 0, N),
-                     seed=seed)
+    return SampleSet(network=network, keep_rows=sample_keep_matrix(network, seed, 0, N))
 
 
 @dataclass(frozen=True)
 class LpModel:
-    """The reduced scenario LP in standard inequality form.
+    """The reduced scenario LP, posed over the removal mass x alone.
 
-    Only the source's component of a scenario carries constraints, and
-    scenarios whose kept edges inside that component coincide are merged
-    into one distinct scenario weighted by its count. Columns are the
-    removal variables (one per affordable entity) followed by y_vd for every
-    distinct scenario d and every vertex v != s of its component, ordered by
-    d, then v. Row 0 is the budget constraint with costs scaled by 1/B; the
-    remaining rows propagate distances along each distinct scenario's kept
-    component edges. Entities priced above the budget are hard-wired to
-    zero (no column), but their edges still propagate. A vertex outside the
-    component sits at y = 1 and adds nothing to the objective; ``offset``
-    carries the constant part of the objective instead.
+    Only the source's component of a scenario matters, and scenarios whose
+    kept edges inside that component coincide are merged into one distinct
+    scenario weighted by its count. The distinct scenarios' kept component
+    edges form one graph. Distinct scenario d adds a copy of every vertex
+    v != s of its component: ``y_cells`` holds the flat (d, v) cell of each
+    copy in row-major order, and copy i is graph vertex i + 1. Every copy of
+    s is merged into vertex 0, which is exact because the copies meet only
+    at s. Each kept component edge gives an arc in both directions except
+    into s, sorted by (tail, head); ``arc_col`` is the x column that weighs
+    the arc (its edge's, or in node mode its head's), -1 when none does.
+    Columns exist only for affordable entities that weigh some arc; every
+    other entity is hard-wired to zero. ``a_ub`` and ``b_ub`` are the budget
+    row, costs scaled by 1/B so that it reads <= 1. ``offset`` is the mean
+    over scenarios of (component size - 1).
     """
 
     samples: SampleSet
     mode: str  # "edge" | "node"
     budget: float
     var_entities: np.ndarray  # entity id per x column
-    objective: np.ndarray  # -count_d / N on every y column of distinct scenario d
-    a_ub: sparse.csr_matrix
-    b_ub: np.ndarray
+    a_ub: sparse.csr_matrix  # (1, num_x)
+    b_ub: np.ndarray  # (1,)
     scenario_map: np.ndarray  # (N,) distinct scenario of each scenario
     component: np.ndarray  # (D, n) bool, source's component per distinct scenario
-    offset: float  # mean over scenarios of (component size - 1)
+    offset: float
+    y_cells: np.ndarray  # (num_y,) flat (d, v) cell of each non-source vertex copy
+    arc_tail: np.ndarray  # graph vertex per arc, 0 for the merged source
+    arc_head: np.ndarray
+    arc_col: np.ndarray
     node_costs: np.ndarray | None = None
 
     @property
@@ -167,7 +174,7 @@ class LpModel:
     @property
     def num_y(self) -> int:
         """Non-source component vertices, summed over distinct scenarios."""
-        return len(self.objective) - self.num_x
+        return len(self.y_cells)
 
 
 def _entity_costs(network: ContactNetwork, mode: str, node_costs) -> np.ndarray:
@@ -187,12 +194,12 @@ def build_lp(
     mode: str = "edge",
     node_costs: np.ndarray | None = None,
 ) -> LpModel:
-    """Assemble the reduced scenario LP for an edge- or node-removal budget.
+    """Presolve the scenario LP for an edge- or node-removal budget.
 
     Raises :class:`InstanceTooLargeError` when N x n exceeds
-    ``SCENARIO_CELL_CAP`` scenario-vertex cells, before any per-cell array,
-    and, before the constraint matrix is allocated, when it would hold more
-    than ``LP_NNZ_CAP`` nonzeros.
+    ``SCENARIO_CELL_CAP`` scenario-vertex cells, before any per-cell array.
+    The merged graph has at most N n vertices and 2 N m arcs, so this cap
+    and ``SAMPLE_DRAW_CAP`` bound it too.
     """
     if mode not in ("edge", "node"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -224,8 +231,6 @@ def build_lp(
     else:
         affordable = costs <= budget
         affordable[s] = False  # the source cannot be vaccinated
-    var_entities = np.flatnonzero(affordable)
-    num_x = len(var_entities)
     scale = budget if budget > 0 else 1.0
 
     # A kept edge touching the source's component lies inside it, and these
@@ -238,35 +243,11 @@ def build_lp(
         return_index=True, return_inverse=True, return_counts=True,
     )
     inner, component = inner[first], members[first]
-
-    # Size check. Each kept component edge is a hop in both directions
-    # except into s; a hop row holds y_b, y_a unless a is s, and x if priced.
-    into_u, into_v = net.us != s, net.vs != s
-    hops = into_u.astype(np.int64) + into_v
-    if mode == "edge":
-        x_hops = hops * affordable
-    else:  # entering b charges x_b, and the source has no x column
-        x_hops = affordable[net.us].astype(np.int64) + affordable[net.vs]
-    per_edge = inner.sum(axis=0)
-    num_rows = 1 + int(per_edge @ hops)
-    nnz = num_x + int(per_edge @ (hops + 2 * (into_u & into_v) + x_hops))
-    if nnz > LP_NNZ_CAP:
-        raise InstanceTooLargeError(
-            f"the scenario LP for N={N} scenarios would have {num_rows} rows and "
-            f"{nnz} nonzeros, above the cap of {LP_NNZ_CAP}; pass fewer scenarios "
-            f"with --samples (num_samples)"
-        )
-
-    # y column of vertex v != s in distinct scenario d, ordered by d, then v
     y_mask = component.copy()
     y_mask[:, s] = False
-    num_y = int(y_mask.sum())
-    y_col = np.full(component.shape, -1, dtype=np.int64)
-    y_col[y_mask] = num_x + np.arange(num_y)
-    x_col = np.full(len(costs), -1, dtype=np.int64)
-    x_col[var_entities] = np.arange(num_x)
+    y_cells = np.flatnonzero(y_mask)
 
-    # hop a -> b reads y_b <= y_a + removal mass on the hop
+    # arc a -> b of each kept component edge of distinct scenario d
     d, e = np.nonzero(inner)
     d = np.repeat(d, 2)
     a = np.stack([net.us[e], net.vs[e]], axis=1).ravel()
@@ -274,26 +255,21 @@ def build_lp(
     e = np.repeat(e, 2)
     hop = b != s
     d, e, a, b = d[hop], e[hop], a[hop], b[hop]
-    row = 1 + np.arange(len(b))
-    ya = y_col[d, a]  # -1 when a is the source
-    xb = x_col[e] if mode == "edge" else x_col[b]
-    has_a, has_x = ya >= 0, xb >= 0
-    rows = np.concatenate([np.zeros(num_x, dtype=np.int64), row, row[has_a], row[has_x]])
-    cols = np.concatenate([np.arange(num_x), y_col[d, b], ya[has_a], xb[has_x]])
-    vals = np.concatenate([costs[var_entities] / scale, np.ones(len(row)),
-                           np.full(int(has_a.sum() + has_x.sum()), -1.0)])
-    a_ub = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(num_rows, num_x + num_y), dtype=np.float64
-    )
-    b_ub = np.zeros(num_rows)
-    b_ub[0] = 1.0  # budget row, costs scaled so the row reads <= 1
-    objective = np.zeros(num_x + num_y)
-    objective[num_x:] = -counts[np.nonzero(y_mask)[0]] / N
+    tail = np.where(a == s, 0, 1 + np.searchsorted(y_cells, d * n + a))
+    head = 1 + np.searchsorted(y_cells, d * n + b)
+    weighs = e if mode == "edge" else b
+    live = np.zeros(len(costs), dtype=bool)
+    live[weighs] = True
+    var_entities = np.flatnonzero(affordable & live)
+    x_col = np.full(len(costs), -1, dtype=np.int64)
+    x_col[var_entities] = np.arange(len(var_entities))
+    order = np.lexsort((head, tail))
     return LpModel(
-        samples=samples, mode=mode, budget=float(budget),
-        var_entities=var_entities, objective=objective, a_ub=a_ub, b_ub=b_ub,
-        scenario_map=scenario_map.reshape(-1), component=component,
-        offset=int(counts @ y_mask.sum(axis=1)) / N,
+        samples=samples, mode=mode, budget=float(budget), var_entities=var_entities,
+        a_ub=sparse.csr_matrix((costs[var_entities] / scale).reshape(1, -1)),
+        b_ub=np.ones(1), scenario_map=scenario_map.reshape(-1), component=component,
+        offset=int(counts @ y_mask.sum(axis=1)) / N, y_cells=y_cells,
+        arc_tail=tail[order], arc_head=head[order], arc_col=x_col[weighs][order],
         node_costs=None if mode == "edge" else costs,
     )
 
@@ -307,77 +283,144 @@ class FractionalSolution:
     y: np.ndarray  # (N, n); y[:, source] == 0
     objective: float
     solver_status: str  # "optimal" | "iteration-limit"
-    iterations: int = 0  # HiGHS simplex iterations, 0 when no simplex ran
+    iterations: int = 0  # HiGHS simplex iterations over every master LP
+    cut_rounds: int = 0  # oracle calls, one Dijkstra each
+    master_size: tuple[int, int, int] = (0, 0, 0)  # last master's rows, columns, nonzeros
+
+
+def _subgradient(dist, pred, weights, arc_keys, arc_col, num_x) -> np.ndarray:
+    """Subgradient of F at the point that gave the Dijkstra tree (dist, pred).
+
+    A close vertex (dist < 1) loses its weight per unit of x on each entity
+    of its tree path, so an arc's entity is charged the weight of the close
+    subtree below the arc. Subtree weights are summed up the tree one depth
+    level at a time; a close vertex's ancestors are all close.
+    """
+    size = len(dist)
+    close = dist < 1.0
+    close[0] = False  # the merged source is the root
+    parent = np.where(close, pred, 0)
+    levels, level = [], np.zeros(size, dtype=bool)
+    level[0] = True
+    while True:
+        level = close & level[parent]
+        if not level.any():
+            break
+        levels.append(np.flatnonzero(level))
+    subtree = np.zeros(size)
+    subtree[1:] = np.where(close[1:], weights, 0.0)
+    for verts in reversed(levels):
+        np.add.at(subtree, parent[verts], subtree[verts])
+    tree = np.flatnonzero(close)
+    cols = arc_col[np.searchsorted(arc_keys, parent[tree] * size + tree)]
+    priced = cols >= 0
+    return -np.bincount(cols[priced], weights=subtree[tree][priced], minlength=num_x)
 
 
 def solve_lp(model: LpModel) -> FractionalSolution:
-    """Solve the scenario LP by HiGHS's dual simplex with devex pricing.
+    """Solve the scenario LP by Kelley's cutting planes over x.
 
-    The solve is deterministic. Devex (Harris 1973) takes about as many
-    iterations as HiGHS's default pricing on these LPs but about half the
-    time per iteration; ``iterations`` reports the count. The returned
-    objective equals the average, over scenarios, of the fractional count
-    of non-source vertices still connected to the source.
-    ``y`` is rebuilt dense over all N scenarios, at 1 outside each
-    scenario's source component. With no y column the objective is
-    constant, so x = 0 is taken as optimal without a solver call.
+    The LP optimum is the minimum over the budget box {0 <= x <= 1, budget
+    row} of the convex, piecewise-linear F(x) = sum_d w_d sum_v (1 - min(1,
+    dist_d(v; x))), where w_d is the share of scenarios merged into distinct
+    scenario d and dist_d is the x-weighted distance from s along d's kept
+    component edges. Each round, one Dijkstra over the merged graph (capped
+    at distance 1) gives F(x_k) and a subgradient g_k. A master LP, solved
+    by HiGHS's dual simplex, then minimises theta >= 0 under the budget row
+    and every cut theta >= F(x_k) + g_k (x - x_k) so far, and its x, clipped
+    to [0, 1], is the next point. The solve is "optimal" once the best F
+    seen is within ``CUT_GAP`` max(1, F) of the master's bound, and stops at
+    ``MAX_CUT_ROUNDS`` oracle calls with "iteration-limit".
+
+    The returned x is the best point seen, and y = min(1, dist) there, the
+    exact optimal y for that x, rebuilt dense over all N scenarios at 1
+    outside each scenario's source component. The returned objective is F
+    at that x: the average, over scenarios, of the fractional count of
+    non-source vertices still connected to the source. With no vertex but
+    s in any component, no round runs; with no x column, F is constant and
+    one oracle call solves it without a master LP. The solve is
+    deterministic.
     """
+    net = model.network
+    n, s, N = net.n, net.source, model.samples.N
+    num_x = model.num_x
+    counts = np.bincount(model.scenario_map, minlength=len(model.component))
+    x, y, value = np.zeros(num_x), np.ones(0), model.offset
+    status, rounds, iterations, master_size = "optimal", 0, 0, (0, 0, 0)
     if model.num_y:
         # imported here: loading scipy.optimize takes ~0.1 s, and solvers
         # without an LP never pay it
         from scipy.optimize import linprog
 
-        res = linprog(
-            c=model.objective,
-            A_ub=model.a_ub,
-            b_ub=model.b_ub,
-            bounds=(0.0, 1.0),
-            method="highs-ds",
-            options={
-                "primal_feasibility_tolerance": LP_TOLERANCE,
-                "dual_feasibility_tolerance": LP_TOLERANCE,
-                "simplex_dual_edge_weight_strategy": "devex",
-            },
+        size = model.num_y + 1
+        weights = counts[model.y_cells // n] / N
+        graph = sparse.csr_matrix(
+            (np.zeros(len(model.arc_head)), model.arc_head,
+             np.searchsorted(model.arc_tail, np.arange(size + 1))),
+            shape=(size, size),
         )
-        if res.status == 1:
-            status = "iteration-limit"
-        elif res.status == 0:
-            status = "optimal"
-        else:
-            raise SolverError(f"LP solve failed: {res.message}")
-        solution, value, iterations = res.x, float(res.fun), int(res.nit)
-    else:
-        solution, value, status = np.zeros(len(model.objective)), 0.0, "optimal"
-        iterations = 0
+        arc_keys = model.arc_tail * size + model.arc_head
+        budget_row = np.append(model.a_ub.toarray()[0], 0.0)
+        theta = np.zeros(num_x + 1)
+        theta[-1] = 1.0
+        bounds = [(0.0, 1.0)] * num_x + [(0.0, None)]
+        cuts, rhs = [budget_row], [1.0]
+        point, value = x, math.inf
+        status = "iteration-limit"
+        while rounds < MAX_CUT_ROUNDS:
+            rounds += 1
+            # explicit zeros stay arcs: a zero-mass arc still connects
+            graph.data = np.append(point, 0.0)[model.arc_col]
+            dist, pred = dijkstra(graph, indices=0, limit=1.0, return_predecessors=True)
+            capped = np.minimum(dist[1:], 1.0)
+            f = model.offset - float(weights @ capped)
+            if f < value:
+                x, y, value = point, capped, f
+            if not num_x:
+                status = "optimal"
+                break
+            g = _subgradient(dist, pred, weights, arc_keys, model.arc_col, num_x)
+            cuts.append(np.append(g, -1.0))
+            rhs.append(float(g @ point) - f)
+            a = np.vstack(cuts)
+            res = linprog(
+                c=theta, A_ub=a, b_ub=np.asarray(rhs), bounds=bounds, method="highs-ds",
+                options={"primal_feasibility_tolerance": LP_TOLERANCE,
+                         "dual_feasibility_tolerance": LP_TOLERANCE},
+            )
+            if res.status not in (0, 1):
+                raise SolverError(f"master LP solve failed: {res.message}")
+            iterations += int(res.nit)
+            master_size = (a.shape[0], a.shape[1], int(np.count_nonzero(a)))
+            if res.status == 1:
+                break
+            if value - float(res.fun) <= CUT_GAP * max(1.0, value):
+                status = "optimal"
+                break
+            # HiGHS may return -1e-17, and dijkstra dies on a negative weight
+            point = np.clip(res.x[:num_x], 0.0, 1.0)
 
-    net = model.network
-    n, s, N = net.n, net.source, model.samples.N
-    num_x = model.num_x
     width = net.m if model.mode == "edge" else net.n
-    x = np.zeros(width)
-    x[model.var_entities] = np.clip(solution[:num_x], 0.0, 1.0)
-    y_mask = model.component.copy()
-    y_mask[:, s] = False
-    y_distinct = np.ones(y_mask.shape)
+    x_full = np.zeros(width)
+    x_full[model.var_entities] = x
+    y_distinct = np.ones(model.component.shape)
     y_distinct[:, s] = 0.0
-    y_distinct[y_mask] = np.clip(solution[num_x:], 0.0, 1.0)
-    y = y_distinct[model.scenario_map]
-
-    objective = value + model.offset
-    objective = min(max(objective, 0.0), float(n - 1))  # strip solver noise
+    np.put(y_distinct, model.y_cells, y)
+    objective = min(max(value, 0.0), float(n - 1))  # strip rounding noise
     # sanity: budget row and objective identity within solver tolerance
     if num_x:
-        row = float(model.a_ub.getrow(0).dot(solution)[0])
+        row = float(model.a_ub.dot(x)[0])
         if row > 1.0 + 10 * LP_TOLERANCE:
             raise SolverError(f"budget row violated: {row}")
     # over the distinct scenarios, weighted by their counts: no (N, n) copy;
     # y is 0 at s, so the n - 1 others give n - 1 - (row sum) unconnected
-    counts = np.bincount(model.scenario_map, minlength=len(y_distinct))
     recomputed = float(counts @ (n - 1 - y_distinct.sum(axis=1)) / N)
     if abs(recomputed - objective) > 1e-6 * max(1.0, abs(objective)):
         raise SolverError("objective/variable inconsistency in LP solution")
-    return FractionalSolution(model=model, x=x, y=y, objective=objective,
-                              solver_status=status, iterations=iterations)
+    return FractionalSolution(model=model, x=x_full, y=y_distinct[model.scenario_map],
+                              objective=objective, solver_status=status,
+                              iterations=iterations, cut_rounds=rounds,
+                              master_size=master_size)
 
 
 def round_randomized(
@@ -547,10 +590,11 @@ def solve_saa(
         "sample_override": num_samples is not None,
         "lp_objective": frac.objective,
         "lp_status": frac.solver_status,
-        "lp_rows": model.a_ub.shape[0],
-        "lp_cols": model.a_ub.shape[1],
-        "lp_nnz": model.a_ub.nnz,
+        "lp_rows": frac.master_size[0],
+        "lp_cols": frac.master_size[1],
+        "lp_nnz": frac.master_size[2],
         "lp_iterations": frac.iterations,
+        "lp_cut_rounds": frac.cut_rounds,
         "scenarios_distinct": len(model.component),
         "cost": chosen.cost,
         "cost_ratio": chosen.cost / budget if budget > 0 else math.inf,

@@ -239,10 +239,10 @@ def unreduced_lp_solution(samples, budget, mode="edge", node_costs=None):
     """Reference for ``build_lp``/``solve_lp``: the unreduced scenario LP.
 
     Every scenario gets a y column for each vertex v != s and a row for
-    each hop along every kept edge, built in Python loops, and is solved by
-    HiGHS's dual simplex with its default pricing, so the comparison also
-    crosses ``solve_lp``'s devex pricing. Returns (objective, x, y) with x
-    per entity and y of shape (N, n).
+    each hop along every kept edge, built in Python loops, and the y-space
+    LP is solved at once by HiGHS's dual simplex, so the comparison also
+    crosses ``solve_lp``'s cutting planes over x. Returns (objective, x, y)
+    with x per entity and y of shape (N, n).
     """
     net = samples.network
     n, s, N = net.n, net.source, samples.N

@@ -291,27 +291,70 @@ def test_lp_restricts_and_merges_scenarios():
     model = build_lp(draw_samples(net, 5, seed=0), budget=1.0)
     assert len(model.component) == 1 and np.array_equal(model.scenario_map, np.zeros(5))
     assert model.component[0].tolist() == [True, True, False, False]
-    assert (model.num_x, model.num_y) == (2, 1)
-    assert model.a_ub.shape == (2, 3)  # budget row and the hop 0 -> 1
+    assert (model.num_x, model.num_y) == (1, 1)
+    assert model.a_ub.shape == (1, 1) and model.b_ub.tolist() == [1.0]  # the budget row
+    # one arc: the merged source 0 -> the copy of vertex 1, weighed by x column 0
+    assert (model.arc_tail.tolist(), model.arc_head.tolist(), model.arc_col.tolist()) == \
+        ([0], [1], [0])
     assert model.offset == 1.0
 
 
-@pytest.mark.parametrize("mode", ["edge", "node"])
-def test_lp_size_guard(monkeypatch, mode):
-    """The size estimate is exact: at the cap the LP builds, one below it raises."""
-    edges = list(itertools.combinations(range(6), 2)) + [(3, 3)]
-    net = make_network(6, edges, probs=0.5, costs=np.resize([1.0, 3.0], len(edges)))
-    node_costs = np.resize([1.0, 3.0], 6) if mode == "node" else None
-    samples = draw_samples(net, 30, seed=3)
-    nnz = build_lp(samples, 2.0, mode=mode, node_costs=node_costs).a_ub.nnz
-    monkeypatch.setattr(saa, "LP_NNZ_CAP", nnz)
-    assert build_lp(samples, 2.0, mode=mode, node_costs=node_costs).a_ub.nnz == nnz
-    monkeypatch.setattr(saa, "LP_NNZ_CAP", nnz - 1)
-    with pytest.raises(InstanceTooLargeError, match=f"{nnz} nonzeros.*--samples"):
-        build_lp(samples, 2.0, mode=mode, node_costs=node_costs)
-    with pytest.raises(InstanceTooLargeError, match="num_samples"):
-        solve_saa(net, budget=2.0, epsilon=0.5, mode=mode, seed=3, num_samples=30,
-                  eval_samples=10, node_costs=node_costs)
+@pytest.fixture
+def no_master(monkeypatch):
+    """Fail any master LP solve."""
+    import scipy.optimize
+
+    def linprog(*args, **kwargs):
+        raise AssertionError("solved a master LP")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+
+
+def test_cut_loop_skips_an_isolated_source(no_master):
+    frac = solve_lp(build_lp(draw_samples(path_network(p=0.0), 4, seed=1), budget=1.0))
+    assert (frac.cut_rounds, frac.iterations, frac.master_size) == (0, 0, (0, 0, 0))
+    assert frac.solver_status == "optimal" and frac.objective == 0.0
+
+
+@pytest.mark.parametrize("budget, mode, costs", [(0.0, "node", None), (1.0, "edge", [5.0, 5.0])])
+def test_cut_loop_without_x_columns_calls_the_oracle_once(no_master, budget, mode, costs):
+    net = path_network(p=1.0, costs=costs)
+    model = build_lp(draw_samples(net, 3, seed=1), budget=budget, mode=mode)
+    assert (model.num_x, model.num_y) == (0, 2)
+    frac = solve_lp(model)
+    assert (frac.cut_rounds, frac.iterations, frac.master_size) == (1, 0, (0, 0, 0))
+    assert frac.solver_status == "optimal" and frac.objective == 2.0
+    assert np.all(frac.x == 0.0) and np.all(frac.y[:, 1:] == 0.0)
+
+
+def test_cut_loop_at_its_round_cap(monkeypatch):
+    net = complete_network(8, p=0.5)
+    model = build_lp(draw_samples(net, 60, seed=3), budget=2.0)
+    assert solve_lp(model).cut_rounds > 1
+    monkeypatch.setattr(saa, "MAX_CUT_ROUNDS", 1)
+    frac = solve_lp(model)
+    assert (frac.solver_status, frac.cut_rounds) == ("iteration-limit", 1)
+    with pytest.raises(SolverError, match="iteration-limit"):
+        solve_saa(net, budget=2.0, epsilon=0.5, rounding="deterministic", seed=3,
+                  num_samples=60, eval_samples=20)
+
+
+def test_affordable_edge_outside_every_component_gets_no_column():
+    # edge 1 is always kept but never touches the source's component
+    net = make_network(4, [(0, 1), (2, 3)], probs=[1.0, 1.0])
+    model = build_lp(draw_samples(net, 3, seed=0), budget=2.0)
+    assert model.var_entities.tolist() == [0]
+    frac = solve_lp(model)
+    assert frac.x.tolist() == [1.0, 0.0] and frac.objective == 0.0
+
+
+def test_node_mode_members_match_unreduced_oracle():
+    """Desk-sized node LPs (n 7-9, m = 14, N = 100, B = 2): the rounded
+    members equal those of the unreduced LP's x."""
+    rng = np.random.default_rng(1414)
+    for i in range(8):
+        net = random_connected_network(rng, n_lo=7, n_hi=9, max_m=14, p_mode="random")
+        assert_matches_unreduced(draw_samples(net, 100, seed=1400 + i), 2.0, "node")
 
 
 def test_draw_guard_fails_before_drawing(monkeypatch):
@@ -616,21 +659,29 @@ def test_solve_saa_reports_lp_size():
     _, report = solve_saa(net, budget=1.0, epsilon=0.4, seed=3, num_samples=30,
                           eval_samples=10)
     model = build_lp(draw_samples(net, 30, seed=3), budget=1.0)
-    assert (report["lp_rows"], report["lp_cols"]) == model.a_ub.shape
-    assert report["lp_nnz"] == model.a_ub.nnz
+    frac = solve_lp(model)
+    # two cuts: the last master holds the budget row and both, over x and theta
+    assert report["lp_cut_rounds"] == frac.cut_rounds == 2
+    assert (report["lp_rows"], report["lp_cols"], report["lp_nnz"]) == frac.master_size
+    assert frac.master_size[:2] == (1 + 2, model.num_x + 1)
+    assert report["lp_iterations"] == frac.iterations
     # the source's component keeps no edge, the first edge, or both
     assert report["scenarios_distinct"] == len(model.component) == 3
 
 
 def test_lp_iterations_repeat_across_reruns():
-    """HiGHS is deterministic: a rerun repeats its iterations, x and objective."""
+    """The cut loop and HiGHS are deterministic: a rerun repeats its rounds,
+    master size, iterations, x and objective."""
     net = complete_network(8, p=0.5)
     reports = [solve_saa(net, budget=2.0, epsilon=0.5, rounding="deterministic", seed=3,
                          num_samples=60, eval_samples=20)[1] for _ in range(2)]
     fracs = [solve_lp(build_lp(draw_samples(net, 60, seed=3), budget=2.0)) for _ in range(2)]
-    assert reports[0]["lp_iterations"] == reports[1]["lp_iterations"] > 0
-    assert reports[0]["lp_objective"] == reports[1]["lp_objective"]
+    counters = ("lp_cut_rounds", "lp_rows", "lp_cols", "lp_nnz", "lp_iterations", "lp_objective")
+    assert [reports[0][k] for k in counters] == [reports[1][k] for k in counters]
+    assert reports[0]["lp_cut_rounds"] > 1 and reports[0]["lp_iterations"] > 0
     for frac in fracs:
+        assert frac.cut_rounds == reports[0]["lp_cut_rounds"]
+        assert frac.master_size == tuple(reports[0][k] for k in ("lp_rows", "lp_cols", "lp_nnz"))
         assert frac.iterations == reports[0]["lp_iterations"]
         assert frac.objective == reports[0]["lp_objective"]
     assert fracs[0].x.tobytes() == fracs[1].x.tobytes()
