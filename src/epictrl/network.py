@@ -19,17 +19,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import InstanceTooLargeError, ParseError, ValidationError
 
 META_SOURCE_LABEL = "__source__"
 
 # Cells, rows x (n + m), per block of the component kernel. It bounds a
-# block's edge arrays and label array together and keeps block vertex ids
-# far below int32. On the sparse Monte Carlo benchmark, half this ran ~7%
-# slower and four times this raised peak memory by ~6 MB. Stacked flow
-# networks take the same bound on vertices plus arcs per max-flow call.
+# block's arc and vertex arrays together (at most about 12 bytes per kept
+# arc live at once) and keeps block vertex ids far below int32. On the
+# benchmark, half this ran ~5% slower on the sparse Monte Carlo workload,
+# and twice this ran no faster anywhere and raised desk-oracle's peak memory
+# by ~1.9 MB. Stacked flow networks take the same bound on vertices plus
+# arcs per max-flow call.
 CELLS = 1 << 16
 
 _SCALE = 1 << 16  # integer capacity of an edge in the flow networks
@@ -226,39 +228,103 @@ def removal_edge_keep(network: ContactNetwork, removed: Intervention | None) -> 
 
 def source_component_sizes(network: ContactNetwork, keep_rows: np.ndarray) -> np.ndarray:
     """Size of the source's component for each row of a kept-edge matrix."""
-    return source_component_members(network, keep_rows).sum(axis=1)
+    sizes = np.empty(len(keep_rows), dtype=np.int64)
+    for start, stop, reached in _source_reach(network, keep_rows):
+        sizes[start:stop] = np.bincount(reached // network.n, minlength=stop - start)
+    return sizes
 
 
 def source_component_members(network: ContactNetwork, keep_rows: np.ndarray) -> np.ndarray:
     """Membership of the source's component, one (n,) bool row per kept-edge row.
 
-    This is the one component kernel. Rows go through
-    :func:`_component_labels` in blocks of ``max(1, CELLS // (n + m))``.
+    This and :func:`source_component_sizes` share the one component kernel,
+    :func:`_source_reach`.
     """
-    step = max(1, CELLS // (network.n + network.m))
-    members = np.empty((len(keep_rows), network.n), dtype=bool)
-    for start in range(0, len(keep_rows), step):
-        labels = _component_labels(network, keep_rows[start:start + step])
-        members[start:start + len(labels)] = labels == labels[:, [network.source]]
+    members = np.zeros((len(keep_rows), network.n), dtype=bool)
+    for start, stop, reached in _source_reach(network, keep_rows):
+        members[start:stop].reshape(-1)[reached] = True
     return members
 
 
-def _component_labels(network: ContactNetwork, keep_rows: np.ndarray) -> np.ndarray:
-    """Component label of every vertex, one row per kept-edge row.
+def _source_reach(network: ContactNetwork, keep_rows: np.ndarray):
+    """Yield ``(start, stop, reached)`` for each block of kept-edge rows.
 
-    The rows are stacked into one block-diagonal graph (row r's kept edges
-    with endpoints offset by r*n) whose components are found in a single
-    ``connected_components`` call. A self-loop joins a vertex only to
-    itself, so self-loops stay inert.
+    Rows go in blocks of ``step = max(1, CELLS // (n + m))``. A block of r
+    rows is one directed graph on r*n + 1 vertices: row i's copy of vertex
+    v is i*n + v, its kept arcs come from the cached :func:`_block_heads`,
+    and a super-source r*n has an arc to every row's copy of the source.
+    The CSR arrays are built directly: the arcs are sorted by (row, tail),
+    so the kept ones are already in CSR order, and, since every kept edge
+    gives both of its arcs, a vertex's out-degree is its in-degree, the
+    count of its id among the heads. One breadth-first search from the
+    super-source then reaches exactly the rows' source components;
+    ``reached`` holds their block vertex ids, i*n + v. A self-loop has no
+    arc, so self-loops stay inert.
     """
-    r, n = len(keep_rows), network.n
-    rows, edges = np.nonzero(keep_rows)
-    offset = rows * n
-    graph = sparse.csr_matrix(
-        (np.ones(len(edges)), (network.us[edges] + offset, network.vs[edges] + offset)),
-        shape=(r * n, r * n),
-    )
-    return connected_components(graph, directed=False)[1].reshape(r, n)
+    n = network.n
+    step = max(1, CELLS // (n + network.m))
+    edges = _arcs(network)[2]
+    heads = _block_heads(network, min(step, len(keep_rows)))
+    for start in range(0, len(keep_rows), step):
+        block = keep_rows[start:start + step]
+        r = len(block)
+        pos = np.flatnonzero(block[:, edges])
+        k = len(pos)
+        indices = np.empty(k + r, dtype=np.int32)
+        # pos < r*a <= len(heads), so "clip" changes nothing but lets take
+        # write straight into out instead of through a buffer
+        np.take(heads, pos, out=indices[:k], mode="clip")
+        del pos  # the largest array of a block: free it before the search
+        indices[k:] = np.arange(network.source, r * n, n)
+        indptr = np.empty(r * n + 2, dtype=np.int32)
+        indptr[0] = 0
+        np.cumsum(np.bincount(indices[:k], minlength=r * n), out=indptr[1:-1])
+        indptr[-1] = len(indices)
+        # the search reads no weights: one shared 1.0 stands for all of them
+        graph = sparse.csr_matrix((np.broadcast_to(1.0, len(indices)), indices, indptr),
+                                  shape=(r * n + 1, r * n + 1))
+        reached = breadth_first_order(graph, r * n, directed=True,
+                                     return_predecessors=False)
+        yield start, start + r, reached[1:]
+
+
+def _arcs(network: ContactNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both arcs of every non-loop edge, sorted by (tail, head): tails, heads, edge ids.
+
+    Built once per network and cached; the component kernel and
+    :class:`_FlowNetwork` both read it.
+    """
+    cached = network.__dict__.get("_arcs")
+    if cached is not None:
+        return cached
+    real = np.flatnonzero(network.us != network.vs)
+    tails = np.concatenate([network.us[real], network.vs[real]])
+    heads = np.concatenate([network.vs[real], network.us[real]])
+    order = np.lexsort((heads, tails))
+    arcs = (tails[order], heads[order], np.concatenate([real, real])[order])
+    for arr in arcs:
+        arr.setflags(write=False)
+    object.__setattr__(network, "_arcs", arcs)
+    return arcs
+
+
+def _block_heads(network: ContactNetwork, rows: int) -> np.ndarray:
+    """Int32 block vertex ids of the arc heads for at least ``rows`` stacked rows.
+
+    Entry i*a + k is row i's copy of the head of arc k of :func:`_arcs`,
+    i*n + heads[k], so the flat index of a kept arc in a (rows, a) block
+    picks its head. Cached per network; the entries do not depend on the
+    block size, so a call that needs more rows than the cache holds
+    rebuilds it for that many and every other call reuses it.
+    """
+    cached = network.__dict__.get("_block_heads")
+    heads = _arcs(network)[1]
+    if cached is not None and len(cached) >= rows * len(heads):
+        return cached
+    table = (np.arange(0, rows * network.n, network.n, dtype=np.int32)[:, np.newaxis]
+             + heads.astype(np.int32)).reshape(-1)
+    object.__setattr__(network, "_block_heads", table)
+    return table
 
 
 def component_of(
@@ -460,22 +526,18 @@ class _FlowNetwork:
     Arcs are both directions of every non-loop edge, with capacity
     ``_SCALE``, and v -> t for every sink v, with the capacity that each
     :func:`_minimal_sides` call passes; t is vertex n. The edge arcs are
-    sorted by (tail, head) once and ``edges`` maps each to its edge id; a
-    sink arc, whose head is the largest, goes after them, so
-    :meth:`with_sinks` changes the sinks without a sort, and
+    the graph's cached :func:`_arcs`, sorted by (tail, head), and ``edges``
+    maps each to its edge id; a sink arc, whose head is the largest, goes
+    after them, so :meth:`with_sinks` changes the sinks without a sort, and
     :meth:`with_edges` keeps a subset of the edges by masking the sorted
     arcs. ``degree`` is the source's non-loop degree in this copy; it sets
     ``source_cap`` and the int32 guard of :func:`_minimal_sides`.
     """
 
     def __init__(self, graph: ContactNetwork, source: int, sinks):
-        real = np.flatnonzero(graph.us != graph.vs)
-        tails = np.concatenate([graph.us[real], graph.vs[real]])
-        heads = np.concatenate([graph.vs[real], graph.us[real]])
-        order = np.lexsort((heads, tails))
         self.n, self.s = graph.n, source
         self.sinks = np.asarray(sinks, dtype=np.int64)
-        self._set_arcs(tails[order], heads[order], np.concatenate([real, real])[order])
+        self._set_arcs(*_arcs(graph))
 
     def _set_arcs(self, tails, heads, edges) -> None:
         self.tails, self.heads, self.edges = tails, heads, edges

@@ -216,7 +216,11 @@ def exact_expected_infections(
     random_ids = np.flatnonzero(keep & (network.probs > 0.0) & ~always)
     r = len(random_ids)
     if r > 22:
-        raise InstanceTooLargeError(f"exact oracle caps at 22 random edges, got {r}")
+        raise InstanceTooLargeError(
+            f"exact enumeration caps at 22 random edges (0 < p < 1, not removed), got {r}, "
+            f"i.e. 2^{r} patterns; use estimate_infections (Monte Carlo) or an instance "
+            f"with fewer random edges"
+        )
     # pattern i keeps random edge random_ids[k] iff bit k of i is set
     weights = np.ones(1, dtype=np.float64)
     for e in random_ids:

@@ -519,7 +519,10 @@ def brute_force_optimum(
         removal = edge_bits[candidates]
     else:
         if net.n > 20:
-            raise InstanceTooLargeError("brute force caps at 20 vertices")
+            raise InstanceTooLargeError(
+                f"node-mode brute force caps at 20 vertices, got n = {net.n}; use "
+                f"solve_saa with mode='node', or an instance with at most 20 vertices"
+            )
         costs = _entity_costs(net, "node", node_costs)
         candidates = np.flatnonzero(np.arange(net.n) != net.source)
         incident = np.zeros(net.n, dtype=np.int64)

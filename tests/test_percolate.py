@@ -24,7 +24,13 @@ from epictrl.percolate import (
 
 from epictrl import network as network_module
 from epictrl.saa import draw_samples
-from epictrl.network import boundary_of, component_of, node_removal, removal_edge_keep
+from epictrl.network import (
+    ContactNetwork,
+    boundary_of,
+    component_of,
+    node_removal,
+    removal_edge_keep,
+)
 
 from conftest import complete_network, make_network, path_network, star_network, \
     triangle_network, random_connected_network, union_find_component, union_find_sizes
@@ -133,7 +139,7 @@ def test_exact_folds_deterministic_edges():
 def test_exact_cap_on_random_edges():
     edges = [(i, i + 1) for i in range(23)]
     net = make_network(24, edges, probs=0.5)
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(InstanceTooLargeError, match="22 random edges.*got 23.*estimate_infections"):
         exact_expected_infections(net)
 
 
@@ -240,6 +246,22 @@ def kernel_cases(draw):
     return net, keep, removed, draw(st.integers(1, 200))
 
 
+def _parallel_network() -> ContactNetwork:
+    """Edges (0, 1), (1, 0) and (1, 2) on three vertices.
+
+    ``ContactNetwork`` rejects parallel edges, so the network is built
+    simple and its endpoints are swapped in afterwards; the kernel must not
+    depend on that check.
+    """
+    net = make_network(3, [(0, 1), (0, 2), (1, 2)], probs=0.5)
+    object.__setattr__(net, "us", np.array([0, 1, 1]))
+    object.__setattr__(net, "vs", np.array([1, 0, 2]))
+    return net
+
+
+PARALLEL = _parallel_network()
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=kernel_cases())
 @example(case=(make_network(3, []), np.zeros((5, 0), dtype=bool), None, 1))
@@ -247,6 +269,17 @@ def kernel_cases(draw):
 @example(case=(make_network(4, [(0, 0), (1, 2), (2, 3)]), np.ones((4, 3), dtype=bool), None, 7))
 @example(case=(complete_network(7), np.ones((9, 21), dtype=bool),
                edge_removal(complete_network(7), [0, 1]), 60))
+# parallel edges between one pair: only one, the other or both kept
+@example(case=(PARALLEL, np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1]], dtype=bool),
+               None, 12))
+# a trailing isolated vertex n - 1: the last CSR rows of every block are empty
+@example(case=(make_network(6, [(0, 1), (1, 2), (2, 3), (3, 4)], source=4),
+               np.ones((5, 4), dtype=bool), None, 25))
+# a source whose only edges are self-loops
+@example(case=(make_network(4, [(2, 2), (0, 1), (1, 3), (0, 3)], source=2),
+               np.ones((3, 4), dtype=bool), None, 16))
+# n + m = 28 above CELLS = 20: step 1, one row per block
+@example(case=(complete_network(7), np.ones((4, 21), dtype=bool), None, 20))
 def test_component_kernel_matches_union_find(case):
     net, keep, removed, cells = case
     effective = keep & removal_edge_keep(net, removed)
@@ -266,6 +299,22 @@ def test_component_kernel_matches_union_find(case):
             assert rep.members == members
             inside = np.isin(net.us, members) != np.isin(net.vs, members)
             assert rep.boundary == tuple(np.flatnonzero(inside))
+
+
+def test_kernel_head_table_follows_block_size():
+    """The cached heads table stays right when a patched ``CELLS`` changes
+    the block size: a call with larger blocks than the cache holds grows
+    it, and a call with smaller blocks reads a prefix of it."""
+    net = random_connected_network(np.random.default_rng(3), n_lo=9, n_hi=9, max_m=20,
+                                   p_mode=0.6)
+    keep = sample_keep_matrix(net, 11, 0, 40)
+    expected = union_find_sizes(net, keep)
+    arcs = len(network_module._arcs(net)[1])
+    for cells, rows in ((net.n + net.m, 1), (4 * (net.n + net.m), 4),
+                        (net.n + net.m, 4), (1 << 20, 40)):
+        with mock.patch.object(network_module, "CELLS", cells):
+            assert np.array_equal(network_module.source_component_sizes(net, keep), expected)
+        assert len(net.__dict__["_block_heads"]) == rows * arcs
 
 
 @st.composite

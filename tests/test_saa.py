@@ -571,6 +571,15 @@ def test_brute_force_rejects_m_above_mask_table_cap(mode):
         brute_force_optimum(ss, budget=1.0, mode=mode)
 
 
+def test_node_brute_force_rejects_more_than_20_vertices():
+    # m = 10 fits the mask table; n = 21, with 10 isolated vertices, passes the vertex cap
+    net = make_network(21, [(0, i) for i in range(1, 11)], probs=0.5)
+    ss = draw_samples(net, 2, seed=0)
+    with pytest.raises(InstanceTooLargeError, match="20 vertices, got n = 21; use solve_saa"):
+        brute_force_optimum(ss, budget=1.0, mode="node")
+    brute_force_optimum(ss, budget=1.0, mode="edge")  # edge mode has no vertex cap
+
+
 # ------------------------------------------------------------- hit sets
 
 def test_separated_sets_threshold_extremes():
