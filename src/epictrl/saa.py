@@ -283,7 +283,9 @@ class FractionalSolution:
     y: np.ndarray  # (N, n); y[:, source] == 0
     objective: float
     solver_status: str  # "optimal" | "iteration-limit"
-    iterations: int = 0  # HiGHS simplex iterations over every master LP
+    # dual-simplex iterations summed over every master LP, each solved cold,
+    # so they match linprog(method="highs-ds")'s nit master by master
+    iterations: int = 0
     cut_rounds: int = 0  # oracle calls, one Dijkstra each
     master_size: tuple[int, int, int] = (0, 0, 0)  # last master's rows, columns, nonzeros
 
@@ -317,6 +319,75 @@ def _subgradient(dist, pred, weights, arc_keys, arc_col, num_x) -> np.ndarray:
     return -np.bincount(cols[priced], weights=subtree[tree][priced], minlength=num_x)
 
 
+def _master_solver():
+    """One HiGHS instance with the options ``linprog(method="highs-ds")`` sets.
+
+    Presolve on, the simplex solver with the dual strategy, primal and dual
+    feasibility tolerances ``LP_TOLERANCE`` and no output; every other
+    option keeps HiGHS's default.
+    """
+    # imported here: loading scipy.optimize takes ~0.1 s, and solvers
+    # without an LP never pay it
+    from scipy.optimize._highspy import _core as highs
+
+    options = highs.HighsOptions()
+    options.output_flag = options.log_to_console = False
+    options.presolve, options.solver = "on", "simplex"
+    dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.simplex_strategy = int(dual)
+    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = LP_TOLERANCE
+    solver = highs._Highs()
+    if solver.passOptions(options) != highs.HighsStatus.kOk:
+        raise SolverError("HiGHS rejected the master LP options")
+    return solver
+
+
+def _solve_master(
+    solver, a: np.ndarray, rhs: np.ndarray
+) -> tuple[int, np.ndarray, float, int]:
+    """Minimise theta, the last column of ``a``, under a @ (x, theta) <= rhs.
+
+    The bounds are 0 <= x <= 1 and theta >= 0. ``passModel`` replaces the
+    solver's model and drops its basis, so every call is a cold dual-simplex
+    solve. Returns ``linprog``'s status code (0 optimal, 1 iteration limit),
+    the column values, the objective and the simplex iterations; any other
+    model status raises :class:`SolverError` with HiGHS's status string.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    rows, cols = a.shape
+    # column-wise, exact zeros dropped, row indices ascending within a column
+    at = a.T
+    col, row = np.nonzero(at)
+    lp = highs.HighsLp()
+    cost = np.zeros(cols)
+    cost[-1] = 1.0
+    lp.num_col_, lp.num_row_ = cols, rows
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(cols)
+    lp.col_upper_ = np.append(np.ones(cols - 1), np.inf)
+    lp.row_lower_ = np.full(rows, -np.inf)
+    lp.row_upper_ = rhs
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = cols, rows
+    matrix.start_ = np.searchsorted(col, np.arange(cols + 1))
+    matrix.index_ = row
+    matrix.value_ = at[col, row]
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        raise SolverError("master LP solve failed: HiGHS rejected the model")
+    solver.run()
+    status = solver.getModelStatus()
+    info = solver.getInfo()
+    iterations = int(info.simplex_iteration_count)
+    if status == highs.HighsModelStatus.kIterationLimit:
+        return 1, np.zeros(cols), math.nan, iterations
+    if status != highs.HighsModelStatus.kOptimal:
+        raise SolverError(f"master LP solve failed: {solver.modelStatusToString(status)}")
+    solution = np.array(solver.getSolution().col_value)
+    return 0, solution, info.objective_function_value, iterations
+
+
 def solve_lp(model: LpModel) -> FractionalSolution:
     """Solve the scenario LP by Kelley's cutting planes over x.
 
@@ -325,12 +396,16 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     dist_d(v; x))), where w_d is the share of scenarios merged into distinct
     scenario d and dist_d is the x-weighted distance from s along d's kept
     component edges. Each round, one Dijkstra over the merged graph (capped
-    at distance 1) gives F(x_k) and a subgradient g_k. A master LP, solved
-    by HiGHS's dual simplex, then minimises theta >= 0 under the budget row
-    and every cut theta >= F(x_k) + g_k (x - x_k) so far, and its x, clipped
-    to [0, 1], is the next point. The solve is "optimal" once the best F
-    seen is within ``CUT_GAP`` max(1, F) of the master's bound, and stops at
-    ``MAX_CUT_ROUNDS`` oracle calls with "iteration-limit".
+    at distance 1) gives F(x_k) and a subgradient g_k. A master LP then
+    minimises theta >= 0 under the budget row and every cut theta >= F(x_k)
+    + g_k (x - x_k) so far, and its x, clipped to [0, 1], is the next point.
+    One HiGHS solver, made for this call, answers every master; each round
+    passes it the whole master, which drops the previous basis, so every
+    master is the cold dual-simplex solve ``linprog(method="highs-ds")``
+    makes, with the same x, bound and iterations, and ``iterations`` and
+    ``cut_rounds`` count the same work. The solve is "optimal" once the
+    best F seen is within ``CUT_GAP`` max(1, F) of the master's bound, and
+    stops at ``MAX_CUT_ROUNDS`` oracle calls with "iteration-limit".
 
     The returned x is the best point seen, and y = min(1, dist) there, the
     exact optimal y for that x, rebuilt dense over all N scenarios at 1
@@ -348,10 +423,6 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     x, y, value = np.zeros(num_x), np.ones(0), model.offset
     status, rounds, iterations, master_size = "optimal", 0, 0, (0, 0, 0)
     if model.num_y:
-        # imported here: loading scipy.optimize takes ~0.1 s, and solvers
-        # without an LP never pay it
-        from scipy.optimize import linprog
-
         size = model.num_y + 1
         weights = counts[model.y_cells // n] / N
         graph = sparse.csr_matrix(
@@ -360,11 +431,8 @@ def solve_lp(model: LpModel) -> FractionalSolution:
             shape=(size, size),
         )
         arc_keys = model.arc_tail * size + model.arc_head
-        budget_row = np.append(model.a_ub.toarray()[0], 0.0)
-        theta = np.zeros(num_x + 1)
-        theta[-1] = 1.0
-        bounds = [(0.0, 1.0)] * num_x + [(0.0, None)]
-        cuts, rhs = [budget_row], [1.0]
+        cuts, rhs = [np.append(model.a_ub.toarray()[0], 0.0)], [1.0]
+        solver = _master_solver() if num_x else None
         point, value = x, math.inf
         status = "iteration-limit"
         while rounds < MAX_CUT_ROUNDS:
@@ -383,22 +451,16 @@ def solve_lp(model: LpModel) -> FractionalSolution:
             cuts.append(np.append(g, -1.0))
             rhs.append(float(g @ point) - f)
             a = np.vstack(cuts)
-            res = linprog(
-                c=theta, A_ub=a, b_ub=np.asarray(rhs), bounds=bounds, method="highs-ds",
-                options={"primal_feasibility_tolerance": LP_TOLERANCE,
-                         "dual_feasibility_tolerance": LP_TOLERANCE},
-            )
-            if res.status not in (0, 1):
-                raise SolverError(f"master LP solve failed: {res.message}")
-            iterations += int(res.nit)
+            code, solution, bound, nit = _solve_master(solver, a, np.asarray(rhs))
+            iterations += nit
             master_size = (a.shape[0], a.shape[1], int(np.count_nonzero(a)))
-            if res.status == 1:
+            if code == 1:
                 break
-            if value - float(res.fun) <= CUT_GAP * max(1.0, value):
+            if value - bound <= CUT_GAP * max(1.0, value):
                 status = "optimal"
                 break
             # HiGHS may return -1e-17, and dijkstra dies on a negative weight
-            point = np.clip(res.x[:num_x], 0.0, 1.0)
+            point = np.clip(solution[:num_x], 0.0, 1.0)
 
     width = net.m if model.mode == "edge" else net.n
     x_full = np.zeros(width)

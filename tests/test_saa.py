@@ -80,11 +80,13 @@ def test_draw_samples_binomial_presence():
 # ------------------------------------------------------------- LP building
 
 def test_import_leaves_the_lp_solver_unloaded():
-    """scipy.optimize loads on the first LP solve, not on ``import epictrl``."""
+    """scipy.optimize, home of the HiGHS bindings, loads on the first LP
+    solve, not on ``import epictrl`` or the CLI's import."""
     src = str(Path(saa.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, epictrl; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, epictrl, epictrl.cli; print('scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     ).stdout.strip()
     assert loaded == "False"
@@ -302,12 +304,17 @@ def test_lp_restricts_and_merges_scenarios():
 @pytest.fixture
 def no_master(monkeypatch):
     """Fail any master LP solve."""
-    import scipy.optimize
 
-    def linprog(*args, **kwargs):
+    def solve_master(*args, **kwargs):
         raise AssertionError("solved a master LP")
 
-    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    monkeypatch.setattr(saa, "_solve_master", solve_master)
+
+
+def test_no_master_fixture_fails_a_master_solve(no_master):
+    model = build_lp(draw_samples(complete_network(8, p=0.5), 60, seed=3), budget=2.0)
+    with pytest.raises(AssertionError, match="solved a master LP"):
+        solve_lp(model)
 
 
 def test_cut_loop_skips_an_isolated_source(no_master):
@@ -694,6 +701,56 @@ def test_lp_iterations_repeat_across_reruns():
         assert frac.iterations == reports[0]["lp_iterations"]
         assert frac.objective == reports[0]["lp_objective"]
     assert fracs[0].x.tobytes() == fracs[1].x.tobytes()
+
+
+def random_master(rng):
+    """A Kelley master over (x, theta): the budget row, then 1-20 cuts
+    theta >= f + g (x - p) with g <= 0, some of its entries exactly 0."""
+    num_x = int(rng.integers(1, 31))
+    budget_row = np.append(rng.uniform(0.05, 1.0, num_x), 0.0)
+    rows, rhs = [budget_row], [1.0]
+    for _ in range(int(rng.integers(1, 21))):
+        g = -rng.exponential(2.0, num_x) * (rng.random(num_x) < 0.7)
+        point, f = rng.random(num_x), rng.uniform(0.0, 10.0)
+        rows.append(np.append(g, -1.0))
+        rhs.append(float(g @ point) - f)
+    return np.vstack(rows), np.asarray(rhs)
+
+
+def test_master_matches_linprog_highs_ds():
+    """One reused solver answers seeded random masters exactly as
+    ``linprog(method="highs-ds")`` at the same tolerances does."""
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(2024)
+    solver = saa._master_solver()
+    for _ in range(60):
+        a, rhs = random_master(rng)
+        num_x = a.shape[1] - 1
+        res = linprog(
+            c=np.append(np.zeros(num_x), 1.0), A_ub=a, b_ub=rhs,
+            bounds=[(0.0, 1.0)] * num_x + [(0.0, None)], method="highs-ds",
+            options={"primal_feasibility_tolerance": saa.LP_TOLERANCE,
+                     "dual_feasibility_tolerance": saa.LP_TOLERANCE},
+        )
+        code, x, objective, iterations = saa._solve_master(solver, a, rhs)
+        assert (code, iterations, objective) == (res.status, res.nit, res.fun)
+        assert x.tobytes() == res.x.tobytes()
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("edge", (11, 118, 4.845238095238098, [0, 1, 2, 3, 4, 5, 6])),
+    ("node", (21, 216, 3.909523809523817, [1, 2, 3, 4, 5, 6, 7])),
+])
+def test_solve_saa_repeats_pinned_lp_counters(mode, expected):
+    """Rounds, iterations, objective and members as measured with
+    ``linprog(method="highs-ds")`` solving the masters; the direct HiGHS
+    solver repeats them exactly."""
+    _, report = solve_saa(complete_network(8, p=0.5), budget=2.0, epsilon=0.5,
+                          rounding="deterministic", mode=mode, seed=3, num_samples=60,
+                          eval_samples=20)
+    keys = ("lp_cut_rounds", "lp_iterations", "lp_objective", "members")
+    assert tuple(report[k] for k in keys) == expected
 
 
 def test_solve_saa_node_mode_never_selects_source(rng):
