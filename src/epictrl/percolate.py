@@ -5,6 +5,10 @@ probability p_e and counting the vertices reachable from the source. This
 module draws such samples reproducibly, estimates the expectation by Monte
 Carlo, and computes it exactly by exhaustive enumeration at desk scale.
 
+Sampled rows are sized by the component kernel in ``network``; on networks
+with m <= ``MASK_TABLE_CAP`` edges they are read off a 2^m table that
+:func:`infection_table` fills by label merging instead.
+
 Component-size totals are accumulated as integers, so aggregate results are
 exactly independent of accumulation order.
 """
@@ -28,6 +32,10 @@ from .network import (
 
 # Largest edge count for which a full 2^m reachability table is built.
 MASK_TABLE_CAP = 16
+
+# Kept-edge cells per block of exact-enumeration patterns (1 MB of bools).
+# 2^m rows of m cells fit in one block for every m <= MASK_TABLE_CAP.
+PATTERN_CELLS = 1 << 20
 
 # z for the 99% two-sided normal half-width used in estimates.
 CONFIDENCE = 0.99
@@ -64,19 +72,39 @@ def infection_table(network: ContactNetwork) -> np.ndarray:
 
     Entry ``t[mask]`` is the number of vertices reachable from the source
     when exactly the edges whose bits are set in ``mask`` are present.
-    Built once per network (cached) by running all 2^m masks through the
-    component kernel; used to vectorize Monte Carlo and exhaustive
-    evaluation on small instances.
+    Built once per network (cached) by merging component labels over the
+    masks, not through the component kernel: the touched vertices (the
+    source and the endpoints of non-loop edges, k <= 2m + 1 of them) are
+    relabelled 0..k-1, and column ``mask`` of a (k, 2^m) int8 array holds
+    each vertex's component label under that mask. A mask whose highest
+    bit is e is ``mask - 2^e`` plus edge e, so columns [2^e, 2^(e+1)) are
+    columns [0, 2^e) with the classes of e's endpoints merged. Used to
+    vectorize Monte Carlo and exhaustive evaluation on small instances.
     """
     cached = network.__dict__.get("_infection_table")
     if cached is not None:
         return cached
     m = network.m
     if m > MASK_TABLE_CAP:
-        raise InstanceTooLargeError(f"mask table needs m <= {MASK_TABLE_CAP}, got {m}")
-    masks = np.arange(1 << m, dtype=np.int32)[:, np.newaxis]
-    bits = (masks >> np.arange(m, dtype=np.int32)) & 1
-    table = source_component_sizes(network, bits.astype(bool))
+        raise InstanceTooLargeError(
+            f"the 2^m mask table needs m <= MASK_TABLE_CAP ({MASK_TABLE_CAP}) edges, got "
+            f"m = {m}; component_sizes and estimate_infections run the component kernel "
+            f"at any m"
+        )
+    loops = network.us == network.vs
+    touched = np.unique(np.concatenate(
+        [[network.source], network.us[~loops], network.vs[~loops]]))
+    us = np.searchsorted(touched, network.us)
+    vs = np.searchsorted(touched, network.vs)
+    labels = np.empty((len(touched), 1 << m), dtype=np.int8)
+    labels[:, 0] = np.arange(len(touched))
+    for e in range(m):
+        out = labels[:, 1 << e:2 << e]
+        out[...] = labels[:, :1 << e]
+        if not loops[e]:
+            np.copyto(out, out[us[e]], where=out == out[vs[e]])
+    source = np.searchsorted(touched, network.source)
+    table = (labels == labels[source]).sum(axis=0, dtype=np.int64)
     object.__setattr__(network, "_infection_table", table)
     return table
 
@@ -209,7 +237,9 @@ def exact_expected_infections(
 
     Deterministic edges (p in {0, 1}, or removed) are fixed; the remaining
     r random edges are enumerated over all 2^r patterns weighted by their
-    Bernoulli probabilities. Requires r <= 22.
+    Bernoulli probabilities. Requires r <= 22. The patterns are built and
+    sized ``PATTERN_CELLS // m`` rows at a time, so memory stays bounded
+    for any m; the sizes fill one array and one dot product weights them.
     """
     keep = removal_edge_keep(network, intervention)
     always = keep & (network.probs == 1.0)
@@ -226,11 +256,14 @@ def exact_expected_infections(
     for e in random_ids:
         p = float(network.probs[e])
         weights = np.concatenate([weights * (1.0 - p), weights * p])
-    rows = np.tile(always, (1 << r, 1))
-    patterns = np.arange(1 << r)
-    for bit, e in enumerate(random_ids):
-        rows[:, e] = (patterns >> bit) & 1
-    sizes = component_sizes(network, rows, intervention)
+    sizes = np.empty(1 << r, dtype=np.int64)
+    step = max(1, PATTERN_CELLS // max(network.m, 1))
+    for start in range(0, 1 << r, step):
+        patterns = np.arange(start, min(start + step, 1 << r))
+        rows = np.tile(always, (len(patterns), 1))
+        for bit, e in enumerate(random_ids):
+            rows[:, e] = (patterns >> bit) & 1
+        sizes[start:start + len(patterns)] = component_sizes(network, rows, intervention)
     mean = float(np.dot(weights, sizes.astype(np.float64)))
     return InfectionEstimate(mean=mean, half_width=0.0, num_samples=1 << r, exact=True)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from epictrl.percolate import (
 )
 
 from epictrl import network as network_module
+from epictrl import percolate as percolate_module
 from epictrl.saa import draw_samples
 from epictrl.network import (
     ContactNetwork,
@@ -143,6 +145,35 @@ def test_exact_cap_on_random_edges():
         exact_expected_infections(net)
 
 
+def test_exact_enumeration_runs_in_bounded_blocks():
+    """A 3,000-edge path whose first 12 edges are random: its 2^12 patterns
+    are 12 MB of rows in one piece, so they are built and sized in blocks."""
+    m = 3000
+    net = make_network(m + 1, [(i, i + 1) for i in range(m)],
+                       probs=[0.5] * 12 + [1.0] * (m - 12))
+    tracemalloc.start()
+    try:
+        got = exact_expected_infections(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # vertex i is reached when edges 0..i-1 are all kept
+    assert got.mean == 1 + sum(0.5 ** i for i in range(1, 13)) + (m - 12) * 0.5 ** 12
+    assert got.num_samples == 1 << 12
+    assert peak < (1 << 12) * m // 2
+
+
+def test_exact_enumeration_blocks_leave_the_mean_unchanged(rng):
+    # one block (every m <= 16 network) against blocks of a few rows
+    for _ in range(5):
+        net = random_connected_network(rng, n_lo=5, n_hi=8, max_m=12, p_mode=0.37)
+        removed = edge_removal(net, [0])
+        whole = [exact_expected_infections(net, iv).mean for iv in (None, removed)]
+        with mock.patch.object(percolate_module, "PATTERN_CELLS", 3 * net.m + 1):
+            blocked = [exact_expected_infections(net, iv).mean for iv in (None, removed)]
+        assert [x.hex() for x in blocked] == [x.hex() for x in whole]
+
+
 def test_exact_vs_union_find_path_agree(rng):
     # same expectations whether sizes come from the mask table or union-find
     for _ in range(5):
@@ -223,6 +254,68 @@ def test_infection_table_matches_component_walks():
         assert table[mask] == union_find_sizes(net, keep[np.newaxis, :])[0]
 
 
+def _parallel_network() -> ContactNetwork:
+    """Edges (0, 1), (1, 0) and (1, 2) on three vertices.
+
+    ``ContactNetwork`` rejects parallel edges, so the network is built
+    simple and its endpoints are swapped in afterwards; the kernel must not
+    depend on that check.
+    """
+    net = make_network(3, [(0, 1), (0, 2), (1, 2)], probs=0.5)
+    object.__setattr__(net, "us", np.array([0, 1, 1]))
+    object.__setattr__(net, "vs", np.array([1, 0, 2]))
+    return net
+
+
+PARALLEL = _parallel_network()
+
+
+@st.composite
+def table_networks(draw):
+    """A graph on 1-12 vertices with 0-16 edges (self-loops allowed) and a
+    random source."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    m = draw(st.integers(0, min(len(pairs), MASK_TABLE_CAP)))
+    edges = draw(st.permutations(pairs))[:m]
+    return make_network(n, edges, probs=0.5, source=draw(st.integers(0, n - 1)))
+
+
+def _raise_kernel(*args, **kwargs):
+    raise AssertionError("the mask table ran the component kernel")
+
+
+@settings(max_examples=30, deadline=None)
+@given(net=table_networks())
+@example(net=PARALLEL)
+# a source whose only edge is a self-loop
+@example(net=make_network(4, [(2, 2), (0, 1), (1, 3), (0, 3)], source=2))
+# an isolated source
+@example(net=make_network(5, [(0, 1), (1, 2), (2, 3)], source=4))
+# n > 2m + 1: relabelling keeps 3 of 12 vertices
+@example(net=make_network(12, [(3, 7), (9, 7)], source=7))
+# 16 disjoint edges and an isolated source: 33 labels, the most there can be
+@example(net=make_network(33, [(2 * i, 2 * i + 1) for i in range(16)], source=32))
+def test_infection_table_matches_union_find(net):
+    net.__dict__.pop("_infection_table", None)  # shared examples may hold one
+    masks = np.arange(1 << net.m)
+    keep = ((masks[:, np.newaxis] >> np.arange(net.m)) & 1).astype(bool)
+    with mock.patch.object(network_module, "_source_reach", _raise_kernel), \
+            mock.patch.object(network_module, "source_component_sizes", _raise_kernel):
+        table = infection_table(net)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, union_find_sizes(net, keep))
+
+
+def test_infection_table_cap_names_the_kernel_paths():
+    net = make_network(18, [(i, i + 1) for i in range(MASK_TABLE_CAP + 1)])
+    with pytest.raises(InstanceTooLargeError,
+                       match=r"m <= MASK_TABLE_CAP \(16\) edges, got m = 17; "
+                             r"component_sizes and estimate_infections run the component "
+                             r"kernel at any m"):
+        infection_table(net)
+
+
 @st.composite
 def kernel_cases(draw):
     """A random graph (self-loops allowed), kept-edge rows and a removal."""
@@ -244,22 +337,6 @@ def kernel_cases(draw):
     else:
         removed = None
     return net, keep, removed, draw(st.integers(1, 200))
-
-
-def _parallel_network() -> ContactNetwork:
-    """Edges (0, 1), (1, 0) and (1, 2) on three vertices.
-
-    ``ContactNetwork`` rejects parallel edges, so the network is built
-    simple and its endpoints are swapped in afterwards; the kernel must not
-    depend on that check.
-    """
-    net = make_network(3, [(0, 1), (0, 2), (1, 2)], probs=0.5)
-    object.__setattr__(net, "us", np.array([0, 1, 1]))
-    object.__setattr__(net, "vs", np.array([1, 0, 2]))
-    return net
-
-
-PARALLEL = _parallel_network()
 
 
 @settings(max_examples=150, deadline=None)
@@ -367,8 +444,6 @@ LOOPED = make_network(9, [(0, 1), (1, 1), (1, 2), (2, 3), (3, 3)]
 def test_component_sizes_restricted_to_source_component(case):
     net, keep, removed, cells = case
     expected = union_find_sizes(net, keep & removal_edge_keep(net, removed))
-    if net.m <= MASK_TABLE_CAP:
-        infection_table(net)  # built at full block size; small blocks are for the kernel
     # small blocks: the restricted rows span several
     with mock.patch.object(network_module, "CELLS", cells):
         sizes = component_sizes(net, keep, removed)
