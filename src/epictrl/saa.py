@@ -8,7 +8,9 @@ level y_vj = min(1, x-weighted distance from the source to v), which is
 the path-cover constraint without enumerating paths. For fixed x the best
 y is exactly that capped distance, so the LP is solved over x alone: its
 objective is a convex, piecewise-linear function of x, minimised by
-Kelley's cutting planes with one shortest-path run per round.
+Kelley's cutting planes with one shortest-path run per round. The master
+LPs of one solve share one HiGHS model, which each round extends by one
+cut and re-solves from its last basis.
 
 The LP is reduced first, with the same optimum: in each scenario only the
 source's component matters (every other vertex sits at y = 1, a constant
@@ -63,8 +65,8 @@ MAX_CUT_ROUNDS = 500
 # Most scenario-vertex cells, N x n, that build_lp takes on. Labelling the
 # source's component and rebuilding the dense (N, n) y in solve_lp allocate
 # per cell: measured peaks (tracemalloc, a 50-leaf star in n = 5000, N = 200
-# to 1000, every scenario distinct) were 3.6 bytes per cell in build_lp and
-# 16.3 in solve_lp, so this caps the pair near 30 MB and 137 MB, however
+# to 1000, every scenario distinct) were 6.6 bytes per cell in build_lp and
+# 16.3 in solve_lp, so this caps the pair near 55 MB and 137 MB, however
 # small the LP (vertices outside every source component still cost a cell).
 SCENARIO_CELL_CAP = 1 << 23
 
@@ -143,17 +145,16 @@ class LpModel:
     into s, sorted by (tail, head); ``arc_col`` is the x column that weighs
     the arc (its edge's, or in node mode its head's), -1 when none does.
     Columns exist only for affordable entities that weigh some arc; every
-    other entity is hard-wired to zero. ``a_ub`` and ``b_ub`` are the budget
-    row, costs scaled by 1/B so that it reads <= 1. ``offset`` is the mean
-    over scenarios of (component size - 1).
+    other entity is hard-wired to zero. ``budget_row`` holds the costs of
+    the x columns scaled by 1/B, so that the budget reads budget_row @ x
+    <= 1. ``offset`` is the mean over scenarios of (component size - 1).
     """
 
     samples: SampleSet
     mode: str  # "edge" | "node"
     budget: float
     var_entities: np.ndarray  # entity id per x column
-    a_ub: sparse.csr_matrix  # (1, num_x)
-    b_ub: np.ndarray  # (1,)
+    budget_row: np.ndarray  # (num_x,) cost / B per x column
     scenario_map: np.ndarray  # (N,) distinct scenario of each scenario
     component: np.ndarray  # (D, n) bool, source's component per distinct scenario
     offset: float
@@ -176,6 +177,18 @@ class LpModel:
         """Non-source component vertices, summed over distinct scenarios."""
         return len(self.y_cells)
 
+    # The budget row as the (1, num_x) sparse matrix and the [1.0] right-hand
+    # side that the benchmark's trace reads. Nothing in the package uses
+    # them; the benchmark change that takes the LP size from the report's
+    # counters deletes them.
+    @property
+    def a_ub(self) -> sparse.csr_matrix:
+        return sparse.csr_matrix(self.budget_row.reshape(1, -1))
+
+    @property
+    def b_ub(self) -> np.ndarray:
+        return np.ones(1)
+
 
 def _entity_costs(network: ContactNetwork, mode: str, node_costs) -> np.ndarray:
     if mode == "edge":
@@ -186,6 +199,28 @@ def _entity_costs(network: ContactNetwork, mode: str, node_costs) -> np.ndarray:
     if np.any(costs < 0):
         raise ValidationError("node costs must be nonnegative")
     return costs
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0)``'s index, inverse and counts for uint8 rows.
+
+    Rows are padded with zero bytes to whole 8-byte words and read as
+    big-endian uint64, which orders them as their bytes do. A stable sort
+    on the words, the first word primary, then ranks the rows as
+    ``np.unique``'s sort of rows as a void dtype does, first occurrences
+    first, at a fraction of its cost.
+    """
+    num, width = rows.shape
+    padded = np.zeros((num, max(1, -(-width // 8)) * 8), dtype=np.uint8)
+    padded[:, :width] = rows
+    words = padded.view(">u8")
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    starts = np.ones(num, dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(num, dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse, np.diff(np.append(np.flatnonzero(starts), num))
 
 
 def build_lp(
@@ -235,17 +270,16 @@ def build_lp(
 
     # A kept edge touching the source's component lies inside it, and these
     # edges determine the component, so they identify a distinct scenario.
-    # Rows are packed 8 edges to a byte for the sort, which keeps their order.
     members = source_component_members(net, samples.keep_rows)
     inner = samples.keep_rows & members[:, net.us] & (net.us != net.vs)
-    _, first, scenario_map, counts = np.unique(
-        np.packbits(inner, axis=1), axis=0,
-        return_index=True, return_inverse=True, return_counts=True,
-    )
+    first, scenario_map, counts = _distinct_rows(np.packbits(inner, axis=1))
     inner, component = inner[first], members[first]
-    y_mask = component.copy()
-    y_mask[:, s] = False
-    y_cells = np.flatnonzero(y_mask)
+    y_cells = np.flatnonzero(component)
+    y_cells = y_cells[y_cells % n != s]  # every component holds s
+    # graph vertex of each (d, v) cell: 0 for s, i + 1 for copy i; int32
+    # holds it, as the cell guard caps the cells far below 2^31
+    cell_vertex = np.zeros(component.size, dtype=np.int32)
+    cell_vertex[y_cells] = np.arange(1, len(y_cells) + 1)
 
     # arc a -> b of each kept component edge of distinct scenario d
     d, e = np.nonzero(inner)
@@ -255,8 +289,8 @@ def build_lp(
     e = np.repeat(e, 2)
     hop = b != s
     d, e, a, b = d[hop], e[hop], a[hop], b[hop]
-    tail = np.where(a == s, 0, 1 + np.searchsorted(y_cells, d * n + a))
-    head = 1 + np.searchsorted(y_cells, d * n + b)
+    tail = cell_vertex[d * n + a].astype(np.int64)
+    head = cell_vertex[d * n + b].astype(np.int64)
     weighs = e if mode == "edge" else b
     live = np.zeros(len(costs), dtype=bool)
     live[weighs] = True
@@ -266,9 +300,8 @@ def build_lp(
     order = np.lexsort((head, tail))
     return LpModel(
         samples=samples, mode=mode, budget=float(budget), var_entities=var_entities,
-        a_ub=sparse.csr_matrix((costs[var_entities] / scale).reshape(1, -1)),
-        b_ub=np.ones(1), scenario_map=scenario_map.reshape(-1), component=component,
-        offset=int(counts @ y_mask.sum(axis=1)) / N, y_cells=y_cells,
+        budget_row=costs[var_entities] / scale, scenario_map=scenario_map, component=component,
+        offset=int(counts @ (component.sum(axis=1) - 1)) / N, y_cells=y_cells,
         arc_tail=tail[order], arc_head=head[order], arc_col=x_col[weighs][order],
         node_costs=None if mode == "edge" else costs,
     )
@@ -283,8 +316,8 @@ class FractionalSolution:
     y: np.ndarray  # (N, n); y[:, source] == 0
     objective: float
     solver_status: str  # "optimal" | "iteration-limit"
-    # dual-simplex iterations summed over every master LP, each solved cold,
-    # so they match linprog(method="highs-ds")'s nit master by master
+    # dual-simplex iterations summed over every master LP, each one warm
+    # started from the previous master's basis
     iterations: int = 0
     cut_rounds: int = 0  # oracle calls, one Dijkstra each
     master_size: tuple[int, int, int] = (0, 0, 0)  # last master's rows, columns, nonzeros
@@ -319,12 +352,15 @@ def _subgradient(dist, pred, weights, arc_keys, arc_col, num_x) -> np.ndarray:
     return -np.bincount(cols[priced], weights=subtree[tree][priced], minlength=num_x)
 
 
-def _master_solver():
-    """One HiGHS instance with the options ``linprog(method="highs-ds")`` sets.
+def _master_solver(budget_row: np.ndarray):
+    """One HiGHS instance holding the first master: the budget row alone.
 
-    Presolve on, the simplex solver with the dual strategy, primal and dual
-    feasibility tolerances ``LP_TOLERANCE`` and no output; every other
-    option keeps HiGHS's default.
+    The options are those ``linprog(method="highs-ds")`` sets: presolve on,
+    the simplex solver with the dual strategy, primal and dual feasibility
+    tolerances ``LP_TOLERANCE`` and no output; every other option keeps
+    HiGHS's default. The model minimises theta, the last column, under
+    budget_row @ x <= 1 (exact zeros dropped), 0 <= x <= 1 and theta >= 0;
+    ``_solve_master`` adds the cuts.
     """
     # imported here: loading scipy.optimize takes ~0.1 s, and solvers
     # without an LP never pay it
@@ -339,49 +375,52 @@ def _master_solver():
     solver = highs._Highs()
     if solver.passOptions(options) != highs.HighsStatus.kOk:
         raise SolverError("HiGHS rejected the master LP options")
+
+    cols = len(budget_row) + 1
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = cols, 1
+    lp.col_cost_ = np.append(np.zeros(cols - 1), 1.0)
+    lp.col_lower_ = np.zeros(cols)
+    lp.col_upper_ = np.append(np.ones(cols - 1), np.inf)
+    lp.row_lower_, lp.row_upper_ = np.full(1, -np.inf), np.ones(1)
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kRowwise
+    matrix.num_col_, matrix.num_row_ = cols, 1
+    index = np.flatnonzero(budget_row)
+    matrix.start_ = np.array([0, len(index)])
+    matrix.index_ = index
+    matrix.value_ = budget_row[index]
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        raise SolverError("master LP solve failed: HiGHS rejected the model")
     return solver
 
 
 def _solve_master(
-    solver, a: np.ndarray, rhs: np.ndarray
+    solver, g: np.ndarray, rhs: float
 ) -> tuple[int, np.ndarray, float, int]:
-    """Minimise theta, the last column of ``a``, under a @ (x, theta) <= rhs.
+    """Add the cut g @ x - theta <= rhs to the master and solve it again.
 
-    The bounds are 0 <= x <= 1 and theta >= 0. ``passModel`` replaces the
-    solver's model and drops its basis, so every call is a cold dual-simplex
-    solve. Returns ``linprog``'s status code (0 optimal, 1 iteration limit),
-    the column values, the objective and the simplex iterations; any other
-    model status raises :class:`SolverError` with HiGHS's status string.
+    The cut goes in with ``addRow``, exact zeros dropped, and the model
+    keeps the basis of the previous solve. A new cut leaves that basis dual
+    feasible, so dual simplex restarts from it instead of from scratch.
+    Returns ``linprog``'s status code (0 optimal, 1 iteration limit), the
+    column values, the objective and this run's simplex iterations; any
+    other model status raises :class:`SolverError` with HiGHS's status
+    string.
     """
     from scipy.optimize._highspy import _core as highs
 
-    rows, cols = a.shape
-    # column-wise, exact zeros dropped, row indices ascending within a column
-    at = a.T
-    col, row = np.nonzero(at)
-    lp = highs.HighsLp()
-    cost = np.zeros(cols)
-    cost[-1] = 1.0
-    lp.num_col_, lp.num_row_ = cols, rows
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.zeros(cols)
-    lp.col_upper_ = np.append(np.ones(cols - 1), np.inf)
-    lp.row_lower_ = np.full(rows, -np.inf)
-    lp.row_upper_ = rhs
-    matrix = lp.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = cols, rows
-    matrix.start_ = np.searchsorted(col, np.arange(cols + 1))
-    matrix.index_ = row
-    matrix.value_ = at[col, row]
-    if solver.passModel(lp) == highs.HighsStatus.kError:
-        raise SolverError("master LP solve failed: HiGHS rejected the model")
+    index = np.flatnonzero(g)
+    added = solver.addRow(-np.inf, rhs, len(index) + 1,
+                          np.append(index, len(g)).astype(np.int32), np.append(g[index], -1.0))
+    if added == highs.HighsStatus.kError:
+        raise SolverError("master LP solve failed: HiGHS rejected the cut")
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()
     iterations = int(info.simplex_iteration_count)
     if status == highs.HighsModelStatus.kIterationLimit:
-        return 1, np.zeros(cols), math.nan, iterations
+        return 1, np.zeros(len(g) + 1), math.nan, iterations
     if status != highs.HighsModelStatus.kOptimal:
         raise SolverError(f"master LP solve failed: {solver.modelStatusToString(status)}")
     solution = np.array(solver.getSolution().col_value)
@@ -399,13 +438,13 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     at distance 1) gives F(x_k) and a subgradient g_k. A master LP then
     minimises theta >= 0 under the budget row and every cut theta >= F(x_k)
     + g_k (x - x_k) so far, and its x, clipped to [0, 1], is the next point.
-    One HiGHS solver, made for this call, answers every master; each round
-    passes it the whole master, which drops the previous basis, so every
-    master is the cold dual-simplex solve ``linprog(method="highs-ds")``
-    makes, with the same x, bound and iterations, and ``iterations`` and
-    ``cut_rounds`` count the same work. The solve is "optimal" once the
-    best F seen is within ``CUT_GAP`` max(1, F) of the master's bound, and
-    stops at ``MAX_CUT_ROUNDS`` oracle calls with "iteration-limit".
+    Every master of the call is one HiGHS model, passed once with the
+    budget row; each round adds its cut to it and dual simplex restarts
+    from the previous master's basis. ``iterations`` sums those warm runs'
+    simplex iterations, and ``master_size`` is the model's size after the
+    last round. The solve is "optimal" once the best F seen is within
+    ``CUT_GAP`` max(1, F) of the master's bound, and stops at
+    ``MAX_CUT_ROUNDS`` oracle calls with "iteration-limit".
 
     The returned x is the best point seen, and y = min(1, dist) there, the
     exact optimal y for that x, rebuilt dense over all N scenarios at 1
@@ -431,8 +470,7 @@ def solve_lp(model: LpModel) -> FractionalSolution:
             shape=(size, size),
         )
         arc_keys = model.arc_tail * size + model.arc_head
-        cuts, rhs = [np.append(model.a_ub.toarray()[0], 0.0)], [1.0]
-        solver = _master_solver() if num_x else None
+        solver = _master_solver(model.budget_row) if num_x else None
         point, value = x, math.inf
         status = "iteration-limit"
         while rounds < MAX_CUT_ROUNDS:
@@ -448,12 +486,9 @@ def solve_lp(model: LpModel) -> FractionalSolution:
                 status = "optimal"
                 break
             g = _subgradient(dist, pred, weights, arc_keys, model.arc_col, num_x)
-            cuts.append(np.append(g, -1.0))
-            rhs.append(float(g @ point) - f)
-            a = np.vstack(cuts)
-            code, solution, bound, nit = _solve_master(solver, a, np.asarray(rhs))
+            code, solution, bound, nit = _solve_master(solver, g, float(g @ point) - f)
             iterations += nit
-            master_size = (a.shape[0], a.shape[1], int(np.count_nonzero(a)))
+            master_size = (solver.getNumRow(), solver.getNumCol(), solver.getNumNz())
             if code == 1:
                 break
             if value - bound <= CUT_GAP * max(1.0, value):
@@ -471,7 +506,7 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     objective = min(max(value, 0.0), float(n - 1))  # strip rounding noise
     # sanity: budget row and objective identity within solver tolerance
     if num_x:
-        row = float(model.a_ub.dot(x)[0])
+        row = float(model.budget_row @ x)
         if row > 1.0 + 10 * LP_TOLERANCE:
             raise SolverError(f"budget row violated: {row}")
     # over the distinct scenarios, weighted by their counts: no (N, n) copy;

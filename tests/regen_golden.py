@@ -3,7 +3,7 @@
 The corpus pins what fixed-seed runs of the program write, byte for byte:
 
 - ``det.tsv``: the 6-vertex graph of acceptance criterion 12;
-- ``<name>.json``: the result file of each command in ``COMMANDS`` (the four
+- ``<name>.json``: the result file of each run in ``commands`` (the four
   of criterion 12, plus ``solve-saa --rounding deterministic`` and
   ``solve-node`` on the same graph). Wall times go to ``<output>.meta.json``,
   which the corpus leaves out;
@@ -32,23 +32,24 @@ from epictrl.cli import main as cli_main
 from epictrl.network import random_connected_network, write_network
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-_SAA = ["--budget", "2", "--epsilon", "0.4", "--gamma", "2", "--seed", "13",
-        "--samples", "50", "--eval-samples", "200"]
-COMMANDS = {
-    "saa": ["solve-saa", "--rounding", "randomized", *_SAA],
-    "saa_det": ["solve-saa", "--rounding", "deterministic", *_SAA],
-    "node": ["solve-node", "--rounding", "deterministic", *_SAA],
-    "karger": ["solve-karger", "--budget", "2", "--seed", "13", "--reps", "4",
-               "--eval-samples", "100"],
-    "paths": ["count-paths", "--n", "9", "--beta", "2.5", "--w-min", "1", "--w-max", "2",
-              "--kmax", "4", "--trials", "200", "--p", "0.5", "--seed", "13"],
-    "bounds": ["bounds", "--n", "20", "--beta", "3.5", "--w-min", "1", "--w-max", "3",
-               "--kmax", "5"],
-}
-GRAPH_COMMANDS = ("saa", "saa_det", "node", "karger")
-
 DESK_SEED, DESK_INSTANCES, DESK_SAMPLES, DESK_BUDGET = 1717, 8, 400, 2.0
+
+
+def commands(graph: str) -> dict[str, list[str]]:
+    """The corpus's CLI runs, by output name, on the graph file ``graph``."""
+    saa = ["--graph", graph, "--budget", "2", "--epsilon", "0.4", "--gamma", "2",
+           "--seed", "13", "--samples", "50", "--eval-samples", "200"]
+    return {
+        "saa": ["solve-saa", "--rounding", "randomized", *saa],
+        "saa_det": ["solve-saa", "--rounding", "deterministic", *saa],
+        "node": ["solve-node", "--rounding", "deterministic", *saa],
+        "karger": ["solve-karger", "--graph", graph, "--budget", "2", "--seed", "13",
+                   "--reps", "4", "--eval-samples", "100"],
+        "paths": ["count-paths", "--n", "9", "--beta", "2.5", "--w-min", "1", "--w-max", "2",
+                  "--kmax", "4", "--trials", "200", "--p", "0.5", "--seed", "13"],
+        "bounds": ["bounds", "--n", "20", "--beta", "3.5", "--w-min", "1", "--w-max", "3",
+                   "--kmax", "5"],
+    }
 
 
 def desk_lines() -> list[str]:
@@ -75,9 +76,7 @@ def write_corpus(directory: Path) -> None:
                                    p_mode=0.5)
     write_network(net, graph)
     with tempfile.TemporaryDirectory() as work:
-        for name, argv in COMMANDS.items():
-            if name in GRAPH_COMMANDS:
-                argv = [argv[0], "--graph", str(graph), *argv[1:]]
+        for name, argv in commands(str(graph)).items():
             out = Path(work) / f"{name}.json"
             if cli_main([*argv, "--output", str(out)]) != 0:
                 raise RuntimeError(f"{name}: command failed")

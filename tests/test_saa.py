@@ -301,6 +301,30 @@ def test_lp_restricts_and_merges_scenarios():
     assert model.offset == 1.0
 
 
+@st.composite
+def packed_rows(draw):
+    """1-40 rows of 0-80 bits, packed 8 to a byte, drawn from a pool of
+    1 to N patterns so that rows repeat."""
+    m, num = draw(st.integers(0, 80)), draw(st.integers(1, 40))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = g.random((draw(st.integers(1, num)), m)) < 0.5
+    return np.packbits(pool[g.integers(0, len(pool), num)], axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=packed_rows())
+@example(rows=np.zeros((5, 0), dtype=np.uint8))  # m = 0
+@example(rows=np.packbits(np.ones((1, 64), dtype=bool), axis=1))  # N = 1, one whole word
+@example(rows=np.packbits(np.ones((6, 65), dtype=bool), axis=1))  # all rows equal
+@example(rows=np.packbits(np.eye(64, dtype=bool)[::-1], axis=1))  # m = 64, all distinct
+@example(rows=np.packbits(np.eye(65, dtype=bool), axis=1))  # m = 65, the last in word 2
+def test_distinct_rows_match_np_unique(rows):
+    want = np.unique(rows, axis=0, return_index=True, return_inverse=True,
+                     return_counts=True)[1:]
+    for got, ref in zip(saa._distinct_rows(rows), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref.reshape(-1))
+
+
 @pytest.fixture
 def no_master(monkeypatch):
     """Fail any master LP solve."""
@@ -357,11 +381,22 @@ def test_affordable_edge_outside_every_component_gets_no_column():
 
 def test_node_mode_members_match_unreduced_oracle():
     """Desk-sized node LPs (n 7-9, m = 14, N = 100, B = 2): the rounded
-    members equal those of the unreduced LP's x."""
+    members equal those of the unreduced LP's x, except on instance 4. Its
+    LP has tied optima, and the cutting planes end at another one than the
+    unreduced LP: both reach the same objective and round differently."""
     rng = np.random.default_rng(1414)
     for i in range(8):
         net = random_connected_network(rng, n_lo=7, n_hi=9, max_m=14, p_mode="random")
-        assert_matches_unreduced(draw_samples(net, 100, seed=1400 + i), 2.0, "node")
+        samples = draw_samples(net, 100, seed=1400 + i)
+        if i != 4:
+            assert_matches_unreduced(samples, 2.0, "node")
+            continue
+        frac = assert_matches_unreduced(samples, 2.0, "node", tied=True)
+        objective, x, _ = unreduced_lp_solution(samples, 2.0, "node")
+        assert abs(frac.objective - objective) <= 1e-9
+        threshold = 1.0 / (4.0 * net.n ** (2.0 / 3.0))
+        assert not np.array_equal(np.flatnonzero(frac.x >= threshold),
+                                  np.flatnonzero(x >= threshold))
 
 
 def test_draw_guard_fails_before_drawing(monkeypatch):
@@ -704,48 +739,79 @@ def test_lp_iterations_repeat_across_reruns():
 
 
 def random_master(rng):
-    """A Kelley master over (x, theta): the budget row, then 1-20 cuts
-    theta >= f + g (x - p) with g <= 0, some of its entries exactly 0."""
+    """A Kelley master over (x, theta): the budget row over x, then 1-20
+    cuts theta >= f + g (x - p) as (g, rhs) with g <= 0, some of its
+    entries exactly 0."""
     num_x = int(rng.integers(1, 31))
-    budget_row = np.append(rng.uniform(0.05, 1.0, num_x), 0.0)
-    rows, rhs = [budget_row], [1.0]
+    budget_row = rng.uniform(0.05, 1.0, num_x)
+    cuts = []
     for _ in range(int(rng.integers(1, 21))):
         g = -rng.exponential(2.0, num_x) * (rng.random(num_x) < 0.7)
         point, f = rng.random(num_x), rng.uniform(0.0, 10.0)
-        rows.append(np.append(g, -1.0))
-        rhs.append(float(g @ point) - f)
-    return np.vstack(rows), np.asarray(rhs)
+        cuts.append((g, float(g @ point) - f))
+    return budget_row, cuts
 
 
-def test_master_matches_linprog_highs_ds():
-    """One reused solver answers seeded random masters exactly as
-    ``linprog(method="highs-ds")`` at the same tolerances does."""
+def test_warm_masters_match_linprog_highs_ds():
+    """Seeded random masters, fed to one kept model cut by cut: after each
+    cut, the warm-started solve reaches ``linprog(method="highs-ds")``'s
+    objective on the whole master within ``LP_TOLERANCE``, at a feasible
+    x."""
     from scipy.optimize import linprog
 
     rng = np.random.default_rng(2024)
-    solver = saa._master_solver()
+    tol = saa.LP_TOLERANCE
     for _ in range(60):
-        a, rhs = random_master(rng)
-        num_x = a.shape[1] - 1
-        res = linprog(
-            c=np.append(np.zeros(num_x), 1.0), A_ub=a, b_ub=rhs,
-            bounds=[(0.0, 1.0)] * num_x + [(0.0, None)], method="highs-ds",
-            options={"primal_feasibility_tolerance": saa.LP_TOLERANCE,
-                     "dual_feasibility_tolerance": saa.LP_TOLERANCE},
-        )
-        code, x, objective, iterations = saa._solve_master(solver, a, rhs)
-        assert (code, iterations, objective) == (res.status, res.nit, res.fun)
-        assert x.tobytes() == res.x.tobytes()
+        budget_row, cuts = random_master(rng)
+        num_x = len(budget_row)
+        solver = saa._master_solver(budget_row)
+        rows, rhs = [np.append(budget_row, 0.0)], [1.0]
+        for g, cut_rhs in cuts:
+            rows.append(np.append(g, -1.0))
+            rhs.append(cut_rhs)
+            a, b = np.vstack(rows), np.asarray(rhs)
+            res = linprog(
+                c=np.append(np.zeros(num_x), 1.0), A_ub=a, b_ub=b,
+                bounds=[(0.0, 1.0)] * num_x + [(0.0, None)], method="highs-ds",
+                options={"primal_feasibility_tolerance": tol,
+                         "dual_feasibility_tolerance": tol},
+            )
+            code, x, objective, _ = saa._solve_master(solver, g, cut_rhs)
+            assert code == res.status == 0
+            assert abs(objective - res.fun) <= tol * max(1.0, abs(res.fun))
+            assert x[-1] == pytest.approx(objective, abs=tol)
+            assert np.all(x >= -tol) and np.all(x[:-1] <= 1.0 + tol)
+            assert np.all(a @ x <= b + tol * np.maximum(1.0, np.abs(b)))
+
+
+def test_solve_lp_passes_one_master_model(monkeypatch):
+    """All the masters of one solve_lp call live in one HiGHS model: it is
+    passed once, and each round adds its cut to it."""
+    from scipy.optimize._highspy import _core
+
+    passed = []
+
+    class CountingHighs(_core._Highs):
+        def passModel(self, lp):
+            passed.append(lp)
+            return super().passModel(lp)
+
+    monkeypatch.setattr(_core, "_Highs", CountingHighs)
+    model = build_lp(draw_samples(complete_network(8, p=0.5), 60, seed=3), budget=2.0)
+    frac = solve_lp(model)
+    assert frac.cut_rounds > 1 and len(passed) == 1
+    assert frac.master_size[:2] == (1 + frac.cut_rounds, model.num_x + 1)
 
 
 @pytest.mark.parametrize("mode, expected", [
-    ("edge", (11, 118, 4.845238095238098, [0, 1, 2, 3, 4, 5, 6])),
-    ("node", (21, 216, 3.909523809523817, [1, 2, 3, 4, 5, 6, 7])),
+    ("edge", (11, 16, 4.845238095238119, [0, 1, 2, 3, 4, 5, 6])),
+    ("node", (21, 33, 3.9095238095238147, [1, 2, 3, 4, 5, 6, 7])),
 ])
 def test_solve_saa_repeats_pinned_lp_counters(mode, expected):
-    """Rounds, iterations, objective and members as measured with
-    ``linprog(method="highs-ds")`` solving the masters; the direct HiGHS
-    solver repeats them exactly."""
+    """Rounds, iterations, objective and members of the warm-started
+    masters. Rounds and members are those the cold solves, and
+    ``linprog(method="highs-ds")``, gave; the iterations are the warm runs'
+    sum, and the objectives moved in their last bits."""
     _, report = solve_saa(complete_network(8, p=0.5), budget=2.0, epsilon=0.5,
                           rounding="deterministic", mode=mode, seed=3, num_samples=60,
                           eval_samples=20)
