@@ -334,7 +334,8 @@ def _subgradient(dist, pred, weights, arc_keys, arc_col, num_x) -> np.ndarray:
     size = len(dist)
     close = dist < 1.0
     close[0] = False  # the merged source is the root
-    parent = np.where(close, pred, 0)
+    # scipy's pred is int32: parent * size must not wrap past 46,340 vertices
+    parent = np.where(close, pred, 0).astype(np.int64)
     levels, level = [], np.zeros(size, dtype=bool)
     level[0] = True
     while True:

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
 from epictrl import (
     InstanceTooLargeError,
@@ -368,6 +370,59 @@ def test_cut_loop_at_its_round_cap(monkeypatch):
     with pytest.raises(SolverError, match="iteration-limit"):
         solve_saa(net, budget=2.0, epsilon=0.5, rounding="deterministic", seed=3,
                   num_samples=60, eval_samples=20)
+
+
+def wide_tree_oracle(seed=5):
+    """A Dijkstra over a depth-2 merged graph of 50,001 vertices.
+
+    The root 0 points at vertices 25,001..50,000, and vertex k + 25,000
+    points at vertex k. Every depth-2 vertex has a parent id above
+    2^31 / 50,001, so its tree-arc key parent * size + child passes 2^31,
+    while scipy returns the predecessors as int32. Returns (dist, pred,
+    weights, arc_keys, arc_col, num_x), as the cut loop holds them.
+    """
+    g = np.random.default_rng(seed)
+    half, num_x = 25_000, 30
+    size = 2 * half + 1
+    top = np.arange(half + 1, size)
+    tail = np.concatenate([np.zeros(half, dtype=np.int64), top])
+    head = np.concatenate([top, top - half])
+    order = np.lexsort((head, tail))
+    tail, head = tail[order], head[order]
+    arc_col = g.integers(-1, num_x, len(tail))
+    point = g.uniform(0.0, 0.6, num_x)
+    graph = sparse.csr_matrix(
+        (np.append(point, 0.0)[arc_col], head, np.searchsorted(tail, np.arange(size + 1))),
+        shape=(size, size),
+    )
+    dist, pred = dijkstra(graph, indices=0, limit=1.0, return_predecessors=True)
+    return dist, pred, g.uniform(0.1, 1.0, size - 1), tail * size + head, arc_col, num_x
+
+
+def path_walk_subgradient(dist, pred, weights, arc_keys, arc_col, num_x):
+    """Reference: each close vertex charges its weight to every column on
+    its tree path, found one arc at a time with Python integers."""
+    size = len(dist)
+    col_of = dict(zip(arc_keys.tolist(), arc_col.tolist()))
+    g = np.zeros(num_x)
+    for v in np.flatnonzero(dist < 1.0).tolist():
+        child = v
+        while child != 0:
+            parent = int(pred[child])
+            col = col_of[parent * size + child]
+            if col >= 0:
+                g[col] -= weights[v - 1]
+            child = parent
+    return g
+
+
+def test_subgradient_tree_arc_keys_do_not_wrap_in_int32():
+    dist, pred, weights, arc_keys, arc_col, num_x = wide_tree_oracle()
+    assert pred.dtype == np.int32 and int(pred.max()) * len(dist) > 2**31
+    assert 0 < np.count_nonzero(dist >= 1.0) < len(dist) // 4  # some depth-2 vertices are far
+    got = saa._subgradient(dist, pred, weights, arc_keys, arc_col, num_x)
+    want = path_walk_subgradient(dist, pred, weights, arc_keys, arc_col, num_x)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-9)
 
 
 def test_affordable_edge_outside_every_component_gets_no_column():
