@@ -4,9 +4,10 @@ The corpus pins what fixed-seed runs of the program write, byte for byte:
 
 - ``det.tsv``: the 6-vertex graph of acceptance criterion 12;
 - ``<name>.json``: the result file of each run in ``commands`` (the four
-  of criterion 12, plus ``solve-saa --rounding deterministic`` and
-  ``solve-node`` on the same graph). Wall times go to ``<output>.meta.json``,
-  which the corpus leaves out;
+  of criterion 12, plus ``solve-saa --rounding deterministic``,
+  ``solve-node`` and ``compare`` on the same graph, and the LP suite of
+  ``oracle``). Wall times go to ``<output>.meta.json``, which the corpus
+  leaves out;
 - ``desk_lps.txt``: one line per desk-sized instance (n 7-9, m <= 14,
   N = 400, B = 2) and mode, with the deterministic rounding's members, the
   cut rounds and the LP objective as ``float.hex``.
@@ -16,11 +17,20 @@ checked-in files. After an intended change of output, re-pin with
 
     PYTHONPATH=src python tests/regen_golden.py
 
-and list every field that moved, and why, in CHANGES.md.
+and list every field that moved, and why, in CHANGES.md. Before that,
+
+    PYTHONPATH=src python tests/regen_golden.py --diff
+
+prints, per corpus file, each JSON field or text line that the current
+code would change (old -> new), and writes nothing.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -49,6 +59,8 @@ def commands(graph: str) -> dict[str, list[str]]:
                   "--kmax", "4", "--trials", "200", "--p", "0.5", "--seed", "13"],
         "bounds": ["bounds", "--n", "20", "--beta", "3.5", "--w-min", "1", "--w-max", "3",
                    "--kmax", "5"],
+        "compare": ["compare", "--algos", "saa-det,saa-rand,brute", *saa],
+        "oracle": ["oracle", "--suite", "lp", "--instances", "3", "--seed", "13"],
     }
 
 
@@ -78,12 +90,65 @@ def write_corpus(directory: Path) -> None:
     with tempfile.TemporaryDirectory() as work:
         for name, argv in commands(str(graph)).items():
             out = Path(work) / f"{name}.json"
-            if cli_main([*argv, "--output", str(out)]) != 0:
-                raise RuntimeError(f"{name}: command failed")
+            # compare prints its rows and wall times; keep them off the console
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+                code = cli_main([*argv, "--output", str(out)])
+            if code != 0:
+                raise RuntimeError(f"{name}: command failed\n{printed.getvalue()}")
             (directory / out.name).write_bytes(out.read_bytes())
     (directory / "desk_lps.txt").write_text("\n".join(desk_lines()) + "\n")
 
 
+def _fields(value, path=""):
+    """(path, value) of every leaf of a JSON value, as ``a.b[2].c``."""
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            yield from _fields(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from _fields(item, f"{path}[{i}]")
+    else:
+        yield path, json.dumps(value)
+
+
+def _entries(path: Path) -> dict[str, str]:
+    """A corpus file as {field: value}: JSON leaves, or numbered lines."""
+    if not path.exists():
+        return {}
+    if path.suffix == ".json":
+        return dict(_fields(json.loads(path.read_text())))
+    return {f"line {i}": line for i, line in enumerate(path.read_text().splitlines(), 1)}
+
+
+def corpus_diff(old: Path, new: Path) -> list[str]:
+    """Per corpus file, each field or line that differs from ``old`` to
+    ``new``, as ``file: field: old -> new``; absent ones read ``(absent)``."""
+    out = []
+    for name in sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()}):
+        before, after = _entries(old / name), _entries(new / name)
+        for key in [*before, *(k for k in after if k not in before)]:
+            a, b = before.get(key, "(absent)"), after.get(key, "(absent)")
+            if a != b:
+                out.append(f"{name}: {key}: {a} -> {b}")
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description="Regenerate the result corpus in tests/golden/.")
+    ap.add_argument("--diff", action="store_true",
+                    help="print what would change against the checked-in corpus; write nothing")
+    args = ap.parse_args(argv)
+    if not args.diff:
+        write_corpus(GOLDEN)
+        print(f"wrote {GOLDEN}", file=sys.stderr)
+        return 0
+    with tempfile.TemporaryDirectory() as work:
+        write_corpus(Path(work))
+        changes = corpus_diff(GOLDEN, Path(work))
+    print("\n".join(changes) if changes else "no field or line differs")
+    return 0
+
+
 if __name__ == "__main__":
-    write_corpus(GOLDEN)
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    sys.exit(main())

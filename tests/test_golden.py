@@ -1,6 +1,9 @@
 """The checked-in result corpus repeats byte for byte (see regen_golden.py)."""
 
-from regen_golden import GOLDEN, write_corpus
+import json
+import shutil
+
+from regen_golden import GOLDEN, corpus_diff, write_corpus
 
 
 def test_result_corpus_repeats_byte_for_byte(tmp_path):
@@ -9,3 +12,25 @@ def test_result_corpus_repeats_byte_for_byte(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_corpus_diff_names_each_moved_field(tmp_path):
+    shutil.copytree(GOLDEN, tmp_path, dirs_exist_ok=True)
+    assert corpus_diff(GOLDEN, tmp_path) == []
+    result = json.loads((tmp_path / "oracle.json").read_text())
+    lp = result["suites"]["lp"][1]
+    lp["lp_plus_one"] += 1.0
+    (tmp_path / "oracle.json").write_text(json.dumps(result))
+    lines = (tmp_path / "desk_lps.txt").read_text().splitlines()
+    old_line = lines[2]
+    lines[2] = "changed"
+    (tmp_path / "desk_lps.txt").write_text("\n".join(lines + ["added"]) + "\n")
+    (tmp_path / "paths.json").unlink()
+    diff = corpus_diff(GOLDEN, tmp_path)
+    assert diff[:2] == [f"desk_lps.txt: line 3: {old_line} -> changed",
+                        f"desk_lps.txt: line {len(lines) + 1}: (absent) -> added"]
+    assert diff[2] == (f"oracle.json: suites.lp[1].lp_plus_one: "
+                       f"{lp['lp_plus_one'] - 1.0} -> {lp['lp_plus_one']}")
+    gone = diff[3:]  # every field of the deleted file
+    assert gone and all(line.startswith("paths.json: ") and line.endswith(" -> (absent)")
+                        for line in gone)
