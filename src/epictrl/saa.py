@@ -8,9 +8,11 @@ level y_vj = min(1, x-weighted distance from the source to v), which is
 the path-cover constraint without enumerating paths. For fixed x the best
 y is exactly that capped distance, so the LP is solved over x alone: its
 objective is a convex, piecewise-linear function of x, minimised by
-Kelley's cutting planes with one shortest-path run per round. The master
-LPs of one solve share one HiGHS model, which each round extends by one
-cut and re-solves from its last basis.
+Kelley's cutting planes with one shortest-path run per round. The
+objective is a sum of per-vertex terms, so each round adds one cut per
+vertex (the multi-cut form of the L-shaped method). The master LPs of one
+solve share one HiGHS model, which each round extends by its cuts and
+re-solves from its last basis.
 
 The LP is reduced first, with the same optimum: in each scenario only the
 source's component matters (every other vertex sits at y = 1, a constant
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from . import rng
 from .errors import InstanceTooLargeError, SolverError, ValidationError
@@ -57,8 +59,8 @@ from .percolate import (
 LP_TOLERANCE = 1e-7
 
 # Kelley's loop stops once the best F seen is within CUT_GAP max(1, F) of
-# the master LP's bound, or at MAX_CUT_ROUNDS oracle calls; desk-sized LPs
-# take up to ~16 rounds and the n = 200, N = 400 Chung-Lu LPs 2 to 3.
+# the last master LP's bound, or at MAX_CUT_ROUNDS oracle calls; desk-sized
+# LPs take up to ~12 rounds and the n = 200, N = 400 Chung-Lu LPs 2.
 CUT_GAP = 1e-9
 MAX_CUT_ROUNDS = 500
 
@@ -319,49 +321,75 @@ class FractionalSolution:
     # dual-simplex iterations summed over every master LP, each one warm
     # started from the previous master's basis
     iterations: int = 0
-    cut_rounds: int = 0  # oracle calls, one Dijkstra each
-    master_size: tuple[int, int, int] = (0, 0, 0)  # last master's rows, columns, nonzeros
+    # oracle calls: a breadth-first search at x = 0, then one Dijkstra each
+    cut_rounds: int = 0
+    # last master's rows (1 + cuts), columns (num_x + G) and nonzeros
+    master_size: tuple[int, int, int] = (0, 0, 0)
 
 
-def _subgradient(dist, pred, weights, arc_keys, arc_col, num_x) -> np.ndarray:
-    """Subgradient of F at the point that gave the Dijkstra tree (dist, pred).
+def _cut_rows(dist, pred, copy_counts, groups, model: LpModel, num_groups: int):
+    """One cut per group at the point that gave the shortest-path tree (dist, pred).
 
-    A close vertex (dist < 1) loses its weight per unit of x on each entity
-    of its tree path, so an arc's entity is charged the weight of the close
-    subtree below the arc. Subtree weights are summed up the tree one depth
-    level at a time; a close vertex's ancestors are all close.
+    Group v's share of F is F_v(x) = sum over v's copies i of w_i (1 -
+    min(1, dist_i(x))), with w_i = copy_counts[i] / N. For every x it is
+    at least the sum over the close copies (dist < 1) of w_i (1 - x(P_i)),
+    with P_i the tree path of copy i, and equal to it at the tree's point.
+    Row v states that cut as g_v @ x - theta_v <= -(v's close weight),
+    theta_v being column num_x + v: each close copy charges -w_i to the x
+    column of every arc on its path, in its own group's row. A close
+    vertex's ancestors are all close, so the paths are walked up one level
+    at a time. The rows come back as CSR (start, index, value, rhs), never
+    dense; every group gets a row, even one with no close copy.
+
+    A tree arc is an arc whose tail is its head's predecessor; scipy's pred
+    is int32, so it is only compared and indexed, never multiplied. Each
+    entry is the int64 key ((row, column) << bits) | count, so one sort
+    groups the entries by (row, column) and the counts sum exactly. G <= n,
+    and build_lp caps N n at 2^23 cells, so a key stays below 2^25 (num_x +
+    G), far below 2^63.
     """
-    size = len(dist)
-    close = dist < 1.0
-    close[0] = False  # the merged source is the root
-    # scipy's pred is int32: parent * size must not wrap past 46,340 vertices
-    parent = np.where(close, pred, 0).astype(np.int64)
-    levels, level = [], np.zeros(size, dtype=bool)
-    level[0] = True
-    while True:
-        level = close & level[parent]
-        if not level.any():
-            break
-        levels.append(np.flatnonzero(level))
-    subtree = np.zeros(size)
-    subtree[1:] = np.where(close[1:], weights, 0.0)
-    for verts in reversed(levels):
-        np.add.at(subtree, parent[verts], subtree[verts])
-    tree = np.flatnonzero(close)
-    cols = arc_col[np.searchsorted(arc_keys, parent[tree] * size + tree)]
-    priced = cols >= 0
-    return -np.bincount(cols[priced], weights=subtree[tree][priced], minlength=num_x)
+    num_x, N = model.num_x, model.samples.N
+    width = num_x + num_groups
+    end = num_groups * width  # the key of an arc that weighs no column: past every row
+    bits = N.bit_length()
+    tree = pred[model.arc_head] == model.arc_tail
+    cols = model.arc_col[tree]
+    tree_key = np.empty(len(dist), dtype=np.int64)  # read at close vertices only
+    tree_key[model.arc_head[tree]] = np.where(cols >= 0, cols, end) << bits
+    verts = np.flatnonzero(dist[1:] < 1.0) + 1
+    row, count = groups[verts - 1], copy_counts[verts - 1]
+    rhs = -np.bincount(row, weights=count, minlength=num_groups) / N
+    keys = [(np.arange(num_groups) * (width + 1) + num_x) << bits]  # theta_v in row v
+    base = row * width << bits | count
+    while len(verts):
+        keys.append(base + tree_key[verts])
+        verts = pred[verts]
+        up = verts != 0
+        verts, base = verts[up], base[up]
+    keys = np.sort(np.concatenate(keys))
+    pairs = keys >> bits
+    heads = np.flatnonzero(np.diff(pairs, prepend=-1))
+    totals = np.add.reduceat(keys & ((1 << bits) - 1), heads)
+    pairs = pairs[heads]
+    stop = np.searchsorted(pairs, end)
+    index = pairs[:stop] % width
+    value = np.where(index < num_x, -totals[:stop] / N, -1.0)
+    return np.searchsorted(pairs[:stop], np.arange(num_groups + 1) * width), index, value, rhs
 
 
-def _master_solver(budget_row: np.ndarray):
+def _master_solver(budget_row: np.ndarray, num_groups: int):
     """One HiGHS instance holding the first master: the budget row alone.
 
-    The options are those ``linprog(method="highs-ds")`` sets: presolve on,
-    the simplex solver with the dual strategy, primal and dual feasibility
-    tolerances ``LP_TOLERANCE`` and no output; every other option keeps
-    HiGHS's default. The model minimises theta, the last column, under
-    budget_row @ x <= 1 (exact zeros dropped), 0 <= x <= 1 and theta >= 0;
-    ``_solve_master`` adds the cuts.
+    The options are those ``linprog(method="highs-ds")`` sets, but for
+    presolve: the simplex solver with the dual strategy, primal and dual
+    feasibility tolerances ``LP_TOLERANCE`` and no output; every other
+    option keeps HiGHS's default. Presolve is off. HiGHS runs it only on a
+    model without a basis, so only on the first, cold master, where it took
+    about half of that master's time (70-row masters of the n = 200 Chung-Lu
+    LPs). The model minimises the sum of the ``num_groups``
+    theta columns, which follow the x columns, under budget_row @ x <= 1
+    (exact zeros dropped), 0 <= x <= 1 and theta >= 0; ``_solve_master``
+    adds the cuts.
     """
     # imported here: loading scipy.optimize takes ~0.1 s, and solvers
     # without an LP never pay it
@@ -369,7 +397,7 @@ def _master_solver(budget_row: np.ndarray):
 
     options = highs.HighsOptions()
     options.output_flag = options.log_to_console = False
-    options.presolve, options.solver = "on", "simplex"
+    options.presolve, options.solver = "off", "simplex"
     dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.simplex_strategy = int(dual)
     options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = LP_TOLERANCE
@@ -377,12 +405,13 @@ def _master_solver(budget_row: np.ndarray):
     if solver.passOptions(options) != highs.HighsStatus.kOk:
         raise SolverError("HiGHS rejected the master LP options")
 
-    cols = len(budget_row) + 1
+    num_x = len(budget_row)
+    cols = num_x + num_groups
     lp = highs.HighsLp()
     lp.num_col_, lp.num_row_ = cols, 1
-    lp.col_cost_ = np.append(np.zeros(cols - 1), 1.0)
+    lp.col_cost_ = np.append(np.zeros(num_x), np.ones(num_groups))
     lp.col_lower_ = np.zeros(cols)
-    lp.col_upper_ = np.append(np.ones(cols - 1), np.inf)
+    lp.col_upper_ = np.append(np.ones(num_x), np.full(num_groups, np.inf))
     lp.row_lower_, lp.row_upper_ = np.full(1, -np.inf), np.ones(1)
     matrix = lp.a_matrix_
     matrix.format_ = highs.MatrixFormat.kRowwise
@@ -397,31 +426,29 @@ def _master_solver(budget_row: np.ndarray):
 
 
 def _solve_master(
-    solver, g: np.ndarray, rhs: float
+    solver, start: np.ndarray, index: np.ndarray, value: np.ndarray, rhs: np.ndarray
 ) -> tuple[int, np.ndarray, float, int]:
-    """Add the cut g @ x - theta <= rhs to the master and solve it again.
+    """Add the cuts (CSR rows, each <= its rhs) to the master and solve it again.
 
-    The cut goes in with ``addRow``, exact zeros dropped, and the model
-    keeps the basis of the previous solve. A new cut leaves that basis dual
-    feasible, so dual simplex restarts from it instead of from scratch.
-    Returns ``linprog``'s status code (0 optimal, 1 iteration limit), the
-    column values, the objective and this run's simplex iterations; any
-    other model status raises :class:`SolverError` with HiGHS's status
-    string.
+    The rows go in with one ``addRows``, and the model keeps the basis of
+    the previous solve. New cuts leave that basis dual feasible, so dual
+    simplex restarts from it instead of from scratch. Returns
+    ``linprog``'s status code (0 optimal, 1 iteration limit), the column
+    values, the objective and this run's simplex iterations; any other
+    model status raises :class:`SolverError` with HiGHS's status string.
     """
     from scipy.optimize._highspy import _core as highs
 
-    index = np.flatnonzero(g)
-    added = solver.addRow(-np.inf, rhs, len(index) + 1,
-                          np.append(index, len(g)).astype(np.int32), np.append(g[index], -1.0))
+    added = solver.addRows(len(rhs), np.full(len(rhs), -np.inf), rhs, len(index),
+                           start[:-1].astype(np.int32), index.astype(np.int32), value)
     if added == highs.HighsStatus.kError:
-        raise SolverError("master LP solve failed: HiGHS rejected the cut")
+        raise SolverError("master LP solve failed: HiGHS rejected the cuts")
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()
     iterations = int(info.simplex_iteration_count)
     if status == highs.HighsModelStatus.kIterationLimit:
-        return 1, np.zeros(len(g) + 1), math.nan, iterations
+        return 1, np.zeros(solver.getNumCol()), math.nan, iterations
     if status != highs.HighsModelStatus.kOptimal:
         raise SolverError(f"master LP solve failed: {solver.modelStatusToString(status)}")
     solution = np.array(solver.getSolution().col_value)
@@ -429,23 +456,30 @@ def _solve_master(
 
 
 def solve_lp(model: LpModel) -> FractionalSolution:
-    """Solve the scenario LP by Kelley's cutting planes over x.
+    """Solve the scenario LP by Kelley's cutting planes over x, one cut per vertex.
 
     The LP optimum is the minimum over the budget box {0 <= x <= 1, budget
     row} of the convex, piecewise-linear F(x) = sum_d w_d sum_v (1 - min(1,
     dist_d(v; x))), where w_d is the share of scenarios merged into distinct
     scenario d and dist_d is the x-weighted distance from s along d's kept
-    component edges. Each round, one Dijkstra over the merged graph (capped
-    at distance 1) gives F(x_k) and a subgradient g_k. A master LP then
-    minimises theta >= 0 under the budget row and every cut theta >= F(x_k)
-    + g_k (x - x_k) so far, and its x, clipped to [0, 1], is the next point.
-    Every master of the call is one HiGHS model, passed once with the
-    budget row; each round adds its cut to it and dual simplex restarts
-    from the previous master's basis. ``iterations`` sums those warm runs'
-    simplex iterations, and ``master_size`` is the model's size after the
-    last round. The solve is "optimal" once the best F seen is within
-    ``CUT_GAP`` max(1, F) of the master's bound, and stops at
-    ``MAX_CUT_ROUNDS`` oracle calls with "iteration-limit".
+    component edges. F is the sum over the G base vertices v != s that some
+    component holds of F_v, the terms of v's copies, so each oracle call
+    gives one cut per base vertex: the multi-cut L-shaped method (Birge and
+    Louveaux 1988). A round's oracle is one Dijkstra over the merged graph
+    (capped at distance 1), which gives F(x_k) and, from its tree, the cuts
+    theta_v >= F_v(x_k) + g_v (x - x_k). The first round is at x = 0, where
+    every distance is 0, so a breadth-first tree from the merged source
+    stands in for the Dijkstra. A master LP minimises sum_v theta_v >= 0
+    under the budget row and every cut so far, and its x, clipped to [0, 1],
+    is the next point. Every master of the call is one HiGHS model over the
+    num_x + G columns, passed once with the budget row; each round adds its
+    G cuts to it and dual simplex restarts from the previous master's basis.
+    ``iterations`` sums those warm runs' simplex iterations, and
+    ``master_size`` is the model's size after the last master: 1 + cuts
+    rows, num_x + G columns. The solve is "optimal" once the best F seen is
+    within ``CUT_GAP`` max(1, F) of the last master's bound, checked before
+    a round adds its cuts, and stops at ``MAX_CUT_ROUNDS`` oracle calls with
+    "iteration-limit".
 
     The returned x is the best point seen, and y = min(1, dist) there, the
     exact optimal y for that x, rebuilt dense over all N scenarios at 1
@@ -464,36 +498,39 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     status, rounds, iterations, master_size = "optimal", 0, 0, (0, 0, 0)
     if model.num_y:
         size = model.num_y + 1
-        weights = counts[model.y_cells // n] / N
+        copy_counts = counts[model.y_cells // n]
+        weights = copy_counts / N
+        groups = np.unique(model.y_cells % n, return_inverse=True)[1]
+        num_groups = int(groups.max()) + 1
         graph = sparse.csr_matrix(
             (np.zeros(len(model.arc_head)), model.arc_head,
              np.searchsorted(model.arc_tail, np.arange(size + 1))),
             shape=(size, size),
         )
-        arc_keys = model.arc_tail * size + model.arc_head
-        solver = _master_solver(model.budget_row) if num_x else None
-        point, value = x, math.inf
+        solver = _master_solver(model.budget_row, num_groups) if num_x else None
+        point, value, bound = x, math.inf, -math.inf
         status = "iteration-limit"
         while rounds < MAX_CUT_ROUNDS:
             rounds += 1
-            # explicit zeros stay arcs: a zero-mass arc still connects
-            graph.data = np.append(point, 0.0)[model.arc_col]
-            dist, pred = dijkstra(graph, indices=0, limit=1.0, return_predecessors=True)
+            if rounds == 1:  # x = 0: every tree of zero-mass arcs is a shortest-path tree
+                dist = np.zeros(size)
+                pred = breadth_first_order(graph, 0, return_predecessors=True)[1]
+            else:
+                # explicit zeros stay arcs: a zero-mass arc still connects
+                graph.data = np.append(point, 0.0)[model.arc_col]
+                dist, pred = dijkstra(graph, indices=0, limit=1.0, return_predecessors=True)
             capped = np.minimum(dist[1:], 1.0)
             f = model.offset - float(weights @ capped)
             if f < value:
                 x, y, value = point, capped, f
-            if not num_x:
+            if not num_x or value - bound <= CUT_GAP * max(1.0, value):
                 status = "optimal"
                 break
-            g = _subgradient(dist, pred, weights, arc_keys, model.arc_col, num_x)
-            code, solution, bound, nit = _solve_master(solver, g, float(g @ point) - f)
+            cuts = _cut_rows(dist, pred, copy_counts, groups, model, num_groups)
+            code, solution, bound, nit = _solve_master(solver, *cuts)
             iterations += nit
             master_size = (solver.getNumRow(), solver.getNumCol(), solver.getNumNz())
             if code == 1:
-                break
-            if value - bound <= CUT_GAP * max(1.0, value):
-                status = "optimal"
                 break
             # HiGHS may return -1e-17, and dijkstra dies on a negative weight
             point = np.clip(solution[:num_x], 0.0, 1.0)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -262,7 +263,18 @@ def test_lp_matches_unreduced_oracle_on_batteries():
         net = random_connected_network(rng, n_lo=4, n_hi=8, max_m=14, p_mode="random",
                                        unit_costs=bool(i % 2))
         budget = max(1.0, round(0.35 * float(net.costs.sum()), 2))
-        assert_matches_unreduced(draw_samples(net, 40, seed=500 + i), budget)
+        samples = draw_samples(net, 40, seed=500 + i)
+        if i != 6:
+            assert_matches_unreduced(samples, budget)
+            continue
+        # objective 0 is reached by several removals: both LPs are optimal
+        # there, and the cutting planes round to another one
+        frac = assert_matches_unreduced(samples, budget, tied=True)
+        objective, x, _ = unreduced_lp_solution(samples, budget)
+        assert frac.solver_status == "optimal" and frac.objective == objective == 0.0
+        threshold = 1.0 / (4.0 * net.n ** (2.0 / 3.0))
+        assert not np.array_equal(np.flatnonzero(frac.x >= threshold),
+                                  np.flatnonzero(x >= threshold))
     rng = np.random.default_rng(1111)
     for i in range(10):
         net = random_connected_network(rng, n_lo=6, n_hi=12, max_m=16, p_mode="random")
@@ -377,12 +389,14 @@ def wide_tree_oracle(seed=5):
 
     The root 0 points at vertices 25,001..50,000, and vertex k + 25,000
     points at vertex k. Every depth-2 vertex has a parent id above
-    2^31 / 50,001, so its tree-arc key parent * size + child passes 2^31,
-    while scipy returns the predecessors as int32. Returns (dist, pred,
-    weights, arc_keys, arc_col, num_x), as the cut loop holds them.
+    2^31 / 50,001, so a tree-arc key parent * size + child passes 2^31,
+    while scipy returns the predecessors as int32. The copies fall in 7
+    groups with scenario counts up to 40 of N = 400. Returns (model, dist,
+    pred, copy_counts, groups, num_groups), with the model's arc arrays,
+    num_x and N.
     """
     g = np.random.default_rng(seed)
-    half, num_x = 25_000, 30
+    half, num_x, num_groups = 25_000, 30, 7
     size = 2 * half + 1
     top = np.arange(half + 1, size)
     tail = np.concatenate([np.zeros(half, dtype=np.int64), top])
@@ -396,33 +410,130 @@ def wide_tree_oracle(seed=5):
         shape=(size, size),
     )
     dist, pred = dijkstra(graph, indices=0, limit=1.0, return_predecessors=True)
-    return dist, pred, g.uniform(0.1, 1.0, size - 1), tail * size + head, arc_col, num_x
+    model = SimpleNamespace(arc_tail=tail, arc_head=head, arc_col=arc_col, num_x=num_x,
+                            samples=SimpleNamespace(N=400))
+    return (model, dist, pred, g.integers(1, 41, size - 1),
+            g.integers(0, num_groups, size - 1), num_groups)
 
 
-def path_walk_subgradient(dist, pred, weights, arc_keys, arc_col, num_x):
-    """Reference: each close vertex charges its weight to every column on
-    its tree path, found one arc at a time with Python integers."""
-    size = len(dist)
-    col_of = dict(zip(arc_keys.tolist(), arc_col.tolist()))
-    g = np.zeros(num_x)
-    for v in np.flatnonzero(dist < 1.0).tolist():
+def path_walk_cuts(model, dist, pred, copy_counts, groups, num_groups):
+    """Reference cut rows, dense (G, num_x + G), and their right-hand sides:
+    each close vertex charges count / N to every column on its tree path,
+    found one arc at a time from Python integer keys parent * size + child."""
+    size, num_x, N = len(dist), model.num_x, model.samples.N
+    col_of = dict(zip((model.arc_tail * size + model.arc_head).tolist(),
+                      model.arc_col.tolist()))
+    rows = np.zeros((num_groups, num_x + num_groups))
+    rows[:, num_x:] = -np.eye(num_groups)
+    rhs = np.zeros(num_groups)
+    for v in np.flatnonzero(dist < 1.0).tolist()[1:]:
+        group, w = int(groups[v - 1]), copy_counts[v - 1] / N
+        rhs[group] -= w
         child = v
         while child != 0:
             parent = int(pred[child])
             col = col_of[parent * size + child]
             if col >= 0:
-                g[col] -= weights[v - 1]
+                rows[group, col] -= w
             child = parent
-    return g
+    return rows, rhs
 
 
-def test_subgradient_tree_arc_keys_do_not_wrap_in_int32():
-    dist, pred, weights, arc_keys, arc_col, num_x = wide_tree_oracle()
+def test_cut_rows_match_a_path_walk_past_int32_arc_keys():
+    model, dist, pred, copy_counts, groups, num_groups = oracle = wide_tree_oracle()
     assert pred.dtype == np.int32 and int(pred.max()) * len(dist) > 2**31
     assert 0 < np.count_nonzero(dist >= 1.0) < len(dist) // 4  # some depth-2 vertices are far
-    got = saa._subgradient(dist, pred, weights, arc_keys, arc_col, num_x)
-    want = path_walk_subgradient(dist, pred, weights, arc_keys, arc_col, num_x)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-9)
+    start, index, value, rhs = saa._cut_rows(dist, pred, copy_counts, groups, model, num_groups)
+    got = np.zeros((num_groups, model.num_x + num_groups))
+    for v in range(num_groups):
+        part = slice(start[v], start[v + 1])
+        assert np.all(np.diff(index[part]) > 0)  # sorted, no duplicate column
+        got[v, index[part]] = value[part]
+    want, want_rhs = path_walk_cuts(*oracle)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.allclose(rhs, want_rhs, rtol=1e-12, atol=0.0)
+
+
+def group_shares(samples, x, mode, bases):
+    """F_v(x) for each base vertex v in ``bases``, from a Dijkstra per
+    scenario: the mean over scenarios of 1 - min(1, distance to v)."""
+    net = samples.network
+    y = np.array([dijkstra_capped(net, row, x, mode) for row in samples.keep_rows])
+    return (1.0 - y[:, bases]).mean(axis=0)
+
+
+@pytest.mark.parametrize("mode", ["edge", "node"])
+def test_every_cut_lower_bounds_its_vertex_share(monkeypatch, mode):
+    """Every cut the loop adds, theta_v >= a_v x - rhs_v, lies below F_v at
+    random points of the budget box, and at the loop's x the shares F_v
+    sum to its objective."""
+    added = []
+
+    def record(solver, start, index, value, rhs):
+        added.append((start, index, value, rhs))
+        return solve_master(solver, start, index, value, rhs)
+
+    solve_master = saa._solve_master
+    monkeypatch.setattr(saa, "_solve_master", record)
+    g = np.random.default_rng(77)
+    for i in range(4):
+        net = random_connected_network(g, n_lo=6, n_hi=9, max_m=14, p_mode="random")
+        samples = draw_samples(net, 40, seed=700 + i)
+        model = build_lp(samples, 2.0, mode=mode)
+        added.clear()
+        frac = solve_lp(model)
+        assert added and frac.solver_status == "optimal"
+        bases = np.unique(model.y_cells % net.n)
+        width = model.num_x + len(bases)
+        assert abs(group_shares(samples, frac.x, mode, bases).sum() - frac.objective) <= 1e-12
+        for _ in range(10):
+            z = g.random(model.num_x) * g.random()
+            z /= max(1.0, float(model.budget_row @ z))
+            x = np.zeros(len(frac.x))
+            x[model.var_entities] = z
+            shares = group_shares(samples, x, mode, bases)
+            for start, index, value, rhs in added:
+                rows = np.zeros((len(bases), width))
+                for v in range(len(bases)):
+                    rows[v, index[start[v]:start[v + 1]]] = value[start[v]:start[v + 1]]
+                assert np.all(rows[:, model.num_x:] == -np.eye(len(bases)))
+                assert np.all(rows[:, :model.num_x] @ z - rhs <= shares + 1e-12)
+
+
+def test_first_round_needs_no_dijkstra(monkeypatch):
+    """At x = 0 every distance is 0: the first oracle call is a breadth-first
+    search, and F there is the model's offset."""
+    calls = []
+
+    def counting_dijkstra(*args, **kwargs):
+        calls.append(1)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(saa, "dijkstra", counting_dijkstra)
+    model = build_lp(draw_samples(complete_network(8, p=0.5), 60, seed=3), budget=2.0)
+    monkeypatch.setattr(saa, "MAX_CUT_ROUNDS", 1)
+    frac = solve_lp(model)
+    assert (frac.solver_status, frac.cut_rounds, calls) == ("iteration-limit", 1, [])
+    assert frac.objective == model.offset and np.all(frac.x == 0.0)
+    monkeypatch.setattr(saa, "MAX_CUT_ROUNDS", 2)
+    assert solve_lp(model).cut_rounds == 2 and calls == [1]
+
+
+def test_two_round_lp_runs_one_master(monkeypatch):
+    """The loop stops once the best F meets the last master's bound, before
+    it adds that round's cuts: two oracle calls, one HiGHS run."""
+    from scipy.optimize._highspy import _core
+
+    runs = []
+
+    class CountingHighs(_core._Highs):
+        def run(self):
+            runs.append(1)
+            return super().run()
+
+    monkeypatch.setattr(_core, "_Highs", CountingHighs)
+    frac = solve_lp(build_lp(draw_samples(path_network(p=0.5), 30, seed=3), budget=1.0))
+    assert (frac.solver_status, frac.cut_rounds, len(runs)) == ("optimal", 2, 1)
 
 
 def test_affordable_edge_outside_every_component_gets_no_column():
@@ -436,22 +547,16 @@ def test_affordable_edge_outside_every_component_gets_no_column():
 
 def test_node_mode_members_match_unreduced_oracle():
     """Desk-sized node LPs (n 7-9, m = 14, N = 100, B = 2): the rounded
-    members equal those of the unreduced LP's x, except on instance 4. Its
-    LP has tied optima, and the cutting planes end at another one than the
-    unreduced LP: both reach the same objective and round differently."""
+    members equal those of the unreduced LP's x. Instance 4's LP has tied
+    optima; the single-cut loop ended at another one than the unreduced LP,
+    and the multi-cut loop ends at the unreduced LP's, so the members there
+    depend on where the cutting planes stop."""
     rng = np.random.default_rng(1414)
     for i in range(8):
         net = random_connected_network(rng, n_lo=7, n_hi=9, max_m=14, p_mode="random")
         samples = draw_samples(net, 100, seed=1400 + i)
-        if i != 4:
-            assert_matches_unreduced(samples, 2.0, "node")
-            continue
-        frac = assert_matches_unreduced(samples, 2.0, "node", tied=True)
-        objective, x, _ = unreduced_lp_solution(samples, 2.0, "node")
-        assert abs(frac.objective - objective) <= 1e-9
-        threshold = 1.0 / (4.0 * net.n ** (2.0 / 3.0))
-        assert not np.array_equal(np.flatnonzero(frac.x >= threshold),
-                                  np.flatnonzero(x >= threshold))
+        frac = assert_matches_unreduced(samples, 2.0, "node")
+        assert frac.solver_status == "optimal"
 
 
 def test_draw_guard_fails_before_drawing(monkeypatch):
@@ -766,10 +871,11 @@ def test_solve_saa_reports_lp_size():
                           eval_samples=10)
     model = build_lp(draw_samples(net, 30, seed=3), budget=1.0)
     frac = solve_lp(model)
-    # two cuts: the last master holds the budget row and both, over x and theta
+    # two oracle calls and one master: the budget row and a cut per base
+    # vertex (1 and 2), over x and one theta per base vertex
     assert report["lp_cut_rounds"] == frac.cut_rounds == 2
     assert (report["lp_rows"], report["lp_cols"], report["lp_nnz"]) == frac.master_size
-    assert frac.master_size[:2] == (1 + 2, model.num_x + 1)
+    assert frac.master_size[:2] == (1 + 2, model.num_x + 2)
     assert report["lp_iterations"] == frac.iterations
     # the source's component keeps no edge, the first edge, or both
     assert report["scenarios_distinct"] == len(model.component) == 3
@@ -794,9 +900,11 @@ def test_lp_iterations_repeat_across_reruns():
 
 
 def random_master(rng):
-    """A Kelley master over (x, theta): the budget row over x, then 1-20
-    cuts theta >= f + g (x - p) as (g, rhs) with g <= 0, some of its
-    entries exactly 0."""
+    """A multi-cut Kelley master over (x, theta_0..theta_{G-1}): the budget
+    row over x, then 1-20 cuts theta_v >= f + g (x - p) as (g, rhs) with
+    g <= 0, some of its entries exactly 0. Cut j belongs to group j mod G,
+    and the cuts come in rounds of G, one per group (the last round may be
+    short)."""
     num_x = int(rng.integers(1, 31))
     budget_row = rng.uniform(0.05, 1.0, num_x)
     cuts = []
@@ -804,44 +912,55 @@ def random_master(rng):
         g = -rng.exponential(2.0, num_x) * (rng.random(num_x) < 0.7)
         point, f = rng.random(num_x), rng.uniform(0.0, 10.0)
         cuts.append((g, float(g @ point) - f))
-    return budget_row, cuts
+    return budget_row, int(rng.integers(1, 5)), cuts
 
 
 def test_warm_masters_match_linprog_highs_ds():
-    """Seeded random masters, fed to one kept model cut by cut: after each
-    cut, the warm-started solve reaches ``linprog(method="highs-ds")``'s
-    objective on the whole master within ``LP_TOLERANCE``, at a feasible
-    x."""
+    """Seeded random masters, fed to one kept model a round of cuts at a
+    time: after each round, the warm-started solve reaches
+    ``linprog(method="highs-ds")``'s objective on the whole master within
+    ``LP_TOLERANCE``, at a feasible point whose thetas sum to it."""
     from scipy.optimize import linprog
 
     rng = np.random.default_rng(2024)
     tol = saa.LP_TOLERANCE
     for _ in range(60):
-        budget_row, cuts = random_master(rng)
+        budget_row, groups, cuts = random_master(rng)
         num_x = len(budget_row)
-        solver = saa._master_solver(budget_row)
-        rows, rhs = [np.append(budget_row, 0.0)], [1.0]
-        for g, cut_rhs in cuts:
-            rows.append(np.append(g, -1.0))
-            rhs.append(cut_rhs)
+        solver = saa._master_solver(budget_row, groups)
+        rows, rhs = [np.append(budget_row, np.zeros(groups))], [1.0]
+        for first in range(0, len(cuts), groups):
+            start, index, value, round_rhs = [0], [], [], []
+            for v, (g, cut_rhs) in enumerate(cuts[first:first + groups]):
+                row = np.append(g, np.zeros(groups))
+                row[num_x + v] = -1.0
+                rows.append(row)
+                rhs.append(cut_rhs)
+                nonzero = np.flatnonzero(row)
+                index.extend(nonzero)
+                value.extend(row[nonzero])
+                start.append(len(index))
+                round_rhs.append(cut_rhs)
             a, b = np.vstack(rows), np.asarray(rhs)
             res = linprog(
-                c=np.append(np.zeros(num_x), 1.0), A_ub=a, b_ub=b,
-                bounds=[(0.0, 1.0)] * num_x + [(0.0, None)], method="highs-ds",
+                c=np.append(np.zeros(num_x), np.ones(groups)), A_ub=a, b_ub=b,
+                bounds=[(0.0, 1.0)] * num_x + [(0.0, None)] * groups, method="highs-ds",
                 options={"primal_feasibility_tolerance": tol,
                          "dual_feasibility_tolerance": tol},
             )
-            code, x, objective, _ = saa._solve_master(solver, g, cut_rhs)
+            code, x, objective, _ = saa._solve_master(
+                solver, np.asarray(start), np.asarray(index), np.asarray(value),
+                np.asarray(round_rhs))
             assert code == res.status == 0
             assert abs(objective - res.fun) <= tol * max(1.0, abs(res.fun))
-            assert x[-1] == pytest.approx(objective, abs=tol)
-            assert np.all(x >= -tol) and np.all(x[:-1] <= 1.0 + tol)
+            assert x[num_x:].sum() == pytest.approx(objective, abs=tol)
+            assert np.all(x >= -tol) and np.all(x[:num_x] <= 1.0 + tol)
             assert np.all(a @ x <= b + tol * np.maximum(1.0, np.abs(b)))
 
 
 def test_solve_lp_passes_one_master_model(monkeypatch):
     """All the masters of one solve_lp call live in one HiGHS model: it is
-    passed once, and each round adds its cut to it."""
+    passed once, and each round but the last adds a cut per base vertex."""
     from scipy.optimize._highspy import _core
 
     passed = []
@@ -855,18 +974,19 @@ def test_solve_lp_passes_one_master_model(monkeypatch):
     model = build_lp(draw_samples(complete_network(8, p=0.5), 60, seed=3), budget=2.0)
     frac = solve_lp(model)
     assert frac.cut_rounds > 1 and len(passed) == 1
-    assert frac.master_size[:2] == (1 + frac.cut_rounds, model.num_x + 1)
+    groups = 7  # every vertex but the source
+    assert frac.master_size[:2] == (1 + groups * (frac.cut_rounds - 1), model.num_x + groups)
 
 
 @pytest.mark.parametrize("mode, expected", [
-    ("edge", (11, 16, 4.845238095238119, [0, 1, 2, 3, 4, 5, 6])),
-    ("node", (21, 33, 3.9095238095238147, [1, 2, 3, 4, 5, 6, 7])),
+    ("edge", (5, 38, 4.845238095238119, [0, 1, 2, 3, 4, 5, 6])),
+    ("node", (7, 48, 3.9095238095238347, [1, 2, 3, 4, 5, 6, 7])),
 ])
 def test_solve_saa_repeats_pinned_lp_counters(mode, expected):
-    """Rounds, iterations, objective and members of the warm-started
-    masters. Rounds and members are those the cold solves, and
-    ``linprog(method="highs-ds")``, gave; the iterations are the warm runs'
-    sum, and the objectives moved in their last bits."""
+    """Rounds, iterations, objective and members of the multi-cut loop. The
+    single-cut loop took 11 and 21 rounds (16 and 33 iterations) to the
+    same members; the edge objective is bit-identical and the node one
+    moved in its last bits."""
     _, report = solve_saa(complete_network(8, p=0.5), budget=2.0, epsilon=0.5,
                           rounding="deterministic", mode=mode, seed=3, num_samples=60,
                           eval_samples=20)
