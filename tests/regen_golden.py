@@ -5,12 +5,16 @@ The corpus pins what fixed-seed runs of the program write, byte for byte:
 - ``det.tsv``: the 6-vertex graph of acceptance criterion 12;
 - ``<name>.json``: the result file of each run in ``commands`` (the four
   of criterion 12, plus ``solve-saa --rounding deterministic``,
-  ``solve-node`` and ``compare`` on the same graph, and the LP suite of
+  ``solve-node``, ``compare`` and ``percolate --exact``, with and without
+  ``--remove-edges``, on the same graph, ``generate`` and the LP suite of
   ``oracle``). Wall times go to ``<output>.meta.json``, which the corpus
-  leaves out;
+  leaves out. The runs start in the output directory, so ``generate``
+  writes ``generated.tsv`` there and records that relative name;
 - ``desk_lps.txt``: one line per desk-sized instance (n 7-9, m <= 14,
   N = 400, B = 2) and mode, with the deterministic rounding's members, the
-  cut rounds and the LP objective as ``float.hex``.
+  cut rounds, the LP objective and the SAA's ``empirical_infections``, then
+  ``brute_force_optimum``'s members and objective on the same samples; the
+  floats as ``float.hex``.
 
 ``tests/test_golden.py`` regenerates the corpus and compares it with the
 checked-in files. After an intended change of output, re-pin with
@@ -22,7 +26,8 @@ and list every field that moved, and why, in CHANGES.md. Before that,
     PYTHONPATH=src python tests/regen_golden.py --diff
 
 prints, per corpus file, each JSON field or text line that the current
-code would change (old -> new), and writes nothing.
+code would change (old -> new), and writes nothing. It exits 1 when
+anything differs and 0 otherwise, so it also serves as a check.
 """
 
 from __future__ import annotations
@@ -31,18 +36,20 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from epictrl import solve_saa
+from epictrl import brute_force_optimum, draw_samples, solve_saa
 from epictrl.cli import main as cli_main
 from epictrl.network import random_connected_network, write_network
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DESK_SEED, DESK_INSTANCES, DESK_SAMPLES, DESK_BUDGET = 1717, 8, 400, 2.0
+GENERATED = "generated.tsv"  # generate's --graph-out, relative to the output directory
 
 
 def commands(graph: str) -> dict[str, list[str]]:
@@ -61,33 +68,56 @@ def commands(graph: str) -> dict[str, list[str]]:
                    "--kmax", "5"],
         "compare": ["compare", "--algos", "saa-det,saa-rand,brute", *saa],
         "oracle": ["oracle", "--suite", "lp", "--instances", "3", "--seed", "13"],
+        "percolate": ["percolate", "--graph", graph, "--samples", "500", "--seed", "13",
+                      "--exact"],
+        "percolate_removed": ["percolate", "--graph", graph, "--samples", "500", "--seed",
+                              "13", "--exact", "--remove-edges", "0,4"],
+        "generate": ["generate", "--n", "40", "--beta", "2.5", "--w-min", "1", "--w-max", "4",
+                     "--p", "0.5", "--seed", "13", "--graph-out", GENERATED],
     }
 
 
 def desk_lines() -> list[str]:
-    """One line per desk instance and mode: members, rounds, objective."""
+    """One line per desk instance and mode: the SAA's members, rounds,
+    objective and empirical infections, then the brute-force optimum."""
     rng = np.random.default_rng(DESK_SEED)
     lines = []
     for i in range(DESK_INSTANCES):
         net = random_connected_network(rng, n_lo=7, n_hi=9, max_m=14, p_mode="random")
+        samples = draw_samples(net, DESK_SAMPLES, DESK_SEED + i)
         for mode in ("edge", "node"):
             _, report = solve_saa(net, budget=DESK_BUDGET, epsilon=0.3,
                                   rounding="deterministic", mode=mode, seed=DESK_SEED + i,
                                   num_samples=DESK_SAMPLES, eval_samples=10)
+            best, h_hat = brute_force_optimum(samples, DESK_BUDGET, mode=mode)
             lines.append(f"{i} {mode} members={report['members']} "
                          f"rounds={report['lp_cut_rounds']} "
-                         f"objective={float(report['lp_objective']).hex()}")
+                         f"objective={float(report['lp_objective']).hex()} "
+                         f"empirical={float(report['empirical_infections']).hex()} "
+                         f"brute={list(best.members)} h_hat={float(h_hat).hex()}")
     return lines
+
+
+@contextlib.contextmanager
+def _working_directory(path):
+    """Run the block in ``path`` (``contextlib.chdir`` needs Python 3.11)."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
 
 
 def write_corpus(directory: Path) -> None:
     """Write every corpus file into ``directory``."""
+    directory = directory.resolve()
     directory.mkdir(parents=True, exist_ok=True)
     graph = directory / "det.tsv"
     net = random_connected_network(np.random.default_rng(3), n_lo=6, n_hi=6, max_m=9,
                                    p_mode=0.5)
     write_network(net, graph)
-    with tempfile.TemporaryDirectory() as work:
+    with tempfile.TemporaryDirectory() as work, _working_directory(work):
         for name, argv in commands(str(graph)).items():
             out = Path(work) / f"{name}.json"
             # compare prints its rows and wall times; keep them off the console
@@ -97,6 +127,7 @@ def write_corpus(directory: Path) -> None:
             if code != 0:
                 raise RuntimeError(f"{name}: command failed\n{printed.getvalue()}")
             (directory / out.name).write_bytes(out.read_bytes())
+        (directory / GENERATED).write_bytes((Path(work) / GENERATED).read_bytes())
     (directory / "desk_lps.txt").write_text("\n".join(desk_lines()) + "\n")
 
 
@@ -147,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         write_corpus(Path(work))
         changes = corpus_diff(GOLDEN, Path(work))
     print("\n".join(changes) if changes else "no field or line differs")
-    return 0
+    return 1 if changes else 0
 
 
 if __name__ == "__main__":

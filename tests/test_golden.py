@@ -34,3 +34,26 @@ def test_corpus_diff_names_each_moved_field(tmp_path):
     gone = diff[3:]  # every field of the deleted file
     assert gone and all(line.startswith("paths.json: ") and line.endswith(" -> (absent)")
                         for line in gone)
+
+
+def test_diff_mode_exits_1_when_anything_moved(monkeypatch, capsys):
+    """``--diff`` is a check: exit 0 and one line when the regenerated corpus
+    matches, exit 1 and the moved lines when it does not; it writes nothing."""
+    import regen_golden
+
+    before = {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
+    monkeypatch.setattr(regen_golden, "write_corpus",
+                        lambda directory: shutil.copytree(GOLDEN, directory, dirs_exist_ok=True))
+    assert regen_golden.main(["--diff"]) == 0
+    assert capsys.readouterr().out == "no field or line differs\n"
+
+    def moved(directory):
+        shutil.copytree(GOLDEN, directory, dirs_exist_ok=True)
+        with open(directory / "det.tsv", "a") as fh:
+            fh.write("added\n")
+
+    monkeypatch.setattr(regen_golden, "write_corpus", moved)
+    assert regen_golden.main(["--diff"]) == 1
+    lines = (GOLDEN / "det.tsv").read_text().splitlines()
+    assert capsys.readouterr().out == f"det.tsv: line {len(lines) + 1}: (absent) -> added\n"
+    assert {p.name: p.read_bytes() for p in GOLDEN.iterdir()} == before
