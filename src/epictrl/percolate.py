@@ -276,22 +276,20 @@ def empirical_infections(
     """Exact average component size over a fixed sample list.
 
     This is the empirical objective optimized by the sampling pipeline: no
-    fresh randomness, integer accumulation, order-insensitive.
+    fresh randomness, integer accumulation, order-insensitive. A SampleSet
+    is scored on its distinct restricted rows, weighted by their counts;
+    under any removal the source's component lies inside a row's restricted
+    scenario, so each size is the drawn scenario's.
     """
-    keep_rows = _as_keep_rows(samples, network)
-    if len(keep_rows) == 0:
-        raise ValidationError("sample list may not be empty")
-    sizes = component_sizes(network, keep_rows, intervention)
-    return int(sizes.sum()) / len(sizes)
-
-
-def _as_keep_rows(samples, network: ContactNetwork) -> np.ndarray:
-    """Normalize a SampleSet or an (N, m) boolean matrix to keep rows."""
-    if hasattr(samples, "keep_rows"):  # SampleSet
+    if hasattr(samples, "counts"):  # SampleSet
         if samples.network is not network:
             raise ValidationError("samples were drawn from a different network")
-        return samples.keep_rows
-    rows = np.asarray(samples, dtype=bool)
-    if rows.ndim != 2 or rows.shape[1] != network.m:
-        raise ValidationError("keep matrix shape does not match the network")
-    return rows
+        rows, counts = samples.rows, samples.counts
+    else:
+        rows = np.asarray(samples, dtype=bool)
+        if rows.ndim != 2 or rows.shape[1] != network.m:
+            raise ValidationError("keep matrix shape does not match the network")
+        counts = np.ones(len(rows), dtype=np.int64)
+    if len(rows) == 0:
+        raise ValidationError("sample list may not be empty")
+    return int(component_sizes(network, rows, intervention) @ counts) / int(counts.sum())

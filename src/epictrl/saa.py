@@ -14,13 +14,12 @@ vertex (the multi-cut form of the L-shaped method). The master LPs of one
 solve share one HiGHS model, which each round extends by its cuts and
 re-solves from its last basis.
 
-The LP is reduced first, with the same optimum: in each scenario only the
-source's component matters (every other vertex sits at y = 1, a constant
-of the objective), and scenarios whose kept component edges coincide are
-merged into one, weighted by their count. The distinct scenarios' kept
-component edges become one graph whose source copies are merged, so one
-Dijkstra run gives every distance; ``solve_lp`` rebuilds the dense
-per-scenario y from the distinct scenarios.
+Scenarios are held reduced, with the same optimum: only the source's
+component of a scenario matters (every other vertex sits at y = 1, a
+constant of the objective), and a ``SampleSet`` keeps each distinct set of
+kept component edges once, with its count, so no array scales with N n.
+Those edges become one graph whose source copies are merged, so one
+Dijkstra run gives every distance.
 
 Rounding is either randomized (inflate x by (gamma+5) ln(n)/epsilon and pick
 independently) or deterministic (threshold at 1/(4 n^(2/3))). Brute-force
@@ -40,6 +39,7 @@ from scipy.sparse.csgraph import breadth_first_order, dijkstra
 from . import rng
 from .errors import InstanceTooLargeError, SolverError, ValidationError
 from .network import (
+    CELLS,
     ContactNetwork,
     Intervention,
     edge_removal,
@@ -64,40 +64,35 @@ LP_TOLERANCE = 1e-7
 CUT_GAP = 1e-9
 MAX_CUT_ROUNDS = 500
 
-# Most scenario-vertex cells, N x n, that build_lp takes on. Labelling the
-# source's component and rebuilding the dense (N, n) y in solve_lp allocate
-# per cell: measured peaks (tracemalloc, a 50-leaf star in n = 5000, N = 200
-# to 1000, every scenario distinct) were 6.6 bytes per cell in build_lp and
-# 16.3 in solve_lp, so this caps the pair near 55 MB and 137 MB, however
-# small the LP (vertices outside every source component still cost a cell).
-SCENARIO_CELL_CAP = 1 << 23
+# Most distinct scenario-vertex cells, D x n, that draw_samples takes on. Peaks
+# per cell (tracemalloc, a 50-leaf star in n = 5000, N = 200 to 1000, all
+# distinct) were 1.3 bytes in draw_samples, 4.5 in build_lp, 8.3 in solve_lp.
+DISTINCT_CELL_CAP = 1 << 23
 
-# Most uniforms, N x rng.stride_for(m), that draw_samples draws. They are
-# float64, so this caps the draw at 134 MB; a theory-sized N on a graph with
-# a hundred edges would otherwise draw hundreds of MB before build_lp's cell
-# guard.
+# Most uniforms, N x rng.stride_for(m), that draw_samples draws, one kernel
+# block at a time. The merge after the draw keeps a few int64s per scenario,
+# and this bounds N for it: N <= 2^24 / stride.
 SAMPLE_DRAW_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
 class SampleSet:
-    """N percolation scenarios drawn from one network."""
+    """N percolation scenarios from one network, held as the D distinct ones.
+
+    A restricted row keeps a scenario's kept non-loop edges inside the
+    source's component, which fix that component. The distinct rows are in
+    ``np.unique``'s order; the arrays are read-only.
+    """
 
     network: ContactNetwork
-    keep_rows: np.ndarray  # (N, m) bool
-
-    def __post_init__(self):
-        rows = np.asarray(self.keep_rows, dtype=bool)
-        if rows.ndim != 2 or rows.shape[1] != self.network.m:
-            raise ValidationError("keep matrix shape does not match the network")
-        if rows.shape[0] < 1:
-            raise ValidationError("a sample set needs at least one sample")
-        rows.setflags(write=False)
-        object.__setattr__(self, "keep_rows", rows)
+    rows: np.ndarray  # (D, m) bool, the distinct restricted rows
+    counts: np.ndarray  # (D,) int64, scenarios per row
+    scenario_map: np.ndarray  # (N,) int64, row of each scenario
+    component: np.ndarray  # (D, n) bool, source's component per row
 
     @property
     def N(self) -> int:
-        return self.keep_rows.shape[0]
+        return len(self.scenario_map)
 
 
 def required_sample_count(n: int, m: int, epsilon: float) -> int:
@@ -115,41 +110,64 @@ def required_sample_count(n: int, m: int, epsilon: float) -> int:
 
 
 def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
-    """Draw N independent scenario subgraphs (indices 0..N-1).
+    """Draw N independent scenario subgraphs (indices 0..N-1), merged.
 
-    More than ``SAMPLE_DRAW_CAP`` uniforms (N times the network's padded
-    per-sample stride) raise ``InstanceTooLargeError`` before drawing.
+    Scenarios are drawn and labelled in the component kernel's blocks, so no
+    (N, n) array exists, and one ``_distinct_rows`` merges their packed
+    restricted rows. Over ``SAMPLE_DRAW_CAP`` uniforms (N times the padded
+    stride) or ``DISTINCT_CELL_CAP`` cells (D n), ``InstanceTooLargeError``
+    is raised before the draw or before any (D, n) array.
     """
     if N < 1:
         raise ValidationError("N must be >= 1")
-    draws = N * rng.stride_for(network.m)
+    n, m, us, vs = network.n, network.m, network.us, network.vs
+    draws = N * rng.stride_for(m)
     if draws > SAMPLE_DRAW_CAP:
         raise InstanceTooLargeError(
-            f"N = {N} scenarios of a network with m = {network.m} edges need "
+            f"N = {N} scenarios of a network with m = {m} edges need "
             f"{draws} uniform draws, above the cap of {SAMPLE_DRAW_CAP}; pass fewer "
             f"scenarios with --samples (num_samples)"
         )
-    return SampleSet(network=network, keep_rows=sample_keep_matrix(network, seed, 0, N))
+    step = max(1, CELLS // (n + m))
+    packed = np.empty((N, -(-m // 8)), dtype=np.uint8)
+    for start in range(0, N, step):
+        keep = sample_keep_matrix(network, seed, start, min(step, N - start))
+        # a kept edge touching the source's component lies inside it
+        inner = keep & source_component_members(network, keep)[:, us] & (us != vs)
+        packed[start:start + len(keep)] = np.packbits(inner, axis=1)
+    first, scenario_map, counts = _distinct_rows(packed)
+    if len(first) * n > DISTINCT_CELL_CAP:
+        raise InstanceTooLargeError(
+            f"N = {N} scenarios of a network with n = {n} vertices have D = {len(first)} "
+            f"distinct ones, {len(first) * n} cells, above the cap of {DISTINCT_CELL_CAP}; "
+            f"pass fewer scenarios with --samples (num_samples)"
+        )
+    rows = np.unpackbits(packed[first], axis=1, count=m).astype(bool)
+    # the component is s and the ends of the row's edges, which all reach s
+    d, e = np.divmod(np.flatnonzero(rows), m)
+    component = np.tile(np.arange(n) == network.source, (len(rows), 1))
+    component[d, us[e]] = component[d, vs[e]] = True
+    for array in (rows, counts, scenario_map, component):
+        array.setflags(write=False)
+    return SampleSet(network, rows, counts, scenario_map, component)
 
 
 @dataclass(frozen=True)
 class LpModel:
     """The reduced scenario LP, posed over the removal mass x alone.
 
-    Only the source's component of a scenario matters, and scenarios whose
-    kept edges inside that component coincide are merged into one distinct
-    scenario weighted by its count. The distinct scenarios' kept component
-    edges form one graph. Distinct scenario d adds a copy of every vertex
-    v != s of its component: ``y_cells`` holds the flat (d, v) cell of each
-    copy in row-major order, and copy i is graph vertex i + 1. Every copy of
-    s is merged into vertex 0, which is exact because the copies meet only
-    at s. Each kept component edge gives an arc in both directions except
-    into s, sorted by (tail, head); ``arc_col`` is the x column that weighs
-    the arc (its edge's, or in node mode its head's), -1 when none does.
-    Columns exist only for affordable entities that weigh some arc; every
-    other entity is hard-wired to zero. ``budget_row`` holds the costs of
-    the x columns scaled by 1/B, so that the budget reads budget_row @ x
-    <= 1. ``offset`` is the mean over scenarios of (component size - 1).
+    The kept component edges of the samples' distinct scenarios form one
+    graph. Distinct scenario d adds a copy of every vertex v != s of its
+    component: ``y_cells`` holds the flat (d, v) cell of each copy in
+    row-major order, and copy i is graph vertex i + 1. Every copy of s is
+    merged into vertex 0, which is exact because the copies meet only at s.
+    Each kept component edge gives an arc in both directions except into s,
+    sorted by (tail, head); ``arc_col`` is the x column that weighs the arc
+    (its edge's, or in node mode its head's), -1 when none does. Columns
+    exist only for affordable entities that weigh some arc; every other
+    entity is hard-wired to zero. ``budget_row`` holds the costs of the x
+    columns scaled by 1/B, so that the budget reads budget_row @ x <= 1.
+    ``offset`` is the mean over scenarios of (component size - 1).
     """
 
     samples: SampleSet
@@ -157,8 +175,6 @@ class LpModel:
     budget: float
     var_entities: np.ndarray  # entity id per x column
     budget_row: np.ndarray  # (num_x,) cost / B per x column
-    scenario_map: np.ndarray  # (N,) distinct scenario of each scenario
-    component: np.ndarray  # (D, n) bool, source's component per distinct scenario
     offset: float
     y_cells: np.ndarray  # (num_y,) flat (d, v) cell of each non-source vertex copy
     arc_tail: np.ndarray  # graph vertex per arc, 0 for the merged source
@@ -233,15 +249,13 @@ def build_lp(
 ) -> LpModel:
     """Presolve the scenario LP for an edge- or node-removal budget.
 
-    Raises :class:`InstanceTooLargeError` when N x n exceeds
-    ``SCENARIO_CELL_CAP`` scenario-vertex cells, before any per-cell array.
-    The merged graph has at most N n vertices and 2 N m arcs, so this cap
-    and ``SAMPLE_DRAW_CAP`` bound it too.
+    The merged graph has at most D n vertices and 2 D m arcs, so
+    ``DISTINCT_CELL_CAP`` (D n) and ``SAMPLE_DRAW_CAP`` (N m) bound it.
     """
     if mode not in ("edge", "node"):
         raise ValidationError(f"unknown mode {mode!r}")
     net = samples.network
-    n, s, N = net.n, net.source, samples.N
+    n, s = net.n, net.source
     if mode == "edge":
         if budget <= 0:
             raise ValidationError("budget must be positive")
@@ -254,13 +268,6 @@ def build_lp(
         if n < 2:
             raise ValidationError("network has no removable vertices")
 
-    if N * n > SCENARIO_CELL_CAP:
-        raise InstanceTooLargeError(
-            f"N = {N} scenarios of a network with n = {n} vertices span {N * n} "
-            f"scenario-vertex cells, above the cap of {SCENARIO_CELL_CAP}; pass fewer "
-            f"scenarios with --samples (num_samples)"
-        )
-
     costs = _entity_costs(net, mode, node_costs)
     if mode == "edge":
         # self-loops never affect reachability, so they get no variable
@@ -270,21 +277,16 @@ def build_lp(
         affordable[s] = False  # the source cannot be vaccinated
     scale = budget if budget > 0 else 1.0
 
-    # A kept edge touching the source's component lies inside it, and these
-    # edges determine the component, so they identify a distinct scenario.
-    members = source_component_members(net, samples.keep_rows)
-    inner = samples.keep_rows & members[:, net.us] & (net.us != net.vs)
-    first, scenario_map, counts = _distinct_rows(np.packbits(inner, axis=1))
-    inner, component = inner[first], members[first]
+    component = samples.component
     y_cells = np.flatnonzero(component)
     y_cells = y_cells[y_cells % n != s]  # every component holds s
     # graph vertex of each (d, v) cell: 0 for s, i + 1 for copy i; int32
-    # holds it, as the cell guard caps the cells far below 2^31
+    # holds it, as DISTINCT_CELL_CAP holds the D n cells at 2^23
     cell_vertex = np.zeros(component.size, dtype=np.int32)
     cell_vertex[y_cells] = np.arange(1, len(y_cells) + 1)
 
     # arc a -> b of each kept component edge of distinct scenario d
-    d, e = np.nonzero(inner)
+    d, e = np.divmod(np.flatnonzero(samples.rows), net.m)
     d = np.repeat(d, 2)
     a = np.stack([net.us[e], net.vs[e]], axis=1).ravel()
     b = np.stack([net.vs[e], net.us[e]], axis=1).ravel()
@@ -302,8 +304,8 @@ def build_lp(
     order = np.lexsort((head, tail))
     return LpModel(
         samples=samples, mode=mode, budget=float(budget), var_entities=var_entities,
-        budget_row=costs[var_entities] / scale, scenario_map=scenario_map, component=component,
-        offset=int(counts @ (component.sum(axis=1) - 1)) / N, y_cells=y_cells,
+        budget_row=costs[var_entities] / scale,
+        offset=int(samples.counts @ (component.sum(axis=1) - 1)) / samples.N, y_cells=y_cells,
         arc_tail=tail[order], arc_head=head[order], arc_col=x_col[weighs][order],
         node_costs=None if mode == "edge" else costs,
     )
@@ -315,7 +317,7 @@ class FractionalSolution:
 
     model: LpModel
     x: np.ndarray  # per entity (edge or vertex), zeros where hard-wired
-    y: np.ndarray  # (N, n); y[:, source] == 0
+    y: np.ndarray  # (D, n): scenario j reads row scenario_map[j]; y[:, source] == 0
     objective: float
     solver_status: str  # "optimal" | "iteration-limit"
     # dual-simplex iterations summed over every master LP, each one warm
@@ -344,9 +346,9 @@ def _cut_rows(dist, pred, copy_counts, groups, model: LpModel, num_groups: int):
     A tree arc is an arc whose tail is its head's predecessor; scipy's pred
     is int32, so it is only compared and indexed, never multiplied. Each
     entry is the int64 key ((row, column) << bits) | count, so one sort
-    groups the entries by (row, column) and the counts sum exactly. G <= n,
-    and build_lp caps N n at 2^23 cells, so a key stays below 2^25 (num_x +
-    G), far below 2^63.
+    groups the entries by (row, column) and the counts sum exactly. Copies
+    end kept edges, so G <= 2m and num_x + G <= 4m; SAMPLE_DRAW_CAP holds N m
+    at 2^24, so a key stays below (8 m^2 + 1) 2N < 2^53, far below 2^63.
     """
     num_x, N = model.num_x, model.samples.N
     width = num_x + num_groups
@@ -479,22 +481,20 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     rows, num_x + G columns. The solve is "optimal" once the best F seen is
     within ``CUT_GAP`` max(1, F) of the last master's bound, checked before
     a round adds its cuts, and stops at ``MAX_CUT_ROUNDS`` oracle calls with
-    "iteration-limit".
+    "iteration-limit", before that round's cuts and master.
 
     The returned x is the best point seen, and y = min(1, dist) there, the
-    exact optimal y for that x, rebuilt dense over all N scenarios at 1
-    outside each scenario's source component. The returned objective is F
-    at that x: the average, over scenarios, of the fractional count of
-    non-source vertices still connected to the source. With no vertex but
-    s in any component, no round runs; with no x column, F is constant and
-    one oracle call solves it without a master LP. The solve is
-    deterministic.
+    exact optimal y for that x, per distinct scenario and at 1 outside its
+    source component. The returned objective is F at that x: the average,
+    over scenarios, of the fractional count of non-source vertices still
+    connected to the source. With no vertex but s in any component, no
+    round runs; with no x column, F is constant and one oracle call solves
+    it without a master LP. The solve is deterministic.
     """
     net = model.network
     n, s, N = net.n, net.source, model.samples.N
-    num_x = model.num_x
-    counts = np.bincount(model.scenario_map, minlength=len(model.component))
-    x, y, value = np.zeros(num_x), np.ones(0), model.offset
+    num_x, counts = model.num_x, model.samples.counts
+    x, levels, value = np.zeros(num_x), np.ones(0), model.offset
     status, rounds, iterations, master_size = "optimal", 0, 0, (0, 0, 0)
     if model.num_y:
         size = model.num_y + 1
@@ -510,7 +510,7 @@ def solve_lp(model: LpModel) -> FractionalSolution:
         solver = _master_solver(model.budget_row, num_groups) if num_x else None
         point, value, bound = x, math.inf, -math.inf
         status = "iteration-limit"
-        while rounds < MAX_CUT_ROUNDS:
+        while True:
             rounds += 1
             if rounds == 1:  # x = 0: every tree of zero-mass arcs is a shortest-path tree
                 dist = np.zeros(size)
@@ -522,9 +522,11 @@ def solve_lp(model: LpModel) -> FractionalSolution:
             capped = np.minimum(dist[1:], 1.0)
             f = model.offset - float(weights @ capped)
             if f < value:
-                x, y, value = point, capped, f
+                x, levels, value = point, capped, f
             if not num_x or value - bound <= CUT_GAP * max(1.0, value):
                 status = "optimal"
+                break
+            if rounds == MAX_CUT_ROUNDS:  # a master now would go unused
                 break
             cuts = _cut_rows(dist, pred, copy_counts, groups, model, num_groups)
             code, solution, bound, nit = _solve_master(solver, *cuts)
@@ -538,24 +540,23 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     width = net.m if model.mode == "edge" else net.n
     x_full = np.zeros(width)
     x_full[model.var_entities] = x
-    y_distinct = np.ones(model.component.shape)
-    y_distinct[:, s] = 0.0
-    np.put(y_distinct, model.y_cells, y)
+    y = np.ones(model.samples.component.shape)
+    y[:, s] = 0.0
+    np.put(y, model.y_cells, levels)
     objective = min(max(value, 0.0), float(n - 1))  # strip rounding noise
     # sanity: budget row and objective identity within solver tolerance
     if num_x:
         row = float(model.budget_row @ x)
         if row > 1.0 + 10 * LP_TOLERANCE:
             raise SolverError(f"budget row violated: {row}")
-    # over the distinct scenarios, weighted by their counts: no (N, n) copy;
-    # y is 0 at s, so the n - 1 others give n - 1 - (row sum) unconnected
-    recomputed = float(counts @ (n - 1 - y_distinct.sum(axis=1)) / N)
+    # over the distinct scenarios, weighted by their counts; y is 0 at s, so
+    # the n - 1 others give n - 1 - (row sum) unconnected
+    recomputed = float(counts @ (n - 1 - y.sum(axis=1)) / N)
     if abs(recomputed - objective) > 1e-6 * max(1.0, abs(objective)):
         raise SolverError("objective/variable inconsistency in LP solution")
-    return FractionalSolution(model=model, x=x_full, y=y_distinct[model.scenario_map],
-                              objective=objective, solver_status=status,
-                              iterations=iterations, cut_rounds=rounds,
-                              master_size=master_size)
+    return FractionalSolution(model=model, x=x_full, y=y, objective=objective,
+                              solver_status=status, iterations=iterations,
+                              cut_rounds=rounds, master_size=master_size)
 
 
 def round_randomized(
@@ -611,17 +612,18 @@ def separated_sets(
 ) -> list[frozenset[int]]:
     """Per-scenario sets of vertices the LP commits to disconnect.
 
-    Scenario j's set holds every vertex with y_vj >= epsilon. Diagnostic:
-    after a successful rounding, surviving reachable vertices should mostly
-    fall outside these sets.
+    Scenario j's set holds every vertex with y_vj >= epsilon, read off its
+    distinct scenario's row of y. Diagnostic: after a successful rounding,
+    surviving reachable vertices should mostly fall outside these sets.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
     if samples is not frac.model.samples:
         raise ValidationError("samples do not match the solved model")
     rows, verts = np.nonzero(frac.y >= epsilon)
-    splits = np.searchsorted(rows, np.arange(1, samples.N))
-    return [frozenset(part.tolist()) for part in np.split(verts, splits)]
+    splits = np.searchsorted(rows, np.arange(1, len(frac.y)))
+    sets = [frozenset(part.tolist()) for part in np.split(verts, splits)]
+    return [sets[d] for d in samples.scenario_map.tolist()]
 
 
 def brute_force_optimum(
@@ -636,9 +638,9 @@ def brute_force_optimum(
     Ties are broken toward the lexicographically smallest member set.
     ``percolate.affordable_subsets`` lists only the subsets that fit the
     budget (an edge removes itself, a vertex its incident edges), and each
-    is scored over all samples through the 2^m mask table, so both modes
-    need m <= ``MASK_TABLE_CAP`` (16) edges; node mode also caps at 20
-    vertices.
+    is scored through the 2^m mask table on the distinct restricted rows,
+    weighted by their counts, so both modes need m <= ``MASK_TABLE_CAP``
+    (16) edges; node mode also caps at 20 vertices.
     """
     net = samples.network
     if net.m > MASK_TABLE_CAP:
@@ -667,8 +669,8 @@ def brute_force_optimum(
 
     picks, removed = affordable_subsets(removal, costs[candidates], budget)
     table = infection_table(net)
-    masks = keep_rows_to_masks(samples.keep_rows)
-    totals = [int(table[masks & ~r].sum()) for r in removed]
+    masks = keep_rows_to_masks(samples.rows)
+    totals = [int(table[masks & ~r] @ samples.counts) for r in removed]
     best_total = min(totals)
     best_members = min(
         tuple(int(c) for i, c in enumerate(candidates) if pick >> i & 1)
@@ -733,7 +735,7 @@ def solve_saa(
         "lp_nnz": frac.master_size[2],
         "lp_iterations": frac.iterations,
         "lp_cut_rounds": frac.cut_rounds,
-        "scenarios_distinct": len(model.component),
+        "scenarios_distinct": len(samples.counts),
         "cost": chosen.cost,
         "cost_ratio": chosen.cost / budget if budget > 0 else math.inf,
         "members": list(chosen.members),

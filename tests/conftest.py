@@ -12,7 +12,8 @@ from scipy.optimize import linprog
 
 from epictrl.network import ContactNetwork
 from epictrl.network import random_connected_network  # noqa: F401  (re-exported to the tests)
-from epictrl.saa import LP_TOLERANCE
+from epictrl.percolate import sample_keep_matrix
+from epictrl.saa import LP_TOLERANCE, draw_samples
 
 
 def make_network(n, edges, probs=None, costs=None, source=0) -> ContactNetwork:
@@ -61,6 +62,12 @@ def adjacency(network, edge_keep=None) -> list[list[tuple[int, int]]]:
             adj[u].append((v, e))
             adj[v].append((u, e))
     return adj
+
+
+def drawn(network, N, seed):
+    """``draw_samples(network, N, seed)`` and, for the oracles, the raw
+    kept-edge rows of the same N scenarios from ``sample_keep_matrix``."""
+    return draw_samples(network, N, seed), sample_keep_matrix(network, seed, 0, N)
 
 
 def union_find_component(network, keep) -> tuple[int, ...]:
@@ -125,15 +132,14 @@ def stoer_wagner_min_cut(network) -> float:
     return best
 
 
-def brute_force_reference(samples, budget, mode="edge", node_costs=None):
+def brute_force_reference(net, keep_rows, budget, mode="edge", node_costs=None):
     """Reference for ``brute_force_optimum`` by ``itertools.combinations``.
 
     Tries every set of removable entities (finite-cost non-loop edges, or
     non-source vertices), sums costs left to right in ascending id order,
-    and scores the feasible ones by union-find. Returns the least
-    (total infections, members).
+    and scores the feasible ones by union-find on the raw kept-edge rows.
+    Returns the least (total infections, members).
     """
-    net = samples.network
     if mode == "edge":
         costs = net.costs
         entities = [e for e in range(net.m)
@@ -155,7 +161,7 @@ def brute_force_reference(samples, budget, mode="edge", node_costs=None):
                     keep[x] = False
                 else:
                     keep &= (net.us != x) & (net.vs != x)
-            total = int(union_find_sizes(net, samples.keep_rows & keep).sum())
+            total = int(union_find_sizes(net, keep_rows & keep).sum())
             if best is None or (total, combo) < best:
                 best = (total, combo)
     return best
@@ -235,17 +241,17 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def unreduced_lp_solution(samples, budget, mode="edge", node_costs=None):
+def unreduced_lp_solution(net, keep_rows, budget, mode="edge", node_costs=None):
     """Reference for ``build_lp``/``solve_lp``: the unreduced scenario LP.
 
-    Every scenario gets a y column for each vertex v != s and a row for
-    each hop along every kept edge, built in Python loops, and the y-space
-    LP is solved at once by HiGHS's dual simplex, so the comparison also
-    crosses ``solve_lp``'s cutting planes over x. Returns (objective, x, y)
-    with x per entity and y of shape (N, n).
+    Every raw scenario (a row of ``keep_rows``) gets a y column for each
+    vertex v != s and a row for each hop along every kept edge, built in
+    Python loops, and the y-space LP is solved at once by HiGHS's dual
+    simplex, so the comparison also crosses ``solve_lp``'s cutting planes
+    over x. Returns (objective, x, y) with x per entity and y of shape
+    (N, n).
     """
-    net = samples.network
-    n, s, N = net.n, net.source, samples.N
+    n, s, N = net.n, net.source, len(keep_rows)
     if mode == "edge":
         costs = net.costs
         affordable = np.isfinite(costs) & (costs <= budget) & (net.us != net.vs)
@@ -270,7 +276,7 @@ def unreduced_lp_solution(samples, budget, mode="edge", node_costs=None):
         vals.append(float(costs[e]) / scale)
     row = 1
     for j in range(N):
-        for e in np.flatnonzero(samples.keep_rows[j] & (net.us != net.vs)):
+        for e in np.flatnonzero(keep_rows[j] & (net.us != net.vs)):
             u, v = int(net.us[e]), int(net.vs[e])
             for a, bvert in ((u, v), (v, u)):
                 if bvert == s:

@@ -40,6 +40,7 @@ from conftest import (
     adjacency,
     brute_force_reference,
     complete_network,
+    drawn,
     make_network,
     path_network,
     star_network,
@@ -67,15 +68,15 @@ def test_sample_count_epsilon_validation():
 def test_draw_samples_deterministic_and_full():
     net = path_network(p=1.0)
     ss = draw_samples(net, 1, seed=0)
-    assert ss.keep_rows.tolist() == [[True, True]]
+    assert ss.rows.tolist() == [[True, True]]
     again = draw_samples(net, 1, seed=0)
-    assert np.array_equal(ss.keep_rows, again.keep_rows)
+    assert np.array_equal(ss.rows, again.rows)
 
 
 def test_draw_samples_binomial_presence():
     net = make_network(2, [(0, 1)], probs=0.3)
     ss = draw_samples(net, 1000, seed=5)
-    count = int(ss.keep_rows.sum())
+    count = int(ss.rows[ss.scenario_map].sum())
     sigma = math.sqrt(1000 * 0.3 * 0.7)
     assert abs(count - 300) <= 4 * sigma
 
@@ -163,11 +164,11 @@ def dijkstra_capped(net, keep_row, x, mode):
 def test_lp_y_is_capped_shortest_path_distance(rng, mode):
     for _ in range(4):
         net = random_connected_network(rng, n_lo=4, n_hi=6, max_m=9, p_mode=0.6)
-        ss = draw_samples(net, 12, seed=int(rng.integers(1 << 30)))
+        ss, keep = drawn(net, 12, int(rng.integers(1 << 30)))
         frac = solve_lp(build_lp(ss, budget=2.0, mode=mode))
         for j in range(ss.N):
-            want = dijkstra_capped(net, ss.keep_rows[j], frac.x, mode)
-            got = frac.y[j].copy()
+            want = dijkstra_capped(net, keep[j], frac.x, mode)
+            got = frac.y[ss.scenario_map[j]].copy()
             got[net.source] = 0.0
             assert np.allclose(got, want, atol=1e-6), (mode, j)
 
@@ -187,9 +188,11 @@ def test_lp_relaxation_lower_bounds_every_feasible_removal(rng):
                 assert frac.objective + 1.0 <= h + 1e-6
 
 
-def assert_matches_unreduced(samples, budget, mode="edge", node_costs=None, tied=False):
-    """The reduced LP solves the unreduced LP: same objective, and its x
-    with its y (the capped x-distances) is an optimum of the unreduced LP.
+def assert_matches_unreduced(samples, keep_rows, budget, mode="edge", node_costs=None,
+                             tied=False):
+    """The reduced LP solves the unreduced LP on the raw rows ``keep_rows``:
+    same objective, and its x with its y (the capped x-distances, read
+    through the scenario map) is an optimum of the unreduced LP.
 
     An entity that no scenario's source component reaches changes neither
     objective, so the unreduced LP may leave mass on it; the reduced LP has
@@ -198,13 +201,13 @@ def assert_matches_unreduced(samples, budget, mode="edge", node_costs=None, tied
     the unreduced LP's.
     """
     frac = solve_lp(build_lp(samples, budget, mode=mode, node_costs=node_costs))
-    objective, x, y = unreduced_lp_solution(samples, budget, mode, node_costs)
-    assert abs(frac.objective - objective) <= 1e-9, (mode, frac.objective, objective)
     net = samples.network
+    objective, x, y = unreduced_lp_solution(net, keep_rows, budget, mode, node_costs)
+    assert abs(frac.objective - objective) <= 1e-9, (mode, frac.objective, objective)
     live = np.zeros(len(x), dtype=bool)
-    for j, row in enumerate(samples.keep_rows):
+    for j, row in enumerate(keep_rows):
         want = dijkstra_capped(net, row, frac.x, mode)
-        assert np.abs(frac.y[j] - want).max() <= 1e-7, (mode, j)
+        assert np.abs(frac.y[samples.scenario_map[j]] - want).max() <= 1e-7, (mode, j)
         members = list(union_find_component(net, row))
         if mode == "edge":
             live |= row & np.isin(net.us, members)
@@ -215,7 +218,7 @@ def assert_matches_unreduced(samples, budget, mode="edge", node_costs=None, tied
         threshold = 1.0 / (4.0 * net.n ** (2.0 / 3.0))
         assert np.array_equal(np.flatnonzero(frac.x >= threshold),
                               np.flatnonzero(live & (x >= threshold))), mode
-        assert np.abs(frac.y - y).max() <= 1e-7, mode
+        assert np.abs(frac.y[samples.scenario_map] - y).max() <= 1e-7, mode
     return frac
 
 
@@ -241,8 +244,8 @@ def lp_cases(draw):
     budget = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]))
     if mode == "edge" and budget == 0.0:
         budget = 1.0
-    samples = draw_samples(net, draw(st.integers(1, 25)), seed=draw(st.integers(0, 2**31)))
-    return samples, budget, mode, node_costs
+    samples, keep = drawn(net, draw(st.integers(1, 25)), draw(st.integers(0, 2**31)))
+    return samples, keep, budget, mode, node_costs
 
 
 @settings(max_examples=150, deadline=None)
@@ -250,8 +253,8 @@ def lp_cases(draw):
 def test_lp_matches_unreduced_oracle(case):
     # unit costs and few scenarios often tie several optima (three leaves of
     # the source, one removable), and the two LPs may pick different ones
-    samples, budget, mode, node_costs = case
-    assert_matches_unreduced(samples, budget, mode, node_costs, tied=True)
+    samples, keep, budget, mode, node_costs = case
+    assert_matches_unreduced(samples, keep, budget, mode, node_costs, tied=True)
 
 
 def test_lp_matches_unreduced_oracle_on_batteries():
@@ -263,14 +266,14 @@ def test_lp_matches_unreduced_oracle_on_batteries():
         net = random_connected_network(rng, n_lo=4, n_hi=8, max_m=14, p_mode="random",
                                        unit_costs=bool(i % 2))
         budget = max(1.0, round(0.35 * float(net.costs.sum()), 2))
-        samples = draw_samples(net, 40, seed=500 + i)
+        samples, keep = drawn(net, 40, 500 + i)
         if i != 6:
-            assert_matches_unreduced(samples, budget)
+            assert_matches_unreduced(samples, keep, budget)
             continue
         # objective 0 is reached by several removals: both LPs are optimal
         # there, and the cutting planes round to another one
-        frac = assert_matches_unreduced(samples, budget, tied=True)
-        objective, x, _ = unreduced_lp_solution(samples, budget)
+        frac = assert_matches_unreduced(samples, keep, budget, tied=True)
+        objective, x, _ = unreduced_lp_solution(net, keep, budget)
         assert frac.solver_status == "optimal" and frac.objective == objective == 0.0
         threshold = 1.0 / (4.0 * net.n ** (2.0 / 3.0))
         assert not np.array_equal(np.flatnonzero(frac.x >= threshold),
@@ -278,10 +281,10 @@ def test_lp_matches_unreduced_oracle_on_batteries():
     rng = np.random.default_rng(1111)
     for i in range(10):
         net = random_connected_network(rng, n_lo=6, n_hi=12, max_m=16, p_mode="random")
-        assert_matches_unreduced(draw_samples(net, 40, seed=920 + i), 2.0, "node")
+        assert_matches_unreduced(*drawn(net, 40, 920 + i), 2.0, "node")
     net = random_connected_network(np.random.default_rng(1212), n_lo=12, n_hi=12, max_m=16,
                                    p_mode="random")
-    assert_matches_unreduced(draw_samples(net, 40, seed=33), 2.0, "node")
+    assert_matches_unreduced(*drawn(net, 40, 33), 2.0, "node")
 
     isolated = make_network(4, [(0, 0), (1, 2), (2, 3)], probs=[1.0, 1.0, 0.5],
                             costs=[1.0, 0.5, 2.0])
@@ -293,20 +296,22 @@ def test_lp_matches_unreduced_oracle_on_batteries():
         (isolated, 0.0, "node", np.array([0.0, 0.0, 1.0, 1.0])),
         (isolated, 1.0, "node", np.array([0.0, 3.0, 0.5, 1.5])),
     ]:
-        frac = assert_matches_unreduced(draw_samples(net, 6, seed=2), budget, mode, node_costs)
+        frac = assert_matches_unreduced(*drawn(net, 6, 2), budget, mode, node_costs)
         assert frac.model.num_y == frac.iterations == 0  # no solver call
     merged = merge_seeds(isolated.with_source(1), [1, 3])
-    samples = draw_samples(merged, 6, seed=2)
-    assert_matches_unreduced(samples, 1.0)
-    assert_matches_unreduced(samples, 1.5, "node", np.array([1.0, 0.2, 0.7, 2.0, 0.0]))
+    samples, keep = drawn(merged, 6, 2)
+    assert_matches_unreduced(samples, keep, 1.0)
+    assert_matches_unreduced(samples, keep, 1.5, "node", np.array([1.0, 0.2, 0.7, 2.0, 0.0]))
 
 
 def test_lp_restricts_and_merges_scenarios():
     # the source's edge is kept in every scenario and the far edge never
     net = make_network(4, [(0, 1), (2, 3)], probs=[1.0, 0.0])
     model = build_lp(draw_samples(net, 5, seed=0), budget=1.0)
-    assert len(model.component) == 1 and np.array_equal(model.scenario_map, np.zeros(5))
-    assert model.component[0].tolist() == [True, True, False, False]
+    samples = model.samples
+    assert len(samples.component) == 1 and np.array_equal(samples.scenario_map, np.zeros(5))
+    assert samples.component[0].tolist() == [True, True, False, False]
+    assert samples.rows.tolist() == [[True, False]] and samples.counts.tolist() == [5]
     assert (model.num_x, model.num_y) == (1, 1)
     assert model.a_ub.shape == (1, 1) and model.b_ub.tolist() == [1.0]  # the budget row
     # one arc: the merged source 0 -> the copy of vertex 1, weighed by x column 0
@@ -454,11 +459,10 @@ def test_cut_rows_match_a_path_walk_past_int32_arc_keys():
     assert np.allclose(rhs, want_rhs, rtol=1e-12, atol=0.0)
 
 
-def group_shares(samples, x, mode, bases):
-    """F_v(x) for each base vertex v in ``bases``, from a Dijkstra per
+def group_shares(net, keep_rows, x, mode, bases):
+    """F_v(x) for each base vertex v in ``bases``, from a Dijkstra per raw
     scenario: the mean over scenarios of 1 - min(1, distance to v)."""
-    net = samples.network
-    y = np.array([dijkstra_capped(net, row, x, mode) for row in samples.keep_rows])
+    y = np.array([dijkstra_capped(net, row, x, mode) for row in keep_rows])
     return (1.0 - y[:, bases]).mean(axis=0)
 
 
@@ -478,20 +482,20 @@ def test_every_cut_lower_bounds_its_vertex_share(monkeypatch, mode):
     g = np.random.default_rng(77)
     for i in range(4):
         net = random_connected_network(g, n_lo=6, n_hi=9, max_m=14, p_mode="random")
-        samples = draw_samples(net, 40, seed=700 + i)
+        samples, keep = drawn(net, 40, 700 + i)
         model = build_lp(samples, 2.0, mode=mode)
         added.clear()
         frac = solve_lp(model)
         assert added and frac.solver_status == "optimal"
         bases = np.unique(model.y_cells % net.n)
         width = model.num_x + len(bases)
-        assert abs(group_shares(samples, frac.x, mode, bases).sum() - frac.objective) <= 1e-12
+        assert abs(group_shares(net, keep, frac.x, mode, bases).sum() - frac.objective) <= 1e-12
         for _ in range(10):
             z = g.random(model.num_x) * g.random()
             z /= max(1.0, float(model.budget_row @ z))
             x = np.zeros(len(frac.x))
             x[model.var_entities] = z
-            shares = group_shares(samples, x, mode, bases)
+            shares = group_shares(net, keep, x, mode, bases)
             for start, index, value, rhs in added:
                 rows = np.zeros((len(bases), width))
                 for v in range(len(bases)):
@@ -502,7 +506,8 @@ def test_every_cut_lower_bounds_its_vertex_share(monkeypatch, mode):
 
 def test_first_round_needs_no_dijkstra(monkeypatch):
     """At x = 0 every distance is 0: the first oracle call is a breadth-first
-    search, and F there is the model's offset."""
+    search, and F there is the model's offset. At a cap of one round no
+    master LP runs: its point would never be evaluated."""
     calls = []
 
     def counting_dijkstra(*args, **kwargs):
@@ -514,6 +519,7 @@ def test_first_round_needs_no_dijkstra(monkeypatch):
     monkeypatch.setattr(saa, "MAX_CUT_ROUNDS", 1)
     frac = solve_lp(model)
     assert (frac.solver_status, frac.cut_rounds, calls) == ("iteration-limit", 1, [])
+    assert (frac.iterations, frac.master_size) == (0, (0, 0, 0))
     assert frac.objective == model.offset and np.all(frac.x == 0.0)
     monkeypatch.setattr(saa, "MAX_CUT_ROUNDS", 2)
     assert solve_lp(model).cut_rounds == 2 and calls == [1]
@@ -554,8 +560,7 @@ def test_node_mode_members_match_unreduced_oracle():
     rng = np.random.default_rng(1414)
     for i in range(8):
         net = random_connected_network(rng, n_lo=7, n_hi=9, max_m=14, p_mode="random")
-        samples = draw_samples(net, 100, seed=1400 + i)
-        frac = assert_matches_unreduced(samples, 2.0, "node")
+        frac = assert_matches_unreduced(*drawn(net, 100, 1400 + i), 2.0, "node")
         assert frac.solver_status == "optimal"
 
 
@@ -577,51 +582,113 @@ def test_draw_guard_fails_before_drawing(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["edge", "node"])
-def test_cell_guard_fails_before_labelling(monkeypatch, mode):
-    """N x n cells: at the cap the LP builds, one below it raises unlabelled."""
+def test_distinct_cell_cap_fails_before_any_distinct_array(monkeypatch, mode):
+    """D x n distinct cells: at the cap the samples draw and the LP builds,
+    one below it draw_samples raises right after the merge. On a star of 20
+    edges among n = 40,000 vertices (N = 100, nearly every scenario
+    distinct) the failing draw peaks below half of D n bytes, while the
+    smallest (D, n) array, a bool one, takes D n."""
     net = make_network(7, [(0, 1), (1, 2), (0, 3), (6, 6)], probs=0.5)  # 4, 5 isolated
     N = 30
-    samples = draw_samples(net, N, seed=3)
-    monkeypatch.setattr(saa, "SCENARIO_CELL_CAP", N * 7)
-    assert build_lp(samples, 1.0, mode=mode).samples is samples
+    D = len(draw_samples(net, N, seed=3).counts)
+    assert 1 < D < N
+    monkeypatch.setattr(saa, "DISTINCT_CELL_CAP", D * 7)
+    assert build_lp(draw_samples(net, N, seed=3), 1.0, mode=mode).samples.N == N
     _, report = solve_saa(net, budget=1.0, epsilon=0.5, mode=mode, seed=3,
                           num_samples=N, eval_samples=10)
-    assert report["n_samples"] == N
-    monkeypatch.setattr(saa, "SCENARIO_CELL_CAP", N * 7 - 1)
-
-    def no_labelling(*args):
-        raise AssertionError("labelled the scenarios above the cell cap")
-
-    monkeypatch.setattr(saa, "source_component_members", no_labelling)
-    message = f"N = {N} .* n = 7 .*{N * 7} scenario-vertex cells.*--samples \\(num_samples\\)"
+    assert (report["n_samples"], report["scenarios_distinct"]) == (N, D)
+    monkeypatch.setattr(saa, "DISTINCT_CELL_CAP", D * 7 - 1)
+    message = f"N = {N} .* n = 7 .*D = {D} distinct .*{D * 7} cells.*--samples \\(num_samples\\)"
     with pytest.raises(InstanceTooLargeError, match=message):
-        build_lp(samples, 1.0, mode=mode)
+        draw_samples(net, N, seed=3)
     with pytest.raises(InstanceTooLargeError, match=message):
         solve_saa(net, budget=1.0, epsilon=0.5, mode=mode, seed=3, num_samples=N,
                   eval_samples=10)
 
-
-def test_solve_lp_peak_memory_per_cell():
-    """The dense y costs 8 bytes per scenario-vertex cell; solve_lp stays near 2x.
-
-    A 50-leaf star among 5000 vertices: nearly every scenario is distinct,
-    so the distinct y is as large as the returned one. The objective check
-    once copied y twice more, for 33.5 bytes per cell.
-    """
-    n, N = 5000, 200
-    net = make_network(n, [(0, i) for i in range(1, 51)], probs=0.5)
-    model = build_lp(draw_samples(net, N, seed=1), 3.0)
+    n, N = 40_000, 100
+    star = make_network(n, [(0, i) for i in range(1, 21)], probs=0.5)
+    monkeypatch.undo()
+    D = len(draw_samples(star, N, seed=1).counts)
+    assert D > N // 2
+    monkeypatch.setattr(saa, "DISTINCT_CELL_CAP", D * n - 1)
     tracemalloc.start()
     try:
-        frac = solve_lp(model)
+        with pytest.raises(InstanceTooLargeError, match=f"D = {D} distinct"):
+            draw_samples(star, N, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert frac.y.shape == (N, n)
-    assert peak <= 20 * N * n, peak / (N * n)
-    # the count-weighted check still sees an objective that y does not carry
-    with pytest.raises(SolverError, match="inconsistency"):
-        solve_lp(dataclasses.replace(model, offset=model.offset + 0.5))
+    assert peak < D * n // 2, peak / (D * n)
+
+
+def test_solve_lp_peak_memory_per_cell():
+    """y costs 8 bytes per distinct scenario-vertex cell; solve_lp stays near 2x.
+
+    Stars among 5000 vertices. With 50 leaves nearly every scenario is
+    distinct, so D is about N; the objective check once copied y twice more,
+    for 33.5 bytes per cell. With 4 leaves at most 16 of the 500 scenarios
+    are distinct, and a dense (N, n) y alone would take 8 N n bytes, over
+    31 times the bound.
+    """
+    n = 5000
+    for leaves, N in ((50, 200), (4, 500)):
+        net = make_network(n, [(0, i) for i in range(1, leaves + 1)], probs=0.5)
+        model = build_lp(draw_samples(net, N, seed=1), 3.0)
+        D = len(model.samples.counts)
+        tracemalloc.start()
+        try:
+            frac = solve_lp(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frac.y.shape == (D, n) and (D > 0.9 * N if leaves == 50 else D <= 16)
+        assert peak <= 20 * D * n, (leaves, peak / (D * n))
+        # the count-weighted check still sees an objective that y does not carry
+        with pytest.raises(SolverError, match="inconsistency"):
+            solve_lp(dataclasses.replace(model, offset=model.offset + 0.5))
+
+
+def restricted_rows(net, keep_rows):
+    """Each raw row cut to its kept non-loop edges inside the source's
+    component, and that component, by union-find."""
+    rows, comps = np.zeros_like(keep_rows), np.zeros((len(keep_rows), net.n), dtype=bool)
+    for j, keep in enumerate(keep_rows):
+        comps[j, list(union_find_component(net, keep))] = True
+        rows[j] = keep & comps[j, net.us] & (net.us != net.vs)
+    return rows, comps
+
+
+def test_sample_set_matches_union_find_restriction(monkeypatch):
+    """Random desk instances, and larger ones past the mask table: the
+    distinct view expands to the raw rows restricted by union-find, its
+    counts are the scenario map's, its rows are distinct, and forced blocks
+    of 1 and 3 rows build the same SampleSet. Scored on it, the empirical
+    objective under random edge removals is the raw rows'."""
+    g = np.random.default_rng(1919)
+    for i in range(12):
+        big = i % 4 == 3
+        net = random_connected_network(g, n_lo=12 if big else 5, n_hi=20 if big else 9,
+                                       max_m=40 if big else 14, p_mode="random")
+        if i % 3 == 1:
+            net = merge_seeds(net.with_source(int(g.integers(net.n))), [0, 1])
+        N, seed = int(g.integers(1, 120)), int(g.integers(1 << 30))
+        samples, keep = drawn(net, N, seed)
+        rows, comps = restricted_rows(net, keep)
+        assert np.array_equal(samples.rows[samples.scenario_map], rows)
+        assert np.array_equal(samples.component[samples.scenario_map], comps)
+        assert np.array_equal(samples.counts, np.bincount(samples.scenario_map))
+        assert len(np.unique(samples.rows, axis=0)) == len(samples.rows)
+        for block_rows in (1, 3):
+            monkeypatch.setattr(saa, "CELLS", block_rows * (net.n + net.m))
+            again = draw_samples(net, N, seed)
+            for field in ("rows", "counts", "scenario_map", "component"):
+                assert np.array_equal(getattr(again, field), getattr(samples, field)), field
+        monkeypatch.undo()
+        for _ in range(3):
+            gone = g.choice(net.m, size=int(g.integers(0, net.m // 2 + 1)), replace=False)
+            removal = edge_removal(net, gone)
+            assert empirical_infections(samples, net, removal) == \
+                empirical_infections(keep, net, removal)
 
 
 # ------------------------------------------------------------- rounding
@@ -633,7 +700,7 @@ def craft_fraction(net, x_values, budget=1.0, mode="edge", N=1):
     x = np.zeros(width)
     for ent, val in x_values.items():
         x[ent] = val
-    y = np.zeros((N, net.n))
+    y = np.zeros((len(ss.counts), net.n))
     return FractionalSolution(model=model, x=x, y=y, objective=0.0,
                               solver_status="optimal")
 
@@ -740,7 +807,7 @@ def test_brute_force_matches_itertools_reference():
         net = random_connected_network(rng, n_lo=3, n_hi=6, max_m=7, unit_costs=False)
         net = net.with_source(int(rng.integers(0, net.n)))
         node_costs = rng.uniform(0.0, 2.0, size=net.n)
-        cases.append((draw_samples(net, int(rng.integers(1, 9)), seed=i), node_costs,
+        cases.append((*drawn(net, int(rng.integers(1, 9)), i), node_costs,
                       (0.0, float(rng.uniform(0.0, 4.0)), 100.0)))
     # 0.1 + 0.2 > 0.3 in binary floats: the pair fits only the second budget;
     # the merged meta-source adds infinite-cost edges, the loop is inert
@@ -748,13 +815,14 @@ def test_brute_force_matches_itertools_reference():
                             costs=[0.1, 0.2, 0.3, 0.1, 0.2, 0.1])
     node_costs = np.array([0.1, 0.2, 0.0, 0.1, 0.3, 0.2])
     for net in (boundary, merge_seeds(boundary, [0, 3])):
-        cases.append((draw_samples(net, 6, seed=8), node_costs[:net.n],
+        cases.append((*drawn(net, 6, 8), node_costs[:net.n],
                       (0.3, 0.1 + 0.2, 0.6, 0.1 + 0.2 + 0.3)))
-    for samples, node_costs, budgets in cases:
+    for samples, keep, node_costs, budgets in cases:
         for budget in budgets:
             for mode, costs in (("edge", None), ("node", node_costs), ("node", None)):
                 best, h = brute_force_optimum(samples, budget, mode=mode, node_costs=costs)
-                total, members = brute_force_reference(samples, budget, mode, costs)
+                total, members = brute_force_reference(samples.network, keep, budget, mode,
+                                                       costs)
                 assert (best.members, h) == (members, total / samples.N), (mode, budget)
 
 
@@ -808,7 +876,7 @@ def test_separated_sets_match_per_scenario_threshold(rng):
     ss = draw_samples(net, 25, seed=4)
     frac = solve_lp(build_lp(ss, budget=1.0))
     for eps in (0.05, 0.5, 0.95):
-        want = [frozenset(int(v) for v in np.flatnonzero(frac.y[j] >= eps))
+        want = [frozenset(int(v) for v in np.flatnonzero(frac.y[ss.scenario_map[j]] >= eps))
                 for j in range(ss.N)]
         assert separated_sets(frac, ss, eps) == want
 
@@ -878,7 +946,7 @@ def test_solve_saa_reports_lp_size():
     assert frac.master_size[:2] == (1 + 2, model.num_x + 2)
     assert report["lp_iterations"] == frac.iterations
     # the source's component keeps no edge, the first edge, or both
-    assert report["scenarios_distinct"] == len(model.component) == 3
+    assert report["scenarios_distinct"] == len(model.samples.counts) == 3
 
 
 def test_lp_iterations_repeat_across_reruns():
