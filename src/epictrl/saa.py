@@ -19,7 +19,9 @@ component of a scenario matters (every other vertex sits at y = 1, a
 constant of the objective), and a ``SampleSet`` keeps each distinct set of
 kept component edges once, with its count, so no array scales with N n.
 Those edges become one graph whose source copies are merged, so one
-Dijkstra run gives every distance.
+Dijkstra run gives every distance. A network keeps the arrays of the last
+``SampleSet`` drawn on it, keyed by (N, seed), so the solvers and the
+brute-force oracle that run on the same scenarios draw and label them once.
 
 Rounding is either randomized (inflate x by (gamma+5) ln(n)/epsilon and pick
 independently) or deterministic (threshold at 1/(4 n^(2/3))). Brute-force
@@ -48,6 +50,7 @@ from .network import (
 )
 from .percolate import (
     MASK_TABLE_CAP,
+    PATTERN_CELLS,
     affordable_subsets,
     empirical_infections,
     estimate_infections,
@@ -117,6 +120,12 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
     restricted rows. Over ``SAMPLE_DRAW_CAP`` uniforms (N times the padded
     stride) or ``DISTINCT_CELL_CAP`` cells (D n), ``InstanceTooLargeError``
     is raised before the draw or before any (D, n) array.
+
+    The network keeps the arrays of the last set drawn on it, keyed by (N,
+    seed), for its lifetime: the set is a pure function of (network, N,
+    seed), so a call with the same key returns a set over those arrays and
+    draws nothing. Both caps are checked on such a call too, with the same
+    messages.
     """
     if N < 1:
         raise ValidationError("N must be >= 1")
@@ -128,6 +137,11 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
             f"{draws} uniform draws, above the cap of {SAMPLE_DRAW_CAP}; pass fewer "
             f"scenarios with --samples (num_samples)"
         )
+    cached = network.__dict__.get("_samples")
+    if cached is not None and cached[0] == (N, seed):
+        samples = SampleSet(network, *cached[1])
+        _check_distinct_cells(N, n, len(samples.counts))
+        return samples
     step = max(1, CELLS // (n + m))
     packed = np.empty((N, -(-m // 8)), dtype=np.uint8)
     for start in range(0, N, step):
@@ -136,20 +150,29 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
         inner = keep & source_component_members(network, keep)[:, us] & (us != vs)
         packed[start:start + len(keep)] = np.packbits(inner, axis=1)
     first, scenario_map, counts = _distinct_rows(packed)
-    if len(first) * n > DISTINCT_CELL_CAP:
-        raise InstanceTooLargeError(
-            f"N = {N} scenarios of a network with n = {n} vertices have D = {len(first)} "
-            f"distinct ones, {len(first) * n} cells, above the cap of {DISTINCT_CELL_CAP}; "
-            f"pass fewer scenarios with --samples (num_samples)"
-        )
+    _check_distinct_cells(N, n, len(first))
     rows = np.unpackbits(packed[first], axis=1, count=m).astype(bool)
     # the component is s and the ends of the row's edges, which all reach s
     d, e = np.divmod(np.flatnonzero(rows), m)
     component = np.tile(np.arange(n) == network.source, (len(rows), 1))
     component[d, us[e]] = component[d, vs[e]] = True
-    for array in (rows, counts, scenario_map, component):
+    arrays = (rows, counts, scenario_map, component)
+    for array in arrays:
         array.setflags(write=False)
-    return SampleSet(network, rows, counts, scenario_map, component)
+    # the network keeps the arrays, not the SampleSet: a set refers to its
+    # network, and that cycle would keep each dropped network alive until a
+    # full garbage collection
+    object.__setattr__(network, "_samples", ((N, seed), arrays))
+    return SampleSet(network, *arrays)
+
+
+def _check_distinct_cells(N: int, n: int, D: int) -> None:
+    if D * n > DISTINCT_CELL_CAP:
+        raise InstanceTooLargeError(
+            f"N = {N} scenarios of a network with n = {n} vertices have D = {D} "
+            f"distinct ones, {D * n} cells, above the cap of {DISTINCT_CELL_CAP}; "
+            f"pass fewer scenarios with --samples (num_samples)"
+        )
 
 
 @dataclass(frozen=True)
@@ -640,7 +663,8 @@ def brute_force_optimum(
     budget (an edge removes itself, a vertex its incident edges), and each
     is scored through the 2^m mask table on the distinct restricted rows,
     weighted by their counts, so both modes need m <= ``MASK_TABLE_CAP``
-    (16) edges; node mode also caps at 20 vertices.
+    (16) edges; node mode also caps at 20 vertices. The subsets are scored
+    in blocks of at most ``PATTERN_CELLS`` (subset, distinct row) cells.
     """
     net = samples.network
     if net.m > MASK_TABLE_CAP:
@@ -670,11 +694,13 @@ def brute_force_optimum(
     picks, removed = affordable_subsets(removal, costs[candidates], budget)
     table = infection_table(net)
     masks = keep_rows_to_masks(samples.rows)
-    totals = [int(table[masks & ~r] @ samples.counts) for r in removed]
-    best_total = min(totals)
+    step = max(1, PATTERN_CELLS // len(masks))
+    totals = np.concatenate([table[masks & ~removed[a:a + step, np.newaxis]] @ samples.counts
+                             for a in range(0, len(removed), step)])
+    best_total = int(totals.min())
     best_members = min(
         tuple(int(c) for i, c in enumerate(candidates) if pick >> i & 1)
-        for t, pick in zip(totals, picks.tolist()) if t == best_total
+        for pick in picks[totals == best_total].tolist()
     )
     if mode == "edge":
         best = edge_removal(net, best_members, "brute-force")

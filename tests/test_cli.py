@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from epictrl import load_network
+from epictrl import load_network, saa
 from epictrl.cli import main
 
 from conftest import make_network
+from regen_golden import GOLDEN, commands
 from epictrl.network import write_network
 
 
@@ -159,6 +160,25 @@ def test_compare_shared_eval(tmp_path):
     rows = read_json(out)["rows"]
     assert [r["algo"] for r in rows] == ["saa-det", "brute"]
     assert csv_path.read_text().startswith("algo,")
+
+
+def test_compare_labels_its_scenarios_once(tmp_path, monkeypatch):
+    """compare's saa-det, saa-rand and brute rows share one drawn sample
+    set: its scenarios are labelled in one draw's blocks, forced here to
+    20, 20 and 10 of the 50, and the result is the corpus's compare.json."""
+    graph = GOLDEN / "det.tsv"
+    argv = commands(str(graph))["compare"]
+    assert argv[argv.index("--algos") + 1] == "saa-det,saa-rand,brute"
+    assert argv[argv.index("--samples") + 1] == "50"
+    net = load_network(graph)
+    monkeypatch.setattr(saa, "CELLS", 20 * (net.n + net.m))
+    blocks, label = [], saa.source_component_members
+    monkeypatch.setattr(saa, "source_component_members",
+                        lambda network, keep: blocks.append(len(keep)) or label(network, keep))
+    out = tmp_path / "compare.json"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert blocks == [20, 20, 10]
+    assert out.read_bytes() == (GOLDEN / "compare.json").read_bytes()
 
 
 def test_oracle_single_suite(tmp_path):

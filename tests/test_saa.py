@@ -34,6 +34,8 @@ from epictrl import (
     solve_saa,
 )
 from epictrl import saa
+from epictrl.network import ContactNetwork
+from epictrl.percolate import affordable_subsets, infection_table, keep_rows_to_masks
 from epictrl.saa import FractionalSolution
 
 from conftest import (
@@ -65,12 +67,85 @@ def test_sample_count_epsilon_validation():
 
 # ------------------------------------------------------------- sampling
 
+SAMPLE_FIELDS = ("rows", "counts", "scenario_map", "component")
+
+
+def rebuilt(net):
+    """A new network object with ``net``'s fields, so it holds no drawn set."""
+    return ContactNetwork(n=net.n, us=net.us, vs=net.vs, costs=net.costs, probs=net.probs,
+                          source=net.source, labels=net.labels)
+
+
 def test_draw_samples_deterministic_and_full():
     net = path_network(p=1.0)
     ss = draw_samples(net, 1, seed=0)
     assert ss.rows.tolist() == [[True, True]]
-    again = draw_samples(net, 1, seed=0)
-    assert np.array_equal(ss.rows, again.rows)
+    again = draw_samples(rebuilt(net), 1, seed=0)
+    assert again.rows is not ss.rows and np.array_equal(ss.rows, again.rows)
+
+
+def test_draw_samples_reuses_the_last_set_of_its_network(monkeypatch):
+    """A repeated (N, seed) on the same network draws nothing and returns a
+    set over the last set's arrays; a rebuilt copy of the network draws the
+    same set afresh. Another N or another seed draws anew, and the network
+    then holds only that set."""
+    net = random_connected_network(np.random.default_rng(2020), n_lo=7, n_hi=9, max_m=14)
+    samples = draw_samples(net, 60, seed=4)
+    fresh = draw_samples(rebuilt(net), 60, seed=4)
+    draws, keep_matrix = [], saa.sample_keep_matrix
+
+    def counted(network, *args):  # (seed, start, count) of each draw on net
+        if network is net:
+            draws.append(args)
+        return keep_matrix(network, *args)
+
+    monkeypatch.setattr(saa, "sample_keep_matrix", counted)
+    again = draw_samples(net, 60, seed=4)
+    assert draws == [] and again.network is net
+    for field in SAMPLE_FIELDS:
+        assert getattr(again, field) is getattr(samples, field), field
+        assert getattr(fresh, field) is not getattr(samples, field), field
+        assert np.array_equal(getattr(fresh, field), getattr(samples, field)), field
+    for N, seed in ((61, 4), (60, 5), (60, 4)):
+        other = draw_samples(net, N, seed)
+        assert draws[-1] == (seed, 0, N)  # one block: the whole draw
+        assert other.rows is not samples.rows
+        expected = samples if (N, seed) == (60, 4) else draw_samples(rebuilt(net), N, seed)
+        for field in SAMPLE_FIELDS:
+            assert np.array_equal(getattr(other, field), getattr(expected, field)), field
+    assert len(draws) == 3
+
+
+def test_both_caps_fire_on_a_repeated_draw(monkeypatch):
+    """Caps lowered after a draw still stop the same (N, seed): the draw cap
+    before the network's set is looked up, the distinct-cell cap again on a
+    hit, each with the message of a first draw on a rebuilt copy."""
+    net = make_network(7, [(0, 1), (1, 2), (0, 3), (6, 6)], probs=0.5)  # m = 4, stride 4
+    N = 30
+    samples = draw_samples(net, N, seed=3)
+    D = len(samples.counts)
+    monkeypatch.setattr(saa, "DISTINCT_CELL_CAP", D * 7 - 1)
+    with pytest.raises(InstanceTooLargeError) as first:
+        draw_samples(rebuilt(net), N, seed=3)
+
+    def no_draw(*args):
+        raise AssertionError("a repeated (N, seed) drew again")
+
+    monkeypatch.setattr(saa, "sample_keep_matrix", no_draw)
+    message = f"N = {N} .* n = 7 .*D = {D} distinct .*{D * 7} cells.*--samples \\(num_samples\\)"
+    with pytest.raises(InstanceTooLargeError, match=message) as hit:
+        draw_samples(net, N, seed=3)
+    assert str(hit.value) == str(first.value)
+    monkeypatch.setattr(saa, "DISTINCT_CELL_CAP", D * 7)
+    assert draw_samples(net, N, seed=3).rows is samples.rows
+
+    monkeypatch.setattr(saa, "SAMPLE_DRAW_CAP", N * 4 - 1)
+    with pytest.raises(InstanceTooLargeError) as first:
+        draw_samples(rebuilt(net), N, seed=3)
+    message = f"N = {N} .* m = 4 .*{N * 4} uniform draws.*--samples \\(num_samples\\)"
+    with pytest.raises(InstanceTooLargeError, match=message) as hit:
+        draw_samples(net, N, seed=3)
+    assert str(hit.value) == str(first.value)
 
 
 def test_draw_samples_binomial_presence():
@@ -611,6 +686,7 @@ def test_distinct_cell_cap_fails_before_any_distinct_array(monkeypatch, mode):
     D = len(draw_samples(star, N, seed=1).counts)
     assert D > N // 2
     monkeypatch.setattr(saa, "DISTINCT_CELL_CAP", D * n - 1)
+    star = rebuilt(star)  # not drawn before, so the failing call draws and merges
     tracemalloc.start()
     try:
         with pytest.raises(InstanceTooLargeError, match=f"D = {D} distinct"):
@@ -680,8 +756,9 @@ def test_sample_set_matches_union_find_restriction(monkeypatch):
         assert len(np.unique(samples.rows, axis=0)) == len(samples.rows)
         for block_rows in (1, 3):
             monkeypatch.setattr(saa, "CELLS", block_rows * (net.n + net.m))
-            again = draw_samples(net, N, seed)
-            for field in ("rows", "counts", "scenario_map", "component"):
+            again = draw_samples(rebuilt(net), N, seed)  # a fresh draw, not the set held by net
+            assert again is not samples and again.rows is not samples.rows
+            for field in SAMPLE_FIELDS:
                 assert np.array_equal(getattr(again, field), getattr(samples, field)), field
         monkeypatch.undo()
         for _ in range(3):
@@ -824,6 +901,82 @@ def test_brute_force_matches_itertools_reference():
                 total, members = brute_force_reference(samples.network, keep, budget, mode,
                                                        costs)
                 assert (best.members, h) == (members, total / samples.N), (mode, budget)
+
+
+def per_subset_optimum(samples, budget, mode):
+    """``brute_force_optimum``'s (members, h_hat) by scoring every affordable
+    subset alone through the mask table, and the number of those subsets."""
+    net = samples.network
+    if mode == "edge":
+        candidates = [e for e in range(net.m)
+                      if np.isfinite(net.costs[e]) and net.us[e] != net.vs[e]]
+        removal = [1 << e for e in candidates]
+        costs = net.costs[candidates]
+    else:
+        candidates = [v for v in range(net.n) if v != net.source]
+        removal = [sum(1 << e for e in range(net.m) if v in (net.us[e], net.vs[e]))
+                   for v in candidates]
+        costs = np.ones(len(candidates))
+    picks, removed = affordable_subsets(np.array(removal, dtype=np.int64), costs, budget)
+    table, masks = infection_table(net), keep_rows_to_masks(samples.rows)
+    total, members = min(
+        (int(table[masks & ~r] @ samples.counts),
+         tuple(c for i, c in enumerate(candidates) if pick >> i & 1))
+        for pick, r in zip(picks.tolist(), removed.tolist())
+    )
+    return members, total / samples.N, len(picks)
+
+
+def sixteen_edge_instance():
+    """n = 9 and m = 16, the source moved to a vertex of the highest degree
+    (7); at B = 5 with unit costs 6,885 edge subsets fit the budget, and
+    none of them isolates the source."""
+    net = random_connected_network(np.random.default_rng(2121), n_lo=9, n_hi=10, max_m=16)
+    degree = np.bincount(np.concatenate([net.us, net.vs]), minlength=net.n)
+    return net.with_source(int(np.argmax(degree)))
+
+
+@pytest.mark.parametrize("mode", ["edge", "node"])
+def test_block_scoring_matches_a_per_subset_loop(monkeypatch, mode):
+    """With blocks so small that scoring takes at least 3 of them, the
+    members and h_hat are those of scoring each subset alone: on random
+    desk instances, and on an m = 16 instance that affords thousands of
+    edge subsets."""
+    g = np.random.default_rng(2222)
+    cases = [(random_connected_network(g, n_lo=7, n_hi=9, max_m=14), 2.0) for _ in range(6)]
+    cases.append((sixteen_edge_instance(), 5.0))
+    for i, (net, budget) in enumerate(cases):
+        samples = draw_samples(net, 400, seed=i)
+        members, h_hat, subsets = per_subset_optimum(samples, budget, mode)
+        D = len(samples.counts)
+        step = max(1, (subsets - 1) // 3)  # subsets per block
+        monkeypatch.setattr(saa, "PATTERN_CELLS", D * step + D - 1)  # floors to step rows
+        assert subsets >= 3 and -(-subsets // step) >= 3
+        best, h = brute_force_optimum(samples, budget, mode=mode)
+        assert (best.members, h) == (members, h_hat), (i, mode)
+    if mode == "edge":  # the m = 16 instance, last
+        assert subsets == 6885 and h_hat > 1.0
+
+
+def test_block_scoring_peak_memory_per_block_cell(monkeypatch):
+    """Scoring holds one block of (subset, distinct row) cells at a time,
+    about 16 bytes per cell (an int64 mask and an int64 size). On the m = 16
+    instance, in blocks of 2^16 cells, the peak stays within 24 bytes per
+    block cell; all 6,885 subsets at once would take over 30 times that."""
+    samples = draw_samples(sixteen_edge_instance(), 400, seed=6)
+    reference = brute_force_optimum(samples, 5.0)  # builds the cached mask table
+    cells = 1 << 16
+    monkeypatch.setattr(saa, "PATTERN_CELLS", cells)
+    block_cells = cells // len(samples.counts) * len(samples.counts)
+    tracemalloc.start()
+    try:
+        best, h = brute_force_optimum(samples, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (best.members, h) == (reference[0].members, reference[1])
+    assert 6885 * len(samples.counts) > 30 * block_cells
+    assert peak <= 24 * block_cells, peak / block_cells
 
 
 @pytest.mark.parametrize("budget", [-1.0, math.nan])
