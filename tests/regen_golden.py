@@ -10,6 +10,11 @@ The corpus pins what fixed-seed runs of the program write, byte for byte:
   ``oracle``). Wall times go to ``<output>.meta.json``, which the corpus
   leaves out. The runs start in the output directory, so ``generate``
   writes ``generated.tsv`` there and records that relative name;
+- ``percolate_generated*.json`` and ``karger_generated.json``: Monte Carlo
+  runs on ``generated.tsv``, whose 35 edges put them on the component
+  kernel (``det.tsv`` has 9, so its runs read the 2^m mask table):
+  ``percolate`` with and without a removal that cuts the source's
+  component, and ``solve-karger``;
 - ``desk_lps.txt``: one line per desk-sized instance (n 7-9, m <= 14,
   N = 400, B = 2) and mode, with the deterministic rounding's members, the
   cut rounds, the LP objective and the SAA's ``empirical_infections``, then
@@ -74,6 +79,19 @@ def commands(graph: str) -> dict[str, list[str]]:
                               "13", "--exact", "--remove-edges", "0,4"],
         "generate": ["generate", "--n", "40", "--beta", "2.5", "--w-min", "1", "--w-max", "4",
                      "--p", "0.5", "--seed", "13", "--graph-out", GENERATED],
+        # generate has written its graph by now; m = 35 > MASK_TABLE_CAP, so
+        # these runs size their samples with the component kernel
+        "percolate_generated": ["percolate", "--graph", GENERATED, "--samples", "3000",
+                                "--seed", "13"],
+        # edges 10 and 16 join the source to two of its neighbours' branches,
+        # so the rows are sized on the source's component of the rest
+        "percolate_generated_removed": ["percolate", "--graph", GENERATED, "--samples",
+                                        "3000", "--seed", "13", "--remove-edges", "10,16"],
+        # gamma B p = 0.625 keeps each sample's cut to its components, so the
+        # 6 repetitions give 4 distinct candidates
+        "karger_generated": ["solve-karger", "--graph", GENERATED, "--budget", "0.5",
+                             "--gamma", "2.5", "--seed", "13", "--reps", "6",
+                             "--eval-samples", "500"],
     }
 
 
