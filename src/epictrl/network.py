@@ -246,13 +246,18 @@ def source_component_members(network: ContactNetwork, keep_rows: np.ndarray) -> 
     return members
 
 
+def kernel_rows(network: ContactNetwork) -> int:
+    """Kept-edge rows per block of the component kernel: ``CELLS // (n + m)``, at least 1."""
+    return max(1, CELLS // (network.n + network.m))
+
+
 def _source_reach(network: ContactNetwork, keep_rows: np.ndarray):
     """Yield ``(start, stop, reached)`` for each block of kept-edge rows.
 
-    Rows go in blocks of ``step = max(1, CELLS // (n + m))``. A block of r
-    rows is one directed graph on r*n + 1 vertices: row i's copy of vertex
-    v is i*n + v, its kept arcs come from the cached :func:`_block_heads`,
-    and a super-source r*n has an arc to every row's copy of the source.
+    Rows go in blocks of :func:`kernel_rows`. A block of r rows is one
+    directed graph on r*n + 1 vertices: row i's copy of vertex v is
+    i*n + v, its kept arcs come from the cached :func:`_block_heads`, and a
+    super-source r*n has an arc to every row's copy of the source.
     The CSR arrays are built directly: the arcs are sorted by (row, tail),
     so the kept ones are already in CSR order, and, since every kept edge
     gives both of its arcs, a vertex's out-degree is its in-degree, the
@@ -262,7 +267,7 @@ def _source_reach(network: ContactNetwork, keep_rows: np.ndarray):
     arc, so self-loops stay inert.
     """
     n = network.n
-    step = max(1, CELLS // (n + network.m))
+    step = kernel_rows(network)
     edges = _arcs(network)[2]
     heads = _block_heads(network, min(step, len(keep_rows)))
     for start in range(0, len(keep_rows), step):

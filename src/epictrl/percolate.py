@@ -9,8 +9,11 @@ Sampled rows are sized by the component kernel in ``network``; on networks
 with m <= ``MASK_TABLE_CAP`` edges they are read off a 2^m table that
 :func:`infection_table` fills by label merging instead.
 
+A Monte Carlo estimate prepares its removal once (:func:`prepare_removal`)
+and then draws, percolates and sizes its samples one block at a time
+(:func:`draw_block_rows`), so no array of all N samples is ever held.
 Component-size totals are accumulated as integers, so aggregate results are
-exactly independent of accumulation order.
+exactly independent of accumulation order and of the block size.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ import numpy as np
 from . import rng
 from .errors import InstanceTooLargeError, ValidationError
 from .network import (
+    CELLS,
     ContactNetwork,
     Intervention,
+    kernel_rows,
     removal_edge_keep,
     source_component_members,
     source_component_sizes,
@@ -116,6 +121,11 @@ def keep_rows_to_masks(keep_rows: np.ndarray) -> np.ndarray:
     return keep_rows.astype(np.int64) @ weights
 
 
+def _mask_bits(keep: np.ndarray) -> int:
+    """Bitmask of the edges set in one (m,) keep vector (m <= 63)."""
+    return int(keep_rows_to_masks(keep[np.newaxis, :])[0])
+
+
 def affordable_subsets(
     removal_masks: np.ndarray, costs: np.ndarray, budget: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -141,49 +151,101 @@ def affordable_subsets(
     return picks, removed
 
 
-def intervention_keep_bits(network: ContactNetwork, removed: Intervention | None) -> int:
-    """Bitmask of edges that survive an intervention."""
+@dataclass(frozen=True)
+class PreparedRemoval:
+    """A removal made ready to size many blocks of kept-edge rows.
+
+    Rows of the full network are sized on ``network``: the full network
+    itself, or the restricted network of the source's component C, whose
+    edge j is edge ``edges[j]`` of the full network. A ``network`` of at
+    most ``MASK_TABLE_CAP`` edges is sized by its 2^m table, with the
+    removed edges masked out by ``bits``; a larger one by the component
+    kernel, with their columns cleared by ``keep`` (None: none removed).
+    """
+
+    network: ContactNetwork
+    bits: int = -1
+    keep: np.ndarray | None = None
+    edges: np.ndarray | None = None
+
+
+def prepare_removal(network: ContactNetwork, removed: Intervention | None) -> PreparedRemoval:
+    """Prepare a removal once for :func:`component_sizes` on many blocks.
+
+    Above ``MASK_TABLE_CAP`` edges, a removal that drops edges is evaluated
+    only on the source's component C of G - removal, labelled here once: in
+    every sample the source's component lies inside C, so the rows are cut
+    to the kept edges with an endpoint in C, on C's vertices relabelled
+    0..|C|-1, and the sizes are unchanged. When C holds every kept edge
+    (say, G - removal is connected apart from removed vertices) the rows
+    run on the whole network. A restricted network is sized like any
+    other: by its 2^m table when it has at most ``MASK_TABLE_CAP`` edges.
+    """
     keep = removal_edge_keep(network, removed)
-    return int(keep_rows_to_masks(keep[np.newaxis, :])[0])
+    if network.m <= MASK_TABLE_CAP:
+        return PreparedRemoval(network, bits=_mask_bits(keep))
+    if keep.all():
+        return PreparedRemoval(network)
+    inside = source_component_members(network, keep[np.newaxis, :])[0]
+    # a kept edge with one endpoint in C has both there
+    edges = np.flatnonzero(keep & inside[network.us])
+    if len(edges) == np.count_nonzero(keep):
+        return PreparedRemoval(network, keep=keep)
+    relabel = np.cumsum(inside) - 1
+    restricted = ContactNetwork(
+        n=int(inside.sum()),
+        us=relabel[network.us[edges]],
+        vs=relabel[network.vs[edges]],
+        costs=network.costs[edges],
+        probs=network.probs[edges],
+        source=int(relabel[network.source]),
+    )
+    return PreparedRemoval(restricted, edges=edges)
+
+
+def draw_block_rows(network: ContactNetwork, removal: PreparedRemoval) -> int:
+    """Samples to draw per block when sizing them under ``removal``.
+
+    On the full network's kernel path this is the kernel's own block,
+    ``CELLS // (n + m)`` rows. On the table and restricted paths it is at
+    most ``CELLS // stride`` rows, so a block's uniforms take at most
+    ``CELLS`` float64 cells; on the restricted kernel path it is a whole
+    number of the restricted kernel's blocks when one of them is smaller
+    than that.
+    """
+    cap = max(1, CELLS // max(rng.stride_for(network.m), 1))
+    if removal.network.m <= MASK_TABLE_CAP:
+        return cap
+    step = kernel_rows(removal.network)
+    if removal.edges is None:
+        return step
+    return cap if step > cap else cap - cap % step
 
 
 def component_sizes(
     network: ContactNetwork,
     keep_rows: np.ndarray,
-    removed: Intervention | None = None,
+    removed: Intervention | PreparedRemoval | None = None,
 ) -> np.ndarray:
     """Source-component sizes for a batch of samples under an intervention.
 
-    Uses the 2^m reachability table when the instance is small enough;
-    otherwise runs the rows through the batched component kernel. There, a
-    removal that drops edges is evaluated only on the source's component C
-    of G - removal, labelled once: in every sample the source's component
-    lies inside C, so the rows are cut to the kept edges with an endpoint in
-    C, on C's vertices relabelled 0..|C|-1, and the sizes are unchanged.
-    When C holds every kept edge (say, G - removal is connected apart from
-    removed vertices) the rows run on the whole network.
+    The rows are sized on the source's component of G - removal when that
+    is smaller (see :func:`prepare_removal`): by the 2^m reachability table
+    when the network sized is small enough, otherwise by the batched
+    component kernel. A caller that sizes many blocks under one removal
+    passes it prepared.
     """
     keep_rows = np.asarray(keep_rows, dtype=bool)
-    if network.m <= MASK_TABLE_CAP:
-        masks = keep_rows_to_masks(keep_rows) & intervention_keep_bits(network, removed)
-        return infection_table(network)[masks]
-    keep = removal_edge_keep(network, removed)
-    if not keep.all():
-        inside = source_component_members(network, keep[np.newaxis, :])[0]
-        # a kept edge with one endpoint in C has both there
-        edges = np.flatnonzero(keep & inside[network.us])
-        if len(edges) < np.count_nonzero(keep):
-            relabel = np.cumsum(inside) - 1
-            restricted = ContactNetwork(
-                n=int(inside.sum()),
-                us=relabel[network.us[edges]],
-                vs=relabel[network.vs[edges]],
-                costs=network.costs[edges],
-                probs=network.probs[edges],
-                source=int(relabel[network.source]),
-            )
-            return source_component_sizes(restricted, keep_rows[:, edges])
-    return source_component_sizes(network, keep_rows & keep)
+    if not isinstance(removed, PreparedRemoval):
+        removed = prepare_removal(network, removed)
+    net = removed.network
+    if removed.edges is not None:
+        keep_rows = keep_rows[:, removed.edges]
+    if net.m <= MASK_TABLE_CAP:
+        return infection_table(net)[keep_rows_to_masks(keep_rows) & removed.bits]
+    if removed.keep is not None:
+        keep_rows = keep_rows & removed.keep
+    return source_component_sizes(net, keep_rows)
 
 
 def estimate_infections(
@@ -195,22 +257,23 @@ def estimate_infections(
     """Monte Carlo estimate of expected infections under an intervention.
 
     Retention and removal commute, so the intervention is applied to each
-    sampled subgraph. The half-width is the 99% normal-approximation bound
-    from the sample variance.
+    sampled subgraph. The removal is prepared once, and the samples are
+    drawn and sized :func:`draw_block_rows` at a time, so memory does not
+    grow with ``num_samples``; the integer sums make the result the same
+    at any block size. The half-width is the 99% normal-approximation
+    bound from the sample variance.
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
-    batch = 1 << 14
+    removal = prepare_removal(network, intervention)
+    step = draw_block_rows(network, removal)
     total = 0
     total_sq = 0
-    done = 0
-    while done < num_samples:
-        count = min(batch, num_samples - done)
-        keep = sample_keep_matrix(network, seed, done, count)
-        sizes = component_sizes(network, keep, intervention)
+    for start in range(0, num_samples, step):
+        keep = sample_keep_matrix(network, seed, start, min(step, num_samples - start))
+        sizes = component_sizes(network, keep, removal)
         total += int(sizes.sum())
         total_sq += int((sizes * sizes).sum())
-        done += count
     mean, half = mean_half_width(total, total_sq, num_samples)
     return InfectionEstimate(mean=mean, half_width=half, num_samples=num_samples)
 
@@ -237,9 +300,12 @@ def exact_expected_infections(
 
     Deterministic edges (p in {0, 1}, or removed) are fixed; the remaining
     r random edges are enumerated over all 2^r patterns weighted by their
-    Bernoulli probabilities. Requires r <= 22. The patterns are built and
-    sized ``PATTERN_CELLS // m`` rows at a time, so memory stays bounded
-    for any m; the sizes fill one array and one dot product weights them.
+    Bernoulli probabilities. Requires r <= 22. With m <= ``MASK_TABLE_CAP``
+    each pattern's bitmask is built by doubling, like its weight, and its
+    size read off the 2^m table. Above that the patterns are built as rows
+    and sized by the component kernel ``PATTERN_CELLS // m`` rows at a
+    time, so memory stays bounded for any m. The sizes fill one array and
+    one dot product weights them.
     """
     keep = removal_edge_keep(network, intervention)
     always = keep & (network.probs == 1.0)
@@ -256,14 +322,21 @@ def exact_expected_infections(
     for e in random_ids:
         p = float(network.probs[e])
         weights = np.concatenate([weights * (1.0 - p), weights * p])
-    sizes = np.empty(1 << r, dtype=np.int64)
-    step = max(1, PATTERN_CELLS // max(network.m, 1))
-    for start in range(0, 1 << r, step):
-        patterns = np.arange(start, min(start + step, 1 << r))
-        rows = np.tile(always, (len(patterns), 1))
-        for bit, e in enumerate(random_ids):
-            rows[:, e] = (patterns >> bit) & 1
-        sizes[start:start + len(patterns)] = component_sizes(network, rows, intervention)
+    if network.m <= MASK_TABLE_CAP:
+        # each pattern's bitmask, doubled in the order of the weights
+        masks = np.array([_mask_bits(always)], dtype=np.int64)
+        for e in random_ids:
+            masks = np.concatenate([masks, masks | (1 << int(e))])
+        sizes = infection_table(network)[masks]
+    else:
+        sizes = np.empty(1 << r, dtype=np.int64)
+        step = max(1, PATTERN_CELLS // network.m)
+        for start in range(0, 1 << r, step):
+            patterns = np.arange(start, min(start + step, 1 << r))
+            rows = np.tile(always, (len(patterns), 1))
+            for bit, e in enumerate(random_ids):
+                rows[:, e] = (patterns >> bit) & 1
+            sizes[start:start + len(patterns)] = component_sizes(network, rows, intervention)
     mean = float(np.dot(weights, sizes.astype(np.float64)))
     return InfectionEstimate(mean=mean, half_width=0.0, num_samples=1 << r, exact=True)
 

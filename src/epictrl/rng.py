@@ -10,7 +10,9 @@ Percolation uses a fixed layout on top of this: sample ``j`` of a network
 with ``m`` edges owns the draw positions ``[j*stride, j*stride + m)`` where
 ``stride`` pads ``m`` up to whole Philox blocks (4 draws). Edge ``e`` of
 sample ``j`` therefore always sees the same uniform for a given seed, no
-matter how many samples are drawn or in which batches.
+matter how many samples are drawn or in which batches. Monte Carlo
+estimates use this to draw one small block of samples at a time, right
+before they size it, instead of drawing all N first.
 """
 
 from __future__ import annotations
@@ -26,8 +28,21 @@ def philox_key(seed: int, *path: int | str) -> np.ndarray:
     Distinct paths (e.g. ("round",) vs ("eval",)) give statistically
     independent streams for the same user seed.
     """
-    spawn = tuple(_encode(p) for p in path)
-    return np.random.SeedSequence(seed, spawn_key=spawn).generate_state(2, np.uint64)
+    return _seed_sequence(seed, *path).generate_state(2, np.uint64)
+
+
+def _seed_sequence(seed: int, *path: int | str) -> np.random.SeedSequence:
+    return np.random.SeedSequence(seed, spawn_key=tuple(_encode(p) for p in path))
+
+
+def _philox(seed: int, *path: int | str) -> np.random.Philox:
+    """A Philox bit generator at counter 0, keyed by :func:`philox_key`.
+
+    Seeded with the sequence itself, Philox takes the same two words as its
+    key. ``Philox(key=...)`` would also seed an unused sequence from OS
+    entropy, about 20 us per call, which blocked draws pay once per block.
+    """
+    return np.random.Philox(_seed_sequence(seed, *path))
 
 
 def derived_seed(seed: int, *path: int | str) -> int:
@@ -51,7 +66,7 @@ def _encode(part: int | str) -> int:
 
 def generator(seed: int, *path: int | str) -> np.random.Generator:
     """A fresh Generator on the stream named by (seed, path)."""
-    return np.random.Generator(np.random.Philox(key=philox_key(seed, *path)))
+    return np.random.Generator(_philox(seed, *path))
 
 
 def stride_for(m: int) -> int:
@@ -71,7 +86,7 @@ def uniform_block(
     if m == 0:
         return np.empty((count, 0), dtype=np.float64)
     stride = stride_for(m)
-    bitgen = np.random.Philox(key=philox_key(seed, *path))
+    bitgen = _philox(seed, *path)
     bitgen.advance(start_index * (stride // _BLOCK))
     vals = np.random.Generator(bitgen).random((count, stride))
     return vals[:, :m]

@@ -62,7 +62,9 @@ from .network import (
 from .percolate import (
     affordable_subsets,
     component_sizes,
+    draw_block_rows,
     mean_half_width,
+    prepare_removal,
     sample_keep_matrix,
 )
 
@@ -334,10 +336,11 @@ def solve_karger(
     Each repetition percolates the network once, solves the bounded-capacity
     cut on the sample with budget gamma*B*p, takes the realized component S
     of the source, and proposes the boundary of S in the original graph.
-    Candidates are compared on a shared fresh Monte Carlo evaluation stream
-    and the lowest estimated infection count wins. Self-loops are inert, so
-    only non-loop edges must carry probability p (``sparsification_regime``
-    checks this before any sampling).
+    Candidates are compared on a shared fresh Monte Carlo evaluation stream,
+    drawn and sized block by block, and the lowest estimated infection
+    count wins. Self-loops are inert, so only non-loop edges must carry
+    probability p (``sparsification_regime`` checks this before any
+    sampling).
     """
     if network.m == 0:
         raise ValidationError("network has no edges")
@@ -368,16 +371,22 @@ def solve_karger(
             "within_sample_budget": sol.within_budget,
         })
 
-    # equal candidates get equal estimates: score each distinct one once
+    # equal candidates get equal estimates: score each distinct one once, all
+    # of them on each block of the shared evaluation stream
     eval_seed = rng.derived_seed(seed, "eval")
-    eval_keep = sample_keep_matrix(network, eval_seed, 0, eval_samples)
-    scores: dict[tuple[int, ...], tuple[float, float]] = {}
+    removals = {members: prepare_removal(network, edge_removal(network, members))
+                for members in dict.fromkeys(members_per_candidate)}
+    sums = {members: [0, 0] for members in removals}
+    step = min(draw_block_rows(network, removal) for removal in removals.values())
+    for start in range(0, eval_samples, step):
+        keep = sample_keep_matrix(network, eval_seed, start, min(step, eval_samples - start))
+        for members, removal in removals.items():
+            sizes = component_sizes(network, keep, removal)
+            sums[members][0] += int(sizes.sum())
+            sums[members][1] += int((sizes * sizes).sum())
+    scores = {members: mean_half_width(total, total_sq, eval_samples)
+              for members, (total, total_sq) in sums.items()}
     for cand, members in zip(candidates, members_per_candidate):
-        if members not in scores:
-            sizes = component_sizes(network, eval_keep, edge_removal(network, members))
-            scores[members] = mean_half_width(
-                int(sizes.sum()), int((sizes * sizes).sum()), eval_samples
-            )
         cand["mc_mean"], cand["mc_half_width"] = scores[members]
 
     chosen_index = min(range(reps), key=lambda i: (candidates[i]["mc_mean"], i))

@@ -16,6 +16,15 @@ from epictrl.percolate import sample_keep_matrix
 from epictrl.saa import LP_TOLERANCE, draw_samples
 
 
+def recording_draws(draw, counts):
+    """A ``sample_keep_matrix`` stand-in that calls ``draw`` and records
+    each call's row count in ``counts``."""
+    def spy(network, seed, start_index, count):
+        counts.append(count)
+        return draw(network, seed, start_index, count)
+    return spy
+
+
 def make_network(n, edges, probs=None, costs=None, source=0) -> ContactNetwork:
     """Small-network helper: edges as (u, v) pairs."""
     m = len(edges)

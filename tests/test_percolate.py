@@ -20,8 +20,10 @@ from epictrl.percolate import (
     MASK_TABLE_CAP,
     component_sizes,
     infection_table,
+    prepare_removal,
     sample_keep_matrix,
 )
+from epictrl.rng import stride_for
 
 from epictrl import network as network_module
 from epictrl import percolate as percolate_module
@@ -34,8 +36,9 @@ from epictrl.network import (
     removal_edge_keep,
 )
 
-from conftest import complete_network, make_network, path_network, star_network, \
-    triangle_network, random_connected_network, union_find_component, union_find_sizes
+from conftest import complete_network, make_network, path_network, recording_draws, \
+    star_network, triangle_network, random_connected_network, union_find_component, \
+    union_find_sizes
 
 
 # ------------------------------------------------------------- sampling
@@ -76,6 +79,19 @@ def test_uniform_block_positions_are_stable():
     # a different purpose path gives an unrelated stream
     other = streams.uniform_block(31, 0, 20, m, "eval")
     assert not np.array_equal(full, other)
+
+
+def test_streams_are_those_of_philox_keyed_by_philox_key():
+    from epictrl import rng as streams
+
+    for seed, path in ((0, ()), (31, ("eval",)), (2**40, (3, "round"))):
+        keyed = np.random.Philox(key=streams.philox_key(seed, *path))
+        assert np.array_equal(streams.generator(seed, *path).random(9),
+                              np.random.Generator(keyed).random(9))
+        keyed = np.random.Philox(key=streams.philox_key(seed, *path))
+        keyed.advance(5 * 2)  # samples 0..4 of stride 8, in 4-draw counter steps
+        assert np.array_equal(streams.uniform_block(seed, 5, 3, 7, *path),
+                              np.random.Generator(keyed).random((3, 8))[:, :7])
 
 
 # ------------------------------------------------------------- estimation
@@ -164,12 +180,14 @@ def test_exact_enumeration_runs_in_bounded_blocks():
 
 
 def test_exact_enumeration_blocks_leave_the_mean_unchanged(rng):
-    # one block (every m <= 16 network) against blocks of a few rows
+    # bitmasks read off the mask table (every m <= 16 network) against the
+    # component kernel on pattern rows, in blocks of a few rows
     for _ in range(5):
         net = random_connected_network(rng, n_lo=5, n_hi=8, max_m=12, p_mode=0.37)
         removed = edge_removal(net, [0])
         whole = [exact_expected_infections(net, iv).mean for iv in (None, removed)]
-        with mock.patch.object(percolate_module, "PATTERN_CELLS", 3 * net.m + 1):
+        with mock.patch.object(percolate_module, "PATTERN_CELLS", 61 * net.m + 1), \
+             mock.patch.object(percolate_module, "MASK_TABLE_CAP", 0):
             blocked = [exact_expected_infections(net, iv).mean for iv in (None, removed)]
         assert [x.hex() for x in blocked] == [x.hex() for x in whole]
 
@@ -456,3 +474,79 @@ def test_estimate_order_insensitive_totals():
     a = estimate_infections(net, None, 3000, seed=5)
     b = estimate_infections(net, None, 3000, seed=5)
     assert a.mean == b.mean and a.half_width == b.half_width
+
+
+# ------------------------------------------------------------- blocked estimates
+
+# K7 on 0..6 and K5 on 7..11, joined by the edge (6, 7), source 0: m = 32 >
+# MASK_TABLE_CAP. Removing that edge or the vertex 7 leaves the source's
+# component C = the K7, which does not hold every kept edge, so rows are
+# sized on C alone, by the kernel (21 edges); cutting {0, 1, 2} off leaves a
+# C of 3 edges, sized by its 2^3 table.
+TWO_CLIQUES = make_network(
+    12, list(itertools.combinations(range(7), 2)) + [(6, 7)]
+    + list(itertools.combinations(range(7, 12), 2)), probs=0.6)
+DESK = random_connected_network(np.random.default_rng(5), n_lo=8, n_hi=8, max_m=14,
+                                p_mode="random")
+
+
+@pytest.mark.parametrize("net, removed, path", [
+    (DESK, None, "table"),
+    (DESK, edge_removal(DESK, [0, 3]), "table"),
+    (TWO_CLIQUES, None, "kernel"),
+    (TWO_CLIQUES, edge_removal(TWO_CLIQUES, [21]), "restricted kernel"),
+    (TWO_CLIQUES, node_removal(TWO_CLIQUES, [7]), "restricted kernel"),
+    (TWO_CLIQUES, edge_removal(TWO_CLIQUES, boundary_of(TWO_CLIQUES, [0, 1, 2])),
+     "restricted table"),
+])
+def test_estimate_is_the_same_at_any_block_size(net, removed, path):
+    """Blocks of 1, 3 and 7 samples, drawn and sized one at a time, give the
+    float.hex-identical mean and half-width of the default blocks (one
+    block of 50 rows here)."""
+    prepared = prepare_removal(net, removed)
+    assert path == " ".join(["restricted"] * (prepared.edges is not None)
+                            + ["table" if prepared.network.m <= MASK_TABLE_CAP else "kernel"])
+    whole = estimate_infections(net, removed, 50, seed=9)
+    for rows in (1, 3, 7):
+        # the kernel path draws CELLS // (n + m) rows, the others CELLS // stride
+        cells = rows * (net.n + net.m if path == "kernel" else stride_for(net.m))
+        counts = []
+        with mock.patch.object(network_module, "CELLS", cells), \
+             mock.patch.object(percolate_module, "CELLS", cells), \
+             mock.patch.object(percolate_module, "sample_keep_matrix",
+                               recording_draws(sample_keep_matrix, counts)):
+            blocked = estimate_infections(net, removed, 50, seed=9)
+        assert max(counts) == rows and sum(counts) == 50
+        assert (blocked.mean.hex(), blocked.half_width.hex()) == \
+            (whole.mean.hex(), whole.half_width.hex())
+
+
+def sparse_network(n=1000, m=3000, p=0.8, seed=4):
+    """A random spanning tree plus distinct extra edges up to m, source 0."""
+    g = np.random.default_rng(seed)
+    us = [int(g.integers(0, v)) for v in range(1, n)]
+    pairs = {(u, v) for u, v in zip(us, range(1, n))}
+    while len(pairs) < m:
+        u, v = sorted(int(x) for x in g.choice(n, size=2, replace=False))
+        pairs.add((u, v))
+    return make_network(n, sorted(pairs), probs=p)
+
+
+def test_estimate_memory_does_not_grow_with_samples():
+    """On a 3,000-edge graph the samples are drawn and sized one kernel
+    block at a time: the peak at N = 4,096 is within 1.5x of the peak at
+    N = 256 and under 32 bytes per block cell. Drawing all N rows at once
+    would take 24 KB of uniforms per sample, 98 MB at N = 4,096."""
+    net = sparse_network()
+    estimate_infections(net, None, 64, seed=1)  # builds the kernel's cached tables
+    block_cells = network_module.kernel_rows(net) * (net.n + net.m)
+    peaks = []
+    for num_samples in (256, 4096):
+        tracemalloc.start()
+        try:
+            estimate_infections(net, None, num_samples, seed=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.5 * min(peaks)
+    assert max(peaks) < 32 * block_cells

@@ -21,10 +21,12 @@ from epictrl import (
     sparsification_regime,
 )
 from epictrl import network as network_module
+from epictrl import percolate as percolate_module
 from epictrl import rng as rng_module
 from epictrl import sbcc as sbcc_module
 from epictrl.network import boundary_of, source_component_members
 from epictrl.percolate import sample_keep_matrix
+from epictrl.rng import stride_for
 
 from conftest import (
     complete_network,
@@ -34,6 +36,7 @@ from conftest import (
     path_network,
     star_network,
     random_connected_network,
+    recording_draws,
     sweep_c_max,
 )
 
@@ -507,3 +510,23 @@ def test_sbcc_source_degree_overflow_guard():
     sols, _ = min_sbcc_many(big, rows, float(1 << 15), 0.5)
     assert [s.component for s in sols] == [(0,), (0,)]
     assert [s.cut_edges for s in sols] == [tuple(range(big.m - 1)), tuple(range(1, big.m))]
+
+
+def test_karger_report_is_the_same_at_any_evaluation_block_size():
+    """The candidates are scored on blocks of 1, 3 and 7 evaluation samples
+    (``percolate.CELLS`` sets the draw block of the restricted paths) with
+    the same report as on one block of 50."""
+    net = random_connected_network(np.random.default_rng(1), n_lo=10, n_hi=12, max_m=20,
+                                   p_mode=0.5)
+    _, report = solve_karger(net, budget=0.25, p=0.5, repetitions=6, eval_samples=50, seed=4)
+    assert report["candidates_distinct"] == 3
+    for rows in (1, 3, 7):
+        counts = []
+        with mock.patch.object(percolate_module, "CELLS", rows * stride_for(net.m)), \
+             mock.patch.object(sbcc_module, "sample_keep_matrix",
+                               recording_draws(sample_keep_matrix, counts)):
+            _, blocked = solve_karger(net, budget=0.25, p=0.5, repetitions=6,
+                                      eval_samples=50, seed=4)
+        # the first call draws the repetitions' samples, the rest evaluate
+        assert max(counts[1:]) == rows and sum(counts[1:]) == 50
+        assert blocked == report
