@@ -66,7 +66,6 @@ from .saa import (
     required_sample_count,
     round_deterministic,
     round_randomized,
-    separated_sets,
     solve_lp,
     solve_saa,
 )

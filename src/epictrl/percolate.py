@@ -257,25 +257,39 @@ def estimate_infections(
     """Monte Carlo estimate of expected infections under an intervention.
 
     Retention and removal commute, so the intervention is applied to each
-    sampled subgraph. The removal is prepared once, and the samples are
-    drawn and sized :func:`draw_block_rows` at a time, so memory does not
-    grow with ``num_samples``; the integer sums make the result the same
-    at any block size. The half-width is the 99% normal-approximation
-    bound from the sample variance.
+    sampled subgraph; :func:`estimate_infections_many` of this one removal.
+    """
+    return estimate_infections_many(network, [intervention], num_samples, seed)[0]
+
+
+def estimate_infections_many(
+    network: ContactNetwork,
+    interventions: list[Intervention | None],
+    num_samples: int,
+    seed: int,
+) -> list[InfectionEstimate]:
+    """Monte Carlo estimates of several removals on one shared sample stream.
+
+    Each removal is prepared once, and the samples are drawn once, the
+    least :func:`draw_block_rows` of the removals at a time, and sized
+    under every removal, so memory does not grow with ``num_samples``; the
+    integer sums make each result the same at any block size. The
+    half-width is the 99% normal-approximation bound from the sample
+    variance.
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
-    removal = prepare_removal(network, intervention)
-    step = draw_block_rows(network, removal)
-    total = 0
-    total_sq = 0
+    removals = [prepare_removal(network, intervention) for intervention in interventions]
+    step = min(draw_block_rows(network, removal) for removal in removals)
+    sums = [[0, 0] for _ in removals]
     for start in range(0, num_samples, step):
         keep = sample_keep_matrix(network, seed, start, min(step, num_samples - start))
-        sizes = component_sizes(network, keep, removal)
-        total += int(sizes.sum())
-        total_sq += int((sizes * sizes).sum())
-    mean, half = mean_half_width(total, total_sq, num_samples)
-    return InfectionEstimate(mean=mean, half_width=half, num_samples=num_samples)
+        for removal, total in zip(removals, sums):
+            sizes = component_sizes(network, keep, removal)
+            total[0] += int(sizes.sum())
+            total[1] += int((sizes * sizes).sum())
+    return [InfectionEstimate(*mean_half_width(total, total_sq, num_samples), num_samples)
+            for total, total_sq in sums]
 
 
 def mean_half_width(total: int, total_sq: int, num_samples: int) -> tuple[float, float]:
@@ -302,10 +316,10 @@ def exact_expected_infections(
     r random edges are enumerated over all 2^r patterns weighted by their
     Bernoulli probabilities. Requires r <= 22. With m <= ``MASK_TABLE_CAP``
     each pattern's bitmask is built by doubling, like its weight, and its
-    size read off the 2^m table. Above that the patterns are built as rows
-    and sized by the component kernel ``PATTERN_CELLS // m`` rows at a
-    time, so memory stays bounded for any m. The sizes fill one array and
-    one dot product weights them.
+    size read off the 2^m table. Above that the removal is prepared once,
+    and the patterns are built as rows and sized ``PATTERN_CELLS // m``
+    rows at a time, so memory stays bounded for any m. The sizes fill one
+    array and one dot product weights them.
     """
     keep = removal_edge_keep(network, intervention)
     always = keep & (network.probs == 1.0)
@@ -329,6 +343,7 @@ def exact_expected_infections(
             masks = np.concatenate([masks, masks | (1 << int(e))])
         sizes = infection_table(network)[masks]
     else:
+        removal = prepare_removal(network, intervention)
         sizes = np.empty(1 << r, dtype=np.int64)
         step = max(1, PATTERN_CELLS // network.m)
         for start in range(0, 1 << r, step):
@@ -336,7 +351,7 @@ def exact_expected_infections(
             rows = np.tile(always, (len(patterns), 1))
             for bit, e in enumerate(random_ids):
                 rows[:, e] = (patterns >> bit) & 1
-            sizes[start:start + len(patterns)] = component_sizes(network, rows, intervention)
+            sizes[start:start + len(patterns)] = component_sizes(network, rows, removal)
     mean = float(np.dot(weights, sizes.astype(np.float64)))
     return InfectionEstimate(mean=mean, half_width=0.0, num_samples=1 << r, exact=True)
 

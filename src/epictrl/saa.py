@@ -67,9 +67,10 @@ LP_TOLERANCE = 1e-7
 CUT_GAP = 1e-9
 MAX_CUT_ROUNDS = 500
 
-# Most distinct scenario-vertex cells, D x n, that draw_samples takes on. Peaks
-# per cell (tracemalloc, a 50-leaf star in n = 5000, N = 200 to 1000, all
-# distinct) were 1.3 bytes in draw_samples, 4.5 in build_lp, 8.3 in solve_lp.
+# Most distinct scenario-vertex cells, D x n, that draw_samples takes on; it
+# bounds build_lp's transient int32 index of those cells. Peaks per cell
+# (tracemalloc, a 20-leaf star in n = 40,000, N = 100 and 200, all distinct)
+# were 0.1-0.2 bytes in draw_samples, 4.0 in build_lp, 0.05 in solve_lp.
 DISTINCT_CELL_CAP = 1 << 23
 
 # Most uniforms, N x rng.stride_for(m), that draw_samples draws, one kernel
@@ -83,15 +84,15 @@ class SampleSet:
     """N percolation scenarios from one network, held as the D distinct ones.
 
     A restricted row keeps a scenario's kept non-loop edges inside the
-    source's component, which fix that component. The distinct rows are in
-    ``np.unique``'s order; the arrays are read-only.
+    source's component, which fix that component: the source and the ends of
+    the row's edges. The distinct rows are in ``np.unique``'s order; the
+    arrays are read-only.
     """
 
     network: ContactNetwork
     rows: np.ndarray  # (D, m) bool, the distinct restricted rows
     counts: np.ndarray  # (D,) int64, scenarios per row
     scenario_map: np.ndarray  # (N,) int64, row of each scenario
-    component: np.ndarray  # (D, n) bool, source's component per row
 
     @property
     def N(self) -> int:
@@ -118,8 +119,9 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
     Scenarios are drawn and labelled in the component kernel's blocks, so no
     (N, n) array exists, and one ``_distinct_rows`` merges their packed
     restricted rows. Over ``SAMPLE_DRAW_CAP`` uniforms (N times the padded
-    stride) or ``DISTINCT_CELL_CAP`` cells (D n), ``InstanceTooLargeError``
-    is raised before the draw or before any (D, n) array.
+    stride) ``InstanceTooLargeError`` is raised before the draw, and over
+    ``DISTINCT_CELL_CAP`` cells (D n) right after the merge, before the
+    rows are unpacked.
 
     The network keeps the arrays of the last set drawn on it, keyed by (N,
     seed), for its lifetime: the set is a pure function of (network, N,
@@ -152,11 +154,7 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
     first, scenario_map, counts = _distinct_rows(packed)
     _check_distinct_cells(N, n, len(first))
     rows = np.unpackbits(packed[first], axis=1, count=m).astype(bool)
-    # the component is s and the ends of the row's edges, which all reach s
-    d, e = np.divmod(np.flatnonzero(rows), m)
-    component = np.tile(np.arange(n) == network.source, (len(rows), 1))
-    component[d, us[e]] = component[d, vs[e]] = True
-    arrays = (rows, counts, scenario_map, component)
+    arrays = (rows, counts, scenario_map)
     for array in arrays:
         array.setflags(write=False)
     # the network keeps the arrays, not the SampleSet: a set refers to its
@@ -272,8 +270,10 @@ def build_lp(
 ) -> LpModel:
     """Presolve the scenario LP for an edge- or node-removal budget.
 
-    The merged graph has at most D n vertices and 2 D m arcs, so
-    ``DISTINCT_CELL_CAP`` (D n) and ``SAMPLE_DRAW_CAP`` (N m) bound it.
+    A row's component is the source and the ends of its kept edges, marked
+    in a transient int32 index of the D n (scenario, vertex) cells that
+    ``DISTINCT_CELL_CAP`` bounds. The merged graph has at most D n vertices
+    and 2 D m arcs, so that cap and ``SAMPLE_DRAW_CAP`` (N m) bound it.
     """
     if mode not in ("edge", "node"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -300,25 +300,25 @@ def build_lp(
         affordable[s] = False  # the source cannot be vaccinated
     scale = budget if budget > 0 else 1.0
 
-    component = samples.component
-    y_cells = np.flatnonzero(component)
-    y_cells = y_cells[y_cells % n != s]  # every component holds s
-    # graph vertex of each (d, v) cell: 0 for s, i + 1 for copy i; int32
-    # holds it, as DISTINCT_CELL_CAP holds the D n cells at 2^23
-    cell_vertex = np.zeros(component.size, dtype=np.int32)
-    cell_vertex[y_cells] = np.arange(1, len(y_cells) + 1)
-
-    # arc a -> b of each kept component edge of distinct scenario d
+    # graph vertex of each (d, v) cell: 0 for s and outside the component,
+    # i + 1 for copy i; int32 holds it, as DISTINCT_CELL_CAP holds the D n
+    # cells at 2^23, and it is dropped once the kept edges' ends are read
+    num_rows = len(samples.counts)
     d, e = np.divmod(np.flatnonzero(samples.rows), net.m)
-    d = np.repeat(d, 2)
-    a = np.stack([net.us[e], net.vs[e]], axis=1).ravel()
-    b = np.stack([net.vs[e], net.us[e]], axis=1).ravel()
-    e = np.repeat(e, 2)
-    hop = b != s
-    d, e, a, b = d[hop], e[hop], a[hop], b[hop]
-    tail = cell_vertex[d * n + a].astype(np.int64)
-    head = cell_vertex[d * n + b].astype(np.int64)
-    weighs = e if mode == "edge" else b
+    ends = np.stack([d * n + net.us[e], d * n + net.vs[e]], axis=1)  # (d, v) cells
+    cell_vertex = np.zeros(num_rows * n, dtype=np.int32)
+    cell_vertex[ends] = 1
+    cell_vertex[s::n] = 0
+    y_cells = np.flatnonzero(cell_vertex)
+    cell_vertex[y_cells] = np.arange(1, len(y_cells) + 1)
+    ends = cell_vertex[ends].astype(np.int64)
+    del cell_vertex
+
+    # arcs u -> v and v -> u of each kept component edge, but none into s
+    tail, head, e = ends.ravel(), ends[:, ::-1].ravel(), np.repeat(e, 2)
+    hop = head != 0
+    tail, head, e = tail[hop], head[hop], e[hop]
+    weighs = e if mode == "edge" else y_cells[head - 1] % n
     live = np.zeros(len(costs), dtype=bool)
     live[weighs] = True
     var_entities = np.flatnonzero(affordable & live)
@@ -328,7 +328,8 @@ def build_lp(
     return LpModel(
         samples=samples, mode=mode, budget=float(budget), var_entities=var_entities,
         budget_row=costs[var_entities] / scale,
-        offset=int(samples.counts @ (component.sum(axis=1) - 1)) / samples.N, y_cells=y_cells,
+        offset=int(samples.counts @ np.bincount(y_cells // n, minlength=num_rows)) / samples.N,
+        y_cells=y_cells,
         arc_tail=tail[order], arc_head=head[order], arc_col=x_col[weighs][order],
         node_costs=None if mode == "edge" else costs,
     )
@@ -340,7 +341,9 @@ class FractionalSolution:
 
     model: LpModel
     x: np.ndarray  # per entity (edge or vertex), zeros where hard-wired
-    y: np.ndarray  # (D, n): scenario j reads row scenario_map[j]; y[:, source] == 0
+    # (num_y,) level of each copy, aligned with model.y_cells; every other
+    # cell sits at 1 outside its scenario's component and 0 at the source
+    y: np.ndarray
     objective: float
     solver_status: str  # "optimal" | "iteration-limit"
     # dual-simplex iterations summed over every master LP, each one warm
@@ -391,10 +394,14 @@ def _cut_rows(dist, pred, copy_counts, groups, model: LpModel, num_groups: int):
         verts = pred[verts]
         up = verts != 0
         verts, base = verts[up], base[up]
-    keys = np.sort(np.concatenate(keys))
+    keys = np.concatenate(keys)
+    keys.sort()  # sorted, then masked, in place: a copy takes 8 bytes per entry
     pairs = keys >> bits
-    heads = np.flatnonzero(np.diff(pairs, prepend=-1))
-    totals = np.add.reduceat(keys & ((1 << bits) - 1), heads)
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=starts[1:])
+    heads = np.flatnonzero(starts)
+    keys &= (1 << bits) - 1
+    totals = np.add.reduceat(keys, heads)
     pairs = pairs[heads]
     stop = np.searchsorted(pairs, end)
     index = pairs[:stop] % width
@@ -507,15 +514,16 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     "iteration-limit", before that round's cuts and master.
 
     The returned x is the best point seen, and y = min(1, dist) there, the
-    exact optimal y for that x, per distinct scenario and at 1 outside its
-    source component. The returned objective is F at that x: the average,
-    over scenarios, of the fractional count of non-source vertices still
-    connected to the source. With no vertex but s in any component, no
-    round runs; with no x column, F is constant and one oracle call solves
-    it without a master LP. The solve is deterministic.
+    exact optimal y for that x, one level per vertex copy of ``y_cells``
+    (every other vertex of a scenario is at 1, the source at 0). The
+    returned objective is F at that x: the average, over scenarios, of the
+    fractional count of non-source vertices still connected to the source.
+    With no vertex but s in any component, no round runs; with no x column,
+    F is constant and one oracle call solves it without a master LP. The
+    solve is deterministic.
     """
     net = model.network
-    n, s, N = net.n, net.source, model.samples.N
+    n, N = net.n, model.samples.N
     num_x, counts = model.num_x, model.samples.counts
     x, levels, value = np.zeros(num_x), np.ones(0), model.offset
     status, rounds, iterations, master_size = "optimal", 0, 0, (0, 0, 0)
@@ -563,21 +571,19 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     width = net.m if model.mode == "edge" else net.n
     x_full = np.zeros(width)
     x_full[model.var_entities] = x
-    y = np.ones(model.samples.component.shape)
-    y[:, s] = 0.0
-    np.put(y, model.y_cells, levels)
     objective = min(max(value, 0.0), float(n - 1))  # strip rounding noise
     # sanity: budget row and objective identity within solver tolerance
     if num_x:
         row = float(model.budget_row @ x)
         if row > 1.0 + 10 * LP_TOLERANCE:
             raise SolverError(f"budget row violated: {row}")
-    # over the distinct scenarios, weighted by their counts; y is 0 at s, so
-    # the n - 1 others give n - 1 - (row sum) unconnected
-    recomputed = float(counts @ (n - 1 - y.sum(axis=1)) / N)
+    # over the distinct scenarios, weighted by their counts: each copy stays
+    # 1 - level connected, and a vertex outside the component (y = 1) none
+    connected = np.bincount(model.y_cells // n, weights=1.0 - levels, minlength=len(counts))
+    recomputed = float(counts @ connected / N)
     if abs(recomputed - objective) > 1e-6 * max(1.0, abs(objective)):
         raise SolverError("objective/variable inconsistency in LP solution")
-    return FractionalSolution(model=model, x=x_full, y=y, objective=objective,
+    return FractionalSolution(model=model, x=x_full, y=levels, objective=objective,
                               solver_status=status, iterations=iterations,
                               cut_rounds=rounds, master_size=master_size)
 
@@ -628,25 +634,6 @@ def round_deterministic(frac: FractionalSolution) -> Intervention:
             f"deterministic rounding exceeded its cost guarantee: {out.cost} > {bound}"
         )
     return out
-
-
-def separated_sets(
-    frac: FractionalSolution, samples: SampleSet, epsilon: float
-) -> list[frozenset[int]]:
-    """Per-scenario sets of vertices the LP commits to disconnect.
-
-    Scenario j's set holds every vertex with y_vj >= epsilon, read off its
-    distinct scenario's row of y. Diagnostic: after a successful rounding,
-    surviving reachable vertices should mostly fall outside these sets.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if samples is not frac.model.samples:
-        raise ValidationError("samples do not match the solved model")
-    rows, verts = np.nonzero(frac.y >= epsilon)
-    splits = np.searchsorted(rows, np.arange(1, len(frac.y)))
-    sets = [frozenset(part.tolist()) for part in np.split(verts, splits)]
-    return [sets[d] for d in samples.scenario_map.tolist()]
 
 
 def brute_force_optimum(

@@ -62,9 +62,7 @@ from .network import (
 from .percolate import (
     affordable_subsets,
     component_sizes,
-    draw_block_rows,
-    mean_half_width,
-    prepare_removal,
+    estimate_infections_many,
     sample_keep_matrix,
 )
 
@@ -372,22 +370,14 @@ def solve_karger(
         })
 
     # equal candidates get equal estimates: score each distinct one once, all
-    # of them on each block of the shared evaluation stream
-    eval_seed = rng.derived_seed(seed, "eval")
-    removals = {members: prepare_removal(network, edge_removal(network, members))
-                for members in dict.fromkeys(members_per_candidate)}
-    sums = {members: [0, 0] for members in removals}
-    step = min(draw_block_rows(network, removal) for removal in removals.values())
-    for start in range(0, eval_samples, step):
-        keep = sample_keep_matrix(network, eval_seed, start, min(step, eval_samples - start))
-        for members, removal in removals.items():
-            sizes = component_sizes(network, keep, removal)
-            sums[members][0] += int(sizes.sum())
-            sums[members][1] += int((sizes * sizes).sum())
-    scores = {members: mean_half_width(total, total_sq, eval_samples)
-              for members, (total, total_sq) in sums.items()}
+    # of them on the shared evaluation stream
+    distinct = list(dict.fromkeys(members_per_candidate))
+    estimates = estimate_infections_many(
+        network, [edge_removal(network, members) for members in distinct], eval_samples,
+        rng.derived_seed(seed, "eval"))
+    scores = dict(zip(distinct, estimates))
     for cand, members in zip(candidates, members_per_candidate):
-        cand["mc_mean"], cand["mc_half_width"] = scores[members]
+        cand["mc_mean"], cand["mc_half_width"] = scores[members].mean, scores[members].half_width
 
     chosen_index = min(range(reps), key=lambda i: (candidates[i]["mc_mean"], i))
     chosen = edge_removal(network, members_per_candidate[chosen_index], "karger")

@@ -79,6 +79,16 @@ def drawn(network, N, seed):
     return draw_samples(network, N, seed), sample_keep_matrix(network, seed, 0, N)
 
 
+def dense_y(model, y) -> np.ndarray:
+    """The LP levels ``y`` of ``model`` as the (D, n) array of every
+    (distinct scenario, vertex) cell: ``y[i]`` at cell ``model.y_cells[i]``,
+    1 outside the scenario's source component and 0 at the source."""
+    dense = np.ones((len(model.samples.counts), model.network.n))
+    dense[:, model.network.source] = 0.0
+    np.put(dense, model.y_cells, y)
+    return dense
+
+
 def union_find_component(network, keep) -> tuple[int, ...]:
     """Reference source component (ascending ids) of one kept-edge row."""
     parent = list(range(network.n))

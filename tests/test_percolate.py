@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -519,6 +520,44 @@ def test_estimate_is_the_same_at_any_block_size(net, removed, path):
         assert max(counts) == rows and sum(counts) == 50
         assert (blocked.mean.hex(), blocked.half_width.hex()) == \
             (whole.mean.hex(), whole.half_width.hex())
+
+
+def test_shared_estimates_match_each_removal_alone():
+    """Removals on the table, kernel and restricted paths, estimated on one
+    shared stream in blocks of the least of their draw blocks, get the
+    float.hex-identical estimate each gets alone."""
+    removals = [None, edge_removal(TWO_CLIQUES, [21]), node_removal(TWO_CLIQUES, [7]),
+                edge_removal(TWO_CLIQUES, boundary_of(TWO_CLIQUES, [0, 1, 2]))]
+    shared = percolate_module.estimate_infections_many(TWO_CLIQUES, removals, 300, seed=5)
+    for removed, got in zip(removals, shared):
+        alone = estimate_infections(TWO_CLIQUES, removed, 300, seed=5)
+        assert got.num_samples == 300
+        assert (got.mean.hex(), got.half_width.hex()) == \
+            (alone.mean.hex(), alone.half_width.hex())
+
+
+def test_exact_enumeration_prepares_its_removal_once():
+    """Past the mask table (m = 32), 2^14 patterns in 17 blocks under the
+    removal of the bridge: the removal is prepared once, not once per block,
+    and the mean is that of the bridge at p = 0 with no removal, and the
+    mean that preparing it per block gave."""
+    probs = np.ones(TWO_CLIQUES.m)
+    probs[:6], probs[6:14] = 0.3, 0.5  # the source's edges, then 8 more of the K7
+    net = dataclasses.replace(TWO_CLIQUES, probs=probs)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return prepare_removal(*args)
+
+    with mock.patch.object(percolate_module, "PATTERN_CELLS", 1000 * net.m), \
+         mock.patch.object(percolate_module, "prepare_removal", counted):
+        got = exact_expected_infections(net, edge_removal(net, [21]))
+    assert len(calls) == 1 and got.num_samples == 1 << 14
+    probs = probs.copy()
+    probs[21] = 0.0
+    assert got.mean == exact_expected_infections(dataclasses.replace(net, probs=probs)).mean
+    assert got.mean.hex() == "0x1.91276427c7c56p+2"
 
 
 def sparse_network(n=1000, m=3000, p=0.8, seed=4):

@@ -29,7 +29,6 @@ from epictrl import (
     required_sample_count,
     round_deterministic,
     round_randomized,
-    separated_sets,
     solve_lp,
     solve_saa,
 )
@@ -42,6 +41,7 @@ from conftest import (
     adjacency,
     brute_force_reference,
     complete_network,
+    dense_y,
     drawn,
     make_network,
     path_network,
@@ -67,7 +67,7 @@ def test_sample_count_epsilon_validation():
 
 # ------------------------------------------------------------- sampling
 
-SAMPLE_FIELDS = ("rows", "counts", "scenario_map", "component")
+SAMPLE_FIELDS = ("rows", "counts", "scenario_map")
 
 
 def rebuilt(net):
@@ -177,8 +177,9 @@ def test_lp_path_hand_solution():
     frac = solve_lp(build_lp(ss, budget=1.0))
     assert frac.objective == pytest.approx(0.0, abs=1e-9)
     assert frac.x[0] == pytest.approx(1.0, abs=1e-7)
-    assert frac.y[0, 1] == pytest.approx(1.0, abs=1e-7)
-    assert frac.y[0, 2] == pytest.approx(1.0, abs=1e-7)
+    y = dense_y(frac.model, frac.y)
+    assert y[0, 1] == pytest.approx(1.0, abs=1e-7)
+    assert y[0, 2] == pytest.approx(1.0, abs=1e-7)
 
 
 def test_lp_empty_samples_objective_zero():
@@ -186,7 +187,7 @@ def test_lp_empty_samples_objective_zero():
     ss = draw_samples(net, 3, seed=1)
     frac = solve_lp(build_lp(ss, budget=1.0))
     assert frac.objective == pytest.approx(0.0, abs=1e-9)
-    assert np.all(frac.y[:, 1:] >= 1.0 - 1e-9)
+    assert np.all(dense_y(frac.model, frac.y)[:, 1:] >= 1.0 - 1e-9)
 
 
 def test_lp_budget_below_every_cost():
@@ -241,9 +242,10 @@ def test_lp_y_is_capped_shortest_path_distance(rng, mode):
         net = random_connected_network(rng, n_lo=4, n_hi=6, max_m=9, p_mode=0.6)
         ss, keep = drawn(net, 12, int(rng.integers(1 << 30)))
         frac = solve_lp(build_lp(ss, budget=2.0, mode=mode))
+        y = dense_y(frac.model, frac.y)
         for j in range(ss.N):
             want = dijkstra_capped(net, keep[j], frac.x, mode)
-            got = frac.y[ss.scenario_map[j]].copy()
+            got = y[ss.scenario_map[j]].copy()
             got[net.source] = 0.0
             assert np.allclose(got, want, atol=1e-6), (mode, j)
 
@@ -279,10 +281,11 @@ def assert_matches_unreduced(samples, keep_rows, budget, mode="edge", node_costs
     net = samples.network
     objective, x, y = unreduced_lp_solution(net, keep_rows, budget, mode, node_costs)
     assert abs(frac.objective - objective) <= 1e-9, (mode, frac.objective, objective)
+    frac_y = dense_y(frac.model, frac.y)
     live = np.zeros(len(x), dtype=bool)
     for j, row in enumerate(keep_rows):
         want = dijkstra_capped(net, row, frac.x, mode)
-        assert np.abs(frac.y[samples.scenario_map[j]] - want).max() <= 1e-7, (mode, j)
+        assert np.abs(frac_y[samples.scenario_map[j]] - want).max() <= 1e-7, (mode, j)
         members = list(union_find_component(net, row))
         if mode == "edge":
             live |= row & np.isin(net.us, members)
@@ -293,7 +296,7 @@ def assert_matches_unreduced(samples, keep_rows, budget, mode="edge", node_costs
         threshold = 1.0 / (4.0 * net.n ** (2.0 / 3.0))
         assert np.array_equal(np.flatnonzero(frac.x >= threshold),
                               np.flatnonzero(live & (x >= threshold))), mode
-        assert np.abs(frac.y[samples.scenario_map] - y).max() <= 1e-7, mode
+        assert np.abs(frac_y[samples.scenario_map] - y).max() <= 1e-7, mode
     return frac
 
 
@@ -384,10 +387,10 @@ def test_lp_restricts_and_merges_scenarios():
     net = make_network(4, [(0, 1), (2, 3)], probs=[1.0, 0.0])
     model = build_lp(draw_samples(net, 5, seed=0), budget=1.0)
     samples = model.samples
-    assert len(samples.component) == 1 and np.array_equal(samples.scenario_map, np.zeros(5))
-    assert samples.component[0].tolist() == [True, True, False, False]
+    assert len(samples.counts) == 1 and np.array_equal(samples.scenario_map, np.zeros(5))
     assert samples.rows.tolist() == [[True, False]] and samples.counts.tolist() == [5]
     assert (model.num_x, model.num_y) == (1, 1)
+    assert model.y_cells.tolist() == [1]  # the component {0, 1}: one copy, of vertex 1
     assert model.a_ub.shape == (1, 1) and model.b_ub.tolist() == [1.0]  # the budget row
     # one arc: the merged source 0 -> the copy of vertex 1, weighed by x column 0
     assert (model.arc_tail.tolist(), model.arc_head.tolist(), model.arc_col.tolist()) == \
@@ -449,7 +452,8 @@ def test_cut_loop_without_x_columns_calls_the_oracle_once(no_master, budget, mod
     frac = solve_lp(model)
     assert (frac.cut_rounds, frac.iterations, frac.master_size) == (1, 0, (0, 0, 0))
     assert frac.solver_status == "optimal" and frac.objective == 2.0
-    assert np.all(frac.x == 0.0) and np.all(frac.y[:, 1:] == 0.0)
+    assert np.all(frac.x == 0.0) and np.all(frac.y == 0.0)
+    assert np.all(dense_y(model, frac.y)[:, 1:] == 0.0)
 
 
 def test_cut_loop_at_its_round_cap(monkeypatch):
@@ -698,15 +702,18 @@ def test_distinct_cell_cap_fails_before_any_distinct_array(monkeypatch, mode):
 
 
 def test_solve_lp_peak_memory_per_cell():
-    """y costs 8 bytes per distinct scenario-vertex cell; solve_lp stays near 2x.
+    """y holds one level per vertex copy, (num_y,), and solve_lp peaks within
+    256 bytes per copy and arc.
 
-    Stars among 5000 vertices. With 50 leaves nearly every scenario is
-    distinct, so D is about N; the objective check once copied y twice more,
-    for 33.5 bytes per cell. With 4 leaves at most 16 of the 500 scenarios
-    are distinct, and a dense (N, n) y alone would take 8 N n bytes, over
-    31 times the bound.
+    Stars among 5000 vertices, after one solve that loads the LP solver.
+    With 50 leaves nearly every scenario is distinct, so D is about N; a
+    dense (D, n) y took 825 bytes per copy and arc there, and the objective
+    check once copied it twice more. With 4 leaves at most 16 of the 500
+    scenarios are distinct, and a dense (N, n) y alone would take 8 N n
+    bytes.
     """
     n = 5000
+    solve_lp(build_lp(draw_samples(star_network(4, p=0.5), 20, seed=1), 3.0))
     for leaves, N in ((50, 200), (4, 500)):
         net = make_network(n, [(0, i) for i in range(1, leaves + 1)], probs=0.5)
         model = build_lp(draw_samples(net, N, seed=1), 3.0)
@@ -717,11 +724,29 @@ def test_solve_lp_peak_memory_per_cell():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert frac.y.shape == (D, n) and (D > 0.9 * N if leaves == 50 else D <= 16)
-        assert peak <= 20 * D * n, (leaves, peak / (D * n))
+        assert frac.y.shape == (model.num_y,) and (D > 0.9 * N if leaves == 50 else D <= 16)
+        cells = model.num_y + len(model.arc_head)
+        assert peak <= 256 * cells, (leaves, peak / cells)
         # the count-weighted check still sees an objective that y does not carry
         with pytest.raises(SolverError, match="inconsistency"):
             solve_lp(dataclasses.replace(model, offset=model.offset + 0.5))
+
+
+def test_no_array_of_d_n_cells_outlives_the_solve():
+    """A SampleSet holds the network, rows, counts and scenario map alone,
+    and no array of it, of the LP model or of the solution has D n cells or
+    more: a 40-leaf star among 2000 vertices, nearly every scenario
+    distinct."""
+    assert [f.name for f in dataclasses.fields(saa.SampleSet)] == \
+        ["network", "rows", "counts", "scenario_map"]
+    net = make_network(2000, [(0, i) for i in range(1, 41)], probs=0.5)
+    for mode in ("edge", "node"):
+        frac = solve_lp(build_lp(draw_samples(net, 100, seed=1), 3.0, mode=mode))
+        cells = len(frac.model.samples.counts) * net.n
+        for held in (frac.model.samples, frac.model, frac):
+            for field in dataclasses.fields(held):
+                value = getattr(held, field.name)
+                assert not isinstance(value, np.ndarray) or value.size < cells, field.name
 
 
 def restricted_rows(net, keep_rows):
@@ -736,8 +761,10 @@ def restricted_rows(net, keep_rows):
 
 def test_sample_set_matches_union_find_restriction(monkeypatch):
     """Random desk instances, and larger ones past the mask table: the
-    distinct view expands to the raw rows restricted by union-find, its
-    counts are the scenario map's, its rows are distinct, and forced blocks
+    distinct view expands to the raw rows restricted by union-find, the
+    LP's component cells (the source and ``build_lp``'s ``y_cells``) to the
+    union-find components, its counts are the scenario map's, its rows are
+    distinct, and forced blocks
     of 1 and 3 rows build the same SampleSet. Scored on it, the empirical
     objective under random edge removals is the raw rows'."""
     g = np.random.default_rng(1919)
@@ -751,7 +778,10 @@ def test_sample_set_matches_union_find_restriction(monkeypatch):
         samples, keep = drawn(net, N, seed)
         rows, comps = restricted_rows(net, keep)
         assert np.array_equal(samples.rows[samples.scenario_map], rows)
-        assert np.array_equal(samples.component[samples.scenario_map], comps)
+        model = build_lp(samples, 1.0)
+        assert np.all(np.diff(model.y_cells) > 0)  # row-major
+        component = dense_y(model, np.zeros(model.num_y)) == 0.0  # 0 on s and every copy
+        assert np.array_equal(component[samples.scenario_map], comps)
         assert np.array_equal(samples.counts, np.bincount(samples.scenario_map))
         assert len(np.unique(samples.rows, axis=0)) == len(samples.rows)
         for block_rows in (1, 3):
@@ -777,8 +807,7 @@ def craft_fraction(net, x_values, budget=1.0, mode="edge", N=1):
     x = np.zeros(width)
     for ent, val in x_values.items():
         x[ent] = val
-    y = np.zeros((len(ss.counts), net.n))
-    return FractionalSolution(model=model, x=x, y=y, objective=0.0,
+    return FractionalSolution(model=model, x=x, y=np.zeros(model.num_y), objective=0.0,
                               solver_status="optimal")
 
 
@@ -1001,46 +1030,6 @@ def test_node_brute_force_rejects_more_than_20_vertices():
     with pytest.raises(InstanceTooLargeError, match="20 vertices, got n = 21; use solve_saa"):
         brute_force_optimum(ss, budget=1.0, mode="node")
     brute_force_optimum(ss, budget=1.0, mode="edge")  # edge mode has no vertex cap
-
-
-# ------------------------------------------------------------- hit sets
-
-def test_separated_sets_threshold_extremes():
-    net = path_network(p=1.0)
-    ss = draw_samples(net, 1, seed=1)
-    frac = solve_lp(build_lp(ss, budget=1.0))
-    assert separated_sets(frac, ss, 0.5) == [frozenset({1, 2})]
-    low_y = FractionalSolution(model=frac.model, x=frac.x,
-                               y=np.full_like(frac.y, 0.2), objective=0.0,
-                               solver_status="optimal")
-    assert separated_sets(low_y, ss, 0.999) == [frozenset()]
-
-
-def test_separated_sets_contains_disconnected_vertices():
-    net = path_network(p=0.0)
-    ss = draw_samples(net, 2, seed=1)
-    frac = solve_lp(build_lp(ss, budget=1.0))
-    sets = separated_sets(frac, ss, 0.05)
-    assert all({1, 2} <= s for s in sets)
-
-
-def test_separated_sets_match_per_scenario_threshold(rng):
-    net = random_connected_network(rng, n_lo=5, n_hi=7, max_m=10, p_mode=0.5)
-    ss = draw_samples(net, 25, seed=4)
-    frac = solve_lp(build_lp(ss, budget=1.0))
-    for eps in (0.05, 0.5, 0.95):
-        want = [frozenset(int(v) for v in np.flatnonzero(frac.y[ss.scenario_map[j]] >= eps))
-                for j in range(ss.N)]
-        assert separated_sets(frac, ss, eps) == want
-
-
-def test_separated_sets_validation():
-    net = path_network(p=1.0)
-    ss = draw_samples(net, 1, seed=1)
-    frac = solve_lp(build_lp(ss, budget=1.0))
-    other = draw_samples(net, 1, seed=2)
-    with pytest.raises(ValidationError):
-        separated_sets(frac, other, 0.5)
 
 
 # ------------------------------------------------------------- end to end

@@ -284,8 +284,8 @@ def test_karger_counters_and_one_score_per_distinct_candidate(net, budget):
 
     with mock.patch.object(network_module, "maximum_flow",
                            counted("flow", network_module.maximum_flow)), \
-         mock.patch.object(sbcc_module, "component_sizes",
-                           counted("sizes", sbcc_module.component_sizes)):
+         mock.patch.object(percolate_module, "component_sizes",
+                           counted("sizes", percolate_module.component_sizes)):
         _, report = solve_karger(net, budget=budget, p=p, repetitions=6,
                                  eval_samples=50, seed=4)
     distinct = {tuple(c["members"]) for c in report["candidates"]}
@@ -523,10 +523,10 @@ def test_karger_report_is_the_same_at_any_evaluation_block_size():
     for rows in (1, 3, 7):
         counts = []
         with mock.patch.object(percolate_module, "CELLS", rows * stride_for(net.m)), \
-             mock.patch.object(sbcc_module, "sample_keep_matrix",
+             mock.patch.object(percolate_module, "sample_keep_matrix",
                                recording_draws(sample_keep_matrix, counts)):
             _, blocked = solve_karger(net, budget=0.25, p=0.5, repetitions=6,
                                       eval_samples=50, seed=4)
-        # the first call draws the repetitions' samples, the rest evaluate
-        assert max(counts[1:]) == rows and sum(counts[1:]) == 50
+        # the evaluation's draws; the repetitions' samples are drawn in sbcc
+        assert max(counts) == rows and sum(counts) == 50
         assert blocked == report
