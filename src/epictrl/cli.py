@@ -71,13 +71,8 @@ class _Output:
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
-    if not rows:
-        return
-    fields = list(rows[0].keys())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+        fh.write(_csv_text(rows))
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -349,10 +344,9 @@ def _cmd_compare(args) -> int:
         })
     stable = [{k: v for k, v in row.items() if k != "runtime_ms"} for row in rows]
     out = _Output(args.output, args.csv)
-    out.write({"rows": stable, "eval_samples": args.eval_samples, "seed": args.seed})
-    if args.csv:
-        _write_csv(args.csv, stable)
-    else:
+    out.write({"rows": stable, "eval_samples": args.eval_samples, "seed": args.seed},
+              csv_rows=stable)
+    if not args.csv:
         sys.stdout.write(_csv_text(stable))
     for row in rows:
         print(f"runtime_ms[{row['algo']}]={row['runtime_ms']}", file=sys.stderr)

@@ -41,10 +41,10 @@ from scipy.sparse.csgraph import breadth_first_order, dijkstra
 from . import rng
 from .errors import InstanceTooLargeError, SolverError, ValidationError
 from .network import (
-    CELLS,
     ContactNetwork,
     Intervention,
     edge_removal,
+    kernel_rows,
     node_removal,
     source_component_members,
 )
@@ -144,7 +144,7 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
         samples = SampleSet(network, *cached[1])
         _check_distinct_cells(N, n, len(samples.counts))
         return samples
-    step = max(1, CELLS // (n + m))
+    step = kernel_rows(network)
     packed = np.empty((N, -(-m // 8)), dtype=np.uint8)
     for start in range(0, N, step):
         keep = sample_keep_matrix(network, seed, start, min(step, N - start))

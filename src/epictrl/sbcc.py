@@ -60,6 +60,7 @@ from .network import (
     sparsification_regime,
 )
 from .percolate import (
+    PATTERN_CELLS,
     affordable_subsets,
     component_sizes,
     estimate_infections_many,
@@ -67,11 +68,6 @@ from .percolate import (
 )
 
 _CAP_MAX = 1 << 30
-
-# Subsets sized per block by min_sbcc_exact. Sizing all 2^20 subsets of an
-# m = 20 graph at once peaked at 281 MB of RSS; a block's removal matrix is
-# EXACT_BLOCK x m bools.
-EXACT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -292,8 +288,8 @@ def min_sbcc_exact(
     the budget; ties prefer fewer edges, then the lexicographically
     smallest id tuple. ``percolate.affordable_subsets`` lists the subsets
     (every edge, self-loops included, at unit cost) and
-    ``percolate.component_sizes`` sizes them, ``EXACT_BLOCK`` subsets at a
-    time with a running best: through the 2^m mask table for m <= 16,
+    ``percolate.component_sizes`` sizes them, ``PATTERN_CELLS // m`` subsets
+    at a time with a running best: through the 2^m mask table for m <= 16,
     through the component kernel above.
     """
     if graph.m > 20:
@@ -305,8 +301,9 @@ def min_sbcc_exact(
     edge_ids = np.arange(m, dtype=np.int64)
     picks, _ = affordable_subsets(np.int64(1) << edge_ids, np.ones(m), int(min(m, budget)))
     best = None
-    for start in range(0, len(picks), EXACT_BLOCK):
-        removed = ((picks[start:start + EXACT_BLOCK, np.newaxis] >> edge_ids) & 1).astype(bool)
+    step = max(1, PATTERN_CELLS // max(m, 1))
+    for start in range(0, len(picks), step):
+        removed = ((picks[start:start + step, np.newaxis] >> edge_ids) & 1).astype(bool)
         sizes = component_sizes(graph, ~removed)
         counts = removed.sum(axis=1)
         rows = np.flatnonzero(sizes == sizes.min())

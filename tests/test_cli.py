@@ -3,6 +3,7 @@ import json
 import pytest
 
 from epictrl import load_network, saa
+from epictrl import network as network_module
 from epictrl.cli import main
 
 from conftest import make_network
@@ -171,7 +172,7 @@ def test_compare_labels_its_scenarios_once(tmp_path, monkeypatch):
     assert argv[argv.index("--algos") + 1] == "saa-det,saa-rand,brute"
     assert argv[argv.index("--samples") + 1] == "50"
     net = load_network(graph)
-    monkeypatch.setattr(saa, "CELLS", 20 * (net.n + net.m))
+    monkeypatch.setattr(network_module, "CELLS", 20 * (net.n + net.m))
     blocks, label = [], saa.source_component_members
     monkeypatch.setattr(saa, "source_component_members",
                         lambda network, keep: blocks.append(len(keep)) or label(network, keep))

@@ -32,6 +32,7 @@ from epictrl import (
     solve_lp,
     solve_saa,
 )
+from epictrl import network as network_module
 from epictrl import saa
 from epictrl.network import ContactNetwork
 from epictrl.percolate import affordable_subsets, infection_table, keep_rows_to_masks
@@ -785,7 +786,7 @@ def test_sample_set_matches_union_find_restriction(monkeypatch):
         assert np.array_equal(samples.counts, np.bincount(samples.scenario_map))
         assert len(np.unique(samples.rows, axis=0)) == len(samples.rows)
         for block_rows in (1, 3):
-            monkeypatch.setattr(saa, "CELLS", block_rows * (net.n + net.m))
+            monkeypatch.setattr(network_module, "CELLS", block_rows * (net.n + net.m))
             again = draw_samples(rebuilt(net), N, seed)  # a fresh draw, not the set held by net
             assert again is not samples and again.rows is not samples.rows
             for field in SAMPLE_FIELDS:

@@ -142,7 +142,7 @@ def test_exact_matches_union_find_reference(m):
             want = exact_sbcc_reference(net, budget)
             assert min_sbcc_exact(net, None, budget) == want
             # blocks of 7 subsets: ties are settled across blocks
-            with mock.patch.object(sbcc_module, "EXACT_BLOCK", 7):
+            with mock.patch.object(sbcc_module, "PATTERN_CELLS", 7 * net.m):
                 assert min_sbcc_exact(net, None, budget) == want
 
 
