@@ -23,7 +23,7 @@ from scipy.special import gammaln, logsumexp
 from . import rng
 from .errors import InstanceTooLargeError, ValidationError
 from .network import ContactNetwork
-from .percolate import Z99
+from .percolate import mean_half_width
 
 PATH_GRAPH_CAP = 12  # exhaustive path census cap on vertex count
 ENUMERATION_CAP = 10_000_000  # max composition vectors for direct sums
@@ -159,7 +159,9 @@ class PathCensus:
     """Simple-path counts per length, exact or Monte Carlo.
 
     ``counts[k-1]`` is the (mean) number of undirected simple paths with
-    exactly k edges; each unordered vertex sequence is counted once.
+    exactly k edges; each unordered vertex sequence is counted once. An
+    estimated census's means and 99% half-widths, per length and for the
+    total, come from ``percolate.mean_half_width``.
     """
 
     counts: np.ndarray
@@ -238,7 +240,9 @@ def estimate_percolated_paths(
     ``generate(model, seed, t)``, with no network built), percolates its
     edges with uniform probability p, and counts simple paths exactly. With
     p = 1 this estimates the generated graphs' own expected counts; the
-    census total estimates the expected number of surviving paths.
+    census total estimates the expected number of surviving paths. Each
+    length's counts and the totals are summed as Python ints and
+    summarised by :func:`percolate.mean_half_width`.
     """
     if model.n > PATH_GRAPH_CAP:
         raise InstanceTooLargeError(
@@ -250,10 +254,9 @@ def estimate_percolated_paths(
         raise ValidationError("k_max must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"percolation probability {p} outside [0, 1]")
-    sums = np.zeros(k_max, dtype=np.float64)
-    sq_sums = np.zeros(k_max, dtype=np.float64)
-    tot_sum = 0.0
-    tot_sq = 0.0
+    # Python-int sums of x and x^2 for each length k, then for the total
+    sums = [0] * (k_max + 1)
+    sq_sums = [0] * (k_max + 1)
     iu, iv, q = _pairs(model)
     for t in range(trials):
         hit = rng.generator(seed, "chunglu", t).random(len(q)) < q
@@ -261,24 +264,15 @@ def estimate_percolated_paths(
         if p < 1.0:
             keep = rng.generator(seed, "pathperc", t).random(len(us)) < p
             us, vs = us[keep], vs[keep]
-        counts = _path_counts(model.n, us, vs, k_max)
-        sums += counts
-        sq_sums += counts.astype(np.float64) ** 2
-        total = float(counts.sum())
-        tot_sum += total
-        tot_sq += total * total
-
-    means = sums / trials
-    if trials > 1:
-        var = np.maximum(sq_sums - trials * means * means, 0.0) / (trials - 1)
-        hw = Z99 * np.sqrt(var / trials)
-        tvar = max(tot_sq - trials * (tot_sum / trials) ** 2, 0.0) / (trials - 1)
-        thw = Z99 * math.sqrt(tvar / trials)
-    else:
-        hw = np.full(k_max, math.inf)
-        thw = math.inf
-    return PathCensus(counts=means, total=tot_sum / trials, mode="estimated",
-                      half_widths=hw, total_half_width=thw, trials=trials)
+        counts = _path_counts(model.n, us, vs, k_max).tolist()
+        for k, c in enumerate(counts + [sum(counts)]):
+            sums[k] += c
+            sq_sums[k] += c * c
+    *per_k, (total, total_hw) = (mean_half_width(s, sq, trials) for s, sq in zip(sums, sq_sums))
+    means, half_widths = zip(*per_k)
+    return PathCensus(counts=means, total=total, mode="estimated",
+                      half_widths=np.array(half_widths), total_half_width=total_hw,
+                      trials=trials)
 
 
 def _check_enumeration_size(span: int, k: int) -> None:

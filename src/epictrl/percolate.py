@@ -293,18 +293,19 @@ def estimate_infections_many(
 
 
 def mean_half_width(total: int, total_sq: int, num_samples: int) -> tuple[float, float]:
-    """Mean and 99% normal half-width from integer sums of x and x^2.
+    """Mean and 99% normal half-width from Python-int sums of x and x^2.
 
-    The half-width is infinite for a single sample.
+    The sample variance's numerator N sum(x^2) - sum(x)^2 is computed
+    exactly in integers and divided once by N (N - 1), so the variance is
+    correctly rounded at any size of the sums and never negative. This is
+    the package's one Monte Carlo summary. The half-width is infinite for a
+    single sample.
     """
     mean = total / num_samples
-    if num_samples > 1:
-        var = (total_sq - num_samples * mean * mean) / (num_samples - 1)
-        var = max(var, 0.0)
-        half = Z99 * math.sqrt(var / num_samples)
-    else:
-        half = math.inf
-    return mean, half
+    if num_samples == 1:
+        return mean, math.inf
+    var = (num_samples * total_sq - total * total) / (num_samples * (num_samples - 1))
+    return mean, Z99 * math.sqrt(var / num_samples)
 
 
 def exact_expected_infections(

@@ -20,7 +20,7 @@ from epictrl import (
 )
 from epictrl import chunglu
 from epictrl import rng as streams
-from epictrl.percolate import Z99
+from epictrl.percolate import Z99, mean_half_width
 
 from conftest import complete_network, make_network, path_network
 
@@ -246,6 +246,25 @@ def test_percolated_trials_equal_census_of_rebuilt_networks(p, seed):
     totals = per_trial.sum(axis=1)
     assert census.total_half_width == pytest.approx(
         Z99 * totals.std(ddof=1) / math.sqrt(trials), rel=1e-9, abs=1e-12)
+
+
+def test_census_is_the_shared_monte_carlo_summary():
+    """At p = 1 each trial is generate(model, seed, t): the census is
+    mean_half_width of the trials' Python-int sums, bit for bit."""
+    model = build_model(9, 2.5, 1, 3)
+    trials, k_max = 60, 4
+    for seed in range(20):
+        per_trial = [count_simple_paths(generate(model, seed=seed, index=t), k_max).counts.tolist()
+                     for t in range(trials)]
+        sums = [sum(col) for col in zip(*per_trial)]
+        sq_sums = [sum(c * c for c in col) for col in zip(*per_trial)]
+        totals = [sum(counts) for counts in per_trial]
+        want = [mean_half_width(s, sq, trials) for s, sq in zip(sums, sq_sums)]
+        census = estimate_percolated_paths(model, p=1.0, trials=trials, k_max=k_max, seed=seed)
+        assert census.counts.tolist() == [mean for mean, _ in want], seed
+        assert census.half_widths.tolist() == [half for _, half in want], seed
+        assert (census.total, census.total_half_width) == \
+            mean_half_width(sum(totals), sum(t * t for t in totals), trials), seed
 
 
 def test_two_independent_runs_agree():

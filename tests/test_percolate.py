@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,8 +21,10 @@ from epictrl import (
 )
 from epictrl.percolate import (
     MASK_TABLE_CAP,
+    Z99,
     component_sizes,
     infection_table,
+    mean_half_width,
     prepare_removal,
     sample_keep_matrix,
 )
@@ -128,6 +132,26 @@ def test_estimate_rejects_zero_samples():
 
 
 # ------------------------------------------------------------- exact oracle
+
+def test_mean_half_width_is_exact():
+    """Within 1 ulp of Z99 sqrt(var / N) from the two-pass Fraction variance.
+
+    Both samples cancel in the one-pass float formula sum(x^2) - N mean^2:
+    it gave 0.0 on the first and was 3.6e-8 off, relatively, on the second.
+    """
+    for xs in ([2**27, 2**27 + 1], [1000] * 999 + [1001]):
+        N, total, total_sq = len(xs), sum(xs), sum(x * x for x in xs)
+        mean = Fraction(total, N)
+        var_over_n = sum((x - mean) ** 2 for x in xs) / (N - 1) / N
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = float(Decimal(Z99) * (Decimal(var_over_n.numerator)
+                                         / Decimal(var_over_n.denominator)).sqrt())
+        got_mean, got = mean_half_width(total, total_sq, N)
+        assert got_mean == float(mean)
+        assert abs(got - want) <= math.ulp(want), (xs[-1], got, want)
+    assert mean_half_width(2**27, 2**54, 1) == (float(2**27), math.inf)
+
 
 def test_exact_path():
     assert exact_expected_infections(path_network(p=0.5)).mean == pytest.approx(1.75)
