@@ -15,6 +15,10 @@ The corpus pins what fixed-seed runs of the program write, byte for byte:
   kernel (``det.tsv`` has 9, so its runs read the 2^m mask table):
   ``percolate`` with and without a removal that cuts the source's
   component, and ``solve-karger``;
+- ``ladder.tsv`` and ``percolate_ladder*.json``: a 2 x 30 ladder at p = 0.95
+  (88 edges, source at one end), whose percolated components are long and
+  thin, so the component kernel searches them to a large depth; 1000
+  samples, with and without a removal that cuts the ladder in two;
 - ``desk_lps.txt``: one line per desk-sized instance (n 7-9, m <= 14,
   N = 400, B = 2) and mode, with the deterministic rounding's members, the
   cut rounds, the LP objective and the SAA's ``empirical_infections``, then
@@ -50,11 +54,13 @@ import numpy as np
 
 from epictrl import brute_force_optimum, draw_samples, solve_saa
 from epictrl.cli import main as cli_main
-from epictrl.network import random_connected_network, write_network
+from epictrl.network import ContactNetwork, random_connected_network, write_network
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DESK_SEED, DESK_INSTANCES, DESK_SAMPLES, DESK_BUDGET = 1717, 8, 400, 2.0
 GENERATED = "generated.tsv"  # generate's --graph-out, relative to the output directory
+LADDER = "ladder.tsv"  # written into the output directory before the runs
+LADDER_LENGTH, LADDER_P = 30, 0.95
 
 
 def commands(graph: str) -> dict[str, list[str]]:
@@ -92,7 +98,28 @@ def commands(graph: str) -> dict[str, list[str]]:
         "karger_generated": ["solve-karger", "--graph", GENERATED, "--budget", "0.5",
                              "--gamma", "2.5", "--seed", "13", "--reps", "6",
                              "--eval-samples", "500"],
+        # 1000 samples fill 15 words of 64 and part of a 16th
+        "percolate_ladder": ["percolate", "--graph", LADDER, "--samples", "1000", "--seed",
+                             "13"],
+        # both rails between columns 19 and 20: the source keeps 20 columns
+        "percolate_ladder_removed": ["percolate", "--graph", LADDER, "--samples", "1000",
+                                     "--seed", "13", "--remove-edges", "19,48"],
     }
+
+
+def ladder_network(length: int, p: float) -> ContactNetwork:
+    """Two paths of ``length`` vertices joined rung by rung, source 0.
+
+    Edge i < length - 1 joins i and i + 1 on the first rail, edge
+    length - 1 + i joins length + i and length + i + 1 on the second, and
+    the last ``length`` edges are the rungs (i, length + i).
+    """
+    rails = [(i, i + 1) for i in range(length - 1)]
+    edges = (rails + [(length + u, length + v) for u, v in rails]
+             + [(i, length + i) for i in range(length)])
+    us, vs = np.array(edges, dtype=np.int64).T
+    return ContactNetwork(n=2 * length, us=us, vs=vs, costs=np.ones(len(edges)),
+                          probs=np.full(len(edges), p), source=0)
 
 
 def desk_lines() -> list[str]:
@@ -136,6 +163,7 @@ def write_corpus(directory: Path) -> None:
                                    p_mode=0.5)
     write_network(net, graph)
     with tempfile.TemporaryDirectory() as work, _working_directory(work):
+        write_network(ladder_network(LADDER_LENGTH, LADDER_P), LADDER)
         for name, argv in commands(str(graph)).items():
             out = Path(work) / f"{name}.json"
             # compare prints its rows and wall times; keep them off the console
@@ -145,7 +173,8 @@ def write_corpus(directory: Path) -> None:
             if code != 0:
                 raise RuntimeError(f"{name}: command failed\n{printed.getvalue()}")
             (directory / out.name).write_bytes(out.read_bytes())
-        (directory / GENERATED).write_bytes((Path(work) / GENERATED).read_bytes())
+        for name in (GENERATED, LADDER):
+            (directory / name).write_bytes((Path(work) / name).read_bytes())
     (directory / "desk_lps.txt").write_text("\n".join(desk_lines()) + "\n")
 
 
