@@ -19,6 +19,8 @@ The corpus pins what fixed-seed runs of the program write, byte for byte:
   (88 edges, source at one end), whose percolated components are long and
   thin, so the component kernel searches them to a large depth; 1000
   samples, with and without a removal that cuts the ladder in two;
+- ``paths.csv``, ``bounds.csv`` and ``compare.csv``: the CSV files that
+  ``count-paths``, ``bounds`` and ``compare`` write beside their JSON;
 - ``desk_lps.txt``: one line per desk-sized instance (n 7-9, m <= 14,
   N = 400, B = 2) and mode, with the deterministic rounding's members, the
   cut rounds, the LP objective and the SAA's ``empirical_infections``, then
@@ -34,8 +36,9 @@ and list every field that moved, and why, in CHANGES.md. Before that,
 
     PYTHONPATH=src python tests/regen_golden.py --diff
 
-prints, per corpus file, each JSON field or text line that the current
-code would change (old -> new), and writes nothing. It exits 1 when
+prints, per corpus file, each JSON field or text line (of the graphs, the
+CSV files and ``desk_lps.txt``) that the current code would change
+(old -> new), and writes nothing. It exits 1 when
 anything differs and 0 otherwise, so it also serves as a check.
 """
 
@@ -74,10 +77,12 @@ def commands(graph: str) -> dict[str, list[str]]:
         "karger": ["solve-karger", "--graph", graph, "--budget", "2", "--seed", "13",
                    "--reps", "4", "--eval-samples", "100"],
         "paths": ["count-paths", "--n", "9", "--beta", "2.5", "--w-min", "1", "--w-max", "2",
-                  "--kmax", "4", "--trials", "200", "--p", "0.5", "--seed", "13"],
+                  "--kmax", "4", "--trials", "200", "--p", "0.5", "--seed", "13",
+                  "--csv", "paths.csv"],
         "bounds": ["bounds", "--n", "20", "--beta", "3.5", "--w-min", "1", "--w-max", "3",
-                   "--kmax", "5"],
-        "compare": ["compare", "--algos", "saa-det,saa-rand,brute", *saa],
+                   "--kmax", "5", "--csv", "bounds.csv"],
+        "compare": ["compare", "--algos", "saa-det,saa-rand,brute", *saa,
+                    "--csv", "compare.csv"],
         "oracle": ["oracle", "--suite", "lp", "--instances", "3", "--seed", "13"],
         "percolate": ["percolate", "--graph", graph, "--samples", "500", "--seed", "13",
                       "--exact"],
@@ -173,8 +178,8 @@ def write_corpus(directory: Path) -> None:
             if code != 0:
                 raise RuntimeError(f"{name}: command failed\n{printed.getvalue()}")
             (directory / out.name).write_bytes(out.read_bytes())
-        for name in (GENERATED, LADDER):
-            (directory / name).write_bytes((Path(work) / name).read_bytes())
+        for path in [Path(work) / GENERATED, Path(work) / LADDER, *Path(work).glob("*.csv")]:
+            (directory / path.name).write_bytes(path.read_bytes())
     (directory / "desk_lps.txt").write_text("\n".join(desk_lines()) + "\n")
 
 

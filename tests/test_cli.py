@@ -166,8 +166,10 @@ def test_compare_shared_eval(tmp_path):
 def test_compare_labels_its_scenarios_once(tmp_path, monkeypatch):
     """compare's saa-det, saa-rand and brute rows share one drawn sample
     set: its scenarios are labelled in one draw's blocks, forced here to
-    20, 20 and 10 of the 50, and the result is the corpus's compare.json."""
+    20, 20 and 10 of the 50, and the results are the corpus's compare.json
+    and compare.csv."""
     graph = GOLDEN / "det.tsv"
+    monkeypatch.chdir(tmp_path)  # the corpus's compare writes compare.csv here
     argv = commands(str(graph))["compare"]
     assert argv[argv.index("--algos") + 1] == "saa-det,saa-rand,brute"
     assert argv[argv.index("--samples") + 1] == "50"
@@ -180,6 +182,7 @@ def test_compare_labels_its_scenarios_once(tmp_path, monkeypatch):
     assert main([*argv, "--output", str(out)]) == 0
     assert blocks == [20, 20, 10]
     assert out.read_bytes() == (GOLDEN / "compare.json").read_bytes()
+    assert (tmp_path / "compare.csv").read_bytes() == (GOLDEN / "compare.csv").read_bytes()
 
 
 def test_oracle_single_suite(tmp_path):

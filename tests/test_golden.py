@@ -26,12 +26,15 @@ def test_corpus_diff_names_each_moved_field(tmp_path):
     lines[2] = "changed"
     (tmp_path / "desk_lps.txt").write_text("\n".join(lines + ["added"]) + "\n")
     (tmp_path / "paths.json").unlink()
+    rows = (tmp_path / "compare.csv").read_text().splitlines()
+    (tmp_path / "compare.csv").write_text("\n".join(rows[:-1] + ["brute,moved"]) + "\n")
     diff = corpus_diff(GOLDEN, tmp_path)
-    assert diff[:2] == [f"desk_lps.txt: line 3: {old_line} -> changed",
-                        f"desk_lps.txt: line {len(lines) + 1}: (absent) -> added"]
-    assert diff[2] == (f"oracle.json: suites.lp[1].lp_plus_one: "
+    assert diff[0] == f"compare.csv: line {len(rows)}: {rows[-1]} -> brute,moved"
+    assert diff[1:3] == [f"desk_lps.txt: line 3: {old_line} -> changed",
+                         f"desk_lps.txt: line {len(lines) + 1}: (absent) -> added"]
+    assert diff[3] == (f"oracle.json: suites.lp[1].lp_plus_one: "
                        f"{lp['lp_plus_one'] - 1.0} -> {lp['lp_plus_one']}")
-    gone = diff[3:]  # every field of the deleted file
+    gone = diff[4:]  # every field of the deleted file
     assert gone and all(line.startswith("paths.json: ") and line.endswith(" -> (absent)")
                         for line in gone)
 
