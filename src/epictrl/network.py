@@ -25,13 +25,14 @@ from .errors import InstanceTooLargeError, ParseError, ValidationError
 
 META_SOURCE_LABEL = "__source__"
 
-# Cells, rows x (n + m), per block of the component kernel. It bounds a
-# block's arc and vertex arrays together (at most about 12 bytes per kept
-# arc live at once) and keeps block vertex ids far below int32. On the
-# benchmark, half this ran ~5% slower on the sparse Monte Carlo workload,
-# and twice this ran no faster anywhere and raised desk-oracle's peak memory
-# by ~1.9 MB. Stacked flow networks take the same bound on vertices plus
-# arcs per max-flow call.
+# Cells per block of every blocked loop here and in percolate. A Monte Carlo
+# draw takes CELLS // stride samples per block, at most CELLS float64
+# uniforms (percolate.draw_block_rows); the component kernel takes
+# 8 CELLS // (n + m) rows, at most CELLS bytes of packed bits (kernel_rows);
+# stacked flow networks take CELLS vertices plus arcs per max-flow call. In
+# process on the sparse Monte Carlo workload (n = 1000, m = 3000, whose
+# draws then take 21 samples), half this ran ~1.7x slower per estimate and
+# twice this 10-15% faster, at twice the draw's memory.
 CELLS = 1 << 16
 
 _SCALE = 1 << 16  # integer capacity of an edge in the flow networks
@@ -229,8 +230,8 @@ def removal_edge_keep(network: ContactNetwork, removed: Intervention | None) -> 
 def source_component_sizes(network: ContactNetwork, keep_rows: np.ndarray) -> np.ndarray:
     """Size of the source's component for each row of a kept-edge matrix."""
     sizes = np.empty(len(keep_rows), dtype=np.int64)
-    for start, stop, reached in _source_reach(network, keep_rows):
-        sizes[start:stop] = np.bincount(reached // network.n, minlength=stop - start)
+    for start, stop, inside in _source_reach(network, keep_rows):
+        sizes[start:stop] = np.count_nonzero(inside, axis=1)
     return sizes
 
 
@@ -241,63 +242,99 @@ def source_component_members(network: ContactNetwork, keep_rows: np.ndarray) -> 
     :func:`_source_reach`.
     """
     members = np.zeros((len(keep_rows), network.n), dtype=bool)
-    for start, stop, reached in _source_reach(network, keep_rows):
-        members[start:stop].reshape(-1)[reached] = True
+    for start, stop, inside in _source_reach(network, keep_rows):
+        members[start:stop] = inside
     return members
 
 
 def kernel_rows(network: ContactNetwork) -> int:
-    """Kept-edge rows per block of the component kernel: ``CELLS // (n + m)``, at least 1."""
-    return max(1, CELLS // (network.n + network.m))
+    """Kept-edge rows per block of the component kernel: ``8 * CELLS // (n + m)``, at least 1.
+
+    A block of r rows holds r n bits of reach and r m bits of kept edges,
+    at most ``CELLS`` bytes (their per-arc copy takes twice the latter),
+    and unpacks its membership into r n bools, at most ``8 * CELLS`` bytes.
+    """
+    return max(1, 8 * CELLS // (network.n + network.m))
 
 
 def _source_reach(network: ContactNetwork, keep_rows: np.ndarray):
-    """Yield ``(start, stop, reached)`` for each block of kept-edge rows.
+    """Yield ``(start, stop, inside)`` for each block of kept-edge rows.
 
-    Rows go in blocks of :func:`kernel_rows`. A block of r rows is one
-    directed graph on r*n + 1 vertices: row i's copy of vertex v is
-    i*n + v, its kept arcs come from the cached :func:`_block_heads`, and a
-    super-source r*n has an arc to every row's copy of the source.
-    The CSR arrays are built directly: the arcs are sorted by (row, tail),
-    so the kept ones are already in CSR order, and, since every kept edge
-    gives both of its arcs, a vertex's out-degree is its in-degree, the
-    count of its id among the heads. One breadth-first search from the
-    super-source then reaches exactly the rows' source components;
-    ``reached`` holds their block vertex ids, i*n + v. A self-loop has no
-    arc, so self-loops stay inert.
+    Rows go in blocks of :func:`kernel_rows`; :func:`_block_reach` finds a
+    block's source components as bit lanes, and ``inside`` is the block's
+    (r, n) bool membership, unpacked for its r rows only.
     """
     n = network.n
     step = kernel_rows(network)
-    edges = _arcs(network)[2]
-    heads = _block_heads(network, min(step, len(keep_rows)))
     for start in range(0, len(keep_rows), step):
         block = keep_rows[start:start + step]
-        r = len(block)
-        pos = np.flatnonzero(block[:, edges])
-        k = len(pos)
-        indices = np.empty(k + r, dtype=np.int32)
-        # pos < r*a <= len(heads), so "clip" changes nothing but lets take
-        # write straight into out instead of through a buffer
-        np.take(heads, pos, out=indices[:k], mode="clip")
-        del pos  # the largest array of a block: free it before the search
-        indices[k:] = np.arange(network.source, r * n, n)
-        indptr = np.empty(r * n + 2, dtype=np.int32)
-        indptr[0] = 0
-        np.cumsum(np.bincount(indices[:k], minlength=r * n), out=indptr[1:-1])
-        indptr[-1] = len(indices)
-        # the search reads no weights: one shared 1.0 stands for all of them
-        graph = sparse.csr_matrix((np.broadcast_to(1.0, len(indices)), indices, indptr),
-                                  shape=(r * n + 1, r * n + 1))
-        reached = breadth_first_order(graph, r * n, directed=True,
-                                     return_predecessors=False)
-        yield start, start + r, reached[1:]
+        reach = _block_reach(network, block)
+        words = len(reach) // n
+        # byte b of word j holds rows 64 j + 8 b .. 64 j + 8 b + 7
+        lanes = reach.view(np.uint8).reshape(words, n, 8).transpose(0, 2, 1)
+        inside = np.unpackbits(lanes.reshape(8 * words, n), axis=0, count=len(block),
+                               bitorder="little")
+        yield start, start + len(block), inside.view(bool)
 
 
-def _arcs(network: ContactNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both arcs of every non-loop edge, sorted by (tail, head): tails, heads, edge ids.
+def _block_reach(network: ContactNetwork, block: np.ndarray) -> np.ndarray:
+    """The source's component in each of r kept-edge rows, as bit lanes.
 
-    Built once per network and cached; the component kernel and
-    :class:`_FlowNetwork` both read it.
+    Row 64 j + i is bit i of word j, for w = ceil(r / 64) words, and word j
+    stands for its own copy of the graph, whose vertex v is j n + v and
+    whose arc k is j a + k, for the a arcs of :func:`_arcs`. ``kept`` holds,
+    per copy's arc, the lanes that keep its edge, and ``reach`` per copy's
+    vertex the lanes that reach it, at first the source alone. Each round
+    pushes ``reach[tail] & kept[arc]`` along the arcs that leave the
+    vertices that gained lanes in the round before, ORs the lanes new to
+    each head into its reach, and the rounds stop when no lane changes.
+    Every lane then holds its row's source component, after as many rounds
+    as the deepest of those components has levels. A self-loop has no arc,
+    so self-loops stay inert. Returns ``reach``, (w n,) uint64; the lanes
+    past r reach the source alone.
+    """
+    n, m, source = network.n, network.m, network.source
+    _, heads, edges, starts = _arcs(network)
+    a = len(heads)
+    words = -(-len(block) // 64)
+    packed = np.zeros((words, 8, m), dtype=np.uint8)
+    packed.reshape(8 * words, m)[:-(-len(block) // 8)] = np.packbits(block, axis=0,
+                                                                     bitorder="little")
+    kept = packed.transpose(0, 2, 1).copy().view("<u8")[:, :, 0][:, edges].reshape(-1)
+    copy = np.arange(words)[:, np.newaxis]
+    first_arc = np.append((starts[:-1] + a * copy).reshape(-1), words * a)
+    head = (heads + n * copy).reshape(-1)
+    reach = np.zeros(words * n, dtype="<u8")
+    reach[source::n] = np.iinfo(np.uint64).max
+    latest = np.empty(words * n, dtype=np.int32)  # dedupes each round's heads
+    front = np.arange(source, words * n, n)
+    while len(front):
+        # the arcs leaving front: vertex v's run first_arc[v]:first_arc[v + 1]
+        first = first_arc[front]
+        count = first_arc[front + 1] - first
+        ends = np.cumsum(count)
+        arcs = np.repeat(first - ends + count, count)
+        arcs += np.arange(len(arcs))
+        to = head[arcs]
+        gain = np.repeat(reach[front], count)
+        gain &= kept[arcs]
+        gain &= ~reach[to]
+        new = gain != 0
+        to = to[new]
+        np.bitwise_or.at(reach, to, gain[new])
+        order = np.arange(len(to), dtype=np.int32)
+        latest[to] = order
+        front = to[latest[to] == order]
+    return reach
+
+
+def _arcs(network: ContactNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both arcs of every non-loop edge, sorted by (tail, head).
+
+    Returns their tails, heads and edge ids, and the (n + 1,) offsets at
+    which each vertex's arcs start (vertex v's arcs are v's CSR row,
+    ``starts[v]:starts[v + 1]``). Built once per network and cached; the
+    component kernel and :class:`_FlowNetwork` both read it.
     """
     cached = network.__dict__.get("_arcs")
     if cached is not None:
@@ -306,30 +343,13 @@ def _arcs(network: ContactNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tails = np.concatenate([network.us[real], network.vs[real]])
     heads = np.concatenate([network.vs[real], network.us[real]])
     order = np.lexsort((heads, tails))
-    arcs = (tails[order], heads[order], np.concatenate([real, real])[order])
+    tails = tails[order]
+    arcs = (tails, heads[order], np.concatenate([real, real])[order],
+            np.searchsorted(tails, np.arange(network.n + 1)))
     for arr in arcs:
         arr.setflags(write=False)
     object.__setattr__(network, "_arcs", arcs)
     return arcs
-
-
-def _block_heads(network: ContactNetwork, rows: int) -> np.ndarray:
-    """Int32 block vertex ids of the arc heads for at least ``rows`` stacked rows.
-
-    Entry i*a + k is row i's copy of the head of arc k of :func:`_arcs`,
-    i*n + heads[k], so the flat index of a kept arc in a (rows, a) block
-    picks its head. Cached per network; the entries do not depend on the
-    block size, so a call that needs more rows than the cache holds
-    rebuilds it for that many and every other call reuses it.
-    """
-    cached = network.__dict__.get("_block_heads")
-    heads = _arcs(network)[1]
-    if cached is not None and len(cached) >= rows * len(heads):
-        return cached
-    table = (np.arange(0, rows * network.n, network.n, dtype=np.int32)[:, np.newaxis]
-             + heads.astype(np.int32)).reshape(-1)
-    object.__setattr__(network, "_block_heads", table)
-    return table
 
 
 def component_of(
@@ -542,7 +562,7 @@ class _FlowNetwork:
     def __init__(self, graph: ContactNetwork, source: int, sinks):
         self.n, self.s = graph.n, source
         self.sinks = np.asarray(sinks, dtype=np.int64)
-        self._set_arcs(*_arcs(graph))
+        self._set_arcs(*_arcs(graph)[:3])
 
     def _set_arcs(self, tails, heads, edges) -> None:
         self.tails, self.heads, self.edges = tails, heads, edges

@@ -5,13 +5,15 @@ probability p_e and counting the vertices reachable from the source. This
 module draws such samples reproducibly, estimates the expectation by Monte
 Carlo, and computes it exactly by exhaustive enumeration at desk scale.
 
-Sampled rows are sized by the component kernel in ``network``; on networks
-with m <= ``MASK_TABLE_CAP`` edges they are read off a 2^m table that
+Sampled rows are sized by the component kernel in ``network``, which
+searches 64 samples per machine word, one bit each; on networks with
+m <= ``MASK_TABLE_CAP`` edges they are read off a 2^m table that
 :func:`infection_table` fills by label merging instead.
 
 A Monte Carlo estimate prepares its removal once (:func:`prepare_removal`)
-and then draws, percolates and sizes its samples one block at a time
-(:func:`draw_block_rows`), so no array of all N samples is ever held.
+and then draws, percolates and sizes its samples one block of
+:func:`draw_block_rows` at a time, so no array of all N samples is ever
+held.
 Component-size totals are accumulated as integers, so aggregate results are
 exactly independent of accumulation order and of the block size.
 """
@@ -203,23 +205,16 @@ def prepare_removal(network: ContactNetwork, removed: Intervention | None) -> Pr
     return PreparedRemoval(restricted, edges=edges)
 
 
-def draw_block_rows(network: ContactNetwork, removal: PreparedRemoval) -> int:
-    """Samples to draw per block when sizing them under ``removal``.
+def draw_block_rows(network: ContactNetwork) -> int:
+    """Samples to draw, percolate and size per block on ``network``.
 
-    On the full network's kernel path this is the kernel's own block,
-    ``CELLS // (n + m)`` rows. On the table and restricted paths it is at
-    most ``CELLS // stride`` rows, so a block's uniforms take at most
-    ``CELLS`` float64 cells; on the restricted kernel path it is a whole
-    number of the restricted kernel's blocks when one of them is smaller
-    than that.
+    At most ``CELLS // stride`` rows, so a block's uniforms take at most
+    ``CELLS`` float64 cells, and at most one block of the component kernel,
+    :func:`kernel_rows`, whose membership rows take at most ``8 * CELLS``
+    bools. A removal sizes the rows on the full network or on a
+    restriction of it, whose kernel blocks are at least as large.
     """
-    cap = max(1, CELLS // max(rng.stride_for(network.m), 1))
-    if removal.network.m <= MASK_TABLE_CAP:
-        return cap
-    step = kernel_rows(removal.network)
-    if removal.edges is None:
-        return step
-    return cap if step > cap else cap - cap % step
+    return max(1, min(CELLS // max(rng.stride_for(network.m), 1), kernel_rows(network)))
 
 
 def component_sizes(
@@ -270,17 +265,19 @@ def estimate_infections_many(
 ) -> list[InfectionEstimate]:
     """Monte Carlo estimates of several removals on one shared sample stream.
 
-    Each removal is prepared once, and the samples are drawn once, the
-    least :func:`draw_block_rows` of the removals at a time, and sized
-    under every removal, so memory does not grow with ``num_samples``; the
-    integer sums make each result the same at any block size. The
-    half-width is the 99% normal-approximation bound from the sample
-    variance.
+    Each removal is prepared once, and the samples are drawn once,
+    :func:`draw_block_rows` at a time, and sized under every removal, so
+    memory does not grow with ``num_samples``; the integer sums make each
+    result the same at any block size. The half-width is the 99%
+    normal-approximation bound from the sample variance. No removals give
+    no estimates, and nothing is drawn.
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
     removals = [prepare_removal(network, intervention) for intervention in interventions]
-    step = min(draw_block_rows(network, removal) for removal in removals)
+    if not removals:
+        return []
+    step = draw_block_rows(network)
     sums = [[0, 0] for _ in removals]
     for start in range(0, num_samples, step):
         keep = sample_keep_matrix(network, seed, start, min(step, num_samples - start))

@@ -252,16 +252,21 @@ def test_min_cut_rejects_non_unit_costs():
             global_min_cut(make_network(3, edges, costs=costs))
 
 
+GRAPH_KINDS = ("random", "complete", "path", "cycle", "cliques")
+
+
 @st.composite
-def unit_graphs(draw):
+def unit_graphs(draw, kind=None):
     """A unit-cost graph on at most 10 vertices.
 
     A random edge set, a complete graph, a path, a cycle or two cliques
     joined by k < δ edges (the connectivity is then k, below the minimum
     degree δ), then padded with isolated vertices, given self-loops and
-    relabelled at random.
+    relabelled at random. ``kind`` picks one of ``GRAPH_KINDS``; None draws
+    it.
     """
-    kind = draw(st.sampled_from(["random", "complete", "path", "cycle", "cliques"]))
+    if kind is None:
+        kind = draw(st.sampled_from(GRAPH_KINDS))
     if kind == "cliques":
         a = draw(st.integers(3, 5))
         b = draw(st.integers(3, 10 - a))
@@ -404,6 +409,32 @@ def test_min_cut_exact_when_stacked_flow_exceeds_int32():
     with mock.patch.object(network_module, "_SCALE", 1 << 27), \
          pytest.raises(InstanceTooLargeError, match="degree 16"):
         global_min_cut(k16)
+
+
+# ------------------------------------------------------------ component kernel
+
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_component_kernel_matches_union_find_across_words(kind, data):
+    """Sizes and members of 0, 1, 63, 64, 65 and 130 kept-edge rows, so
+    blocks of no word, one partial word, one and two full words, a second
+    word of one lane, and three words, against union-find, on each kind
+    of graph and at any source."""
+    net = data.draw(unit_graphs(kind))
+    net = net.with_source(data.draw(st.integers(0, net.n - 1)))
+    density = data.draw(st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for rows in (0, 1, 63, 64, 65, 130):
+        keep = g.random((rows, net.m)) < density
+        sizes = network_module.source_component_sizes(net, keep)
+        members = network_module.source_component_members(net, keep)
+        assert sizes.dtype == np.int64 and sizes.shape == (rows,)
+        assert members.dtype == bool and members.shape == (rows, net.n)
+        for size, row, kept in zip(sizes, members, keep):
+            expected = union_find_component(net, kept)
+            assert size == len(expected)
+            assert tuple(np.flatnonzero(row)) == expected
 
 
 # ------------------------------------------------------------ regime check

@@ -328,26 +328,51 @@ def _raise_kernel(*args, **kwargs):
     raise AssertionError("the mask table ran the component kernel")
 
 
+def _table_examples(test):
+    """The graphs of every table test: parallel edges, a looped source, an
+    isolated source, n > 2m + 1, and 16 disjoint edges."""
+    for net in (
+        PARALLEL,
+        # a source whose only edge is a self-loop
+        make_network(4, [(2, 2), (0, 1), (1, 3), (0, 3)], source=2),
+        # an isolated source
+        make_network(5, [(0, 1), (1, 2), (2, 3)], source=4),
+        # n > 2m + 1: relabelling keeps 3 of 12 vertices
+        make_network(12, [(3, 7), (9, 7)], source=7),
+        # 16 disjoint edges and an isolated source: 33 labels, the most there can be
+        make_network(33, [(2 * i, 2 * i + 1) for i in range(16)], source=32),
+    ):
+        test = example(net=net)(test)
+    return test
+
+
+def _every_pattern(m: int) -> np.ndarray:
+    """All 2^m kept-edge rows; row ``mask`` keeps edge e iff bit e is set."""
+    masks = np.arange(1 << m)
+    return ((masks[:, np.newaxis] >> np.arange(m)) & 1).astype(bool)
+
+
 @settings(max_examples=30, deadline=None)
 @given(net=table_networks())
-@example(net=PARALLEL)
-# a source whose only edge is a self-loop
-@example(net=make_network(4, [(2, 2), (0, 1), (1, 3), (0, 3)], source=2))
-# an isolated source
-@example(net=make_network(5, [(0, 1), (1, 2), (2, 3)], source=4))
-# n > 2m + 1: relabelling keeps 3 of 12 vertices
-@example(net=make_network(12, [(3, 7), (9, 7)], source=7))
-# 16 disjoint edges and an isolated source: 33 labels, the most there can be
-@example(net=make_network(33, [(2 * i, 2 * i + 1) for i in range(16)], source=32))
+@_table_examples
 def test_infection_table_matches_union_find(net):
     net.__dict__.pop("_infection_table", None)  # shared examples may hold one
-    masks = np.arange(1 << net.m)
-    keep = ((masks[:, np.newaxis] >> np.arange(net.m)) & 1).astype(bool)
-    with mock.patch.object(network_module, "_source_reach", _raise_kernel), \
+    with mock.patch.object(network_module, "_block_reach", _raise_kernel), \
             mock.patch.object(network_module, "source_component_sizes", _raise_kernel):
         table = infection_table(net)
     assert table.dtype == np.int64
-    assert np.array_equal(table, union_find_sizes(net, keep))
+    assert np.array_equal(table, union_find_sizes(net, _every_pattern(net.m)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(net=table_networks())
+@_table_examples
+def test_kernel_matches_infection_table_on_every_pattern(net):
+    """The bit-parallel kernel against label merging, two engines that
+    share no code: the kernel's sizes of all 2^m patterns, up to 65,536
+    rows, equal the mask table."""
+    sizes = network_module.source_component_sizes(net, _every_pattern(net.m))
+    assert np.array_equal(sizes, infection_table(net))
 
 
 def test_infection_table_cap_names_the_kernel_paths():
@@ -398,8 +423,8 @@ def kernel_cases(draw):
 # a source whose only edges are self-loops
 @example(case=(make_network(4, [(2, 2), (0, 1), (1, 3), (0, 3)], source=2),
                np.ones((3, 4), dtype=bool), None, 16))
-# n + m = 28 above CELLS = 20: step 1, one row per block
-@example(case=(complete_network(7), np.ones((4, 21), dtype=bool), None, 20))
+# n + m = 28 above 8 CELLS = 24: step 1, one row per block
+@example(case=(complete_network(7), np.ones((4, 21), dtype=bool), None, 3))
 def test_component_kernel_matches_union_find(case):
     net, keep, removed, cells = case
     effective = keep & removal_edge_keep(net, removed)
@@ -421,20 +446,25 @@ def test_component_kernel_matches_union_find(case):
             assert rep.boundary == tuple(np.flatnonzero(inside))
 
 
-def test_kernel_head_table_follows_block_size():
-    """The cached heads table stays right when a patched ``CELLS`` changes
-    the block size: a call with larger blocks than the cache holds grows
-    it, and a call with smaller blocks reads a prefix of it."""
+def test_kernel_block_size_follows_cells():
+    """A patched ``CELLS`` sets the kernel's block, 8 CELLS // (n + m)
+    rows: blocks of 1, 4 and 1 rows and one of all 40, each a partial
+    word, split the rows where the block size says and keep the sizes and
+    members of union-find."""
     net = random_connected_network(np.random.default_rng(3), n_lo=9, n_hi=9, max_m=20,
                                    p_mode=0.6)
     keep = sample_keep_matrix(net, 11, 0, 40)
     expected = union_find_sizes(net, keep)
-    arcs = len(network_module._arcs(net)[1])
-    for cells, rows in ((net.n + net.m, 1), (4 * (net.n + net.m), 4),
-                        (net.n + net.m, 4), (1 << 20, 40)):
+    for cells, rows in ((-(-(net.n + net.m) // 8), 1), (-(-4 * (net.n + net.m) // 8), 4),
+                        (-(-(net.n + net.m) // 8), 1), (1 << 20, 40)):
         with mock.patch.object(network_module, "CELLS", cells):
+            blocks = [(start, stop) for start, stop, _ in
+                      network_module._source_reach(net, keep)]
+            assert blocks == [(i, min(i + rows, 40)) for i in range(0, 40, rows)]
             assert np.array_equal(network_module.source_component_sizes(net, keep), expected)
-        assert len(net.__dict__["_block_heads"]) == rows * arcs
+            inside = network_module.source_component_members(net, keep)
+        for row, kept in zip(inside, keep):
+            assert tuple(np.flatnonzero(row)) == union_find_component(net, kept)
 
 
 @st.composite
@@ -527,14 +557,14 @@ DESK = random_connected_network(np.random.default_rng(5), n_lo=8, n_hi=8, max_m=
 def test_estimate_is_the_same_at_any_block_size(net, removed, path):
     """Blocks of 1, 3 and 7 samples, drawn and sized one at a time, give the
     float.hex-identical mean and half-width of the default blocks (one
-    block of 50 rows here)."""
+    block of 50 rows here) on every path."""
     prepared = prepare_removal(net, removed)
     assert path == " ".join(["restricted"] * (prepared.edges is not None)
                             + ["table" if prepared.network.m <= MASK_TABLE_CAP else "kernel"])
     whole = estimate_infections(net, removed, 50, seed=9)
     for rows in (1, 3, 7):
-        # the kernel path draws CELLS // (n + m) rows, the others CELLS // stride
-        cells = rows * (net.n + net.m if path == "kernel" else stride_for(net.m))
+        # CELLS // stride rows: the kernel's blocks, 8 CELLS // (n + m), are larger
+        cells = rows * stride_for(net.m)
         counts = []
         with mock.patch.object(network_module, "CELLS", cells), \
              mock.patch.object(percolate_module, "CELLS", cells), \
@@ -558,6 +588,17 @@ def test_shared_estimates_match_each_removal_alone():
         assert got.num_samples == 300
         assert (got.mean.hex(), got.half_width.hex()) == \
             (alone.mean.hex(), alone.half_width.hex())
+
+
+def test_estimates_of_no_removals_draw_nothing():
+    """No removals give no estimates, and no block is drawn for them."""
+    counts = []
+    with mock.patch.object(percolate_module, "sample_keep_matrix",
+                           recording_draws(sample_keep_matrix, counts)):
+        assert percolate_module.estimate_infections_many(TWO_CLIQUES, [], 50, seed=5) == []
+    assert counts == []
+    with pytest.raises(ValidationError, match="num_samples"):
+        percolate_module.estimate_infections_many(TWO_CLIQUES, [], 0, seed=5)
 
 
 def test_exact_enumeration_prepares_its_removal_once():
@@ -596,13 +637,15 @@ def sparse_network(n=1000, m=3000, p=0.8, seed=4):
 
 
 def test_estimate_memory_does_not_grow_with_samples():
-    """On a 3,000-edge graph the samples are drawn and sized one kernel
-    block at a time: the peak at N = 4,096 is within 1.5x of the peak at
-    N = 256 and under 32 bytes per block cell. Drawing all N rows at once
-    would take 24 KB of uniforms per sample, 98 MB at N = 4,096."""
+    """On a 3,000-edge graph the samples are drawn and sized one block at
+    a time: the peak at N = 4,096 is within 1.5x of the peak at N = 256
+    and under 32 bytes per uniform of a block's draw (2,016,000 bytes).
+    Drawing all N rows at once would take 24 KB of uniforms per sample,
+    98 MB at N = 4,096."""
     net = sparse_network()
-    estimate_infections(net, None, 64, seed=1)  # builds the kernel's cached tables
-    block_cells = network_module.kernel_rows(net) * (net.n + net.m)
+    estimate_infections(net, None, 64, seed=1)  # builds the kernel's cached arcs
+    block_cells = percolate_module.draw_block_rows(net) * stride_for(net.m)
+    assert block_cells == 21 * 3000
     peaks = []
     for num_samples in (256, 4096):
         tracemalloc.start()
