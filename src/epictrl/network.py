@@ -25,14 +25,13 @@ from .errors import InstanceTooLargeError, ParseError, ValidationError
 
 META_SOURCE_LABEL = "__source__"
 
-# Cells per block of every blocked loop here and in percolate. A Monte Carlo
-# draw takes CELLS // stride samples per block, at most CELLS float64
-# uniforms (percolate.draw_block_rows); the component kernel takes
-# 8 CELLS // (n + m) rows, at most CELLS bytes of packed bits (kernel_rows);
-# stacked flow networks take CELLS vertices plus arcs per max-flow call. In
-# process on the sparse Monte Carlo workload (n = 1000, m = 3000, whose
-# draws then take 21 samples), half this ran ~1.7x slower per estimate and
-# twice this 10-15% faster, at twice the draw's memory.
+# Cells per block of every blocked loop here and in percolate. The component
+# kernel takes 8 CELLS // (n + m) rows at a time, at most CELLS bytes of
+# packed bits (kernel_rows); Monte Carlo estimates and scenario draws draw
+# one such block at a time, and its uniforms CELLS // stride rows at a time
+# (percolate.sample_keep_matrix); stacked flow networks take CELLS vertices
+# plus arcs per max-flow call. In process, half or twice this moved no
+# benchmark workload's op time beyond the noise of a shared 2-core machine.
 CELLS = 1 << 16
 
 _SCALE = 1 << 16  # integer capacity of an edge in the flow networks
@@ -315,10 +314,13 @@ def _block_reach(network: ContactNetwork, block: np.ndarray) -> np.ndarray:
         ends = np.cumsum(count)
         arcs = np.repeat(first - ends + count, count)
         arcs += np.arange(len(arcs))
-        to = head[arcs]
         gain = np.repeat(reach[front], count)
         gain &= kept[arcs]
-        gain &= ~reach[to]
+        to = head[arcs]
+        del arcs  # the largest arrays of a round are per arc: hold few at once
+        seen = reach[to]
+        seen &= gain
+        gain ^= seen  # the lanes new to each head
         new = gain != 0
         to = to[new]
         np.bitwise_or.at(reach, to, gain[new])

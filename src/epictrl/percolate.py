@@ -11,8 +11,8 @@ m <= ``MASK_TABLE_CAP`` edges they are read off a 2^m table that
 :func:`infection_table` fills by label merging instead.
 
 A Monte Carlo estimate prepares its removal once (:func:`prepare_removal`)
-and then draws, percolates and sizes its samples one block of
-:func:`draw_block_rows` at a time, so no array of all N samples is ever
+and then draws, percolates and sizes its samples one block of the kernel,
+``network.kernel_rows``, at a time, so no array of all N samples is ever
 held.
 Component-size totals are accumulated as integers, so aggregate results are
 exactly independent of accumulation order and of the block size.
@@ -68,10 +68,18 @@ def sample_keep_matrix(
     Row i is sample ``start_index + i``; entry e is True when edge e is
     retained. Each row depends only on (seed, sample index, edge id), so
     identical indices reproduce identical rows regardless of batching.
-    Edges with p_e = 1 are always kept and p_e = 0 never.
+    Edges with p_e = 1 are always kept and p_e = 0 never. The uniforms
+    come ``CELLS // stride`` rows at a time, so they take at most ``CELLS``
+    float64 cells beside the (count, m) result.
     """
-    u = rng.uniform_block(seed, start_index, count, network.m)
-    return u < network.probs[np.newaxis, :]
+    keep = np.empty((count, network.m), dtype=bool)
+    stride = rng.stride_for(network.m)
+    stream = rng.sample_stream(seed, start_index, network.m)
+    rows = max(1, CELLS // max(stride, 1))
+    for start in range(0, count, rows):
+        out = keep[start:start + rows]
+        np.less(stream.random((len(out), stride))[:, :network.m], network.probs, out=out)
+    return keep
 
 
 def infection_table(network: ContactNetwork) -> np.ndarray:
@@ -205,18 +213,6 @@ def prepare_removal(network: ContactNetwork, removed: Intervention | None) -> Pr
     return PreparedRemoval(restricted, edges=edges)
 
 
-def draw_block_rows(network: ContactNetwork) -> int:
-    """Samples to draw, percolate and size per block on ``network``.
-
-    At most ``CELLS // stride`` rows, so a block's uniforms take at most
-    ``CELLS`` float64 cells, and at most one block of the component kernel,
-    :func:`kernel_rows`, whose membership rows take at most ``8 * CELLS``
-    bools. A removal sizes the rows on the full network or on a
-    restriction of it, whose kernel blocks are at least as large.
-    """
-    return max(1, min(CELLS // max(rng.stride_for(network.m), 1), kernel_rows(network)))
-
-
 def component_sizes(
     network: ContactNetwork,
     keep_rows: np.ndarray,
@@ -265,10 +261,12 @@ def estimate_infections_many(
 ) -> list[InfectionEstimate]:
     """Monte Carlo estimates of several removals on one shared sample stream.
 
-    Each removal is prepared once, and the samples are drawn once,
-    :func:`draw_block_rows` at a time, and sized under every removal, so
-    memory does not grow with ``num_samples``; the integer sums make each
-    result the same at any block size. The half-width is the 99%
+    Each removal is prepared once, and the samples are drawn once, one
+    block of the component kernel (``kernel_rows`` of the full network) at
+    a time, and sized under every removal, so memory does not grow with
+    ``num_samples``; the integer sums make each result the same at any
+    block size. A restriction's kernel blocks are at least as large, so a
+    block is one kernel block on every path. The half-width is the 99%
     normal-approximation bound from the sample variance. No removals give
     no estimates, and nothing is drawn.
     """
@@ -277,7 +275,7 @@ def estimate_infections_many(
     removals = [prepare_removal(network, intervention) for intervention in interventions]
     if not removals:
         return []
-    step = draw_block_rows(network)
+    step = kernel_rows(network)
     sums = [[0, 0] for _ in removals]
     for start in range(0, num_samples, step):
         keep = sample_keep_matrix(network, seed, start, min(step, num_samples - start))

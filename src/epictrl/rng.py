@@ -11,8 +11,9 @@ with ``m`` edges owns the draw positions ``[j*stride, j*stride + m)`` where
 ``stride`` pads ``m`` up to whole Philox blocks (4 draws). Edge ``e`` of
 sample ``j`` therefore always sees the same uniform for a given seed, no
 matter how many samples are drawn or in which batches. Monte Carlo
-estimates use this to draw one small block of samples at a time, right
-before they size it, instead of drawing all N first.
+estimates use this to draw one block of samples at a time, right before
+they size it, instead of drawing all N first, and take a block's uniforms
+a few rows at a time from one :func:`sample_stream`.
 """
 
 from __future__ import annotations
@@ -74,19 +75,15 @@ def stride_for(m: int) -> int:
     return -(-m // _BLOCK) * _BLOCK
 
 
-def uniform_block(
-    seed: int, start_index: int, count: int, m: int, *path: int | str
-) -> np.ndarray:
-    """Uniforms for samples ``start_index .. start_index+count-1``.
+def sample_stream(seed: int, start_index: int, m: int, *path: int | str) -> np.random.Generator:
+    """A Generator at the first uniform of sample ``start_index``.
 
-    Returns a (count, m) float64 array; row i holds the per-edge uniforms of
-    sample ``start_index + i``. Row contents depend only on (seed, path,
-    sample index, edge position).
+    Sample j of an m-edge network owns the ``stride_for(m)`` uniforms from
+    position j * stride, so each (k, stride) block then drawn holds the
+    uniforms of the next k samples, row by row, whatever the block sizes;
+    the first m of a row are its edges'. A row's contents depend only on
+    (seed, path, sample index, edge position).
     """
-    if m == 0:
-        return np.empty((count, 0), dtype=np.float64)
-    stride = stride_for(m)
     bitgen = _philox(seed, *path)
-    bitgen.advance(start_index * (stride // _BLOCK))
-    vals = np.random.Generator(bitgen).random((count, stride))
-    return vals[:, :m]
+    bitgen.advance(start_index * (stride_for(m) // _BLOCK))
+    return np.random.Generator(bitgen)

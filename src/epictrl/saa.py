@@ -44,6 +44,7 @@ from .network import (
     ContactNetwork,
     Intervention,
     edge_removal,
+    kernel_rows,
     node_removal,
     source_component_members,
 )
@@ -51,7 +52,6 @@ from .percolate import (
     MASK_TABLE_CAP,
     PATTERN_CELLS,
     affordable_subsets,
-    draw_block_rows,
     empirical_infections,
     estimate_infections,
     infection_table,
@@ -116,8 +116,8 @@ def required_sample_count(n: int, m: int, epsilon: float) -> int:
 def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
     """Draw N independent scenario subgraphs (indices 0..N-1), merged.
 
-    Scenarios are drawn and labelled ``percolate.draw_block_rows`` at a
-    time, so no (N, n) array exists, and one ``_distinct_rows`` merges their packed
+    Scenarios are drawn and labelled one block of the component kernel
+    (``network.kernel_rows``) at a time, so no (N, n) array exists, and one ``_distinct_rows`` merges their packed
     restricted rows. Over ``SAMPLE_DRAW_CAP`` uniforms (N times the padded
     stride) ``InstanceTooLargeError`` is raised before the draw, and over
     ``DISTINCT_CELL_CAP`` cells (D n) right after the merge, before the
@@ -144,7 +144,7 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
         samples = SampleSet(network, *cached[1])
         _check_distinct_cells(N, n, len(samples.counts))
         return samples
-    step = draw_block_rows(network)
+    step = kernel_rows(network)
     packed = np.empty((N, -(-m // 8)), dtype=np.uint8)
     for start in range(0, N, step):
         keep = sample_keep_matrix(network, seed, start, min(step, N - start))

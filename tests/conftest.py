@@ -25,6 +25,13 @@ def recording_draws(draw, counts):
     return spy
 
 
+def kernel_cells(network, rows: int) -> int:
+    """The ``network.CELLS`` that makes ``kernel_rows(network)``, the block
+    of the component kernel and of every Monte Carlo draw, ``rows`` rows
+    (``network.n + network.m`` must exceed 7)."""
+    return -(-rows * (network.n + network.m) // 8)
+
+
 def make_network(n, edges, probs=None, costs=None, source=0) -> ContactNetwork:
     """Small-network helper: edges as (u, v) pairs."""
     m = len(edges)

@@ -3,13 +3,12 @@ import json
 import pytest
 
 from epictrl import load_network, saa
-from epictrl import percolate as percolate_module
+from epictrl import network as network_module
 from epictrl.cli import main
 
-from conftest import make_network
+from conftest import kernel_cells, make_network
 from regen_golden import GOLDEN, commands
 from epictrl.network import write_network
-from epictrl.rng import stride_for
 
 
 def write_graph(tmp_path, net, name="g.tsv"):
@@ -175,7 +174,7 @@ def test_compare_labels_its_scenarios_once(tmp_path, monkeypatch):
     assert argv[argv.index("--algos") + 1] == "saa-det,saa-rand,brute"
     assert argv[argv.index("--samples") + 1] == "50"
     net = load_network(graph)
-    monkeypatch.setattr(percolate_module, "CELLS", 20 * stride_for(net.m))
+    monkeypatch.setattr(network_module, "CELLS", kernel_cells(net, 20))
     blocks, label = [], saa.source_component_members
     monkeypatch.setattr(saa, "source_component_members",
                         lambda network, keep: blocks.append(len(keep)) or label(network, keep))

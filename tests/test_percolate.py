@@ -41,8 +41,8 @@ from epictrl.network import (
     removal_edge_keep,
 )
 
-from conftest import complete_network, make_network, path_network, recording_draws, \
-    star_network, triangle_network, random_connected_network, union_find_component, \
+from conftest import complete_network, kernel_cells, make_network, path_network, \
+    recording_draws, star_network, triangle_network, random_connected_network, union_find_component, \
     union_find_sizes
 
 
@@ -64,6 +64,10 @@ def test_sample_reproducible_and_batch_invariant():
     full = sample_keep_matrix(net, 42, 0, 10)
     assert np.array_equal(full[6], a[0])
     assert not np.array_equal(full, sample_keep_matrix(net, 43, 0, 10))
+    # the uniforms of 1, 3 or 4 rows at a time give the same rows
+    for rows in (1, 3, 4):
+        with mock.patch.object(percolate_module, "CELLS", rows * stride_for(net.m)):
+            assert np.array_equal(sample_keep_matrix(net, 42, 0, 10), full)
 
 
 def test_sample_mean_kept_count_binomial():
@@ -74,15 +78,20 @@ def test_sample_mean_kept_count_binomial():
     assert abs(mean - 5.0) <= 4 * sigma
 
 
-def test_uniform_block_positions_are_stable():
+def test_sample_stream_positions_are_stable():
     from epictrl import rng as streams
 
-    m = 7
-    full = streams.uniform_block(31, 0, 20, m)
-    # any (start, count) slice reads the same positions
-    assert np.array_equal(streams.uniform_block(31, 5, 3, m), full[5:8])
+    m, stride = 7, 8
+    full = streams.sample_stream(31, 0, m).random((20, stride))[:, :m]
+    # any start reads the same positions
+    assert np.array_equal(streams.sample_stream(31, 5, m).random((3, stride))[:, :m],
+                          full[5:8])
+    # and so does any split of the rows into blocks drawn one after another
+    stream = streams.sample_stream(31, 5, m)
+    blocks = [stream.random((rows, stride))[:, :m] for rows in (1, 4, 2)]
+    assert np.array_equal(np.concatenate(blocks), full[5:12])
     # a different purpose path gives an unrelated stream
-    other = streams.uniform_block(31, 0, 20, m, "eval")
+    other = streams.sample_stream(31, 0, m, "eval").random((20, stride))[:, :m]
     assert not np.array_equal(full, other)
 
 
@@ -95,8 +104,8 @@ def test_streams_are_those_of_philox_keyed_by_philox_key():
                               np.random.Generator(keyed).random(9))
         keyed = np.random.Philox(key=streams.philox_key(seed, *path))
         keyed.advance(5 * 2)  # samples 0..4 of stride 8, in 4-draw counter steps
-        assert np.array_equal(streams.uniform_block(seed, 5, 3, 7, *path),
-                              np.random.Generator(keyed).random((3, 8))[:, :7])
+        assert np.array_equal(streams.sample_stream(seed, 5, 7, *path).random((3, 8)),
+                              np.random.Generator(keyed).random((3, 8)))
 
 
 # ------------------------------------------------------------- estimation
@@ -455,8 +464,8 @@ def test_kernel_block_size_follows_cells():
                                    p_mode=0.6)
     keep = sample_keep_matrix(net, 11, 0, 40)
     expected = union_find_sizes(net, keep)
-    for cells, rows in ((-(-(net.n + net.m) // 8), 1), (-(-4 * (net.n + net.m) // 8), 4),
-                        (-(-(net.n + net.m) // 8), 1), (1 << 20, 40)):
+    for cells, rows in ((kernel_cells(net, 1), 1), (kernel_cells(net, 4), 4),
+                        (kernel_cells(net, 1), 1), (1 << 20, 40)):
         with mock.patch.object(network_module, "CELLS", cells):
             blocks = [(start, stop) for start, stop, _ in
                       network_module._source_reach(net, keep)]
@@ -555,19 +564,18 @@ DESK = random_connected_network(np.random.default_rng(5), n_lo=8, n_hi=8, max_m=
      "restricted table"),
 ])
 def test_estimate_is_the_same_at_any_block_size(net, removed, path):
-    """Blocks of 1, 3 and 7 samples, drawn and sized one at a time, give the
-    float.hex-identical mean and half-width of the default blocks (one
-    block of 50 rows here) on every path."""
+    """Blocks of 1, 3 and 7 samples, drawn two rows of uniforms at a time
+    and sized one block at a time, give the float.hex-identical mean and
+    half-width of the default blocks (one block of 50 rows here) on every
+    path."""
     prepared = prepare_removal(net, removed)
     assert path == " ".join(["restricted"] * (prepared.edges is not None)
                             + ["table" if prepared.network.m <= MASK_TABLE_CAP else "kernel"])
     whole = estimate_infections(net, removed, 50, seed=9)
     for rows in (1, 3, 7):
-        # CELLS // stride rows: the kernel's blocks, 8 CELLS // (n + m), are larger
-        cells = rows * stride_for(net.m)
         counts = []
-        with mock.patch.object(network_module, "CELLS", cells), \
-             mock.patch.object(percolate_module, "CELLS", cells), \
+        with mock.patch.object(network_module, "CELLS", kernel_cells(net, rows)), \
+             mock.patch.object(percolate_module, "CELLS", 2 * stride_for(net.m)), \
              mock.patch.object(percolate_module, "sample_keep_matrix",
                                recording_draws(sample_keep_matrix, counts)):
             blocked = estimate_infections(net, removed, 50, seed=9)
@@ -637,15 +645,15 @@ def sparse_network(n=1000, m=3000, p=0.8, seed=4):
 
 
 def test_estimate_memory_does_not_grow_with_samples():
-    """On a 3,000-edge graph the samples are drawn and sized one block at
-    a time: the peak at N = 4,096 is within 1.5x of the peak at N = 256
-    and under 32 bytes per uniform of a block's draw (2,016,000 bytes).
-    Drawing all N rows at once would take 24 KB of uniforms per sample,
-    98 MB at N = 4,096."""
+    """On a 3,000-edge graph the samples are drawn and sized one kernel
+    block at a time: the peak at N = 4,096 is within 1.5x of the peak at
+    N = 256 and under 5 bytes per kept-edge cell of a block, 131 rows of
+    3,000 (1,965,000 bytes). Drawing all N rows at once would take 24 KB
+    of uniforms per sample, 98 MB at N = 4,096."""
     net = sparse_network()
     estimate_infections(net, None, 64, seed=1)  # builds the kernel's cached arcs
-    block_cells = percolate_module.draw_block_rows(net) * stride_for(net.m)
-    assert block_cells == 21 * 3000
+    block_cells = network_module.kernel_rows(net) * net.m
+    assert block_cells == 131 * 3000
     peaks = []
     for num_samples in (256, 4096):
         tracemalloc.start()
@@ -655,4 +663,4 @@ def test_estimate_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert max(peaks) <= 1.5 * min(peaks)
-    assert max(peaks) < 32 * block_cells
+    assert max(peaks) < 5 * block_cells

@@ -32,11 +32,10 @@ from epictrl import (
     solve_lp,
     solve_saa,
 )
-from epictrl import percolate as percolate_module
+from epictrl import network as network_module
 from epictrl import saa
 from epictrl.network import ContactNetwork
 from epictrl.percolate import affordable_subsets, infection_table, keep_rows_to_masks
-from epictrl.rng import stride_for
 from epictrl.saa import FractionalSolution
 
 from conftest import (
@@ -45,6 +44,7 @@ from conftest import (
     complete_network,
     dense_y,
     drawn,
+    kernel_cells,
     make_network,
     path_network,
     star_network,
@@ -787,7 +787,7 @@ def test_sample_set_matches_union_find_restriction(monkeypatch):
         assert np.array_equal(samples.counts, np.bincount(samples.scenario_map))
         assert len(np.unique(samples.rows, axis=0)) == len(samples.rows)
         for block_rows in (1, 3):
-            monkeypatch.setattr(percolate_module, "CELLS", block_rows * stride_for(net.m))
+            monkeypatch.setattr(network_module, "CELLS", kernel_cells(net, block_rows))
             again = draw_samples(rebuilt(net), N, seed)  # a fresh draw, not the set held by net
             assert again is not samples and again.rows is not samples.rows
             for field in SAMPLE_FIELDS:

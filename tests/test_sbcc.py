@@ -26,7 +26,6 @@ from epictrl import rng as rng_module
 from epictrl import sbcc as sbcc_module
 from epictrl.network import boundary_of, source_component_members
 from epictrl.percolate import sample_keep_matrix
-from epictrl.rng import stride_for
 
 from conftest import (
     complete_network,
@@ -514,15 +513,15 @@ def test_sbcc_source_degree_overflow_guard():
 
 def test_karger_report_is_the_same_at_any_evaluation_block_size():
     """The candidates are scored on blocks of 1, 3 and 7 evaluation samples
-    (``percolate.CELLS`` sets the draw block of the restricted paths) with
-    the same report as on one block of 50."""
+    (the estimate draws ``kernel_rows`` samples per block) with the same
+    report as on one block of 50."""
     net = random_connected_network(np.random.default_rng(1), n_lo=10, n_hi=12, max_m=20,
                                    p_mode=0.5)
     _, report = solve_karger(net, budget=0.25, p=0.5, repetitions=6, eval_samples=50, seed=4)
     assert report["candidates_distinct"] == 3
     for rows in (1, 3, 7):
         counts = []
-        with mock.patch.object(percolate_module, "CELLS", rows * stride_for(net.m)), \
+        with mock.patch.object(percolate_module, "kernel_rows", lambda network: rows), \
              mock.patch.object(percolate_module, "sample_keep_matrix",
                                recording_draws(sample_keep_matrix, counts)):
             _, blocked = solve_karger(net, budget=0.25, p=0.5, repetitions=6,
