@@ -296,10 +296,12 @@ def _block_reach(network: ContactNetwork, block: np.ndarray) -> np.ndarray:
     _, heads, edges, starts = _arcs(network)
     a = len(heads)
     words = -(-len(block) // 64)
+    # byte b of an edge's word j holds rows 64 j + 8 b .. 64 j + 8 b + 7
     packed = np.zeros((words, 8, m), dtype=np.uint8)
     packed.reshape(8 * words, m)[:-(-len(block) // 8)] = np.packbits(block, axis=0,
                                                                      bitorder="little")
-    kept = packed.transpose(0, 2, 1).copy().view("<u8")[:, :, 0][:, edges].reshape(-1)
+    edge_words = packed.transpose(0, 2, 1).copy().view("<u8")[:, :, 0]  # (words, m)
+    kept = edge_words[:, edges].reshape(-1)
     copy = np.arange(words)[:, np.newaxis]
     first_arc = np.append((starts[:-1] + a * copy).reshape(-1), words * a)
     head = (heads + n * copy).reshape(-1)
@@ -314,13 +316,10 @@ def _block_reach(network: ContactNetwork, block: np.ndarray) -> np.ndarray:
         ends = np.cumsum(count)
         arcs = np.repeat(first - ends + count, count)
         arcs += np.arange(len(arcs))
+        to = head[arcs]
         gain = np.repeat(reach[front], count)
         gain &= kept[arcs]
-        to = head[arcs]
-        del arcs  # the largest arrays of a round are per arc: hold few at once
-        seen = reach[to]
-        seen &= gain
-        gain ^= seen  # the lanes new to each head
+        gain &= ~reach[to]
         new = gain != 0
         to = to[new]
         np.bitwise_or.at(reach, to, gain[new])

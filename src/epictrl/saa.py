@@ -116,8 +116,8 @@ def required_sample_count(n: int, m: int, epsilon: float) -> int:
 def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
     """Draw N independent scenario subgraphs (indices 0..N-1), merged.
 
-    Scenarios are drawn and labelled one block of the component kernel
-    (``network.kernel_rows``) at a time, so no (N, n) array exists, and one ``_distinct_rows`` merges their packed
+    Scenarios are drawn and labelled in the component kernel's blocks, so no
+    (N, n) array exists, and one ``_distinct_rows`` merges their packed
     restricted rows. Over ``SAMPLE_DRAW_CAP`` uniforms (N times the padded
     stride) ``InstanceTooLargeError`` is raised before the draw, and over
     ``DISTINCT_CELL_CAP`` cells (D n) right after the merge, before the

@@ -42,8 +42,8 @@ from epictrl.network import (
 )
 
 from conftest import complete_network, kernel_cells, make_network, path_network, \
-    recording_draws, star_network, triangle_network, random_connected_network, union_find_component, \
-    union_find_sizes
+    recording_draws, star_network, triangle_network, random_connected_network, \
+    union_find_component, union_find_sizes
 
 
 # ------------------------------------------------------------- sampling
