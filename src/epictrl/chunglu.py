@@ -33,6 +33,9 @@ ENUMERATION_CAP = 10_000_000  # max composition vectors for direct sums
 # (n <= 4095) bounds a draw near 280 MB.
 PAIR_CAP = 1 << 23
 
+# Steps of estimate_percolation_ceiling's scan over p in (0, 1].
+CEILING_GRID = 20
+
 
 @dataclass(frozen=True)
 class ChungLuModel:
@@ -397,19 +400,18 @@ def estimate_percolation_ceiling(
     seed: int,
     poly_coefficient: float = 1.0,
     poly_degree: float = 1.0,
-    grid: int = 20,
 ) -> float:
     """Empirical sweep: the largest uniform p keeping path counts polynomial.
 
-    Scans p over a grid and returns the largest value whose estimated
-    expected surviving-path count stays below
+    Scans p = 1/``CEILING_GRID``, 2/``CEILING_GRID``, ..., 1 and returns the
+    largest value whose estimated expected surviving-path count stays below
     ``poly_coefficient * n ** poly_degree``. A diagnostic, not a certified
     bound: the true ceiling constant is not extractable in closed form.
     """
     budget = poly_coefficient * model.n ** poly_degree
     best = 0.0
-    for g in range(1, grid + 1):
-        p = g / grid
+    for g in range(1, CEILING_GRID + 1):
+        p = g / CEILING_GRID
         census = estimate_percolated_paths(model, p, trials, k_max, seed)
         if census.total <= budget:
             best = p

@@ -120,10 +120,10 @@ def _parse_intervention(net: ContactNetwork, args):
             raise ValidationError(
                 f"--remove-edges takes comma-separated edge ids, got {args.remove_edges!r}"
             ) from None
-        return edge_removal(net, ids, "cli")
+        return edge_removal(net, ids)
     if getattr(args, "remove_nodes", None):
         ids = [net.index_of(x) for x in args.remove_nodes.split(",") if x]
-        return node_removal(net, ids, "cli")
+        return node_removal(net, ids)
     return no_intervention()
 
 
@@ -388,7 +388,7 @@ def _oracle_sbcc(g, instances):
         budget = float(int(g.integers(1, 4)))
         lam = float(g.choice([0.25, 0.5, 0.75]))
         sol = sbcc.min_sbcc(net, budget=budget, lam=lam)
-        _, exact = sbcc.min_sbcc_exact(net, None, budget)
+        _, exact = sbcc.min_sbcc_exact(net, budget)
         ok = sol.component_size <= math.ceil(exact / (1.0 - lam)) and (
             not sol.within_budget or sol.cut_size <= budget / lam
         )

@@ -108,15 +108,6 @@ class ContactNetwork:
         except ValueError:
             raise ValidationError(f"unknown vertex label {label!r}") from None
 
-    def with_source(self, source: int | None) -> "ContactNetwork":
-        """This network with its source moved to ``source`` (None keeps it)."""
-        if source is None or source == self.source:
-            return self
-        return ContactNetwork(
-            n=self.n, us=self.us, vs=self.vs, costs=self.costs,
-            probs=self.probs, source=source, labels=self.labels,
-        )
-
     def with_uniform_probability(self, p: float) -> "ContactNetwork":
         """Copy of this network with every transmission probability set to p."""
         if not 0.0 <= p <= 1.0:
@@ -147,7 +138,6 @@ class Intervention:
     kind: str  # "edge" | "node"
     members: tuple[int, ...]
     cost: float
-    provenance: str = ""
 
     def __post_init__(self):
         if self.kind not in ("edge", "node"):
@@ -155,23 +145,19 @@ class Intervention:
         object.__setattr__(self, "members", tuple(sorted(set(int(x) for x in self.members))))
 
 
-def edge_removal(
-    network: ContactNetwork, edge_ids, provenance: str = ""
-) -> Intervention:
+def edge_removal(network: ContactNetwork, edge_ids) -> Intervention:
     """Edge-removal intervention; cost is recomputed from the network."""
     ids = sorted(set(int(e) for e in edge_ids))
     for e in ids:
         if not 0 <= e < network.m:
             raise ValidationError(f"edge id {e} out of range")
     cost = float(np.sum(network.costs[ids])) if ids else 0.0
-    return Intervention("edge", tuple(ids), cost, provenance)
+    return Intervention("edge", tuple(ids), cost)
 
 
-def node_removal(
-    network: ContactNetwork, vertex_ids, provenance: str = "",
-    node_costs: np.ndarray | None = None,
-) -> Intervention:
-    """Node-removal intervention; unit cost per vertex unless costs given.
+def node_removal(network: ContactNetwork, vertex_ids) -> Intervention:
+    """Node-removal intervention at unit cost per vertex, so a budget B
+    removes at most B vertices.
 
     The source can never be removed (it is already infected).
     """
@@ -181,15 +167,11 @@ def node_removal(
             raise ValidationError(f"vertex id {v} out of range")
     if network.source in ids:
         raise ValidationError("node removal may not contain the source")
-    if node_costs is None:
-        cost = float(len(ids))
-    else:
-        cost = float(np.sum(np.asarray(node_costs, dtype=float)[ids])) if ids else 0.0
-    return Intervention("node", tuple(ids), cost, provenance)
+    return Intervention("node", tuple(ids), float(len(ids)))
 
 
-def no_intervention(kind: str = "edge") -> Intervention:
-    return Intervention(kind, (), 0.0, "none")
+def no_intervention() -> Intervention:
+    return Intervention("edge", (), 0.0)
 
 
 @dataclass(frozen=True)
@@ -238,8 +220,11 @@ def source_component_members(network: ContactNetwork, keep_rows: np.ndarray) -> 
     """Membership of the source's component, one (n,) bool row per kept-edge row.
 
     This and :func:`source_component_sizes` share the one component kernel,
-    :func:`_source_reach`.
+    :func:`_source_reach`. Rows that fit one kernel block come back as that
+    block's own array, so they are held once.
     """
+    if 0 < len(keep_rows) <= kernel_rows(network):
+        return next(_source_reach(network, keep_rows))[2]
     members = np.zeros((len(keep_rows), network.n), dtype=bool)
     for start, stop, inside in _source_reach(network, keep_rows):
         members[start:stop] = inside

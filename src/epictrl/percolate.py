@@ -131,11 +131,6 @@ def keep_rows_to_masks(keep_rows: np.ndarray) -> np.ndarray:
     return keep_rows.astype(np.int64) @ weights
 
 
-def _mask_bits(keep: np.ndarray) -> int:
-    """Bitmask of the edges set in one (m,) keep vector (m <= 63)."""
-    return int(keep_rows_to_masks(keep[np.newaxis, :])[0])
-
-
 def affordable_subsets(
     removal_masks: np.ndarray, costs: np.ndarray, budget: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,14 +162,13 @@ class PreparedRemoval:
 
     Rows of the full network are sized on ``network``: the full network
     itself, or the restricted network of the source's component C, whose
-    edge j is edge ``edges[j]`` of the full network. A ``network`` of at
-    most ``MASK_TABLE_CAP`` edges is sized by its 2^m table, with the
-    removed edges masked out by ``bits``; a larger one by the component
-    kernel, with their columns cleared by ``keep`` (None: none removed).
+    edge j is edge ``edges[j]`` of the full network. The removed edges'
+    columns are cleared by ``keep`` (None: none removed), and the rows are
+    then sized by the 2^m table of a ``network`` of at most
+    ``MASK_TABLE_CAP`` edges, or by the component kernel.
     """
 
     network: ContactNetwork
-    bits: int = -1
     keep: np.ndarray | None = None
     edges: np.ndarray | None = None
 
@@ -192,10 +186,10 @@ def prepare_removal(network: ContactNetwork, removed: Intervention | None) -> Pr
     other: by its 2^m table when it has at most ``MASK_TABLE_CAP`` edges.
     """
     keep = removal_edge_keep(network, removed)
-    if network.m <= MASK_TABLE_CAP:
-        return PreparedRemoval(network, bits=_mask_bits(keep))
     if keep.all():
         return PreparedRemoval(network)
+    if network.m <= MASK_TABLE_CAP:
+        return PreparedRemoval(network, keep=keep)
     inside = source_component_members(network, keep[np.newaxis, :])[0]
     # a kept edge with one endpoint in C has both there
     edges = np.flatnonzero(keep & inside[network.us])
@@ -232,10 +226,10 @@ def component_sizes(
     net = removed.network
     if removed.edges is not None:
         keep_rows = keep_rows[:, removed.edges]
-    if net.m <= MASK_TABLE_CAP:
-        return infection_table(net)[keep_rows_to_masks(keep_rows) & removed.bits]
     if removed.keep is not None:
         keep_rows = keep_rows & removed.keep
+    if net.m <= MASK_TABLE_CAP:
+        return infection_table(net)[keep_rows_to_masks(keep_rows)]
     return source_component_sizes(net, keep_rows)
 
 
@@ -334,7 +328,7 @@ def exact_expected_infections(
         weights = np.concatenate([weights * (1.0 - p), weights * p])
     if network.m <= MASK_TABLE_CAP:
         # each pattern's bitmask, doubled in the order of the weights
-        masks = np.array([_mask_bits(always)], dtype=np.int64)
+        masks = keep_rows_to_masks(always[np.newaxis, :])
         for e in random_ids:
             masks = np.concatenate([masks, masks | (1 << int(e))])
         sizes = infection_table(network)[masks]

@@ -201,7 +201,6 @@ class LpModel:
     arc_tail: np.ndarray  # graph vertex per arc, 0 for the merged source
     arc_head: np.ndarray
     arc_col: np.ndarray
-    node_costs: np.ndarray | None = None
 
     @property
     def network(self) -> ContactNetwork:
@@ -229,17 +228,6 @@ class LpModel:
         return np.ones(1)
 
 
-def _entity_costs(network: ContactNetwork, mode: str, node_costs) -> np.ndarray:
-    if mode == "edge":
-        return network.costs
-    costs = np.ones(network.n) if node_costs is None else np.asarray(node_costs, dtype=float)
-    if len(costs) != network.n:
-        raise ValidationError("node costs must cover every vertex")
-    if np.any(costs < 0):
-        raise ValidationError("node costs must be nonnegative")
-    return costs
-
-
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``np.unique(rows, axis=0)``'s index, inverse and counts for uint8 rows.
 
@@ -262,12 +250,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return order[starts], inverse, np.diff(np.append(np.flatnonzero(starts), num))
 
 
-def build_lp(
-    samples: SampleSet,
-    budget: float,
-    mode: str = "edge",
-    node_costs: np.ndarray | None = None,
-) -> LpModel:
+def build_lp(samples: SampleSet, budget: float, mode: str = "edge") -> LpModel:
     """Presolve the scenario LP for an edge- or node-removal budget.
 
     A row's component is the source and the ends of its kept edges, marked
@@ -291,11 +274,12 @@ def build_lp(
         if n < 2:
             raise ValidationError("network has no removable vertices")
 
-    costs = _entity_costs(net, mode, node_costs)
     if mode == "edge":
+        costs = net.costs
         # self-loops never affect reachability, so they get no variable
         affordable = np.isfinite(costs) & (costs <= budget) & (net.us != net.vs)
     else:
+        costs = np.ones(n)  # a vertex costs 1: the budget counts vertices
         affordable = costs <= budget
         affordable[s] = False  # the source cannot be vaccinated
     scale = budget if budget > 0 else 1.0
@@ -331,7 +315,6 @@ def build_lp(
         offset=int(samples.counts @ np.bincount(y_cells // n, minlength=num_rows)) / samples.N,
         y_cells=y_cells,
         arc_tail=tail[order], arc_head=head[order], arc_col=x_col[weighs][order],
-        node_costs=None if mode == "edge" else costs,
     )
 
 
@@ -607,10 +590,9 @@ def round_randomized(
     probs = np.minimum(frac.x * inflate, 1.0)
     u = rng.generator(seed, "round").random(len(probs))
     picked = np.flatnonzero((u < probs) | (probs >= 1.0))
-    prov = "saa-randomized"
     if model.mode == "edge":
-        return edge_removal(net, picked, prov)
-    return node_removal(net, picked, prov, node_costs=model.node_costs)
+        return edge_removal(net, picked)
+    return node_removal(net, picked)
 
 
 def round_deterministic(frac: FractionalSolution) -> Intervention:
@@ -623,11 +605,10 @@ def round_deterministic(frac: FractionalSolution) -> Intervention:
     net = model.network
     threshold = 1.0 / (4.0 * net.n ** (2.0 / 3.0))
     picked = np.flatnonzero(frac.x >= threshold)
-    prov = "saa-deterministic"
     if model.mode == "edge":
-        out = edge_removal(net, picked, prov)
+        out = edge_removal(net, picked)
     else:
-        out = node_removal(net, picked, prov, node_costs=model.node_costs)
+        out = node_removal(net, picked)
     bound = 4.0 * net.n ** (2.0 / 3.0) * model.budget
     if out.cost > bound:
         raise SolverError(
@@ -637,10 +618,7 @@ def round_deterministic(frac: FractionalSolution) -> Intervention:
 
 
 def brute_force_optimum(
-    samples: SampleSet,
-    budget: float,
-    mode: str = "edge",
-    node_costs: np.ndarray | None = None,
+    samples: SampleSet, budget: float, mode: str = "edge"
 ) -> tuple[Intervention, float]:
     """Exhaustive minimizer of the empirical objective under the budget.
 
@@ -662,8 +640,8 @@ def brute_force_optimum(
         raise ValidationError(f"budget must be nonnegative, got {budget}")
     edge_bits = np.int64(1) << np.arange(net.m, dtype=np.int64)
     if mode == "edge":
-        costs = net.costs
-        candidates = np.flatnonzero(np.isfinite(costs) & (net.us != net.vs))
+        candidates = np.flatnonzero(np.isfinite(net.costs) & (net.us != net.vs))
+        costs = net.costs[candidates]
         removal = edge_bits[candidates]
     else:
         if net.n > 20:
@@ -671,14 +649,14 @@ def brute_force_optimum(
                 f"node-mode brute force caps at 20 vertices, got n = {net.n}; use "
                 f"solve_saa with mode='node', or an instance with at most 20 vertices"
             )
-        costs = _entity_costs(net, "node", node_costs)
         candidates = np.flatnonzero(np.arange(net.n) != net.source)
+        costs = np.ones(len(candidates))
         incident = np.zeros(net.n, dtype=np.int64)
         np.bitwise_or.at(incident, net.us, edge_bits)
         np.bitwise_or.at(incident, net.vs, edge_bits)
         removal = incident[candidates]
 
-    picks, removed = affordable_subsets(removal, costs[candidates], budget)
+    picks, removed = affordable_subsets(removal, costs, budget)
     table = infection_table(net)
     masks = keep_rows_to_masks(samples.rows)
     step = max(1, PATTERN_CELLS // len(masks))
@@ -690,9 +668,9 @@ def brute_force_optimum(
         for pick in picks[totals == best_total].tolist()
     )
     if mode == "edge":
-        best = edge_removal(net, best_members, "brute-force")
+        best = edge_removal(net, best_members)
     else:
-        best = node_removal(net, best_members, "brute-force", node_costs=node_costs)
+        best = node_removal(net, best_members)
     return best, best_total / samples.N
 
 
@@ -706,7 +684,6 @@ def solve_saa(
     seed: int = 0,
     num_samples: int | None = None,
     eval_samples: int = 1000,
-    node_costs: np.ndarray | None = None,
 ) -> tuple[Intervention, dict]:
     """End-to-end pipeline: sample, solve the LP, round, evaluate.
 
@@ -721,7 +698,7 @@ def solve_saa(
     auto_n = required_sample_count(network.n, max(network.m, 1), epsilon)
     N = num_samples if num_samples is not None else auto_n
     samples = draw_samples(network, N, seed)
-    model = build_lp(samples, budget, mode=mode, node_costs=node_costs)
+    model = build_lp(samples, budget, mode=mode)
     frac = solve_lp(model)
     if frac.solver_status != "optimal":
         raise SolverError(f"LP did not reach optimality: {frac.solver_status}")

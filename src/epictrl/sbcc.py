@@ -257,12 +257,7 @@ def min_sbcc_many(
     return solutions, flow_calls
 
 
-def min_sbcc(
-    graph: ContactNetwork,
-    budget: float,
-    lam: float,
-    source: int | None = None,
-) -> SbccSolution:
+def min_sbcc(graph: ContactNetwork, budget: float, lam: float) -> SbccSolution:
     """Bicriteria bounded-capacity cut by an exact parametric min-cut sweep.
 
     Among the minimal min-cut sides at every integer sink capacity in
@@ -275,13 +270,10 @@ def min_sbcc(
     must stay below 2^15 so that flow values fit in int32. This is
     :func:`min_sbcc_many` on one row that keeps every edge.
     """
-    graph = graph.with_source(source)
     return min_sbcc_many(graph, np.ones((1, graph.m), dtype=bool), budget, lam)[0][0]
 
 
-def min_sbcc_exact(
-    graph: ContactNetwork, source: int | None, budget: float
-) -> tuple[tuple[int, ...], int]:
+def min_sbcc_exact(graph: ContactNetwork, budget: float) -> tuple[tuple[int, ...], int]:
     """Exhaustive bounded-capacity cut oracle (m <= 20).
 
     Minimum source-component size over all edge subsets of size at most
@@ -296,7 +288,6 @@ def min_sbcc_exact(
         raise InstanceTooLargeError(f"exact oracle caps at 20 edges, got {graph.m}")
     if not budget >= 0:
         raise ValidationError(f"budget must be nonnegative, got {budget}")
-    graph = graph.with_source(source)
     m = graph.m
     edge_ids = np.arange(m, dtype=np.int64)
     picks, _ = affordable_subsets(np.int64(1) << edge_ids, np.ones(m), int(min(m, budget)))
@@ -377,7 +368,7 @@ def solve_karger(
         cand["mc_mean"], cand["mc_half_width"] = scores[members].mean, scores[members].half_width
 
     chosen_index = min(range(reps), key=lambda i: (candidates[i]["mc_mean"], i))
-    chosen = edge_removal(network, members_per_candidate[chosen_index], "karger")
+    chosen = edge_removal(network, members_per_candidate[chosen_index])
     if regime.epsilon < 1.0:
         budget_bound = gamma / ((1.0 - regime.epsilon) * lam) * budget
     else:

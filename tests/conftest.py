@@ -158,7 +158,7 @@ def stoer_wagner_min_cut(network) -> float:
     return best
 
 
-def brute_force_reference(net, keep_rows, budget, mode="edge", node_costs=None):
+def brute_force_reference(net, keep_rows, budget, mode="edge"):
     """Reference for ``brute_force_optimum`` by ``itertools.combinations``.
 
     Tries every set of removable entities (finite-cost non-loop edges, or
@@ -171,7 +171,7 @@ def brute_force_reference(net, keep_rows, budget, mode="edge", node_costs=None):
         entities = [e for e in range(net.m)
                     if math.isfinite(costs[e]) and net.us[e] != net.vs[e]]
     else:
-        costs = np.ones(net.n) if node_costs is None else node_costs
+        costs = np.ones(net.n)
         entities = [v for v in range(net.n) if v != net.source]
     best = None
     for k in range(len(entities) + 1):
@@ -267,7 +267,7 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def unreduced_lp_solution(net, keep_rows, budget, mode="edge", node_costs=None):
+def unreduced_lp_solution(net, keep_rows, budget, mode="edge"):
     """Reference for ``build_lp``/``solve_lp``: the unreduced scenario LP.
 
     Every raw scenario (a row of ``keep_rows``) gets a y column for each
@@ -282,7 +282,7 @@ def unreduced_lp_solution(net, keep_rows, budget, mode="edge", node_costs=None):
         costs = net.costs
         affordable = np.isfinite(costs) & (costs <= budget) & (net.us != net.vs)
     else:
-        costs = np.ones(n) if node_costs is None else np.asarray(node_costs, dtype=float)
+        costs = np.ones(n)
         affordable = costs <= budget
         affordable[s] = False
     var_entities = np.flatnonzero(affordable)

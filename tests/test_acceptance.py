@@ -261,7 +261,7 @@ def test_criterion_09_bounded_cut_contract():
                 sol = min_sbcc(net, budget=budget, lam=lam)
                 if sol.within_budget:
                     assert sol.cut_size <= budget / lam
-                _, exact = min_sbcc_exact(net, None, budget)
+                _, exact = min_sbcc_exact(net, budget)
                 cap = math.ceil(exact / (1.0 - lam))
                 assert sol.component_size <= cap, (lam, budget)
                 instances += 1

@@ -267,8 +267,7 @@ def test_lp_relaxation_lower_bounds_every_feasible_removal(rng):
                 assert frac.objective + 1.0 <= h + 1e-6
 
 
-def assert_matches_unreduced(samples, keep_rows, budget, mode="edge", node_costs=None,
-                             tied=False):
+def assert_matches_unreduced(samples, keep_rows, budget, mode="edge", tied=False):
     """The reduced LP solves the unreduced LP on the raw rows ``keep_rows``:
     same objective, and its x with its y (the capped x-distances, read
     through the scenario map) is an optimum of the unreduced LP.
@@ -279,9 +278,9 @@ def assert_matches_unreduced(samples, keep_rows, budget, mode="edge", node_costs
     optima, the rounded members on the other entities and y must also equal
     the unreduced LP's.
     """
-    frac = solve_lp(build_lp(samples, budget, mode=mode, node_costs=node_costs))
+    frac = solve_lp(build_lp(samples, budget, mode=mode))
     net = samples.network
-    objective, x, y = unreduced_lp_solution(net, keep_rows, budget, mode, node_costs)
+    objective, x, y = unreduced_lp_solution(net, keep_rows, budget, mode)
     assert abs(frac.objective - objective) <= 1e-9, (mode, frac.objective, objective)
     frac_y = dense_y(frac.model, frac.y)
     live = np.zeros(len(x), dtype=bool)
@@ -305,7 +304,7 @@ def assert_matches_unreduced(samples, keep_rows, budget, mode="edge", node_costs
 @st.composite
 def lp_cases(draw):
     """Small graphs with self-loops, any source (often isolated), either mode,
-    unit or random edge and node costs, budgets down to 0 in node mode, and
+    unit or random edge costs, budgets down to 0 in node mode, and
     sometimes a merged meta-source behind infinite-cost edges."""
     n = draw(st.integers(2, 7))
     pairs = [(u, v) for u in range(n) for v in range(u, n)]
@@ -318,14 +317,11 @@ def lp_cases(draw):
     if draw(st.booleans()):
         net = merge_seeds(net, draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
     mode = draw(st.sampled_from(["edge", "node"]))
-    node_costs = None
-    if mode == "node" and draw(st.booleans()):
-        node_costs = g.uniform(0.0, 2.0, size=net.n)
     budget = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]))
     if mode == "edge" and budget == 0.0:
         budget = 1.0
     samples, keep = drawn(net, draw(st.integers(1, 25)), draw(st.integers(0, 2**31)))
-    return samples, keep, budget, mode, node_costs
+    return samples, keep, budget, mode
 
 
 @settings(max_examples=150, deadline=None)
@@ -333,8 +329,8 @@ def lp_cases(draw):
 def test_lp_matches_unreduced_oracle(case):
     # unit costs and few scenarios often tie several optima (three leaves of
     # the source, one removable), and the two LPs may pick different ones
-    samples, keep, budget, mode, node_costs = case
-    assert_matches_unreduced(samples, keep, budget, mode, node_costs, tied=True)
+    samples, keep, budget, mode = case
+    assert_matches_unreduced(samples, keep, budget, mode, tied=True)
 
 
 def test_lp_matches_unreduced_oracle_on_batteries():
@@ -368,20 +364,17 @@ def test_lp_matches_unreduced_oracle_on_batteries():
 
     isolated = make_network(4, [(0, 0), (1, 2), (2, 3)], probs=[1.0, 1.0, 0.5],
                             costs=[1.0, 0.5, 2.0])
-    for net, budget, mode, node_costs in [
-        (path_network(p=0.0), 1.0, "edge", None),
-        (path_network(p=0.0), 0.0, "node", None),
-        (path_network(p=0.0, costs=[5.0, 5.0]), 1.0, "edge", None),
-        (isolated, 1.0, "edge", None),
-        (isolated, 0.0, "node", np.array([0.0, 0.0, 1.0, 1.0])),
-        (isolated, 1.0, "node", np.array([0.0, 3.0, 0.5, 1.5])),
+    for net, budget, mode in [
+        (path_network(p=0.0), 1.0, "edge"),
+        (path_network(p=0.0), 0.0, "node"),
+        (path_network(p=0.0, costs=[5.0, 5.0]), 1.0, "edge"),
+        (isolated, 1.0, "edge"),
     ]:
-        frac = assert_matches_unreduced(*drawn(net, 6, 2), budget, mode, node_costs)
+        frac = assert_matches_unreduced(*drawn(net, 6, 2), budget, mode)
         assert frac.model.num_y == frac.iterations == 0  # no solver call
-    merged = merge_seeds(isolated.with_source(1), [1, 3])
+    merged = merge_seeds(dataclasses.replace(isolated, source=1), [1, 3])
     samples, keep = drawn(merged, 6, 2)
     assert_matches_unreduced(samples, keep, 1.0)
-    assert_matches_unreduced(samples, keep, 1.5, "node", np.array([1.0, 0.2, 0.7, 2.0, 0.0]))
 
 
 def test_lp_restricts_and_merges_scenarios():
@@ -775,7 +768,7 @@ def test_sample_set_matches_union_find_restriction(monkeypatch):
         net = random_connected_network(g, n_lo=12 if big else 5, n_hi=20 if big else 9,
                                        max_m=40 if big else 14, p_mode="random")
         if i % 3 == 1:
-            net = merge_seeds(net.with_source(int(g.integers(net.n))), [0, 1])
+            net = merge_seeds(dataclasses.replace(net, source=int(g.integers(net.n))), [0, 1])
         N, seed = int(g.integers(1, 120)), int(g.integers(1 << 30))
         samples, keep = drawn(net, N, seed)
         rows, comps = restricted_rows(net, keep)
@@ -913,24 +906,21 @@ def test_brute_force_matches_itertools_reference():
     cases = []
     for i in range(25):
         net = random_connected_network(rng, n_lo=3, n_hi=6, max_m=7, unit_costs=False)
-        net = net.with_source(int(rng.integers(0, net.n)))
-        node_costs = rng.uniform(0.0, 2.0, size=net.n)
-        cases.append((*drawn(net, int(rng.integers(1, 9)), i), node_costs,
+        net = dataclasses.replace(net, source=int(rng.integers(0, net.n)))
+        rng.random(net.n)  # keeps rng's stream, and so every later instance, pinned
+        cases.append((*drawn(net, int(rng.integers(1, 9)), i),
                       (0.0, float(rng.uniform(0.0, 4.0)), 100.0)))
     # 0.1 + 0.2 > 0.3 in binary floats: the pair fits only the second budget;
     # the merged meta-source adds infinite-cost edges, the loop is inert
     boundary = make_network(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 4)], probs=0.7,
                             costs=[0.1, 0.2, 0.3, 0.1, 0.2, 0.1])
-    node_costs = np.array([0.1, 0.2, 0.0, 0.1, 0.3, 0.2])
     for net in (boundary, merge_seeds(boundary, [0, 3])):
-        cases.append((*drawn(net, 6, 8), node_costs[:net.n],
-                      (0.3, 0.1 + 0.2, 0.6, 0.1 + 0.2 + 0.3)))
-    for samples, keep, node_costs, budgets in cases:
+        cases.append((*drawn(net, 6, 8), (0.3, 0.1 + 0.2, 0.6, 0.1 + 0.2 + 0.3)))
+    for samples, keep, budgets in cases:
         for budget in budgets:
-            for mode, costs in (("edge", None), ("node", node_costs), ("node", None)):
-                best, h = brute_force_optimum(samples, budget, mode=mode, node_costs=costs)
-                total, members = brute_force_reference(samples.network, keep, budget, mode,
-                                                       costs)
+            for mode in ("edge", "node"):
+                best, h = brute_force_optimum(samples, budget, mode=mode)
+                total, members = brute_force_reference(samples.network, keep, budget, mode)
                 assert (best.members, h) == (members, total / samples.N), (mode, budget)
 
 
@@ -964,7 +954,7 @@ def sixteen_edge_instance():
     none of them isolates the source."""
     net = random_connected_network(np.random.default_rng(2121), n_lo=9, n_hi=10, max_m=16)
     degree = np.bincount(np.concatenate([net.us, net.vs]), minlength=net.n)
-    return net.with_source(int(np.argmax(degree)))
+    return dataclasses.replace(net, source=int(np.argmax(degree)))
 
 
 @pytest.mark.parametrize("mode", ["edge", "node"])

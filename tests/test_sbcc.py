@@ -47,7 +47,7 @@ def test_sbcc_star_contract():
     sol = min_sbcc(star, budget=2.0, lam=0.5)
     assert sol.within_budget
     assert sol.cut_size <= 2.0 / 0.5
-    exact_set, exact_size = min_sbcc_exact(star, None, 2.0)
+    exact_set, exact_size = min_sbcc_exact(star, 2.0)
     assert exact_size == 3
     assert sol.component_size <= math.ceil(exact_size / (1 - 0.5))
 
@@ -105,16 +105,16 @@ def test_sbcc_requires_unit_capacities():
 # ------------------------------------------------------------- exact oracle
 
 def test_exact_star_budget_two():
-    assert min_sbcc_exact(star_network(4), None, 2.0) == ((0, 1), 3)
+    assert min_sbcc_exact(star_network(4), 2.0) == ((0, 1), 3)
 
 
 def test_exact_path_budget_one():
-    assert min_sbcc_exact(path_network(), None, 1.0) == ((0,), 1)
+    assert min_sbcc_exact(path_network(), 1.0) == ((0,), 1)
 
 
 def test_exact_triangle_budget_one():
     tri = complete_network(3)
-    assert min_sbcc_exact(tri, None, 1.0)[1] == 3
+    assert min_sbcc_exact(tri, 1.0)[1] == 3
 
 
 def test_exact_cap():
@@ -122,7 +122,7 @@ def test_exact_cap():
 
     big = complete_network(7)  # 21 edges
     with pytest.raises(InstanceTooLargeError):
-        min_sbcc_exact(big, None, 2.0)
+        min_sbcc_exact(big, 2.0)
 
 
 @pytest.mark.parametrize("m", [16, 17, 18, 19, 20])
@@ -136,13 +136,13 @@ def test_exact_matches_union_find_reference(m):
     nets.append(make_network(m, star))
     for net in nets:
         assert net.m == m
-        net = net.with_source(int(rng.integers(0, net.n)))
+        net = dataclasses.replace(net, source=int(rng.integers(0, net.n)))
         for budget in (0.0, 1.0, 2.5, 3.0):
             want = exact_sbcc_reference(net, budget)
-            assert min_sbcc_exact(net, None, budget) == want
+            assert min_sbcc_exact(net, budget) == want
             # blocks of 7 subsets: ties are settled across blocks
             with mock.patch.object(sbcc_module, "PATTERN_CELLS", 7 * net.m):
-                assert min_sbcc_exact(net, None, budget) == want
+                assert min_sbcc_exact(net, budget) == want
 
 
 def test_exact_full_budget_at_m20_sizes_subsets_in_blocks():
@@ -153,7 +153,7 @@ def test_exact_full_budget_at_m20_sizes_subsets_in_blocks():
     at_source = tuple(int(e) for e in np.flatnonzero((net.us == 0) | (net.vs == 0)))
     tracemalloc.start()
     try:
-        assert min_sbcc_exact(net, None, 20.0) == (at_source, 1)
+        assert min_sbcc_exact(net, 20.0) == (at_source, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -164,7 +164,7 @@ def test_exact_full_budget_at_m20_sizes_subsets_in_blocks():
 @pytest.mark.parametrize("budget", [-1.0, math.nan])
 def test_exact_rejects_negative_budget(budget):
     with pytest.raises(ValidationError, match="budget"):
-        min_sbcc_exact(path_network(), None, budget)
+        min_sbcc_exact(path_network(), budget)
 
 
 def test_contract_against_oracle_grid(rng):
@@ -175,7 +175,7 @@ def test_contract_against_oracle_grid(rng):
                 sol = min_sbcc(net, budget=budget, lam=lam)
                 assert sol.cut_size <= budget / lam or not sol.within_budget
                 if sol.within_budget:
-                    _, exact = min_sbcc_exact(net, None, budget)
+                    _, exact = min_sbcc_exact(net, budget)
                     cap = math.ceil(exact / (1.0 - lam))
                     assert sol.component_size <= cap, (lam, budget)
 
@@ -383,10 +383,10 @@ def sbcc_cases(draw):
 @example(case=(7, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (2, 6)], 0, 0.5, 0.5))
 def test_min_sbcc_matches_parametric_oracle(case):
     n, edges, source, budget, lam = case
+    rooted = make_network(n, edges, source=source)
     with mock.patch.object(sbcc_module, "_minimal_sides",
                            recording_minimal_sides(probed := [])):
-        sol = min_sbcc(make_network(n, edges), budget=budget, lam=lam, source=source)
-    rooted = make_network(n, edges, source=source)
+        sol = min_sbcc(rooted, budget=budget, lam=lam)
     side, cut, comp, within, alpha = parametric_sbcc_oracle(rooted, budget, lam)
     assert sol.component == side
     assert (sol.cut_size, sol.component_size, sol.within_budget) == (cut, comp, within)
