@@ -13,7 +13,7 @@ m <= ``MASK_TABLE_CAP`` edges they are read off a 2^m table that
 A Monte Carlo estimate prepares its removal once (:func:`prepare_removal`)
 and then draws, percolates and sizes its samples one block of the kernel,
 ``network.kernel_rows``, at a time, so no array of all N samples is ever
-held.
+held; when no prepared removal leaves the source an edge, it draws nothing.
 Component-size totals are accumulated as integers, so aggregate results are
 exactly independent of accumulation order and of the block size.
 """
@@ -173,7 +173,9 @@ class PreparedRemoval:
     edges: np.ndarray | None = None
 
 
-def prepare_removal(network: ContactNetwork, removed: Intervention | None) -> PreparedRemoval:
+def prepare_removal(
+    network: ContactNetwork, removed: Intervention | PreparedRemoval | None
+) -> PreparedRemoval:
     """Prepare a removal once for :func:`component_sizes` on many blocks.
 
     Above ``MASK_TABLE_CAP`` edges, a removal that drops edges is evaluated
@@ -184,7 +186,11 @@ def prepare_removal(network: ContactNetwork, removed: Intervention | None) -> Pr
     (say, G - removal is connected apart from removed vertices) the rows
     run on the whole network. A restricted network is sized like any
     other: by its 2^m table when it has at most ``MASK_TABLE_CAP`` edges.
+    A removal that is already prepared comes back as it is, so a caller
+    that scores one removal in several estimates prepares it once.
     """
+    if isinstance(removed, PreparedRemoval):
+        return removed
     keep = removal_edge_keep(network, removed)
     if keep.all():
         return PreparedRemoval(network)
@@ -235,7 +241,7 @@ def component_sizes(
 
 def estimate_infections(
     network: ContactNetwork,
-    intervention: Intervention | None,
+    intervention: Intervention | PreparedRemoval | None,
     num_samples: int,
     seed: int,
 ) -> InfectionEstimate:
@@ -249,7 +255,7 @@ def estimate_infections(
 
 def estimate_infections_many(
     network: ContactNetwork,
-    interventions: list[Intervention | None],
+    interventions: list[Intervention | PreparedRemoval | None],
     num_samples: int,
     seed: int,
 ) -> list[InfectionEstimate]:
@@ -261,22 +267,30 @@ def estimate_infections_many(
     ``num_samples``; the integer sums make each result the same at any
     block size. A restriction's kernel blocks are at least as large, so a
     block is one kernel block on every path. The half-width is the 99%
-    normal-approximation bound from the sample variance. No removals give
-    no estimates, and nothing is drawn.
+    normal-approximation bound from the sample variance.
+
+    When every prepared network has no edge (an edgeless network, or above
+    ``MASK_TABLE_CAP`` edges a removal that cuts the source off, C = {s}),
+    no sample is drawn: every sample's source component is the source
+    alone, size 1 (not ``network.n``: an edgeless network of many vertices
+    also gives 1), and the sums of N ones give the drawn path's mean 1.0
+    and half-width 0.0 (infinite at N = 1). No removals give no estimates,
+    and nothing is drawn.
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
     removals = [prepare_removal(network, intervention) for intervention in interventions]
-    if not removals:
-        return []
-    step = kernel_rows(network)
-    sums = [[0, 0] for _ in removals]
-    for start in range(0, num_samples, step):
-        keep = sample_keep_matrix(network, seed, start, min(step, num_samples - start))
-        for removal, total in zip(removals, sums):
-            sizes = component_sizes(network, keep, removal)
-            total[0] += int(sizes.sum())
-            total[1] += int((sizes * sizes).sum())
+    if all(removal.network.m == 0 for removal in removals):
+        sums = [[num_samples, num_samples] for _ in removals]
+    else:
+        step = kernel_rows(network)
+        sums = [[0, 0] for _ in removals]
+        for start in range(0, num_samples, step):
+            keep = sample_keep_matrix(network, seed, start, min(step, num_samples - start))
+            for removal, total in zip(removals, sums):
+                sizes = component_sizes(network, keep, removal)
+                total[0] += int(sizes.sum())
+                total[1] += int((sizes * sizes).sum())
     return [InfectionEstimate(*mean_half_width(total, total_sq, num_samples), num_samples)
             for total, total_sq in sums]
 
@@ -349,7 +363,7 @@ def exact_expected_infections(
 def empirical_infections(
     samples,
     network: ContactNetwork,
-    intervention: Intervention | None = None,
+    intervention: Intervention | PreparedRemoval | None = None,
 ) -> float:
     """Exact average component size over a fixed sample list.
 

@@ -56,6 +56,7 @@ from .percolate import (
     estimate_infections,
     infection_table,
     keep_rows_to_masks,
+    prepare_removal,
     sample_keep_matrix,
 )
 
@@ -92,11 +93,7 @@ class SampleSet:
     network: ContactNetwork
     rows: np.ndarray  # (D, m) bool, the distinct restricted rows
     counts: np.ndarray  # (D,) int64, scenarios per row
-    scenario_map: np.ndarray  # (N,) int64, row of each scenario
-
-    @property
-    def N(self) -> int:
-        return len(self.scenario_map)
+    N: int  # scenarios drawn, counts.sum()
 
 
 def required_sample_count(n: int, m: int, epsilon: float) -> int:
@@ -141,7 +138,7 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
         )
     cached = network.__dict__.get("_samples")
     if cached is not None and cached[0] == (N, seed):
-        samples = SampleSet(network, *cached[1])
+        samples = SampleSet(network, *cached[1], N)
         _check_distinct_cells(N, n, len(samples.counts))
         return samples
     step = kernel_rows(network)
@@ -151,17 +148,17 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
         # a kept edge touching the source's component lies inside it
         inner = keep & source_component_members(network, keep)[:, us] & (us != vs)
         packed[start:start + len(keep)] = np.packbits(inner, axis=1)
-    first, scenario_map, counts = _distinct_rows(packed)
+    first, counts = _distinct_rows(packed)
     _check_distinct_cells(N, n, len(first))
     rows = np.unpackbits(packed[first], axis=1, count=m).astype(bool)
-    arrays = (rows, counts, scenario_map)
+    arrays = (rows, counts)
     for array in arrays:
         array.setflags(write=False)
     # the network keeps the arrays, not the SampleSet: a set refers to its
     # network, and that cycle would keep each dropped network alive until a
     # full garbage collection
     object.__setattr__(network, "_samples", ((N, seed), arrays))
-    return SampleSet(network, *arrays)
+    return SampleSet(network, *arrays, N)
 
 
 def _check_distinct_cells(N: int, n: int, D: int) -> None:
@@ -228,8 +225,8 @@ class LpModel:
         return np.ones(1)
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0)``'s index, inverse and counts for uint8 rows.
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0)``'s index and counts for uint8 rows.
 
     Rows are padded with zero bytes to whole 8-byte words and read as
     big-endian uint64, which orders them as their bytes do. A stable sort
@@ -245,9 +242,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ranked = words[order]
     starts = np.ones(num, dtype=bool)
     starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    inverse = np.empty(num, dtype=np.int64)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse, np.diff(np.append(np.flatnonzero(starts), num))
+    return order[starts], np.diff(np.append(np.flatnonzero(starts), num))
 
 
 def build_lp(samples: SampleSet, budget: float, mode: str = "edge") -> LpModel:
@@ -706,8 +701,10 @@ def solve_saa(
         chosen = round_randomized(frac, gamma, epsilon, seed)
     else:
         chosen = round_deterministic(frac)
+    # prepared once for the fresh check and the empirical objective alike
+    prepared = prepare_removal(network, chosen)
     fresh_seed = rng.derived_seed(seed, "eval")
-    fresh = estimate_infections(network, chosen, eval_samples, fresh_seed)
+    fresh = estimate_infections(network, prepared, eval_samples, fresh_seed)
     report = {
         "mode": mode,
         "rounding": rounding,
@@ -729,7 +726,7 @@ def solve_saa(
         "cost": chosen.cost,
         "cost_ratio": chosen.cost / budget if budget > 0 else math.inf,
         "members": list(chosen.members),
-        "empirical_infections": empirical_infections(samples, network, chosen),
+        "empirical_infections": empirical_infections(samples, network, prepared),
         "fresh_mc_mean": fresh.mean,
         "fresh_mc_half_width": fresh.half_width,
         "runtime_ms": (time.perf_counter() - t0) * 1000.0,

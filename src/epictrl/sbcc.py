@@ -324,9 +324,11 @@ def solve_karger(
     of the source, and proposes the boundary of S in the original graph.
     Candidates are compared on a shared fresh Monte Carlo evaluation stream,
     drawn and sized block by block, and the lowest estimated infection
-    count wins. Self-loops are inert, so only non-loop edges must carry
-    probability p (``sparsification_regime`` checks this before any
-    sampling).
+    count wins. When every distinct candidate leaves the source no edge
+    (on K40 the sampled cut isolates it), the stream is not drawn at all
+    and each estimate is 1 with half-width 0. Self-loops are inert, so only
+    non-loop edges must carry probability p (``sparsification_regime``
+    checks this before any sampling).
     """
     if network.m == 0:
         raise ValidationError("network has no edges")

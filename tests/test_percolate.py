@@ -609,6 +609,47 @@ def test_estimates_of_no_removals_draw_nothing():
         percolate_module.estimate_infections_many(TWO_CLIQUES, [], 0, seed=5)
 
 
+@pytest.mark.parametrize("num_samples", [1, 2, 500])
+def test_isolated_source_estimates_draw_nothing(num_samples):
+    """Past the mask table (m = 32), a removal of every edge of the source
+    restricts to C = {s} with no edge: the estimate draws no sample, and
+    equals a reference that shares no kernel code with it (the drawn rows
+    with the removed columns cleared, union-find, ``mean_half_width``) and
+    exact enumeration: 1 with half-width 0, infinite at N = 1. An edgeless
+    network of 5 vertices gives 1 too, not 5. In a list with removals that
+    read columns, every removal gets the estimate it gets alone."""
+    probs = np.ones(TWO_CLIQUES.m)
+    probs[:14] = 0.6  # the source's edges, then 8 more of the K7: 8 random ones remain
+    net = dataclasses.replace(TWO_CLIQUES, probs=probs)
+    isolated = edge_removal(net, boundary_of(net, [net.source]))
+    assert prepare_removal(net, isolated).network.m == 0
+    edgeless = make_network(5, [])
+    counts = []
+    with mock.patch.object(percolate_module, "sample_keep_matrix",
+                           recording_draws(sample_keep_matrix, counts)):
+        got = estimate_infections(net, isolated, num_samples, seed=9)
+        bare = estimate_infections(edgeless, None, num_samples, seed=9)
+    assert counts == []
+    rows = sample_keep_matrix(net, 9, 0, num_samples) & removal_edge_keep(net, isolated)
+    sizes = union_find_sizes(net, rows)
+    want = mean_half_width(int(sizes.sum()), int((sizes * sizes).sum()), num_samples)
+    assert (got.mean, got.half_width, got.num_samples) == (*want, num_samples)
+    assert (bare.mean, bare.half_width) == want
+    assert got.mean == exact_expected_infections(net, isolated).mean == 1.0
+    assert want[1] == (math.inf if num_samples == 1 else 0.0)
+
+    mixed = [None, isolated, edge_removal(net, [21]), isolated]
+    with mock.patch.object(percolate_module, "sample_keep_matrix",
+                           recording_draws(sample_keep_matrix, counts)):
+        shared = percolate_module.estimate_infections_many(net, mixed, num_samples, seed=9)
+    assert sum(counts) == num_samples
+    for removed, est in zip(mixed, shared):
+        alone = estimate_infections(net, removed, num_samples, seed=9)
+        assert (est.mean.hex(), est.half_width, est.num_samples) == \
+            (alone.mean.hex(), alone.half_width, alone.num_samples)
+    assert shared[1] == shared[3] == got
+
+
 def test_exact_enumeration_prepares_its_removal_once():
     """Past the mask table (m = 32), 2^14 patterns in 17 blocks under the
     removal of the bridge: the removal is prepared once, not once per block,

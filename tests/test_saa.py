@@ -25,6 +25,7 @@ from epictrl import (
     draw_samples,
     edge_removal,
     empirical_infections,
+    estimate_infections,
     merge_seeds,
     required_sample_count,
     round_deterministic,
@@ -33,9 +34,17 @@ from epictrl import (
     solve_saa,
 )
 from epictrl import network as network_module
+from epictrl import percolate as percolate_module
+from epictrl import rng as rng_module
 from epictrl import saa
 from epictrl.network import ContactNetwork
-from epictrl.percolate import affordable_subsets, infection_table, keep_rows_to_masks
+from epictrl.percolate import (
+    PreparedRemoval,
+    affordable_subsets,
+    infection_table,
+    keep_rows_to_masks,
+    prepare_removal,
+)
 from epictrl.saa import FractionalSolution
 
 from conftest import (
@@ -69,7 +78,28 @@ def test_sample_count_epsilon_validation():
 
 # ------------------------------------------------------------- sampling
 
-SAMPLE_FIELDS = ("rows", "counts", "scenario_map")
+SAMPLE_FIELDS = ("rows", "counts")
+
+
+def restricted_rows(net, keep_rows):
+    """Each raw row cut to its kept non-loop edges inside the source's
+    component, and that component, by union-find."""
+    rows, comps = np.zeros_like(keep_rows), np.zeros((len(keep_rows), net.n), dtype=bool)
+    for j, keep in enumerate(keep_rows):
+        comps[j, list(union_find_component(net, keep))] = True
+        rows[j] = keep & comps[j, net.us] & (net.us != net.vs)
+    return rows, comps
+
+
+def scenario_map(samples, keep_rows):
+    """The distinct row of ``samples`` that holds each raw scenario of
+    ``keep_rows``, rebuilt from the reference draw: the rows restricted by
+    union-find and ``np.unique``'s inverse, whose distinct rows must be the
+    set's."""
+    distinct, inverse = np.unique(restricted_rows(samples.network, keep_rows)[0], axis=0,
+                                  return_inverse=True)
+    assert np.array_equal(distinct, samples.rows)
+    return inverse.reshape(-1)
 
 
 def rebuilt(net):
@@ -103,7 +133,7 @@ def test_draw_samples_reuses_the_last_set_of_its_network(monkeypatch):
 
     monkeypatch.setattr(saa, "sample_keep_matrix", counted)
     again = draw_samples(net, 60, seed=4)
-    assert draws == [] and again.network is net
+    assert draws == [] and again.network is net and again.N == fresh.N == samples.N == 60
     for field in SAMPLE_FIELDS:
         assert getattr(again, field) is getattr(samples, field), field
         assert getattr(fresh, field) is not getattr(samples, field), field
@@ -113,6 +143,7 @@ def test_draw_samples_reuses_the_last_set_of_its_network(monkeypatch):
         assert draws[-1] == (seed, 0, N)  # one block: the whole draw
         assert other.rows is not samples.rows
         expected = samples if (N, seed) == (60, 4) else draw_samples(rebuilt(net), N, seed)
+        assert other.N == expected.N == N
         for field in SAMPLE_FIELDS:
             assert np.array_equal(getattr(other, field), getattr(expected, field)), field
     assert len(draws) == 3
@@ -152,8 +183,8 @@ def test_both_caps_fire_on_a_repeated_draw(monkeypatch):
 
 def test_draw_samples_binomial_presence():
     net = make_network(2, [(0, 1)], probs=0.3)
-    ss = draw_samples(net, 1000, seed=5)
-    count = int(ss.rows[ss.scenario_map].sum())
+    ss, keep = drawn(net, 1000, 5)
+    count = int(ss.rows[scenario_map(ss, keep)].sum())
     sigma = math.sqrt(1000 * 0.3 * 0.7)
     assert abs(count - 300) <= 4 * sigma
 
@@ -245,9 +276,10 @@ def test_lp_y_is_capped_shortest_path_distance(rng, mode):
         ss, keep = drawn(net, 12, int(rng.integers(1 << 30)))
         frac = solve_lp(build_lp(ss, budget=2.0, mode=mode))
         y = dense_y(frac.model, frac.y)
+        rows = scenario_map(ss, keep)
         for j in range(ss.N):
             want = dijkstra_capped(net, keep[j], frac.x, mode)
-            got = y[ss.scenario_map[j]].copy()
+            got = y[rows[j]].copy()
             got[net.source] = 0.0
             assert np.allclose(got, want, atol=1e-6), (mode, j)
 
@@ -270,7 +302,7 @@ def test_lp_relaxation_lower_bounds_every_feasible_removal(rng):
 def assert_matches_unreduced(samples, keep_rows, budget, mode="edge", tied=False):
     """The reduced LP solves the unreduced LP on the raw rows ``keep_rows``:
     same objective, and its x with its y (the capped x-distances, read
-    through the scenario map) is an optimum of the unreduced LP.
+    through the rebuilt ``scenario_map``) is an optimum of the unreduced LP.
 
     An entity that no scenario's source component reaches changes neither
     objective, so the unreduced LP may leave mass on it; the reduced LP has
@@ -283,10 +315,11 @@ def assert_matches_unreduced(samples, keep_rows, budget, mode="edge", tied=False
     objective, x, y = unreduced_lp_solution(net, keep_rows, budget, mode)
     assert abs(frac.objective - objective) <= 1e-9, (mode, frac.objective, objective)
     frac_y = dense_y(frac.model, frac.y)
+    rows = scenario_map(samples, keep_rows)
     live = np.zeros(len(x), dtype=bool)
     for j, row in enumerate(keep_rows):
         want = dijkstra_capped(net, row, frac.x, mode)
-        assert np.abs(frac_y[samples.scenario_map[j]] - want).max() <= 1e-7, (mode, j)
+        assert np.abs(frac_y[rows[j]] - want).max() <= 1e-7, (mode, j)
         members = list(union_find_component(net, row))
         if mode == "edge":
             live |= row & np.isin(net.us, members)
@@ -297,7 +330,7 @@ def assert_matches_unreduced(samples, keep_rows, budget, mode="edge", tied=False
         threshold = 1.0 / (4.0 * net.n ** (2.0 / 3.0))
         assert np.array_equal(np.flatnonzero(frac.x >= threshold),
                               np.flatnonzero(live & (x >= threshold))), mode
-        assert np.abs(frac_y[samples.scenario_map] - y).max() <= 1e-7, mode
+        assert np.abs(frac_y[rows] - y).max() <= 1e-7, mode
     return frac
 
 
@@ -380,9 +413,10 @@ def test_lp_matches_unreduced_oracle_on_batteries():
 def test_lp_restricts_and_merges_scenarios():
     # the source's edge is kept in every scenario and the far edge never
     net = make_network(4, [(0, 1), (2, 3)], probs=[1.0, 0.0])
-    model = build_lp(draw_samples(net, 5, seed=0), budget=1.0)
-    samples = model.samples
-    assert len(samples.counts) == 1 and np.array_equal(samples.scenario_map, np.zeros(5))
+    samples, keep = drawn(net, 5, 0)
+    model = build_lp(samples, budget=1.0)
+    assert len(samples.counts) == 1
+    assert np.array_equal(scenario_map(samples, keep), np.zeros(5))
     assert samples.rows.tolist() == [[True, False]] and samples.counts.tolist() == [5]
     assert (model.num_x, model.num_y) == (1, 1)
     assert model.y_cells.tolist() == [1]  # the component {0, 1}: one copy, of vertex 1
@@ -411,8 +445,7 @@ def packed_rows(draw):
 @example(rows=np.packbits(np.eye(64, dtype=bool)[::-1], axis=1))  # m = 64, all distinct
 @example(rows=np.packbits(np.eye(65, dtype=bool), axis=1))  # m = 65, the last in word 2
 def test_distinct_rows_match_np_unique(rows):
-    want = np.unique(rows, axis=0, return_index=True, return_inverse=True,
-                     return_counts=True)[1:]
+    want = np.unique(rows, axis=0, return_index=True, return_counts=True)[1:]
     for got, ref in zip(saa._distinct_rows(rows), want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref.reshape(-1))
 
@@ -728,12 +761,12 @@ def test_solve_lp_peak_memory_per_cell():
 
 
 def test_no_array_of_d_n_cells_outlives_the_solve():
-    """A SampleSet holds the network, rows, counts and scenario map alone,
+    """A SampleSet holds the network, rows, counts and N alone,
     and no array of it, of the LP model or of the solution has D n cells or
     more: a 40-leaf star among 2000 vertices, nearly every scenario
     distinct."""
     assert [f.name for f in dataclasses.fields(saa.SampleSet)] == \
-        ["network", "rows", "counts", "scenario_map"]
+        ["network", "rows", "counts", "N"]
     net = make_network(2000, [(0, i) for i in range(1, 41)], probs=0.5)
     for mode in ("edge", "node"):
         frac = solve_lp(build_lp(draw_samples(net, 100, seed=1), 3.0, mode=mode))
@@ -744,23 +777,13 @@ def test_no_array_of_d_n_cells_outlives_the_solve():
                 assert not isinstance(value, np.ndarray) or value.size < cells, field.name
 
 
-def restricted_rows(net, keep_rows):
-    """Each raw row cut to its kept non-loop edges inside the source's
-    component, and that component, by union-find."""
-    rows, comps = np.zeros_like(keep_rows), np.zeros((len(keep_rows), net.n), dtype=bool)
-    for j, keep in enumerate(keep_rows):
-        comps[j, list(union_find_component(net, keep))] = True
-        rows[j] = keep & comps[j, net.us] & (net.us != net.vs)
-    return rows, comps
-
-
 def test_sample_set_matches_union_find_restriction(monkeypatch):
     """Random desk instances, and larger ones past the mask table: the
     distinct view expands to the raw rows restricted by union-find, the
     LP's component cells (the source and ``build_lp``'s ``y_cells``) to the
-    union-find components, its counts are the scenario map's, its rows are
-    distinct, and forced blocks
-    of 1 and 3 rows build the same SampleSet. Scored on it, the empirical
+    union-find components, its counts are the rebuilt scenario map's, its
+    rows are distinct, and forced blocks of 1 and 3 rows build the same
+    SampleSet. Scored on it, the empirical
     objective under random edge removals is the raw rows'."""
     g = np.random.default_rng(1919)
     for i in range(12):
@@ -772,17 +795,18 @@ def test_sample_set_matches_union_find_restriction(monkeypatch):
         N, seed = int(g.integers(1, 120)), int(g.integers(1 << 30))
         samples, keep = drawn(net, N, seed)
         rows, comps = restricted_rows(net, keep)
-        assert np.array_equal(samples.rows[samples.scenario_map], rows)
+        rebuilt_map = scenario_map(samples, keep)
+        assert np.array_equal(samples.rows[rebuilt_map], rows)
         model = build_lp(samples, 1.0)
         assert np.all(np.diff(model.y_cells) > 0)  # row-major
         component = dense_y(model, np.zeros(model.num_y)) == 0.0  # 0 on s and every copy
-        assert np.array_equal(component[samples.scenario_map], comps)
-        assert np.array_equal(samples.counts, np.bincount(samples.scenario_map))
+        assert np.array_equal(component[rebuilt_map], comps)
+        assert np.array_equal(samples.counts, np.bincount(rebuilt_map))
         assert len(np.unique(samples.rows, axis=0)) == len(samples.rows)
         for block_rows in (1, 3):
             monkeypatch.setattr(network_module, "CELLS", kernel_cells(net, block_rows))
             again = draw_samples(rebuilt(net), N, seed)  # a fresh draw, not the set held by net
-            assert again is not samples and again.rows is not samples.rows
+            assert again is not samples and again.rows is not samples.rows and again.N == N
             for field in SAMPLE_FIELDS:
                 assert np.array_equal(getattr(again, field), getattr(samples, field)), field
         monkeypatch.undo()
@@ -1045,6 +1069,41 @@ def test_solve_saa_node_zero_budget():
     assert iv.members == ()
     no_removal = empirical_infections(draw_samples(net, 40, 0), net)
     assert report["lp_objective"] + 1.0 == pytest.approx(no_removal, abs=1e-6)
+
+
+@pytest.mark.parametrize("mode, members, restricted", [
+    ("edge", (21,), (7, 21)),  # the bridge: the source's K7
+    ("node", (6,), (6, 15)),  # the bridge's end in the K7: the K6 left of it
+])
+def test_solve_saa_prepares_its_removal_once(monkeypatch, mode, members, restricted):
+    """Past the mask table (two cliques, m = 32), the removal a solve picks
+    is prepared once, restricted to the source's component, and that one
+    ``PreparedRemoval`` serves both the fresh Monte Carlo check and the
+    empirical objective, which equal the unprepared removal's."""
+    net = make_network(12, list(itertools.combinations(range(7), 2)) + [(6, 7)]
+                       + list(itertools.combinations(range(7, 12), 2)), probs=0.6)
+    calls = []
+
+    def counted(network, removed):
+        prepared = prepare_removal(network, removed)
+        calls.append((removed, prepared))
+        return prepared
+
+    monkeypatch.setattr(saa, "prepare_removal", counted)
+    monkeypatch.setattr(percolate_module, "prepare_removal", counted)
+    chosen, report = solve_saa(net, budget=1.0, epsilon=0.5, rounding="deterministic",
+                               mode=mode, seed=3, num_samples=40, eval_samples=50)
+    monkeypatch.undo()
+    prepared = [got for removed, got in calls if not isinstance(removed, PreparedRemoval)]
+    assert calls[0][0] is chosen and chosen.members == members and len(prepared) == 1
+    assert all(got is prepared[0] for _, got in calls)
+    assert prepared[0].edges is not None
+    assert (prepared[0].network.n, prepared[0].network.m) == restricted
+    fresh = estimate_infections(net, chosen, 50, rng_module.derived_seed(3, "eval"))
+    assert (report["fresh_mc_mean"], report["fresh_mc_half_width"]) == \
+        (fresh.mean, fresh.half_width)
+    assert report["empirical_infections"] == \
+        empirical_infections(draw_samples(net, 40, 3), net, chosen)
 
 
 def test_solve_saa_report_is_deterministic():

@@ -273,7 +273,7 @@ def test_karger_deterministic():
 ])
 def test_karger_counters_and_one_score_per_distinct_candidate(net, budget):
     p = float(net.probs[0])
-    counts = {"flow": 0, "sizes": 0}
+    counts = {"flow": 0, "prepare": 0, "draw": 0, "sizes": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -281,14 +281,27 @@ def test_karger_counters_and_one_score_per_distinct_candidate(net, budget):
             return fn(*args, **kwargs)
         return wrapper
 
+    draw = counted("draw", sample_keep_matrix)
     with mock.patch.object(network_module, "maximum_flow",
                            counted("flow", network_module.maximum_flow)), \
+         mock.patch.object(percolate_module, "prepare_removal",
+                           counted("prepare", percolate_module.prepare_removal)), \
+         mock.patch.object(sbcc_module, "sample_keep_matrix", draw), \
+         mock.patch.object(percolate_module, "sample_keep_matrix", draw), \
          mock.patch.object(percolate_module, "component_sizes",
                            counted("sizes", percolate_module.component_sizes)):
         _, report = solve_karger(net, budget=budget, p=p, repetitions=6,
                                  eval_samples=50, seed=4)
     distinct = {tuple(c["members"]) for c in report["candidates"]}
-    assert report["candidates_distinct"] == len(distinct) == counts["sizes"]
+    assert report["candidates_distinct"] == len(distinct) == counts["prepare"]
+    # the repetitions' draw, then the evaluation's blocks, each sized under
+    # every distinct candidate; on K40 the candidate leaves the source no
+    # edge, so the evaluation draws and sizes nothing
+    if net.n == 40:
+        assert counts["draw"] == 1 and counts["sizes"] == 0
+    else:
+        assert counts["draw"] > 1
+        assert counts["sizes"] == (counts["draw"] - 1) * report["candidates_distinct"]
     # the sweeps' calls and the regime check's; K40 needs no regime flow
     assert report["flow_calls"] + report["regime_flow_calls"] == counts["flow"]
     assert (report["regime_flow_calls"] == 0) == (net.n == 40)
