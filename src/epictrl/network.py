@@ -26,12 +26,13 @@ from .errors import InstanceTooLargeError, ParseError, ValidationError
 META_SOURCE_LABEL = "__source__"
 
 # Cells per block of every blocked loop here and in percolate. The component
-# kernel takes 8 CELLS // (n + m) rows at a time, at most CELLS bytes of
-# packed bits (kernel_rows); Monte Carlo estimates and scenario draws draw
-# one such block at a time, and its uniforms CELLS // stride rows at a time
-# (percolate.sample_keep_matrix); stacked flow networks take CELLS vertices
-# plus arcs per max-flow call. In process, half or twice this moved no
-# benchmark workload's op time beyond the noise of a shared 2-core machine.
+# kernel takes at most 8 CELLS // (n + m) rows at a time, whole 64-row words
+# from 64 rows up, so at most CELLS bytes of packed bits (kernel_rows); Monte
+# Carlo estimates and scenario draws draw one such block at a time, and its
+# uniforms CELLS // stride rows at a time (percolate.sample_keep_matrix);
+# stacked flow networks take CELLS vertices plus arcs per max-flow call. In
+# process, half or twice this moved no benchmark workload's op time beyond
+# the noise of a shared 2-core machine.
 CELLS = 1 << 16
 
 _SCALE = 1 << 16  # integer capacity of an edge in the flow networks
@@ -232,13 +233,17 @@ def source_component_members(network: ContactNetwork, keep_rows: np.ndarray) -> 
 
 
 def kernel_rows(network: ContactNetwork) -> int:
-    """Kept-edge rows per block of the component kernel: ``8 * CELLS // (n + m)``, at least 1.
+    """Kept-edge rows per block of the component kernel.
 
-    A block of r rows holds r n bits of reach and r m bits of kept edges,
-    at most ``CELLS`` bytes (their per-arc copy takes twice the latter),
-    and unpacks its membership into r n bools, at most ``8 * CELLS`` bytes.
+    That is ``8 * CELLS // (n + m)``, at least 1, and from 64 up rounded
+    down to whole 64-row words, since each word of a block is a copy of
+    the graph that every round walks, full or not. A block of r rows holds
+    r n bits of reach and r m bits of kept edges, at most ``CELLS`` bytes
+    (their per-arc copy takes twice the latter), and unpacks its
+    membership into r n bools, at most ``8 * CELLS`` bytes.
     """
-    return max(1, 8 * CELLS // (network.n + network.m))
+    rows = max(1, 8 * CELLS // (network.n + network.m))
+    return rows if rows < 64 else rows // 64 * 64
 
 
 def _source_reach(network: ContactNetwork, keep_rows: np.ndarray):
@@ -274,19 +279,20 @@ def _block_reach(network: ContactNetwork, block: np.ndarray) -> np.ndarray:
     each head into its reach, and the rounds stop when no lane changes.
     Every lane then holds its row's source component, after as many rounds
     as the deepest of those components has levels. A self-loop has no arc,
-    so self-loops stay inert. Returns ``reach``, (w n,) uint64; the lanes
-    past r reach the source alone.
+    so self-loops stay inert. The block is packed along its contiguous
+    axis: its (m, r) transpose packs into the first ceil(r / 8) bytes of
+    each edge's 8 w zeroed bytes, read as w little-endian words. Returns
+    ``reach``, (w n,) uint64; the lanes past r reach the source alone.
     """
     n, m, source = network.n, network.m, network.source
     _, heads, edges, starts = _arcs(network)
     a = len(heads)
     words = -(-len(block) // 64)
-    # byte b of an edge's word j holds rows 64 j + 8 b .. 64 j + 8 b + 7
-    packed = np.zeros((words, 8, m), dtype=np.uint8)
-    packed.reshape(8 * words, m)[:-(-len(block) // 8)] = np.packbits(block, axis=0,
-                                                                     bitorder="little")
-    edge_words = packed.transpose(0, 2, 1).copy().view("<u8")[:, :, 0]  # (words, m)
-    kept = edge_words[:, edges].reshape(-1)
+    # edge e's row of packed holds its lanes: row i is bit i % 64 of word i // 64
+    packed = np.zeros((m, 8 * words), dtype=np.uint8)
+    packed[:, :-(-len(block) // 8)] = np.packbits(np.ascontiguousarray(block.T), axis=1,
+                                                  bitorder="little")
+    kept = packed.view("<u8")[edges].T.reshape(-1)  # (words, a) -> (words a,)
     copy = np.arange(words)[:, np.newaxis]
     first_arc = np.append((starts[:-1] + a * copy).reshape(-1), words * a)
     head = (heads + n * copy).reshape(-1)

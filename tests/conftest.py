@@ -102,7 +102,7 @@ def union_find_component(network, keep) -> tuple[int, ...]:
 
     def find(x):
         while parent[x] != x:
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]  # path halving
         return x
 
     for e in np.flatnonzero(keep):

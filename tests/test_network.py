@@ -558,3 +558,22 @@ def test_boundary_of_matches_definition(rng):
         if (net.us[e] in members) != (net.vs[e] in members)
     )
     assert boundary_of(net, members) == expected
+
+
+def test_kernel_transient_memory_per_edge():
+    """Sizing 1 and 8 rows of a 20,000-leaf star peaks below 120 and 150
+    bytes per edge (about 107 and 137): each edge's lanes are padded to
+    whole bytes, not to 64 bool lanes (about 171 and 201)."""
+    star = star_network(20000, p=0.5)
+    network_module._arcs(star)  # the cached arcs are the network's, not the call's
+    for rows, limit in ((1, 120), (8, 150)):
+        keep = np.random.default_rng(rows).random((rows, star.m)) < 0.5
+        assert network_module.kernel_rows(star) >= rows
+        tracemalloc.start()
+        try:
+            sizes = network_module.source_component_sizes(star, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(sizes, 1 + keep.sum(axis=1))
+        assert peak < limit * star.m, peak / star.m

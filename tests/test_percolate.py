@@ -476,6 +476,31 @@ def test_kernel_block_size_follows_cells():
             assert tuple(np.flatnonzero(row)) == union_find_component(net, kept)
 
 
+def test_kernel_blocks_are_whole_words():
+    """Below 64 rows a block takes all 8 CELLS // (n + m) rows its bytes
+    allow; from 64 up it takes the most whole 64-row words within them.
+    On the 3,000-edge graph, N = 200 goes in blocks of 128 and 72 rows
+    (4 words, not the 5 of 131 + 69), sized as union-find sizes them."""
+    nets = [path_network(), star_network(20000), complete_network(40), sparse_network(),
+            random_connected_network(np.random.default_rng(3), n_lo=9, n_hi=9, max_m=20)]
+    for net in nets:
+        for cells in [1, 7, 1 << 10, 1 << 16, 1 << 20] + [
+                kernel_cells(net, r) for r in (63, 64, 65, 127, 128, 131, 200)]:
+            with mock.patch.object(network_module, "CELLS", cells):
+                rows = network_module.kernel_rows(net)
+            bound = 8 * cells // (net.n + net.m)
+            assert 1 <= rows <= max(1, bound), (net.n, net.m, cells)
+            assert rows == max(1, bound) if bound < 64 else rows % 64 == 0 and rows > bound - 64
+    net = sparse_network()
+    keep = sample_keep_matrix(net, 7, 0, 200)
+    blocks, sizes = [], np.empty(200, dtype=np.int64)
+    for start, stop, inside in network_module._source_reach(net, keep):
+        blocks.append((start, stop))
+        sizes[start:stop] = inside.sum(axis=1)
+    assert blocks == [(0, 128), (128, 200)]
+    assert np.array_equal(sizes, union_find_sizes(net, keep))
+
+
 @st.composite
 def restriction_cases(draw):
     """A graph (self-loops allowed), kept-edge rows and a removal that may
@@ -688,13 +713,13 @@ def sparse_network(n=1000, m=3000, p=0.8, seed=4):
 def test_estimate_memory_does_not_grow_with_samples():
     """On a 3,000-edge graph the samples are drawn and sized one kernel
     block at a time: the peak at N = 4,096 is within 1.5x of the peak at
-    N = 256 and under 5 bytes per kept-edge cell of a block, 131 rows of
-    3,000 (1,965,000 bytes). Drawing all N rows at once would take 24 KB
+    N = 256 and under 5 bytes per kept-edge cell of a block, 128 rows of
+    3,000 (1,920,000 bytes). Drawing all N rows at once would take 24 KB
     of uniforms per sample, 98 MB at N = 4,096."""
     net = sparse_network()
     estimate_infections(net, None, 64, seed=1)  # builds the kernel's cached arcs
     block_cells = network_module.kernel_rows(net) * net.m
-    assert block_cells == 131 * 3000
+    assert block_cells == 128 * 3000
     peaks = []
     for num_samples in (256, 4096):
         tracemalloc.start()
