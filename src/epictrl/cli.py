@@ -66,13 +66,13 @@ class _Output:
             sys.stdout.write(text)
             if runtime_ms is not None:
                 print(f"runtime_ms={runtime_ms:.1f}", file=sys.stderr)
-        if csv_rows is not None and self.csv_path:
-            _write_csv(self.csv_path, csv_rows)
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_text(rows))
+        if csv_rows is None:
+            return
+        if self.csv_path:
+            with open(self.csv_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(_csv_text(csv_rows))
+        else:
+            sys.stdout.write(_csv_text(csv_rows))
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -127,21 +127,10 @@ def _parse_intervention(net: ContactNetwork, args):
     return no_intervention()
 
 
-def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill None-valued args from a JSON config, then from hard defaults."""
-    config = _read_json_object(args.config) if getattr(args, "config", None) else {}
-    for key, value in {**defaults, **config}.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
-    return args
-
-
 # ──────────────────────────── subcommands ────────────────────────────
 
 
 def _cmd_generate(args) -> int:
-    args = _apply_config(args, {"p": 1.0, "seed": 0})
     model = _load_model(args)
     net = chunglu.generate(model, args.seed).with_uniform_probability(args.p)
     if args.graph_out:
@@ -162,7 +151,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_percolate(args) -> int:
-    args = _apply_config(args, {"samples": 10000, "seed": 0})
     net = load_network(args.graph)
     removal = _parse_intervention(net, args)
     t0 = time.perf_counter()
@@ -182,11 +170,7 @@ def _cmd_percolate(args) -> int:
     return EXIT_OK
 
 
-def _solve_saa_common(args, mode: str) -> int:
-    args = _apply_config(args, {
-        "epsilon": 0.3, "gamma": 2.0, "rounding": "randomized",
-        "seed": 0, "eval_samples": 1000,
-    })
+def _cmd_solve_saa(args) -> int:
     net = load_network(args.graph)
     if args.samples is not None:
         print(
@@ -196,28 +180,17 @@ def _solve_saa_common(args, mode: str) -> int:
         )
     chosen, report = saa.solve_saa(
         net, budget=args.budget, epsilon=args.epsilon, gamma=args.gamma,
-        rounding=args.rounding, mode=mode, seed=args.seed,
+        rounding=args.rounding, mode=args.mode, seed=args.seed,
         num_samples=args.samples, eval_samples=args.eval_samples,
     )
     runtime = report.pop("runtime_ms")
-    report["members"] = [net.label_of(v) for v in chosen.members] if mode == "node" \
+    report["members"] = [net.label_of(v) for v in chosen.members] if args.mode == "node" \
         else list(chosen.members)
     _Output(args.output, None).write(report, runtime_ms=runtime)
     return EXIT_OK
 
 
-def _cmd_solve_saa(args) -> int:
-    return _solve_saa_common(args, "edge")
-
-
-def _cmd_solve_node(args) -> int:
-    return _solve_saa_common(args, "node")
-
-
 def _cmd_solve_karger(args) -> int:
-    args = _apply_config(args, {
-        "gamma": 4.0, "lam": 0.5, "seed": 0, "eval_samples": 500, "d": 1.0,
-    })
     net = load_network(args.graph)
     p = args.p if args.p is not None else net.uniform_probability()
     if args.p is not None:
@@ -239,7 +212,6 @@ def _cmd_solve_karger(args) -> int:
 
 
 def _cmd_count_paths(args) -> int:
-    args = _apply_config(args, {"kmax": 5, "trials": 1000, "p": 1.0, "seed": 0})
     model = _load_model(args)
     census = chunglu.estimate_percolated_paths(
         model, p=args.p, trials=args.trials, k_max=args.kmax, seed=args.seed
@@ -270,15 +242,11 @@ def _cmd_count_paths(args) -> int:
             model, k_max=args.kmax, trials=max(args.trials // 10, 1),
             seed=args.seed, poly_coefficient=coeff, poly_degree=degree,
         )
-    out = _Output(args.output, args.csv)
-    out.write(payload, csv_rows=rows)
-    if not args.output and args.csv is None:
-        sys.stdout.write(_csv_text(rows))
+    _Output(args.output, args.csv).write(payload, csv_rows=rows)
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
-    args = _apply_config(args, {"kmax": 6})
     model = _load_model(args)
     decay = model.decay_exponent
     rows = []
@@ -294,20 +262,13 @@ def _cmd_bounds(args) -> int:
             if decay > 1.0 else ""
         )
         rows.append(row)
-    out = _Output(args.output, args.csv)
-    out.write({"decay_exponent": decay, "poly_path_regime": model.poly_path_regime,
-               "table": rows}, csv_rows=rows)
-    if not args.output and args.csv is None:
-        sys.stdout.write(_csv_text(rows))
+    _Output(args.output, args.csv).write(
+        {"decay_exponent": decay, "poly_path_regime": model.poly_path_regime,
+         "table": rows}, csv_rows=rows)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    args = _apply_config(args, {
-        "epsilon": 0.3, "gamma": 2.0, "lam": 0.5, "seed": 0,
-        "eval_samples": 2000, "samples": 200,
-        "algos": "saa-det,saa-rand,brute",
-    })
     net = load_network(args.graph)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     eval_seed = rng.derived_seed(args.seed, "compare")
@@ -343,11 +304,9 @@ def _cmd_compare(args) -> int:
             "runtime_ms": round((time.perf_counter() - t0) * 1e3, 3),
         })
     stable = [{k: v for k, v in row.items() if k != "runtime_ms"} for row in rows]
-    out = _Output(args.output, args.csv)
-    out.write({"rows": stable, "eval_samples": args.eval_samples, "seed": args.seed},
-              csv_rows=stable)
-    if not args.csv:
-        sys.stdout.write(_csv_text(stable))
+    _Output(args.output, args.csv).write(
+        {"rows": stable, "eval_samples": args.eval_samples, "seed": args.seed},
+        csv_rows=stable)
     for row in rows:
         print(f"runtime_ms[{row['algo']}]={row['runtime_ms']}", file=sys.stderr)
     return EXIT_OK
@@ -400,7 +359,6 @@ def _oracle_sbcc(g, instances):
 
 
 def _cmd_oracle(args) -> int:
-    args = _apply_config(args, {"instances": 5, "seed": 0, "suite": "all"})
     suites = {"percolation": _oracle_percolation, "lp": _oracle_lp,
               "sbcc": _oracle_sbcc}
     names = list(suites) if args.suite == "all" else [args.suite]
@@ -430,7 +388,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config; explicit flags take precedence")
     p.add_argument("--output", help="write the results JSON here (deterministic)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,43 +401,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="draw a power-law random instance")
     _add_common(p)
     _add_model_flags(p)
-    p.add_argument("--p", type=float, default=None, help="uniform transmission probability")
+    p.add_argument("--p", type=float, default=1.0, help="uniform transmission probability")
     p.add_argument("--graph-out", help="write the edge list here")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("percolate", help="estimate expected infections")
     _add_common(p)
     p.add_argument("--graph", required=True)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--remove-edges", help="comma-separated edge ids")
     p.add_argument("--remove-nodes", help="comma-separated vertex labels")
     p.add_argument("--exact", action="store_true", help="also run the exhaustive oracle")
     p.set_defaults(func=_cmd_percolate)
 
-    for name, func in (("solve-saa", _cmd_solve_saa), ("solve-node", _cmd_solve_node)):
+    for name, mode in (("solve-saa", "edge"), ("solve-node", "node")):
         p = sub.add_parser(name, help=f"{name}: scenario-LP solver with rounding")
         _add_common(p)
         p.add_argument("--graph", required=True)
         p.add_argument("--budget", type=float, required=True)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--rounding", choices=["randomized", "deterministic"], default=None)
-        p.add_argument("--samples", type=int, default=None,
+        p.add_argument("--epsilon", type=float, default=0.3)
+        p.add_argument("--gamma", type=float, default=2.0)
+        p.add_argument("--rounding", choices=["randomized", "deterministic"],
+                       default="randomized")
+        p.add_argument("--samples", type=int,
                        help="override the scenario count (voids guarantees)")
-        p.add_argument("--eval-samples", type=int, default=None)
-        p.set_defaults(func=func)
+        p.add_argument("--eval-samples", type=int, default=1000)
+        p.set_defaults(func=_cmd_solve_saa, mode=mode)
 
     p = sub.add_parser("solve-karger", help="cut-sampling solver (unit costs, uniform p)")
     _add_common(p)
     p.add_argument("--graph", required=True)
     p.add_argument("--budget", type=float, required=True)
-    p.add_argument("--p", type=float, default=None,
-                   help="uniform probability (default: read from the graph)")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--eval-samples", type=int, default=None)
-    p.add_argument("--d", type=float, default=None, help="concentration exponent")
+    p.add_argument("--p", type=float, help="uniform probability (default: read from the graph)")
+    p.add_argument("--gamma", type=float, default=4.0)
+    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.5)
+    p.add_argument("--reps", type=int)
+    p.add_argument("--eval-samples", type=int, default=500)
+    p.add_argument("--d", type=float, default=1.0, help="concentration exponent")
     p.add_argument("--strict-regime", action="store_true",
                    help="exit 4 when the regime check fails")
     p.set_defaults(func=_cmd_solve_karger)
@@ -487,48 +445,65 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count-paths", help="simple-path census on generated graphs")
     _add_common(p)
     _add_model_flags(p)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--csv", help="write the census CSV here")
+    p.add_argument("--kmax", type=int, default=5)
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--csv", help="write the census CSV here (default: stdout)")
     p.add_argument("--ceiling-poly", help="C,D: sweep the largest p with paths <= C*n^D")
     p.set_defaults(func=_cmd_count_paths)
 
     p = sub.add_parser("bounds", help="path-count bound and allocation-sum tables")
     _add_common(p)
     _add_model_flags(p)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--csv", help="write the table CSV here")
+    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--csv", help="write the table CSV here (default: stdout)")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("compare", help="run several algorithms on shared evaluation samples")
     _add_common(p)
     p.add_argument("--graph", required=True)
     p.add_argument("--budget", type=float, required=True)
-    p.add_argument("--algos", default=None,
+    p.add_argument("--algos", default="saa-det,saa-rand,brute",
                    help="comma list from saa-det,saa-rand,karger,brute")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--eval-samples", type=int, default=None)
-    p.add_argument("--csv", help="write rows CSV here")
+    p.add_argument("--epsilon", type=float, default=0.3)
+    p.add_argument("--gamma", type=float, default=2.0)
+    p.add_argument("--lam", type=float, default=0.5)
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--eval-samples", type=int, default=2000)
+    p.add_argument("--csv", help="write rows CSV here (default: stdout)")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("oracle", help="brute-force validation battery")
     _add_common(p)
-    p.add_argument("--suite", choices=["percolation", "lp", "sbcc", "all"],
-                   default=None)
-    p.add_argument("--instances", type=int, default=None)
+    p.add_argument("--suite", choices=["percolation", "lp", "sbcc", "all"], default="all")
+    p.add_argument("--instances", type=int, default=5)
     p.set_defaults(func=_cmd_oracle)
 
     return parser
+
+
+def _set_config_defaults(parser: argparse.ArgumentParser, command: str, config: dict) -> None:
+    """Make ``config``'s values the defaults of ``command``'s flags.
+
+    Keys are flag names, spelled with ``-`` or ``_``; a key that names none
+    of the subcommand's flags is ignored, so one file can serve several
+    subcommands. Flags given on the command line still win.
+    """
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    sub = subparsers.choices[command]
+    dests = {opt.lstrip("-").replace("-", "_"): a.dest
+             for a in sub._actions for opt in a.option_strings}
+    config = {key.replace("-", "_"): value for key, value in config.items()}
+    sub.set_defaults(**{dests[key]: value for key, value in config.items() if key in dests})
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            _set_config_defaults(parser, args.command, _read_json_object(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error_code=validation {exc}", file=sys.stderr)

@@ -262,18 +262,15 @@ def build_lp(samples: SampleSet, budget: float, mode: str = "edge") -> LpModel:
             raise ValidationError("budget must be positive")
         if not np.any(np.isfinite(net.costs)):
             raise ValidationError("network has no removable edges")
+        costs = net.costs
+        # self-loops never affect reachability, so they get no variable
+        affordable = np.isfinite(costs) & (costs <= budget) & (net.us != net.vs)
     else:
         # budget 0 is allowed and hard-wires everything (empty rounding)
         if budget < 0:
             raise ValidationError("budget must be nonnegative")
         if n < 2:
             raise ValidationError("network has no removable vertices")
-
-    if mode == "edge":
-        costs = net.costs
-        # self-loops never affect reachability, so they get no variable
-        affordable = np.isfinite(costs) & (costs <= budget) & (net.us != net.vs)
-    else:
         costs = np.ones(n)  # a vertex costs 1: the budget counts vertices
         affordable = costs <= budget
         affordable[s] = False  # the source cannot be vaccinated
@@ -566,6 +563,11 @@ def solve_lp(model: LpModel) -> FractionalSolution:
                               cut_rounds=rounds, master_size=master_size)
 
 
+def _removal(net: ContactNetwork, mode: str, ids) -> Intervention:
+    """The removal of edges ``ids`` (mode "edge") or vertices ``ids`` ("node")."""
+    return (edge_removal if mode == "edge" else node_removal)(net, ids)
+
+
 def round_randomized(
     frac: FractionalSolution, gamma: float, epsilon: float, seed: int
 ) -> Intervention:
@@ -585,9 +587,7 @@ def round_randomized(
     probs = np.minimum(frac.x * inflate, 1.0)
     u = rng.generator(seed, "round").random(len(probs))
     picked = np.flatnonzero((u < probs) | (probs >= 1.0))
-    if model.mode == "edge":
-        return edge_removal(net, picked)
-    return node_removal(net, picked)
+    return _removal(net, model.mode, picked)
 
 
 def round_deterministic(frac: FractionalSolution) -> Intervention:
@@ -600,10 +600,7 @@ def round_deterministic(frac: FractionalSolution) -> Intervention:
     net = model.network
     threshold = 1.0 / (4.0 * net.n ** (2.0 / 3.0))
     picked = np.flatnonzero(frac.x >= threshold)
-    if model.mode == "edge":
-        out = edge_removal(net, picked)
-    else:
-        out = node_removal(net, picked)
+    out = _removal(net, model.mode, picked)
     bound = 4.0 * net.n ** (2.0 / 3.0) * model.budget
     if out.cost > bound:
         raise SolverError(
@@ -662,11 +659,7 @@ def brute_force_optimum(
         tuple(int(c) for i, c in enumerate(candidates) if pick >> i & 1)
         for pick in picks[totals == best_total].tolist()
     )
-    if mode == "edge":
-        best = edge_removal(net, best_members)
-    else:
-        best = node_removal(net, best_members)
-    return best, best_total / samples.N
+    return _removal(net, mode, best_members), best_total / samples.N
 
 
 def solve_saa(

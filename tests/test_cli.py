@@ -1,10 +1,11 @@
+import inspect
 import json
 
 import pytest
 
-from epictrl import load_network, saa
+from epictrl import load_network, saa, sbcc
 from epictrl import network as network_module
-from epictrl.cli import main
+from epictrl.cli import build_parser, main
 
 from conftest import kernel_cells, make_network
 from regen_golden import GOLDEN, commands
@@ -254,3 +255,87 @@ def test_config_file_with_flag_override(tmp_path):
     assert payload["epsilon"] == 0.5   # flag wins
     assert payload["n_samples"] == 25  # config fills the gap
     assert payload["seed"] == 11
+
+
+def write_config(tmp_path, config, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_config_sets_flags_with_parser_defaults(tmp_path):
+    """A config reaches flags whose parser default is not None: w_min and
+    w_max (defaults 1 and 2) build the same model as the flags do."""
+    cfg = write_config(tmp_path, {"n": 40, "beta": 2.5, "w_min": 1, "w_max": 4, "seed": 13})
+    by_config, by_flags = tmp_path / "cfg_gen.json", tmp_path / "flag_gen.json"
+    assert main(["generate", "--config", cfg, "--output", str(by_config)]) == 0
+    assert main(["generate", "--n", "40", "--beta", "2.5", "--w-min", "1", "--w-max", "4",
+                 "--seed", "13", "--output", str(by_flags)]) == 0
+    assert read_json(by_config)["class_sizes"] == [31, 6, 2, 1]
+    assert by_config.read_bytes() == by_flags.read_bytes()
+
+
+def test_config_sets_store_true_flags(tmp_path):
+    g = path_graph_file(tmp_path)
+    out = tmp_path / "perc.json"
+    cfg = write_config(tmp_path, {"exact": True, "samples": 50})
+    assert main(["percolate", "--graph", g, "--config", cfg, "--output", str(out)]) == 0
+    assert read_json(out)["exact_mean"] == pytest.approx(1.75)
+    cfg = write_config(tmp_path, {"strict-regime": True, "reps": 2, "eval-samples": 20},
+                       name="karger.json")
+    assert main(["solve-karger", "--graph", g, "--budget", "1", "--seed", "1",
+                 "--config", cfg, "--output", str(tmp_path / "k.json")]) == 4
+
+
+@pytest.mark.parametrize("key", ["eval-samples", "eval_samples"])
+def test_config_keys_take_dash_or_underscore(tmp_path, key):
+    g = path_graph_file(tmp_path)
+    cfg = write_config(tmp_path, {key: 300, "lambda": 0.25})
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--graph", g, "--budget", "1", "--algos", "brute",
+                 "--samples", "30", "--config", cfg, "--output", str(out)]) == 0
+    assert read_json(out)["eval_samples"] == 300
+    out = tmp_path / "k.json"
+    assert main(["solve-karger", "--graph", g, "--budget", "1", "--reps", "2",
+                 "--config", cfg, "--output", str(out)]) == 0
+    assert read_json(out)["lambda"] == 0.25  # --lambda is --lam's other name
+
+
+def test_config_ignores_keys_that_name_no_flag(tmp_path):
+    """Keys of other subcommands, unknown keys and the subcommand's own
+    non-flag settings (its mode) leave the run as the flags alone make it."""
+    g = path_graph_file(tmp_path)
+    argv = ["solve-saa", "--graph", g, "--budget", "1", "--epsilon", "0.4",
+            "--rounding", "deterministic", "--samples", "30", "--eval-samples", "50"]
+    cfg = write_config(tmp_path, {"mode": "node", "kmax": 3, "graph_out": "x.tsv",
+                                  "no_such_flag": 1})
+    plain, configured = tmp_path / "plain.json", tmp_path / "configured.json"
+    assert main([*argv, "--output", str(plain)]) == 0
+    assert main([*argv, "--config", cfg, "--output", str(configured)]) == 0
+    assert read_json(configured)["mode"] == "edge"
+    assert configured.read_bytes() == plain.read_bytes()
+    assert not (tmp_path / "x.tsv").exists()
+
+
+@pytest.mark.parametrize("command, solver, names", [
+    ("solve-saa", saa.solve_saa, ("gamma", "rounding", "seed", "eval_samples")),
+    ("solve-node", saa.solve_saa, ("gamma", "rounding", "seed", "eval_samples")),
+    ("solve-karger", sbcc.solve_karger, ("gamma", "lam", "seed", "eval_samples", "d")),
+])
+def test_cli_defaults_equal_library_defaults(command, solver, names):
+    parsed = vars(build_parser().parse_args([command, "--graph", "g.tsv", "--budget", "1"]))
+    params = inspect.signature(solver).parameters
+    assert {k: parsed[k] for k in names} == {k: params[k].default for k in names}
+
+
+@pytest.mark.parametrize("command", ["count-paths", "bounds"])
+def test_csv_goes_to_stdout_without_csv_flag(tmp_path, capsys, command):
+    trials = ["--trials", "20"] if command == "count-paths" else []
+    argv = [command, "--n", "8", "--beta", "2.5", "--kmax", "3", *trials]
+    assert main([*argv, "--output", str(tmp_path / "a.json")]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("k,")
+    csv_path = tmp_path / "a.csv"
+    assert main([*argv, "--output", str(tmp_path / "b.json"), "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert csv_path.read_bytes().decode() == printed
