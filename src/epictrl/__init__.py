@@ -30,7 +30,6 @@ from .network import (
     RegimeReport,
     component_of,
     edge_removal,
-    global_min_cut,
     load_network,
     merge_seeds,
     no_intervention,

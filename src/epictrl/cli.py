@@ -348,9 +348,8 @@ def _oracle_sbcc(g, instances):
         lam = float(g.choice([0.25, 0.5, 0.75]))
         sol = sbcc.min_sbcc(net, budget=budget, lam=lam)
         _, exact = sbcc.min_sbcc_exact(net, budget)
-        ok = sol.component_size <= math.ceil(exact / (1.0 - lam)) and (
-            not sol.within_budget or sol.cut_size <= budget / lam
-        )
+        ok = (sol.component_size <= math.ceil(exact / (1.0 - lam))
+              and sol.cut_size <= budget / lam)
         checks.append({"instance": i, "n": net.n, "m": net.m,
                        "budget": budget, "lambda": lam,
                        "component": sol.component_size, "exact": exact,
@@ -359,6 +358,8 @@ def _oracle_sbcc(g, instances):
 
 
 def _cmd_oracle(args) -> int:
+    if args.instances < 1:
+        raise ValidationError(f"--instances must be at least 1, got {args.instances}")
     suites = {"percolation": _oracle_percolation, "lp": _oracle_lp,
               "sbcc": _oracle_sbcc}
     names = list(suites) if args.suite == "all" else [args.suite]
@@ -482,19 +483,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, value):
+    """``value`` as the command line would give it to ``action``'s flag: a
+    switch takes a JSON boolean, any other flag a string or a number,
+    converted by its ``type`` and checked against its ``choices``."""
+    bad = ValidationError(f"config {action.option_strings[0]}: invalid value {value!r}")
+    if (action.nargs == 0) != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise bad
+    if action.nargs == 0:
+        return value
+    try:
+        value = (action.type or str)(str(value))
+    except (TypeError, ValueError):
+        raise bad from None
+    if action.choices is not None and value not in action.choices:
+        raise bad
+    return value
+
+
 def _set_config_defaults(parser: argparse.ArgumentParser, command: str, config: dict) -> None:
     """Make ``config``'s values the defaults of ``command``'s flags.
 
     Keys are flag names, spelled with ``-`` or ``_``; a key that names none
     of the subcommand's flags is ignored, so one file can serve several
-    subcommands. Flags given on the command line still win.
+    subcommands. Each value goes through :func:`_config_value`. Flags given
+    on the command line still win.
     """
     (subparsers,) = [a for a in parser._actions if a.dest == "command"]
     sub = subparsers.choices[command]
-    dests = {opt.lstrip("-").replace("-", "_"): a.dest
-             for a in sub._actions for opt in a.option_strings}
+    actions = {opt.lstrip("-").replace("-", "_"): a
+               for a in sub._actions for opt in a.option_strings}
     config = {key.replace("-", "_"): value for key, value in config.items()}
-    sub.set_defaults(**{dests[key]: value for key, value in config.items() if key in dests})
+    sub.set_defaults(**{actions[key].dest: _config_value(actions[key], value)
+                        for key, value in config.items() if key in actions})
 
 
 def main(argv: list[str] | None = None) -> int:

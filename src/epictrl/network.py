@@ -175,6 +175,12 @@ def no_intervention() -> Intervention:
     return Intervention("edge", (), 0.0)
 
 
+def check_budget(budget: float) -> None:
+    """Reject a NaN, infinite or negative removal budget."""
+    if not 0 <= budget < math.inf:
+        raise ValidationError(f"budget must be finite and nonnegative, got {budget}")
+
+
 @dataclass(frozen=True)
 class ComponentReport:
     """The source's component in a residual graph.
@@ -626,25 +632,17 @@ def _minimal_sides(networks: list[_FlowNetwork], caps: list[int]) -> list[np.nda
     return [part - off for part, off in zip(parts, offsets)]
 
 
-def global_min_cut(network: ContactNetwork) -> float:
-    """Exact global minimum cut of a unit-cost network: its edge connectivity.
-
-    Returns 0.0 for a disconnected network and +inf for a single vertex.
-    Self-loops are ignored; any cost other than 1 raises
-    ``ValidationError``. :func:`_edge_connectivity` has the method.
-    """
-    return _edge_connectivity(network)[0]
-
-
 def _edge_connectivity(network: ContactNetwork) -> tuple[float, int]:
-    """Edge connectivity by max flows from a minimum-degree vertex.
+    """Edge connectivity of a unit-cost network by max flows from a
+    minimum-degree vertex: 0.0 when it is disconnected, +inf for one vertex.
 
-    Let δ be the minimum degree over non-loop edges and v the smallest-id
-    vertex of degree δ. Then the connectivity is min(δ, λ(v, w) over every
-    w outside v's closed neighbourhood) (Esfahanian and Hakimi, 1984): in a
-    simple graph a side of k <= δ vertices has at least k(δ - k + 1) >= δ
-    boundary edges, so a cut below δ leaves at least δ + 1 vertices on the
-    side without v, more than v's δ neighbours. A complete graph therefore
+    Self-loops are ignored. Let δ be the minimum degree over non-loop edges
+    and v the smallest-id vertex of degree δ. Then the connectivity is
+    min(δ, λ(v, w) over every w outside v's closed neighbourhood)
+    (Esfahanian and Hakimi, 1984): in a simple graph a side of k <= δ
+    vertices has at least k(δ - k + 1) >= δ boundary edges, so a cut below
+    δ leaves at least δ + 1 vertices on the side without v, more than v's δ
+    neighbours. A complete graph therefore
     needs no flow, and neither does δ = 0. Each λ(v, w) is the boundary of
     the minimal source side of a copy of the flow network whose one sink
     arc, from w, carries the source's capacity and so is never the cut;
@@ -652,8 +650,6 @@ def _edge_connectivity(network: ContactNetwork) -> tuple[float, int]:
     max-flow call, targets in ascending id, and the calls stop at a cut of
     0. Returns the connectivity and the number of max-flow calls.
     """
-    if network.m and not np.all(network.costs == 1.0):
-        raise ValidationError("global minimum cut requires unit edge costs")
     n = network.n
     if n <= 1:
         return math.inf, 0
@@ -709,7 +705,7 @@ def sparsification_regime(network: ContactNetwork, p: float, d: float = 1.0) -> 
     p on every non-loop edge (self-loops are inert), and p > 0 (the
     epsilon formula divides by p). c_min is the global minimum cut, found
     by max flows from a minimum-degree vertex to its non-neighbours only
-    (:func:`global_min_cut`), so a dense graph needs few flows or none.
+    (:func:`_edge_connectivity`), so a dense graph needs few flows or none.
     """
     if network.n < 2:
         raise ValidationError("regime check needs at least two vertices")

@@ -43,6 +43,7 @@ from .errors import InstanceTooLargeError, SolverError, ValidationError
 from .network import (
     ContactNetwork,
     Intervention,
+    check_budget,
     edge_removal,
     kernel_rows,
     node_removal,
@@ -257,6 +258,7 @@ def build_lp(samples: SampleSet, budget: float, mode: str = "edge") -> LpModel:
         raise ValidationError(f"unknown mode {mode!r}")
     net = samples.network
     n, s = net.n, net.source
+    check_budget(budget)
     if mode == "edge":
         if budget <= 0:
             raise ValidationError("budget must be positive")
@@ -267,8 +269,6 @@ def build_lp(samples: SampleSet, budget: float, mode: str = "edge") -> LpModel:
         affordable = np.isfinite(costs) & (costs <= budget) & (net.us != net.vs)
     else:
         # budget 0 is allowed and hard-wires everything (empty rounding)
-        if budget < 0:
-            raise ValidationError("budget must be nonnegative")
         if n < 2:
             raise ValidationError("network has no removable vertices")
         costs = np.ones(n)  # a vertex costs 1: the budget counts vertices
@@ -628,8 +628,7 @@ def brute_force_optimum(
         raise InstanceTooLargeError(
             f"brute force needs m <= {MASK_TABLE_CAP} edges (the mask-table cap), got {net.m}"
         )
-    if not budget >= 0:
-        raise ValidationError(f"budget must be nonnegative, got {budget}")
+    check_budget(budget)
     edge_bits = np.int64(1) << np.arange(net.m, dtype=np.int64)
     if mode == "edge":
         candidates = np.flatnonzero(np.isfinite(net.costs) & (net.us != net.vs))

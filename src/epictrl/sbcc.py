@@ -55,6 +55,7 @@ from .network import (
     _SCALE,
     _minimal_sides,
     boundary_of,
+    check_budget,
     edge_removal,
     source_component_members,
     sparsification_regime,
@@ -78,11 +79,7 @@ class SbccSolution:
     graph, a row's kept edges, as edge ids of the whole network.
     ``component`` is connected there (it is what the source reaches
     in the residual network), so it is the source's component once
-    ``cut_edges`` are removed. ``lagrange_alpha`` is the breakpoint of
-    ``component``: C / 2^16 for the smallest integer sink capacity C at
-    which it is the minimal min-cut source side.
-    ``within_budget`` records whether the relaxed budget cut_size <=
-    budget/lambda was met (otherwise the smallest-cut fallback is returned).
+    ``cut_edges`` are removed. ``cut_size`` is at most budget/lambda.
     ``probes`` counts the sink capacities the sweep answered by a max
     flow; the end probes it answers without one do not count.
     """
@@ -91,9 +88,6 @@ class SbccSolution:
     component: tuple[int, ...]
     cut_size: int
     component_size: int
-    lam: float
-    lagrange_alpha: float
-    within_budget: bool
     probes: int
 
 
@@ -115,9 +109,8 @@ def _sweep(
     c_max = min(round(top * _SCALE), _CAP_MAX)
 
     inside = np.zeros(n, dtype=bool)
-    # side size -> (smallest probed capacity, cut size, side); nested sides
-    # have distinct sizes
-    sides: dict[int, tuple[int, int, np.ndarray]] = {}
+    # side size -> (cut size, side); nested sides have distinct sizes
+    sides: dict[int, tuple[int, np.ndarray]] = {}
     probes = 0
 
     def leaving(side: np.ndarray) -> np.ndarray:
@@ -128,8 +121,7 @@ def _sweep(
 
     def record(cap: int, side: np.ndarray) -> tuple[int, int, np.ndarray]:
         cut = int(np.count_nonzero(leaving(side)))
-        if len(side) not in sides or cap < sides[len(side)][0]:
-            sides[len(side)] = (cap, cut, side)
+        sides[len(side)] = (cut, side)
         return cap, cut, side
 
     # The ends need no flow when their answer is known. At C = 0 every sink
@@ -166,27 +158,15 @@ def _sweep(
                 work += [(lo, mid), (mid, hi)]
                 break
 
-    limit = budget / lam
-    qualifying = [
-        (comp, cut, cap) for comp, (cap, cut, _) in sides.items() if cut <= limit
-    ]
-    if qualifying:
-        comp, cut, cap = min(qualifying)
-        within = True
-    else:
-        cut, comp, cap = min((cut, comp, cap) for comp, (cap, cut, _) in sides.items())
-        within = False
-    side = sides[comp][2]
-    if within and cut > limit:
-        raise AssertionError("sweep returned a cut above budget/lambda")
+    # The C = 0 side cuts nothing, and min_sbcc_many rejects a NaN, infinite
+    # or negative budget, so some side is within budget / lam.
+    comp = min(size for size, (cut, _) in sides.items() if cut <= budget / lam)
+    cut, side = sides[comp]
     return SbccSolution(
         cut_edges=tuple(np.sort(net.edges[leaving(side)]).tolist()),
         component=tuple(side.tolist()),
         cut_size=cut,
         component_size=comp,
-        lam=lam,
-        lagrange_alpha=cap / _SCALE,
-        within_budget=within,
         probes=probes,
     )
 
@@ -212,8 +192,7 @@ def min_sbcc_many(
     """
     if not 0.0 < lam < 1.0:
         raise ValidationError(f"lambda must lie in (0, 1), got {lam}")
-    if not 0 <= budget < math.inf:
-        raise ValidationError(f"budget must be finite and nonnegative, got {budget}")
+    check_budget(budget)
     if network.m and not np.all(network.costs == 1.0):
         raise ValidationError("bounded-capacity cut requires unit edge capacities")
     keep_rows = np.asarray(keep_rows, dtype=bool)
@@ -265,10 +244,11 @@ def min_sbcc(graph: ContactNetwork, budget: float, lam: float) -> SbccSolution:
     16 n and 4 * budget, capped at 2^30), returns the one with the smallest
     source-side component whose cut size is within budget/lambda (hard
     guarantee on the cut side; the component side is validated empirically
-    against the exhaustive oracle). Falls back to the smallest-cut side, flagged, when nothing
-    qualifies. Unit edge capacities are required, and the source degree
-    must stay below 2^15 so that flow values fit in int32. This is
-    :func:`min_sbcc_many` on one row that keeps every edge.
+    against the exhaustive oracle). The source's component at C = 0 cuts
+    nothing, so some side always qualifies. Unit edge capacities are
+    required, and the source degree must stay below 2^15 so that flow
+    values fit in int32. This is :func:`min_sbcc_many` on one row that
+    keeps every edge.
     """
     return min_sbcc_many(graph, np.ones((1, graph.m), dtype=bool), budget, lam)[0][0]
 
@@ -286,8 +266,7 @@ def min_sbcc_exact(graph: ContactNetwork, budget: float) -> tuple[tuple[int, ...
     """
     if graph.m > 20:
         raise InstanceTooLargeError(f"exact oracle caps at 20 edges, got {graph.m}")
-    if not budget >= 0:
-        raise ValidationError(f"budget must be nonnegative, got {budget}")
+    check_budget(budget)
     m = graph.m
     edge_ids = np.arange(m, dtype=np.int64)
     picks, _ = affordable_subsets(np.int64(1) << edge_ids, np.ones(m), int(min(m, budget)))
@@ -336,8 +315,7 @@ def solve_karger(
         raise ValidationError("cut-sampling solver requires unit edge costs")
     if gamma <= 2:
         raise ValidationError("gamma must exceed 2 for a positive success probability")
-    if budget < 0:
-        raise ValidationError("budget must be nonnegative")
+    check_budget(budget)
     reps = repetitions if repetitions is not None else math.ceil(4 * math.log(network.n))
     reps = max(reps, 1)
 
@@ -356,7 +334,6 @@ def solve_karger(
             "component_members": list(sol.component),
             "members": [int(e) for e in barrier],
             "sample_cut_size": sol.cut_size,
-            "within_sample_budget": sol.within_budget,
         })
 
     # equal candidates get equal estimates: score each distinct one once, all

@@ -222,9 +222,10 @@ def parametric_sbcc_oracle(network, budget, lam):
     Each side S defines the line L_S(C) = 2^16 * cut(S) + C * (|S| - 1). The
     minimal minimizer (least L, then least |S|) is taken at C = 0, at C_max
     and at floor/ceil of every pairwise line intersection inside
-    [0, C_max]; the selection rule of ``min_sbcc`` is then applied. Only the
-    lowest line of each slope can be a minimizer, so only those intersect.
-    Returns (side, cut, component size, within budget, lagrange alpha).
+    [0, C_max]; the smallest minimizer whose cut is within budget / lambda
+    is then chosen, or the smallest-cut one if none is. Only the lowest line
+    of each slope can be a minimizer, so only those intersect. Returns
+    (side, cut, component size, whether the side is within budget / lambda).
     """
     n, s, scale = network.n, network.source, 1 << 16
     assert n <= 9
@@ -246,20 +247,15 @@ def parametric_sbcc_oracle(network, budget, lam):
         if den < 0:
             num, den = -num, -den
         caps |= {c for c in (num // den, -(-num // den)) if 0 <= c <= c_max}
-    first_cap = {}
-    for cap in sorted(caps):
-        side, cut = min(sides, key=lambda sc: (scale * sc[1] + cap * (len(sc[0]) - 1),
-                                               len(sc[0])))
-        first_cap.setdefault((side, cut), cap)
-    limit = budget / lam
-    qualifying = [(len(side), cut, cap, side)
-                  for (side, cut), cap in first_cap.items() if cut <= limit]
+    minimal = {min(sides, key=lambda sc: (scale * sc[1] + cap * (len(sc[0]) - 1),
+                                          len(sc[0])))
+               for cap in caps}
+    qualifying = [(len(side), cut, side) for side, cut in minimal if cut <= budget / lam]
     if qualifying:
-        comp, cut, cap, side = min(qualifying)
-        return side, cut, comp, True, cap / scale
-    cut, comp, cap, side = min((cut, len(side), cap, side)
-                               for (side, cut), cap in first_cap.items())
-    return side, cut, comp, False, cap / scale
+        comp, cut, side = min(qualifying)
+        return side, cut, comp, True
+    cut, comp, side = min((cut, len(side), side) for side, cut in minimal)
+    return side, cut, comp, False
 
 
 @pytest.fixture

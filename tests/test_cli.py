@@ -241,6 +241,39 @@ def test_malformed_flag_or_file_exit_code(tmp_path, capsys, case):
     assert "error_code=validation" in capsys.readouterr().err
 
 
+def bad_value_argv(tmp_path, case):
+    graph = path_graph_file(tmp_path)
+    if case == "config-choice":
+        cfg = write_config(tmp_path, {"suite": "bogus"})
+        return ["oracle", "--config", cfg]
+    if case == "config-type":
+        cfg = write_config(tmp_path, {"samples": 2.5})
+        return ["percolate", "--graph", graph, "--config", cfg]
+    if case == "config-switch":
+        cfg = write_config(tmp_path, {"exact": "yes"})
+        return ["percolate", "--graph", graph, "--config", cfg]
+    if case == "instances":
+        return ["oracle", "--instances", "-1"]
+    command, budget = case.split()
+    return [command, "--graph", graph, "--budget", budget]
+
+
+@pytest.mark.parametrize("case", ["config-choice", "config-type", "config-switch", "instances"]
+                         + [f"{command} {budget}"
+                            for command in ("solve-saa", "solve-node", "solve-karger", "compare")
+                            for budget in ("nan", "inf", "-1")])
+def test_bad_value_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    out = tmp_path / "out.json"
+    assert main([*bad_value_argv(tmp_path, case), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error_code=")] \
+        == [err.strip()]
+    assert err.startswith("error_code=validation") and "Traceback" not in err
+    if " " in case:
+        assert "budget must be finite and nonnegative" in err
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     g = path_graph_file(tmp_path)
     cfg = tmp_path / "cfg.json"

@@ -16,14 +16,13 @@ from epictrl import (
     component_of,
     edge_removal,
     exact_expected_infections,
-    global_min_cut,
     load_network,
     merge_seeds,
     node_removal,
     sparsification_regime,
 )
 from epictrl import network as network_module
-from epictrl.network import boundary_of
+from epictrl.network import _edge_connectivity, boundary_of
 
 from conftest import (
     complete_network,
@@ -224,33 +223,24 @@ def brute_force_min_cut(net):
 
 
 def test_min_cut_k4_unit():
-    assert global_min_cut(complete_network(4)) == 3.0
+    assert _edge_connectivity(complete_network(4))[0] == 3.0
     assert brute_force_min_cut(complete_network(4)) == 3.0
 
 
 def test_min_cut_path_is_bridge():
-    assert global_min_cut(path_network()) == 1.0
+    assert _edge_connectivity(path_network())[0] == 1.0
 
 
 def test_min_cut_disconnected_zero():
     net = make_network(4, [(0, 1), (2, 3)])
-    assert global_min_cut(net) == 0.0
+    assert _edge_connectivity(net)[0] == 0.0
 
 
 def test_min_cut_matches_brute_force_on_random_weighted(rng):
-    # global_min_cut takes unit costs only, so the random graphs carry them
+    # _edge_connectivity takes unit costs only, so the random graphs carry them
     for _ in range(15):
         net = random_connected_network(rng, n_lo=4, n_hi=7, max_m=12)
-        assert global_min_cut(net) == brute_force_min_cut(net) == stoer_wagner_min_cut(net)
-
-
-def test_min_cut_rejects_non_unit_costs():
-    for edges, costs in (([(0, 1), (1, 2)], [1.0, 2.0]),
-                         ([(0, 1), (1, 2)], [1.0, 0.0]),
-                         ([(0, 1), (1, 2)], [1.0, math.inf]),
-                         ([(0, 1), (1, 1)], [1.0, 0.5])):
-        with pytest.raises(ValidationError, match="unit"):
-            global_min_cut(make_network(3, edges, costs=costs))
+        assert _edge_connectivity(net)[0] == brute_force_min_cut(net) == stoer_wagner_min_cut(net)
 
 
 GRAPH_KINDS = ("random", "complete", "path", "cycle", "cliques")
@@ -321,7 +311,7 @@ def _with_examples(**extra):
 def test_min_cut_matches_both_oracles(net):
     expected = brute_force_min_cut(net)
     assert stoer_wagner_min_cut(net) == expected
-    assert global_min_cut(net) == expected
+    assert _edge_connectivity(net)[0] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,7 +320,7 @@ def test_min_cut_matches_both_oracles(net):
 def test_min_cut_matches_both_oracles_with_targets_split(net, cells):
     """The same answer when a flow call holds only a few target copies."""
     with mock.patch.object(network_module, "CELLS", cells):
-        cut = global_min_cut(net)
+        cut = _edge_connectivity(net)[0]
     assert cut == brute_force_min_cut(net) == stoer_wagner_min_cut(net)
 
 
@@ -369,7 +359,7 @@ def test_min_cut_memory_stays_linear_on_sparse_graph():
     net = make_network(n, [(int(gen.integers(0, v)), v) for v in range(1, n)])
     tracemalloc.start()
     try:
-        cut = global_min_cut(net)
+        cut = _edge_connectivity(net)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -410,7 +400,7 @@ def test_min_cut_exact_when_stacked_flow_exceeds_int32():
     k16 = make_network(32, [(u, 16 + v) for u in range(16) for v in range(16)])
     with mock.patch.object(network_module, "_SCALE", 1 << 27), \
          pytest.raises(InstanceTooLargeError, match="degree 16"):
-        global_min_cut(k16)
+        _edge_connectivity(k16)
 
 
 # ------------------------------------------------------------ component kernel
@@ -511,9 +501,13 @@ def test_regime_requires_uniform_probability():
 
 
 def test_regime_requires_unit_costs():
-    net = make_network(3, [(0, 1), (1, 2)], probs=0.5, costs=[1.0, 2.0])
-    with pytest.raises(ValidationError, match="unit"):
-        sparsification_regime(net, 0.5)
+    for edges, costs in (([(0, 1), (1, 2)], [1.0, 2.0]),
+                         ([(0, 1), (1, 2)], [1.0, 0.0]),
+                         ([(0, 1), (1, 2)], [1.0, math.inf]),
+                         ([(0, 1), (1, 1)], [1.0, 0.5])):
+        net = make_network(3, edges, probs=0.5, costs=costs)
+        with pytest.raises(ValidationError, match="unit"):
+            sparsification_regime(net, 0.5)
 
 
 # ------------------------------------------------------------ validation

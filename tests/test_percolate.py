@@ -36,7 +36,6 @@ from epictrl.saa import draw_samples
 from epictrl.network import (
     ContactNetwork,
     boundary_of,
-    component_of,
     node_removal,
     removal_edge_keep,
 )
@@ -447,12 +446,10 @@ def test_component_kernel_matches_union_find(case):
         assert inside.shape == (len(effective), net.n)
         for row, kept in zip(inside, effective):
             assert tuple(np.flatnonzero(row)) == union_find_component(net, kept)
-        for row, kept in zip(keep[:3], effective):
-            rep = component_of(net, removed, edge_mask=row)
+        for kept in effective[:3]:
             members = union_find_component(net, kept)
-            assert rep.members == members
             inside = np.isin(net.us, members) != np.isin(net.vs, members)
-            assert rep.boundary == tuple(np.flatnonzero(inside))
+            assert boundary_of(net, members) == tuple(np.flatnonzero(inside))
 
 
 def test_kernel_block_size_follows_cells():

@@ -1024,7 +1024,7 @@ def test_block_scoring_peak_memory_per_block_cell(monkeypatch):
     assert peak <= 24 * block_cells, peak / block_cells
 
 
-@pytest.mark.parametrize("budget", [-1.0, math.nan])
+@pytest.mark.parametrize("budget", [-1.0, math.nan, math.inf])
 def test_brute_force_rejects_negative_budget(budget):
     ss = draw_samples(path_network(p=1.0), 1, seed=0)
     with pytest.raises(ValidationError, match="budget"):
