@@ -243,6 +243,26 @@ def test_min_cut_matches_brute_force_on_random_weighted(rng):
         assert _edge_connectivity(net)[0] == brute_force_min_cut(net) == stoer_wagner_min_cut(net)
 
 
+def test_min_cut_rejects_non_unit_costs():
+    # _edge_connectivity trusts its caller for unit costs: the regime check
+    # refuses any other cost before a single max flow is run
+    for edges, costs in (([(0, 1), (1, 2)], [1.0, 2.0]),
+                         ([(0, 1), (1, 2)], [1.0, 0.0]),
+                         ([(0, 1), (1, 2)], [1.0, math.inf]),
+                         ([(0, 1), (1, 1)], [1.0, 0.5])):
+        net = make_network(3, edges, probs=0.5, costs=costs)
+        with mock.patch.object(network_module, "_edge_connectivity",
+                               wraps=_edge_connectivity) as cut, \
+             pytest.raises(ValidationError, match="unit"):
+            sparsification_regime(net, 0.5)
+        cut.assert_not_called()
+    # the unit-cost twin of the first case does reach the min cut
+    with mock.patch.object(network_module, "_edge_connectivity",
+                           wraps=_edge_connectivity) as cut:
+        assert sparsification_regime(make_network(3, [(0, 1), (1, 2)], probs=0.5), 0.5).c_min == 1.0
+    cut.assert_called_once()
+
+
 GRAPH_KINDS = ("random", "complete", "path", "cycle", "cliques")
 
 
