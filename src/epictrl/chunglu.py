@@ -83,8 +83,9 @@ def build_model(n: int, beta: float, w_min: int, w_max: int) -> ChungLuModel:
     proportional to 1/i^beta, so they sum to n exactly. Ties in the
     remainders go to the smaller weight class.
     """
-    if beta <= 2.0:
-        raise ValidationError(f"power-law exponent must exceed 2, got {beta}")
+    if not 2.0 < beta < math.inf:
+        raise ValidationError(
+            f"power-law exponent beta must be a finite number above 2, got {beta}")
     if not (1 <= w_min <= w_max):
         raise ValidationError(f"need 1 <= w_min <= w_max, got [{w_min}, {w_max}]")
     if n < 1:

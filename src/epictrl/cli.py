@@ -178,12 +178,13 @@ def _cmd_solve_saa(args) -> int:
             "guarantee (theory wants N from the sample-count formula)",
             file=sys.stderr,
         )
+    t0 = time.perf_counter()
     chosen, report = saa.solve_saa(
         net, budget=args.budget, epsilon=args.epsilon, gamma=args.gamma,
         rounding=args.rounding, mode=args.mode, seed=args.seed,
         num_samples=args.samples, eval_samples=args.eval_samples,
     )
-    runtime = report.pop("runtime_ms")
+    runtime = (time.perf_counter() - t0) * 1e3
     report["members"] = [net.label_of(v) for v in chosen.members] if args.mode == "node" \
         else list(chosen.members)
     _Output(args.output, None).write(report, runtime_ms=runtime)
@@ -234,9 +235,11 @@ def _cmd_count_paths(args) -> int:
     if args.ceiling_poly:
         try:
             coeff, degree = (float(x) for x in args.ceiling_poly.split(","))
+            if not (math.isfinite(coeff) and math.isfinite(degree)):
+                raise ValueError
         except ValueError:
             raise ValidationError(
-                f"--ceiling-poly takes C,D (two numbers), got {args.ceiling_poly!r}"
+                f"--ceiling-poly takes C,D (two finite numbers), got {args.ceiling_poly!r}"
             ) from None
         payload["percolation_ceiling"] = chunglu.estimate_percolation_ceiling(
             model, k_max=args.kmax, trials=max(args.trials // 10, 1),
@@ -247,6 +250,8 @@ def _cmd_count_paths(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.kmax < 1:
+        raise ValidationError(f"--kmax must be at least 1, got {args.kmax}")
     model = _load_model(args)
     decay = model.decay_exponent
     rows = []

@@ -567,13 +567,11 @@ class _FlowNetwork:
         self.degree = int(np.count_nonzero(tails == self.s))
         # more than the out-arcs of s carry, so never saturated
         self.source_cap = _SCALE * self.degree + 1
-        self.cells = self.n + len(tails) + len(self.sinks)
 
     def with_sinks(self, sinks) -> "_FlowNetwork":
         """The same network with sink arcs from ``sinks`` instead."""
         other = copy.copy(self)
         other.sinks = np.asarray(sinks, dtype=np.int64)
-        other.cells = self.n + len(self.tails) + len(other.sinks)
         return other
 
     def with_edges(self, keep: np.ndarray) -> "_FlowNetwork":
@@ -584,52 +582,66 @@ class _FlowNetwork:
         return other
 
 
-def _minimal_sides(networks: list[_FlowNetwork], caps: list[int]) -> list[np.ndarray]:
+def _minimal_sides(networks: list[_FlowNetwork],
+                   caps: list[int]) -> tuple[list[np.ndarray], int]:
     """Ascending minimal min-cut source side of each network at its sink capacity.
 
-    The networks are stacked block-diagonally into one graph: copy i's
+    The list is cut into consecutive stacks of at most ``CELLS`` vertices
+    plus arcs, at least one copy each, and one max flow answers a stack.
+    Its networks are stacked block-diagonally into one graph: copy i's
     vertices are offset by the vertex counts of the copies before it, every
     copy's sink arcs go to one shared super-sink T, and a super-source S
     feeds each copy's source through an arc its out-arcs cannot saturate.
     One max flow from S to T is then a max flow of every copy; T is
     unreachable from S in the residual network, so the copies cannot
     affect each other, and a residual search from S reaches exactly the
-    union of every copy's minimal min-cut side. Raises
+    union of every copy's minimal min-cut side. Returns the sides, in list
+    order, and the number of max-flow calls. Raises
     ``InstanceTooLargeError`` before building anything when a copy's flow
     value, 2^16 times its source degree, would overflow int32.
     """
-    worst = max(networks, key=lambda net: net.degree)
-    if _SCALE * worst.degree > np.iinfo(np.int32).max:
-        raise InstanceTooLargeError(
-            f"flow source {worst.s} has degree {worst.degree}; the int32 flow network "
-            f"(capacity unit 2^16) needs source degree below 2^15 = 32768"
-        )
-    offsets = np.cumsum([0] + [net.n for net in networks])
-    t = offsets[-1]
-    s_super = t + 1
-    size = t + 2
-    # the edge arcs, the sink arcs, then the arcs out of S: a row built in
-    # this order lists its heads in ascending order, as CSR keeps them
-    tails = np.concatenate([net.tails + off for net, off in zip(networks, offsets)]
-                           + [net.sinks + off for net, off in zip(networks, offsets)]
-                           + [np.full(len(networks), s_super)])
-    heads = np.concatenate([net.heads + off for net, off in zip(networks, offsets)]
-                           + [np.full(len(net.sinks), t) for net in networks]
-                           + [[net.s + off for net, off in zip(networks, offsets)]])
-    edge_arcs = sum(len(net.tails) for net in networks)
-    arc_caps = np.concatenate([np.full(edge_arcs, _SCALE),
-                               np.repeat(caps, [len(net.sinks) for net in networks]),
-                               [net.source_cap for net in networks]]).astype(np.int32)
-    capacity = sparse.csr_matrix((arc_caps, (tails, heads)), shape=(size, size))
-    del tails, heads, arc_caps  # free them before the max flow's own arrays
-    # maximum_flow may rewrite its input in place: hand it a copy
-    flow = maximum_flow(capacity.copy(), s_super, t).flow
-    # the residual network: arcs below capacity, reverse arcs of a positive flow
-    residual = (capacity - flow) > 0
-    reached = np.sort(breadth_first_order(residual, s_super, return_predecessors=False))
-    reached = reached[reached < t]
-    parts = np.split(reached, np.searchsorted(reached, offsets[1:-1]))
-    return [part - off for part, off in zip(parts, offsets)]
+    for net in networks:
+        if _SCALE * net.degree > np.iinfo(np.int32).max:
+            raise InstanceTooLargeError(
+                f"flow source {net.s} has degree {net.degree}; the int32 flow network "
+                f"(capacity unit 2^16) needs source degree below 2^15 = 32768"
+            )
+    # ends[k]: the vertices plus arcs of the first k copies
+    ends = np.cumsum([0] + [net.n + len(net.tails) + len(net.sinks) for net in networks])
+    sides: list[np.ndarray] = []
+    calls = 0
+    while len(sides) < len(networks):
+        start = len(sides)
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + CELLS, "right")) - 1)
+        stack, stack_caps = networks[start:stop], caps[start:stop]
+        offsets = np.cumsum([0] + [net.n for net in stack])
+        t = offsets[-1]
+        s_super = t + 1
+        size = t + 2
+        # the edge arcs, the sink arcs, then the arcs out of S: a row built in
+        # this order lists its heads in ascending order, as CSR keeps them
+        tails = np.concatenate([net.tails + off for net, off in zip(stack, offsets)]
+                               + [net.sinks + off for net, off in zip(stack, offsets)]
+                               + [np.full(len(stack), s_super)])
+        heads = np.concatenate([net.heads + off for net, off in zip(stack, offsets)]
+                               + [np.full(len(net.sinks), t) for net in stack]
+                               + [[net.s + off for net, off in zip(stack, offsets)]])
+        edge_arcs = sum(len(net.tails) for net in stack)
+        arc_caps = np.concatenate([np.full(edge_arcs, _SCALE),
+                                   np.repeat(stack_caps, [len(net.sinks) for net in stack]),
+                                   [net.source_cap for net in stack]]).astype(np.int32)
+        capacity = sparse.csr_matrix((arc_caps, (tails, heads)), shape=(size, size))
+        del tails, heads, arc_caps  # free them before the max flow's own arrays
+        # maximum_flow may rewrite its input in place: hand it a copy
+        flow = maximum_flow(capacity.copy(), s_super, t).flow
+        calls += 1
+        # the residual network: arcs below capacity, reverse arcs of a positive flow
+        residual = (capacity - flow) > 0
+        reached = np.sort(breadth_first_order(residual, s_super, return_predecessors=False))
+        reached = reached[reached < t]
+        parts = np.split(reached, np.searchsorted(reached, offsets[1:-1]))
+        sides += [part - off for part, off in zip(parts, offsets)]
+    return sides, calls
 
 
 def _edge_connectivity(network: ContactNetwork) -> tuple[float, int]:
@@ -642,13 +654,13 @@ def _edge_connectivity(network: ContactNetwork) -> tuple[float, int]:
     (Esfahanian and Hakimi, 1984): in a simple graph a side of k <= δ
     vertices has at least k(δ - k + 1) >= δ boundary edges, so a cut below
     δ leaves at least δ + 1 vertices on the side without v, more than v's δ
-    neighbours. A complete graph therefore
-    needs no flow, and neither does δ = 0. Each λ(v, w) is the boundary of
-    the minimal source side of a copy of the flow network whose one sink
-    arc, from w, carries the source's capacity and so is never the cut;
-    :func:`_minimal_sides` answers up to ``CELLS`` cells of copies per
-    max-flow call, targets in ascending id, and the calls stop at a cut of
-    0. Returns the connectivity and the number of max-flow calls.
+    neighbours. A complete graph therefore needs no flow, and neither does
+    δ = 0 or, as one component-kernel call tells, a disconnected graph.
+    Each λ(v, w) is the boundary of the minimal source side of a copy of
+    the flow network whose one sink arc, from w, carries the source's
+    capacity and so is never the cut; :func:`_minimal_sides` answers every
+    target's copy, in ascending id. Returns the connectivity and the
+    number of max-flow calls.
     """
     n = network.n
     if n <= 1:
@@ -663,22 +675,18 @@ def _edge_connectivity(network: ContactNetwork) -> tuple[float, int]:
     outside[vs[us == v]] = False
     outside[us[vs == v]] = False
     targets = np.flatnonzero(outside)
-    flow_calls = 0
-    if len(targets):
-        base = _FlowNetwork(network, v, targets[:1])
-        step = max(1, CELLS // base.cells)
-        inside = np.zeros(n, dtype=bool)
-        for start in range(0, len(targets), step):
-            if best == 0:  # no cut is smaller
-                break
-            batch = targets[start:start + step]
-            sides = _minimal_sides([base.with_sinks([w]) for w in batch],
-                                   [base.source_cap] * len(batch))
-            flow_calls += 1
-            for side in sides:
-                inside[:] = False
-                inside[side] = True
-                best = min(best, int(np.count_nonzero(inside[us] ^ inside[vs])))
+    if not len(targets) or best == 0:
+        return float(best), 0
+    if source_component_sizes(network, np.ones((1, network.m), dtype=bool))[0] < n:
+        return 0.0, 0
+    base = _FlowNetwork(network, v, targets[:1])
+    sides, flow_calls = _minimal_sides([base.with_sinks([w]) for w in targets],
+                                       [base.source_cap] * len(targets))
+    inside = np.zeros(n, dtype=bool)
+    for side in sides:
+        inside[:] = False
+        inside[side] = True
+        best = min(best, int(np.count_nonzero(inside[us] ^ inside[vs])))
     return float(best), flow_calls
 
 
@@ -687,7 +695,8 @@ class RegimeReport:
     """Sparsification check for uniform-probability unit-cost networks.
 
     ``flow_calls`` counts the max-flow calls that found ``c_min``: 0 on a
-    complete graph, where every vertex neighbours the minimum-degree one.
+    complete graph, where every vertex neighbours the minimum-degree one,
+    and 0 on a disconnected graph, where ``c_min`` is 0.
     """
 
     epsilon: float
@@ -711,8 +720,8 @@ def sparsification_regime(network: ContactNetwork, p: float, d: float = 1.0) -> 
         raise ValidationError("regime check needs at least two vertices")
     if not 0.0 < p <= 1.0:
         raise ValidationError(f"uniform probability must be in (0, 1], got {p}")
-    if d <= 0:
-        raise ValidationError("d must be positive")
+    if not 0.0 < d < math.inf:
+        raise ValidationError(f"d must be a finite number above 0, got {d}")
     if network.m and not np.all(network.costs == 1.0):
         raise ValidationError("regime check requires unit edge costs")
     if not np.all(network.probs[network.us != network.vs] == p):

@@ -31,7 +31,6 @@ search over every budget-feasible subset provides the validation oracle.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -577,8 +576,8 @@ def round_randomized(
     that the LP pays to cut survive with probability at most n^-(gamma+5).
     Reported costs are un-normalized.
     """
-    if gamma <= 1:
-        raise ValidationError("gamma must exceed 1")
+    if not 1.0 < gamma < math.inf:
+        raise ValidationError(f"gamma must be a finite number above 1, got {gamma}")
     if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
     model = frac.model
@@ -681,7 +680,6 @@ def solve_saa(
     """
     if rounding not in ("randomized", "deterministic"):
         raise ValidationError(f"unknown rounding {rounding!r}")
-    t0 = time.perf_counter()
     auto_n = required_sample_count(network.n, max(network.m, 1), epsilon)
     N = num_samples if num_samples is not None else auto_n
     samples = draw_samples(network, N, seed)
@@ -721,6 +719,5 @@ def solve_saa(
         "empirical_infections": empirical_infections(samples, network, prepared),
         "fresh_mc_mean": fresh.mean,
         "fresh_mc_half_width": fresh.half_width,
-        "runtime_ms": (time.perf_counter() - t0) * 1000.0,
     }
     return chosen, report

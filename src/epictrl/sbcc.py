@@ -16,12 +16,12 @@ the line L_S(C) = 2^16 * cut(S) + C * (|S| - 1) over source sides S. The
 minimal min-cut sides are nested in C (parametric max-flow: Gallo,
 Grigoriadis and Tarjan, 1989), and every breakpoint of the concave min-cut
 curve is an intersection of two such lines (Eisner and Severance, 1976). The
-sweep probes C = 0 and a top capacity, then the integers around the line
-intersection of each pair of adjacent known sides, until no probe finds a
-new side; it thereby finds the minimal min-cut side at every integer C in
-between. Both ends are known without a flow: at C = 0 the minimal side is
-the source's component, and at the top capacity it is {s} unless the cap
-of 2^30 meets a source degree of 2^14 or more. The sweep is verified
+sweep starts from C = 0 and the source's own arc capacity 2^16 deg(s) + 1,
+then probes the integers around the line intersection of each pair of
+adjacent known sides, until no probe finds a new side; it thereby finds the
+minimal min-cut side at every integer C in between. Neither end needs a
+flow: at C = 0 the minimal side is the source's component, and at the top
+it is {s}, as any larger side costs at least C there. The sweep is verified
 against an exhaustive oracle rather than assumed correct.
 
 The solver runs its repetitions' sweeps in lockstep on the kept-edge rows
@@ -31,10 +31,10 @@ running sweep into one block-diagonal flow network behind a shared
 super-source and super-sink, so one max-flow call answers them all. On
 K40 that is 2 calls for 16 sweeps instead of about 32, and a max-flow
 call costs about as much on a 2-vertex graph as on one sample's network.
-The flow helper is ``network._minimal_sides``, which also answers the
-regime check: the global minimum cut c_min needs max flows only from a
-minimum-degree vertex to its non-neighbours, so on a dense graph such as
-K40 it needs none.
+The flow helper is ``network._minimal_sides``, which also sets how many
+copies one call holds and answers the regime check: c_min needs max flows
+only from a minimum-degree vertex of a connected graph to its
+non-neighbours, so on a dense graph such as K40 it needs none.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import numpy as np
 from . import rng
 from .errors import InstanceTooLargeError, ValidationError
 from .network import (
-    CELLS,
     ContactNetwork,
     Intervention,
     _FlowNetwork,
@@ -68,8 +67,6 @@ from .percolate import (
     sample_keep_matrix,
 )
 
-_CAP_MAX = 1 << 30
-
 
 @dataclass(frozen=True)
 class SbccSolution:
@@ -81,7 +78,7 @@ class SbccSolution:
     in the residual network), so it is the source's component once
     ``cut_edges`` are removed. ``cut_size`` is at most budget/lambda.
     ``probes`` counts the sink capacities the sweep answered by a max
-    flow; the end probes it answers without one do not count.
+    flow, all strictly between its two ends, 0 and 2^16 deg(s) + 1.
     """
 
     cut_edges: tuple[int, ...]
@@ -92,23 +89,16 @@ class SbccSolution:
 
 
 def _sweep(
-    net: _FlowNetwork, component: np.ndarray, budget: float, lam: float
+    net: _FlowNetwork, component: np.ndarray, limit: float
 ) -> Generator[int, np.ndarray, SbccSolution]:
     """The parametric sweep of one flow network, one probe at a time.
 
     ``component`` is the source's component in ``net``, the minimal side at
     C = 0. Yields each sink capacity that needs a max flow, receives the
-    minimal min-cut side at that capacity, and returns the selected
-    solution.
+    minimal min-cut side at that capacity, and returns the smallest side
+    found whose cut is at most ``limit``.
     """
-    n = net.n
-    # top multiplier: a power of two over n, at least 16 n and 4 * budget
-    top = 2.0 ** (math.ceil(2 * math.log2(max(n, 2))) + 4) / n
-    while top < 4.0 * max(budget, 1.0):
-        top *= 2.0
-    c_max = min(round(top * _SCALE), _CAP_MAX)
-
-    inside = np.zeros(n, dtype=bool)
+    inside = np.zeros(net.n, dtype=bool)
     # side size -> (cut size, side); nested sides have distinct sizes
     sides: dict[int, tuple[int, np.ndarray]] = {}
     probes = 0
@@ -124,18 +114,12 @@ def _sweep(
         sides[len(side)] = (cut, side)
         return cap, cut, side
 
-    # The ends need no flow when their answer is known. At C = 0 every sink
-    # arc has capacity 0, so the minimal side is the source's component.
-    # At C_max any side of two or more vertices costs at least C_max, so
-    # {s}, which costs 2^16 deg(s), is the unique minimizer whenever
-    # C_max > 2^16 deg(s); top >= 16 n makes that fail only when C_max is
-    # capped at 2^30 and deg(s) >= 2^14.
+    # The ends need no flow. At C = 0 every sink arc has capacity 0, so the
+    # minimal side is the source's component. At the source's arc capacity
+    # 2^16 deg(s) + 1 any side of two or more vertices costs at least that,
+    # so {s}, which costs 2^16 deg(s), is the unique minimizer.
     lo = record(0, component)
-    if c_max > _SCALE * net.degree:
-        hi = record(c_max, np.array([net.s]))
-    else:
-        probes += 1
-        hi = record(c_max, (yield c_max))
+    hi = record(net.source_cap, np.array([net.s]))
     # Between sides S_a > S_b found at C_a < C_b, a third side can be
     # minimal at an integer C only if it is minimal at floor(x) or ceil(x),
     # x the intersection of L_a and L_b: L_c - min(L_a, L_b) is convex in C
@@ -159,8 +143,8 @@ def _sweep(
                 break
 
     # The C = 0 side cuts nothing, and min_sbcc_many rejects a NaN, infinite
-    # or negative budget, so some side is within budget / lam.
-    comp = min(size for size, (cut, _) in sides.items() if cut <= budget / lam)
+    # or negative budget, so some side is within the limit.
+    comp = min(size for size, (cut, _) in sides.items() if cut <= limit)
     cut, side = sides[comp]
     return SbccSolution(
         cut_edges=tuple(np.sort(net.edges[leaving(side)]).tolist()),
@@ -181,14 +165,13 @@ def min_sbcc_many(
     parametric sweep of :func:`min_sbcc`, and ``cut_edges`` are edge ids of
     ``network``. The flow network is built once, with one sort of its
     arcs, and each row's copy masks those sorted arcs. The C = 0 side of
-    every row comes from one call of the component kernel, and the C_max
-    side is {s} without a flow whenever C_max > 2^16 deg(s). The sweeps
+    every row comes from one call of the component kernel, and the top
+    side, at the source's arc capacity, is {s} without a flow. The sweeps
     advance in rounds: a round takes the next probe of every sweep still
-    running and answers them with one max-flow call on a block-diagonal
-    stack of their flow networks, or with several when the stack would
-    exceed ``CELLS`` vertices and arcs (at least one copy per call).
-    Returns the solutions, in row order, and the number of max-flow calls
-    made.
+    running and answers them all with one ``network._minimal_sides``
+    call, which stacks their flow networks block-diagonally into as few
+    max-flow calls as ``network.CELLS`` allows. Returns the solutions, in
+    row order, and the number of max-flow calls made.
     """
     if not 0.0 < lam < 1.0:
         raise ValidationError(f"lambda must lie in (0, 1), got {lam}")
@@ -205,50 +188,37 @@ def min_sbcc_many(
     base = _FlowNetwork(network, s, np.delete(np.arange(network.n), s))
     networks = [base.with_edges(keep) for keep in keep_rows]
     components = source_component_members(network, keep_rows)
-    sweeps = [_sweep(net, np.flatnonzero(comp), budget, lam)
+    sweeps = [_sweep(net, np.flatnonzero(comp), budget / lam)
               for net, comp in zip(networks, components)]
     solutions: list[SbccSolution | None] = [None] * len(sweeps)
-    pending: dict[int, int] = {}
-    for i, sweep in enumerate(sweeps):
-        try:
-            pending[i] = next(sweep)
-        except StopIteration as done:  # both ends known: no flow at all
-            solutions[i] = done.value
+    # the side each running sweep receives next; None starts it
+    sides: dict[int, np.ndarray | None] = dict.fromkeys(range(len(sweeps)))
     flow_calls = 0
-    while pending:
-        batches: list[list[int]] = [[]]
-        cells = 0
-        for i in pending:
-            if batches[-1] and cells + networks[i].cells > CELLS:
-                batches.append([])
-                cells = 0
-            batches[-1].append(i)
-            cells += networks[i].cells
-        for batch in batches:
-            sides = _minimal_sides([networks[i] for i in batch], [pending[i] for i in batch])
-            flow_calls += 1
-            for i, side in zip(batch, sides):
-                try:
-                    pending[i] = sweeps[i].send(side)
-                except StopIteration as done:
-                    solutions[i] = done.value
-                    del pending[i]
+    while sides:
+        caps: dict[int, int] = {}
+        for i, side in sides.items():
+            try:
+                caps[i] = sweeps[i].send(side)
+            except StopIteration as done:
+                solutions[i] = done.value
+        found, calls = _minimal_sides([networks[i] for i in caps], list(caps.values()))
+        flow_calls += calls
+        sides = dict(zip(caps, found))
     return solutions, flow_calls
 
 
 def min_sbcc(graph: ContactNetwork, budget: float, lam: float) -> SbccSolution:
     """Bicriteria bounded-capacity cut by an exact parametric min-cut sweep.
 
-    Among the minimal min-cut sides at every integer sink capacity in
-    [0, C_max] (C_max: 2^16 times a power of two over n that is at least
-    16 n and 4 * budget, capped at 2^30), returns the one with the smallest
-    source-side component whose cut size is within budget/lambda (hard
-    guarantee on the cut side; the component side is validated empirically
-    against the exhaustive oracle). The source's component at C = 0 cuts
-    nothing, so some side always qualifies. Unit edge capacities are
-    required, and the source degree must stay below 2^15 so that flow
-    values fit in int32. This is :func:`min_sbcc_many` on one row that
-    keeps every edge.
+    Among the minimal min-cut sides at every integer sink capacity from 0
+    to the source's arc capacity 2^16 deg(s) + 1, where the side is {s},
+    returns the one with the smallest source-side component whose cut size
+    is within budget/lambda (hard guarantee on the cut side; the component
+    side is validated empirically against the exhaustive oracle). The
+    source's component at C = 0 cuts nothing, so some side always
+    qualifies. Unit edge capacities are required, and the source degree
+    must stay below 2^15 so that flow values fit in int32. This is
+    :func:`min_sbcc_many` on one row that keeps every edge.
     """
     return min_sbcc_many(graph, np.ones((1, graph.m), dtype=bool), budget, lam)[0][0]
 
@@ -313,11 +283,13 @@ def solve_karger(
         raise ValidationError("network has no edges")
     if not np.all(np.isfinite(network.costs)) or not np.all(network.costs == 1.0):
         raise ValidationError("cut-sampling solver requires unit edge costs")
-    if gamma <= 2:
-        raise ValidationError("gamma must exceed 2 for a positive success probability")
+    if not 2.0 < gamma < math.inf:
+        raise ValidationError(f"gamma must be a finite number above 2, got {gamma}")
     check_budget(budget)
+    if repetitions is not None and repetitions < 1:
+        raise ValidationError(f"repetitions must be at least 1, got {repetitions}")
+    # n >= 2, which the regime check below requires, makes this at least 3
     reps = repetitions if repetitions is not None else math.ceil(4 * math.log(network.n))
-    reps = max(reps, 1)
 
     regime = sparsification_regime(network, p, d=d)
 

@@ -207,29 +207,19 @@ def exact_sbcc_reference(network, budget):
     return best[2], best[0]
 
 
-def sweep_c_max(n, budget):
-    """The sweep's top sink capacity: 2^16 times a power of two over n that
-    is at least 16 n and 4 * budget, capped at 2^30."""
-    top = 2.0 ** (math.ceil(2 * math.log2(max(n, 2))) + 4) / n
-    while top < 4.0 * max(budget, 1.0):
-        top *= 2.0
-    return min(round(top * (1 << 16)), 1 << 30)
-
-
 def parametric_sbcc_oracle(network, budget, lam):
     """Reference for ``min_sbcc`` by enumerating every source side (n <= 9).
 
     Each side S defines the line L_S(C) = 2^16 * cut(S) + C * (|S| - 1). The
-    minimal minimizer (least L, then least |S|) is taken at C = 0, at C_max
-    and at floor/ceil of every pairwise line intersection inside
-    [0, C_max]; the smallest minimizer whose cut is within budget / lambda
+    minimal minimizer (least L, then least |S|) is taken at C = 0 and at
+    floor/ceil of every pairwise line intersection at or above 0, with no
+    upper cap; the smallest minimizer whose cut is within budget / lambda
     is then chosen, or the smallest-cut one if none is. Only the lowest line
     of each slope can be a minimizer, so only those intersect. Returns
     (side, cut, component size, whether the side is within budget / lambda).
     """
     n, s, scale = network.n, network.source, 1 << 16
     assert n <= 9
-    c_max = sweep_c_max(n, budget)
     sides = []
     for mask in range(1 << n):
         if mask >> s & 1:
@@ -241,12 +231,12 @@ def parametric_sbcc_oracle(network, budget, lam):
     for side, cut in sides:
         k = len(side) - 1
         lowest[k] = min(lowest.get(k, cut), cut)
-    caps = {0, c_max}
+    caps = {0}
     for (k_a, cut_a), (k_b, cut_b) in itertools.combinations(lowest.items(), 2):
         num, den = scale * (cut_b - cut_a), k_a - k_b
         if den < 0:
             num, den = -num, -den
-        caps |= {c for c in (num // den, -(-num // den)) if 0 <= c <= c_max}
+        caps |= {c for c in (num // den, -(-num // den)) if c >= 0}
     minimal = {min(sides, key=lambda sc: (scale * sc[1] + cap * (len(sc[0]) - 1),
                                           len(sc[0])))
                for cap in caps}

@@ -241,8 +241,39 @@ def test_malformed_flag_or_file_exit_code(tmp_path, capsys, case):
     assert "error_code=validation" in capsys.readouterr().err
 
 
+# case: (argv, with GRAPH for a path graph's file; the start of its message)
+BAD_FLAGS = {
+    "saa-gamma-nan": ("solve-saa --graph GRAPH --budget 1 --gamma nan",
+                      "gamma must be a finite number above 1"),
+    "saa-gamma-inf": ("solve-saa --graph GRAPH --budget 1 --gamma inf",
+                      "gamma must be a finite number above 1"),
+    "karger-gamma-nan": ("solve-karger --graph GRAPH --budget 1 --gamma nan",
+                         "gamma must be a finite number above 2"),
+    "karger-gamma-inf": ("solve-karger --graph GRAPH --budget 1 --gamma inf",
+                         "gamma must be a finite number above 2"),
+    "karger-d-nan": ("solve-karger --graph GRAPH --budget 1 --d nan",
+                     "d must be a finite number above 0"),
+    "karger-d-inf": ("solve-karger --graph GRAPH --budget 1 --d inf",
+                     "d must be a finite number above 0"),
+    "karger-reps-0": ("solve-karger --graph GRAPH --budget 1 --reps 0",
+                      "repetitions must be at least 1"),
+    "karger-reps-negative": ("solve-karger --graph GRAPH --budget 1 --reps -3",
+                             "repetitions must be at least 1"),
+    "generate-beta-nan": ("generate --n 8 --beta nan", "power-law exponent beta"),
+    "generate-beta-inf": ("generate --n 8 --beta inf --w-min 2", "power-law exponent beta"),
+    "bounds-beta-nan": ("bounds --n 8 --beta nan", "power-law exponent beta"),
+    "bounds-beta-inf": ("bounds --n 8 --beta inf --w-min 2", "power-law exponent beta"),
+    "bounds-kmax-0": ("bounds --n 8 --beta 2.5 --kmax 0", "--kmax must be at least 1"),
+    "bounds-kmax-negative": ("bounds --n 8 --beta 2.5 --kmax -2", "--kmax must be at least 1"),
+    "ceiling-poly-nan": ("count-paths --n 8 --beta 2.5 --trials 5 --ceiling-poly nan,1",
+                         "--ceiling-poly takes C,D (two finite numbers)"),
+}
+
+
 def bad_value_argv(tmp_path, case):
     graph = path_graph_file(tmp_path)
+    if case in BAD_FLAGS:
+        return [graph if word == "GRAPH" else word for word in BAD_FLAGS[case][0].split()]
     if case == "config-choice":
         cfg = write_config(tmp_path, {"suite": "bogus"})
         return ["oracle", "--config", cfg]
@@ -261,7 +292,8 @@ def bad_value_argv(tmp_path, case):
 @pytest.mark.parametrize("case", ["config-choice", "config-type", "config-switch", "instances"]
                          + [f"{command} {budget}"
                             for command in ("solve-saa", "solve-node", "solve-karger", "compare")
-                            for budget in ("nan", "inf", "-1")])
+                            for budget in ("nan", "inf", "-1")]
+                         + list(BAD_FLAGS))
 def test_bad_value_exits_2_and_writes_nothing(tmp_path, capsys, case):
     out = tmp_path / "out.json"
     assert main([*bad_value_argv(tmp_path, case), "--output", str(out)]) == 2
@@ -271,6 +303,8 @@ def test_bad_value_exits_2_and_writes_nothing(tmp_path, capsys, case):
     assert err.startswith("error_code=validation") and "Traceback" not in err
     if " " in case:
         assert "budget must be finite and nonnegative" in err
+    if case in BAD_FLAGS:
+        assert f"error_code=validation {BAD_FLAGS[case][1]}" in err
     assert not out.exists()
 
 

@@ -314,6 +314,8 @@ ORACLE_EXAMPLES = (
     # two K4 joined by two edges; a tie for the minimum degree
     make_network(8, list(itertools.combinations(range(4), 2))
                  + list(itertools.combinations(range(4, 8), 2)) + [(3, 4), (2, 5)]),
+    # two triangles: disconnected at minimum degree 2
+    make_network(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
 )
 
 
@@ -349,8 +351,9 @@ def test_min_cut_matches_both_oracles_with_targets_split(net, cells):
 @_with_examples()
 def test_min_cut_flows_to_non_neighbours_of_min_degree_vertex(net):
     """With one copy per call, a flow goes to each vertex outside the closed
-    neighbourhood of the smallest-id minimum-degree vertex, in ascending
-    id, until one finds a cut of 0; a minimum degree of 0 needs none."""
+    neighbourhood of the smallest-id minimum-degree vertex of a connected
+    graph; a minimum degree of 0 needs none, and nor does a disconnected
+    graph."""
     if net.n < 2:
         return
     degree = [0] * net.n
@@ -365,8 +368,8 @@ def test_min_cut_flows_to_non_neighbours_of_min_degree_vertex(net):
     targets = [w for w in range(net.n) if w != v and w not in neighbours[v]]
     rooted = dataclasses.replace(net, source=v)
     reached = set(union_find_component(rooted, np.ones(net.m, dtype=bool)))
-    apart = [i for i, w in enumerate(targets) if w not in reached]
-    expected = 0 if degree[v] == 0 else (apart[0] + 1 if apart else len(targets))
+    connected = len(reached) == net.n
+    expected = len(targets) if degree[v] and connected else 0
     with mock.patch.object(network_module, "CELLS", 1):
         assert sparsification_regime(net, 1.0).flow_calls == expected
 
@@ -405,8 +408,10 @@ def test_min_cut_exact_when_stacked_flow_exceeds_int32():
 
     def sides():
         base = network_module._FlowNetwork(net, 0, [])
-        return network_module._minimal_sides([base.with_sinks([w]) for w in targets],
-                                             [base.source_cap] * len(targets))
+        sides, calls = network_module._minimal_sides([base.with_sinks([w]) for w in targets],
+                                                     [base.source_cap] * len(targets))
+        assert calls == 1
+        return sides
 
     with mock.patch.object(network_module, "_SCALE", 1 << 27):
         wide = sides()

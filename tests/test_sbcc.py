@@ -35,7 +35,6 @@ from conftest import (
     star_network,
     random_connected_network,
     recording_draws,
-    sweep_c_max,
     union_find_component,
 )
 
@@ -314,11 +313,16 @@ def test_karger_counters_and_one_score_per_distinct_candidate(net, budget):
     _, again = solve_karger(net, budget=budget, p=p, repetitions=6,
                             eval_samples=50, seed=4)
     assert again == report
-    with mock.patch.object(sbcc_module, "CELLS", 1):
+    with mock.patch.object(network_module, "CELLS", 1):
         _, split = solve_karger(net, budget=budget, p=p, repetitions=6,
                                 eval_samples=50, seed=4)
     assert split["flow_calls"] == split["sweep_probes"] == report["sweep_probes"]
-    assert {**split, "flow_calls": report["flow_calls"]} == report
+    # the regime check's split too, one call per non-neighbour of a
+    # minimum-degree vertex of these connected graphs; nothing else moves
+    degree = np.bincount(net.us, minlength=net.n) + np.bincount(net.vs, minlength=net.n)
+    assert split["regime_flow_calls"] == net.n - 1 - degree.min()
+    assert {**split, "flow_calls": report["flow_calls"],
+            "regime_flow_calls": report["regime_flow_calls"]} == report
 
 
 def test_karger_reports_regime_cut_and_flow_calls():
@@ -402,9 +406,10 @@ def test_min_sbcc_matches_parametric_oracle(case):
     assert sol.component == side
     assert (sol.cut_size, sol.component_size) == (cut, comp)
     assert sol.cut_edges == boundary_of(rooted, side)
-    # n <= 9 keeps C_max below its cap, so neither end needs a flow
+    # every probe lies strictly between the ends, which need no flow
+    degree = sum(u != v and source in (u, v) for u, v in edges)
     assert sol.probes == len(probed)
-    assert not {0, sweep_c_max(n, budget)} & set(probed)
+    assert all(0 < cap < network_module._SCALE * degree + 1 for cap in probed)
 
 
 def recording_minimal_sides(probed):
@@ -422,31 +427,31 @@ def recording_minimal_sides(probed):
 @example(case=(1, [(0, 0)], 0, 0.0, 0.5))
 def test_sweep_ends_are_known_without_a_flow(case):
     """At C = 0 the minimal side is the kernel's component of the source; at
-    every C above 2^16 deg(s), the sweep's C_max among them, it is {s}."""
-    n, edges, source, budget, _ = case
+    every C above 2^16 deg(s), the sweep's top 2^16 deg(s) + 1 and the
+    largest int32 capacity among them, it is {s}."""
+    n, edges, source, _, _ = case
     net = make_network(n, edges, source=source)
     flow_net = network_module._FlowNetwork(net, source, np.delete(np.arange(n), source))
     above = network_module._SCALE * flow_net.degree + 1
-    c_max = sweep_c_max(n, budget)
-    assert c_max >= above
-    zero, just_above, top = network_module._minimal_sides([flow_net] * 3, [0, above, c_max])
+    assert flow_net.source_cap == above
+    (zero, just_above, top), _ = network_module._minimal_sides(
+        [flow_net] * 3, [0, above, np.iinfo(np.int32).max])
     component = source_component_members(net, np.ones((1, net.m), dtype=bool))[0]
     assert zero.tolist() == np.flatnonzero(component).tolist()
     assert just_above.tolist() == top.tolist() == [source]
 
 
-@pytest.mark.parametrize("leaves, flow_at_top", [((1 << 14) - 1, False), (1 << 14, True)])
-def test_sweep_flows_at_capped_top_only_for_high_source_degree(leaves, flow_at_top):
-    """C_max is capped at 2^30 on these stars; {s} is known there only while
-    2^30 > 2^16 deg(s), that is below 2^14 leaves."""
+@pytest.mark.parametrize("leaves", [(1 << 14) - 1, 1 << 14])
+def test_sweep_makes_no_flow_at_the_top_for_high_source_degree(leaves):
+    """The top, the source's arc capacity 2^16 deg(s) + 1, needs no flow
+    however high deg(s) is, below 2^30 or above it: each star makes one
+    probe, where the whole star's line meets {s}'s, at 2^16 leaves / leaves."""
     star = star_network(leaves)
-    assert sweep_c_max(star.n, float(leaves)) == sbcc_module._CAP_MAX
     with mock.patch.object(sbcc_module, "_minimal_sides",
                            recording_minimal_sides(probed := [])):
         sol = min_sbcc(star, budget=float(leaves), lam=0.5)
-    assert (sbcc_module._CAP_MAX in probed) == flow_at_top
-    assert 0 not in probed
-    assert sol.probes == len(probed) == 1 + flow_at_top
+    assert probed == [network_module._SCALE]
+    assert sol.probes == 1
     # {s} cuts every leaf, within the budget / lam of 2 leaves
     assert (sol.component, sol.cut_size) == ((0,), leaves)
     assert sol.cut_edges == tuple(range(leaves))
@@ -488,7 +493,7 @@ def test_min_sbcc_many_matches_one_at_a_time(case_rows, cells):
     stacked, calls = min_sbcc_many(net, rows, budget, lam)
     assert stacked == alone
     assert calls == max(sol.probes for sol in alone)
-    with mock.patch.object(sbcc_module, "CELLS", cells):
+    with mock.patch.object(network_module, "CELLS", cells):
         split, split_calls = min_sbcc_many(net, rows, budget, lam)
     assert split == alone
     assert calls <= split_calls <= sum(sol.probes for sol in alone)
@@ -506,7 +511,7 @@ def test_sbcc_source_degree_overflow_guard():
     assert sol.cut_size == (1 << 15) - 1
     # three copies in one flow network: the total flow exceeds 2^31, each
     # copy's does not
-    with mock.patch.object(sbcc_module, "CELLS", 1 << 20):
+    with mock.patch.object(network_module, "CELLS", 1 << 20):
         stacked, calls = min_sbcc_many(star, np.ones((3, star.m), dtype=bool),
                                        float(1 << 15), 0.5)
     assert stacked == [sol] * 3
