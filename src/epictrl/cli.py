@@ -235,11 +235,13 @@ def _cmd_count_paths(args) -> int:
     if args.ceiling_poly:
         try:
             coeff, degree = (float(x) for x in args.ceiling_poly.split(","))
-            if not (math.isfinite(coeff) and math.isfinite(degree)):
+            # a float power past float range raises OverflowError, a product past it is inf
+            if not all(map(math.isfinite, (coeff, degree, coeff * model.n ** degree))):
                 raise ValueError
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ValidationError(
-                f"--ceiling-poly takes C,D (two finite numbers), got {args.ceiling_poly!r}"
+                f"--ceiling-poly takes C,D (two finite numbers) with C*n^D within float "
+                f"range, got {args.ceiling_poly!r} at n = {model.n}"
             ) from None
         payload["percolation_ceiling"] = chunglu.estimate_percolation_ceiling(
             model, k_max=args.kmax, trials=max(args.trials // 10, 1),

@@ -567,6 +567,12 @@ def _removal(net: ContactNetwork, mode: str, ids) -> Intervention:
     return (edge_removal if mode == "edge" else node_removal)(net, ids)
 
 
+def _check_gamma(gamma: float) -> None:
+    """Reject a rounding gamma that is NaN, infinite or not above 1."""
+    if not 1.0 < gamma < math.inf:
+        raise ValidationError(f"gamma must be a finite number above 1, got {gamma}")
+
+
 def round_randomized(
     frac: FractionalSolution, gamma: float, epsilon: float, seed: int
 ) -> Intervention:
@@ -576,8 +582,7 @@ def round_randomized(
     that the LP pays to cut survive with probability at most n^-(gamma+5).
     Reported costs are un-normalized.
     """
-    if not 1.0 < gamma < math.inf:
-        raise ValidationError(f"gamma must be a finite number above 1, got {gamma}")
+    _check_gamma(gamma)
     if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
     model = frac.model
@@ -680,6 +685,8 @@ def solve_saa(
     """
     if rounding not in ("randomized", "deterministic"):
         raise ValidationError(f"unknown rounding {rounding!r}")
+    # the report carries gamma under either rounding
+    _check_gamma(gamma)
     auto_n = required_sample_count(network.n, max(network.m, 1), epsilon)
     N = num_samples if num_samples is not None else auto_n
     samples = draw_samples(network, N, seed)

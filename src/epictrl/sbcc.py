@@ -18,23 +18,27 @@ Grigoriadis and Tarjan, 1989), and every breakpoint of the concave min-cut
 curve is an intersection of two such lines (Eisner and Severance, 1976). The
 sweep starts from C = 0 and the source's own arc capacity 2^16 deg(s) + 1,
 then probes the integers around the line intersection of each pair of
-adjacent known sides, until no probe finds a new side; it thereby finds the
-minimal min-cut side at every integer C in between. Neither end needs a
+adjacent known sides, until no probe finds a new side. Neither end needs a
 flow: at C = 0 the minimal side is the source's component, and at the top
-it is {s}, as any larger side costs at least C there. The sweep is verified
-against an exhaustive oracle rather than assumed correct.
+it is {s}, as any larger side costs at least C there. Along the nested
+sides the cut never shrinks as the side does, so the sweep skips a pair of
+known sides when the smaller one already cuts at most budget/lambda or the
+larger one cuts more: no side between them could be the answer. The sweep
+is verified against an exhaustive oracle rather than assumed correct.
 
 The solver runs its repetitions' sweeps in lockstep on the kept-edge rows
-of one network (``min_sbcc_many``): the flow network is built once and
-masked per row, and each round stacks the next max-flow probe of every
-running sweep into one block-diagonal flow network behind a shared
-super-source and super-sink, so one max-flow call answers them all. On
-K40 that is 2 calls for 16 sweeps instead of about 32, and a max-flow
-call costs about as much on a 2-vertex graph as on one sample's network.
-The flow helper is ``network._minimal_sides``, which also sets how many
-copies one call holds and answers the regime check: c_min needs max flows
-only from a minimum-degree vertex of a connected graph to its
-non-neighbours, so on a dense graph such as K40 it needs none.
+of one network (``min_sbcc_many``). A row whose {s} cuts at most
+budget/lambda is answered at the top, from its kept-edge row alone; on
+K40, where deg(s) <= 39 against 144 / 0.5 = 288, that is every row, so no
+flow network is copied and no max flow runs. The other rows mask one flow network built
+once, and each round stacks the next max-flow probe of every running sweep
+into one block-diagonal flow network behind a shared super-source and
+super-sink, so one max-flow call answers them all: a max-flow call costs
+about as much on a 2-vertex graph as on one sample's network. The flow
+helper is ``network._minimal_sides``, which also sets how many copies one
+call holds and answers the regime check: c_min needs max flows only from a
+minimum-degree vertex of a connected graph to its non-neighbours, so on a
+dense graph such as K40 it needs none.
 """
 
 from __future__ import annotations
@@ -78,7 +82,9 @@ class SbccSolution:
     in the residual network), so it is the source's component once
     ``cut_edges`` are removed. ``cut_size`` is at most budget/lambda.
     ``probes`` counts the sink capacities the sweep answered by a max
-    flow, all strictly between its two ends, 0 and 2^16 deg(s) + 1.
+    flow, all strictly between its two ends, 0 and 2^16 deg(s) + 1, and
+    each between two known sides whose cuts straddle budget/lambda; it is
+    0 when {s} is within budget/lambda.
     """
 
     cut_edges: tuple[int, ...]
@@ -89,47 +95,56 @@ class SbccSolution:
 
 
 def _sweep(
-    net: _FlowNetwork, component: np.ndarray, limit: float
+    base: _FlowNetwork, keep: np.ndarray, limit: float
 ) -> Generator[int, np.ndarray, SbccSolution]:
-    """The parametric sweep of one flow network, one probe at a time.
+    """The parametric sweep of one kept-edge row of ``base``, one side at a time.
 
-    ``component`` is the source's component in ``net``, the minimal side at
-    C = 0. Yields each sink capacity that needs a max flow, receives the
-    minimal min-cut side at that capacity, and returns the smallest side
-    found whose cut is at most ``limit``.
+    Yields each sink capacity whose minimal min-cut side it needs, receives
+    that side, and returns the smallest side found whose cut is at most
+    ``limit``. Its first ask, if any, is C = 0, where the side is the
+    source's component in the row; every later ask needs a max flow.
     """
-    inside = np.zeros(net.n, dtype=bool)
-    # side size -> (cut size, side); nested sides have distinct sizes
-    sides: dict[int, tuple[int, np.ndarray]] = {}
+    kept = keep[base.edges]
+    inside = np.zeros(base.n, dtype=bool)
+    # the smallest side found within the limit: (cut size, side, boundary arcs)
+    best: tuple[int, np.ndarray, np.ndarray] | None = None
     probes = 0
 
-    def leaving(side: np.ndarray) -> np.ndarray:
-        """Arc mask of the side's boundary: one arc out per boundary edge."""
+    def record(cap: int, side: np.ndarray) -> tuple[int, int, np.ndarray]:
+        nonlocal best
         inside[:] = False
         inside[side] = True
-        return inside[net.tails] & ~inside[net.heads]
-
-    def record(cap: int, side: np.ndarray) -> tuple[int, int, np.ndarray]:
-        cut = int(np.count_nonzero(leaving(side)))
-        sides[len(side)] = (cut, side)
+        # one kept arc out per boundary edge
+        leaving = kept & inside[base.tails] & ~inside[base.heads]
+        cut = int(np.count_nonzero(leaving))
+        if cut <= limit and (best is None or len(side) < len(best[1])):
+            best = (cut, side, leaving)
         return cap, cut, side
 
-    # The ends need no flow. At C = 0 every sink arc has capacity 0, so the
-    # minimal side is the source's component. At the source's arc capacity
-    # 2^16 deg(s) + 1 any side of two or more vertices costs at least that,
-    # so {s}, which costs 2^16 deg(s), is the unique minimizer.
-    lo = record(0, component)
-    hi = record(net.source_cap, np.array([net.s]))
+    # The ends need no flow. At the source's arc capacity 2^16 deg(s) + 1 any
+    # side of two or more vertices costs at least that, so {s}, which costs
+    # 2^16 deg(s), is the unique minimizer; its cut is deg(s), the row's kept
+    # non-loop edges at s. At C = 0 every sink arc has capacity 0, so the
+    # minimal side is the source's component, which cuts nothing; it is
+    # asked for only once the rule below needs it.
+    _, degree, top = record(0, np.array([base.s]))
+    work = [((0, 0, None), (_SCALE * degree + 1, degree, top))]
     # Between sides S_a > S_b found at C_a < C_b, a third side can be
     # minimal at an integer C only if it is minimal at floor(x) or ceil(x),
     # x the intersection of L_a and L_b: L_c - min(L_a, L_b) is convex in C
     # with its kink at x. x lies in [C_a, C_b], so a point outside the open
     # interval is an end that was already probed.
-    work = [(lo, hi)]
     while work:
         lo, hi = work.pop()
         (c_a, cut_a, side_a), (c_b, cut_b, side_b) = lo, hi
-        if len(side_a) == len(side_b):
+        # Along nested minimal sides the cut never shrinks as the side does:
+        # L_a <= L_b at C_a gives 2^16 (cut_b - cut_a) >= C_a (|S_a| - |S_b|).
+        # So no side in between is chosen if S_b already qualifies, nor can
+        # one qualify if S_a does not. Equal sides always stop here.
+        if cut_b <= limit or cut_a > limit:
+            continue
+        if side_a is None:
+            work.append((record(0, (yield 0)), hi))
             continue
         num = _SCALE * (cut_b - cut_a)
         den = len(side_a) - len(side_b)
@@ -144,13 +159,12 @@ def _sweep(
 
     # The C = 0 side cuts nothing, and min_sbcc_many rejects a NaN, infinite
     # or negative budget, so some side is within the limit.
-    comp = min(size for size, (cut, _) in sides.items() if cut <= limit)
-    cut, side = sides[comp]
+    cut, side, leaving = best
     return SbccSolution(
-        cut_edges=tuple(np.sort(net.edges[leaving(side)]).tolist()),
+        cut_edges=tuple(np.sort(base.edges[leaving]).tolist()),
         component=tuple(side.tolist()),
         cut_size=cut,
-        component_size=comp,
+        component_size=len(side),
         probes=probes,
     )
 
@@ -164,14 +178,17 @@ def min_sbcc_many(
     on the edges it keeps, with the network's source; it gets the exact
     parametric sweep of :func:`min_sbcc`, and ``cut_edges`` are edge ids of
     ``network``. The flow network is built once, with one sort of its
-    arcs, and each row's copy masks those sorted arcs. The C = 0 side of
-    every row comes from one call of the component kernel, and the top
-    side, at the source's arc capacity, is {s} without a flow. The sweeps
-    advance in rounds: a round takes the next probe of every sweep still
-    running and answers them all with one ``network._minimal_sides``
-    call, which stacks their flow networks block-diagonally into as few
-    max-flow calls as ``network.CELLS`` allows. Returns the solutions, in
-    row order, and the number of max-flow calls made.
+    arcs. The top side, at the source's arc capacity, is {s} without a
+    flow, and a row whose {s} is within budget/lambda is done there: it
+    gets no flow copy, no kernel row and no max flow. Every other row's
+    copy masks the sorted arcs, and its C = 0 side comes from one call of
+    the component kernel for all of them. The sweeps then advance in
+    rounds: a round takes the next probe of every sweep still running and
+    answers them all with one ``network._minimal_sides`` call, which stacks
+    their flow networks block-diagonally into as few max-flow calls as
+    ``network.CELLS`` allows. Returns the solutions, in row order, and the
+    number of max-flow calls made. ``InstanceTooLargeError`` is raised only
+    for a row that needs a flow and has a source degree of 2^15 or more.
     """
     if not 0.0 < lam < 1.0:
         raise ValidationError(f"lambda must lie in (0, 1), got {lam}")
@@ -186,24 +203,29 @@ def min_sbcc_many(
 
     s = network.source
     base = _FlowNetwork(network, s, np.delete(np.arange(network.n), s))
-    networks = [base.with_edges(keep) for keep in keep_rows]
-    components = source_component_members(network, keep_rows)
-    sweeps = [_sweep(net, np.flatnonzero(comp), budget / lam)
-              for net, comp in zip(networks, components)]
+    sweeps = [_sweep(base, keep, budget / lam) for keep in keep_rows]
     solutions: list[SbccSolution | None] = [None] * len(sweeps)
-    # the side each running sweep receives next; None starts it
-    sides: dict[int, np.ndarray | None] = dict.fromkeys(range(len(sweeps)))
-    flow_calls = 0
-    while sides:
-        caps: dict[int, int] = {}
+
+    def advance(sides: dict[int, np.ndarray | None]) -> dict[int, int]:
+        """Send each sweep its side (None starts it); the capacity each asks next."""
+        caps = {}
         for i, side in sides.items():
             try:
                 caps[i] = sweeps[i].send(side)
             except StopIteration as done:
                 solutions[i] = done.value
+        return caps
+
+    # the first asks are all for C = 0, from the rows whose {s} does not qualify
+    rows = list(advance(dict.fromkeys(range(len(sweeps)))))
+    networks = {i: base.with_edges(keep_rows[i]) for i in rows}
+    components = source_component_members(network, keep_rows[rows])
+    caps = advance({i: np.flatnonzero(comp) for i, comp in zip(rows, components)})
+    flow_calls = 0
+    while caps:
         found, calls = _minimal_sides([networks[i] for i in caps], list(caps.values()))
         flow_calls += calls
-        sides = dict(zip(caps, found))
+        caps = advance(dict(zip(caps, found)))
     return solutions, flow_calls
 
 
@@ -216,8 +238,9 @@ def min_sbcc(graph: ContactNetwork, budget: float, lam: float) -> SbccSolution:
     is within budget/lambda (hard guarantee on the cut side; the component
     side is validated empirically against the exhaustive oracle). The
     source's component at C = 0 cuts nothing, so some side always
-    qualifies. Unit edge capacities are required, and the source degree
-    must stay below 2^15 so that flow values fit in int32. This is
+    qualifies. Unit edge capacities are required. When {s} cuts more than
+    budget/lambda, so that a max flow is needed, the source degree must
+    stay below 2^15 so that flow values fit in int32. This is
     :func:`min_sbcc_many` on one row that keeps every edge.
     """
     return min_sbcc_many(graph, np.ones((1, graph.m), dtype=bool), budget, lam)[0][0]

@@ -207,6 +207,27 @@ def exact_sbcc_reference(network, budget):
     return best[2], best[0]
 
 
+def source_sides(network):
+    """Every source side S of a network (n <= 9), as (sorted vertex tuple, cut size)."""
+    n, s = network.n, network.source
+    assert n <= 9
+    sides = []
+    for mask in range(1 << n):
+        if mask >> s & 1:
+            side = tuple(v for v in range(n) if mask >> v & 1)
+            cut = sum((mask >> int(u) & 1) != (mask >> int(v) & 1)
+                      for u, v in zip(network.us, network.vs))
+            sides.append((side, cut))
+    return sides
+
+
+def minimal_side(sides, cap):
+    """The minimal min-cut side at sink capacity ``cap`` among ``source_sides``:
+    least L_S(cap) = 2^16 * cut(S) + cap * (|S| - 1), then least |S|."""
+    return min(sides, key=lambda sc: ((1 << 16) * sc[1] + cap * (len(sc[0]) - 1),
+                                      len(sc[0])))
+
+
 def parametric_sbcc_oracle(network, budget, lam):
     """Reference for ``min_sbcc`` by enumerating every source side (n <= 9).
 
@@ -218,28 +239,18 @@ def parametric_sbcc_oracle(network, budget, lam):
     of each slope can be a minimizer, so only those intersect. Returns
     (side, cut, component size, whether the side is within budget / lambda).
     """
-    n, s, scale = network.n, network.source, 1 << 16
-    assert n <= 9
-    sides = []
-    for mask in range(1 << n):
-        if mask >> s & 1:
-            side = tuple(v for v in range(n) if mask >> v & 1)
-            cut = sum((mask >> int(u) & 1) != (mask >> int(v) & 1)
-                      for u, v in zip(network.us, network.vs))
-            sides.append((side, cut))
+    sides = source_sides(network)
     lowest = {}
     for side, cut in sides:
         k = len(side) - 1
         lowest[k] = min(lowest.get(k, cut), cut)
     caps = {0}
     for (k_a, cut_a), (k_b, cut_b) in itertools.combinations(lowest.items(), 2):
-        num, den = scale * (cut_b - cut_a), k_a - k_b
+        num, den = (1 << 16) * (cut_b - cut_a), k_a - k_b
         if den < 0:
             num, den = -num, -den
         caps |= {c for c in (num // den, -(-num // den)) if c >= 0}
-    minimal = {min(sides, key=lambda sc: (scale * sc[1] + cap * (len(sc[0]) - 1),
-                                          len(sc[0])))
-               for cap in caps}
+    minimal = {minimal_side(sides, cap) for cap in caps}
     qualifying = [(len(side), cut, side) for side, cut in minimal if cut <= budget / lam]
     if qualifying:
         comp, cut, side = min(qualifying)

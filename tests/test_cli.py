@@ -247,6 +247,12 @@ BAD_FLAGS = {
                       "gamma must be a finite number above 1"),
     "saa-gamma-inf": ("solve-saa --graph GRAPH --budget 1 --gamma inf",
                       "gamma must be a finite number above 1"),
+    "saa-det-gamma-nan": ("solve-saa --graph GRAPH --budget 1 --gamma nan "
+                          "--rounding deterministic", "gamma must be a finite number above 1"),
+    "saa-det-gamma-inf": ("solve-saa --graph GRAPH --budget 1 --gamma inf "
+                          "--rounding deterministic", "gamma must be a finite number above 1"),
+    "node-det-gamma-1": ("solve-node --graph GRAPH --budget 1 --gamma 1 "
+                         "--rounding deterministic", "gamma must be a finite number above 1"),
     "karger-gamma-nan": ("solve-karger --graph GRAPH --budget 1 --gamma nan",
                          "gamma must be a finite number above 2"),
     "karger-gamma-inf": ("solve-karger --graph GRAPH --budget 1 --gamma inf",
@@ -267,6 +273,11 @@ BAD_FLAGS = {
     "bounds-kmax-negative": ("bounds --n 8 --beta 2.5 --kmax -2", "--kmax must be at least 1"),
     "ceiling-poly-nan": ("count-paths --n 8 --beta 2.5 --trials 5 --ceiling-poly nan,1",
                          "--ceiling-poly takes C,D (two finite numbers)"),
+    # n^D past float range, then C n^D past it with n^D within
+    "ceiling-poly-power": ("count-paths --n 8 --beta 2.5 --trials 5 --ceiling-poly 1,400",
+                           "--ceiling-poly takes C,D (two finite numbers) with C*n^D within"),
+    "ceiling-poly-product": ("count-paths --n 8 --beta 2.5 --trials 5 --ceiling-poly 1e300,30",
+                             "--ceiling-poly takes C,D (two finite numbers) with C*n^D within"),
 }
 
 

@@ -868,6 +868,20 @@ def test_randomized_rounding_validation():
         round_randomized(frac, gamma=2.0, epsilon=1.0, seed=0)
 
 
+@pytest.mark.parametrize("rounding", ["randomized", "deterministic"])
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, 1.0])
+def test_solve_saa_checks_gamma_before_drawing(monkeypatch, rounding, gamma):
+    """Either rounding refuses a gamma that is NaN, infinite or not above 1,
+    since the report carries it, and draws no sample first."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(saa, "draw_samples", no_draw)
+    with pytest.raises(ValidationError, match="gamma must be a finite number above 1"):
+        solve_saa(path_network(p=0.5), budget=1.0, epsilon=0.5, gamma=gamma,
+                  rounding=rounding, num_samples=20)
+
+
 def test_deterministic_threshold_boundary():
     net = complete_network(8, p=0.5)
     frac = craft_fraction(net, {0: 0.07, 1: 0.06}, budget=10.0)

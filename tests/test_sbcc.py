@@ -30,11 +30,13 @@ from conftest import (
     complete_network,
     exact_sbcc_reference,
     make_network,
+    minimal_side,
     parametric_sbcc_oracle,
     path_network,
     star_network,
     random_connected_network,
     recording_draws,
+    source_sides,
     union_find_component,
 )
 
@@ -301,8 +303,12 @@ def test_karger_counters_and_one_score_per_distinct_candidate(net, budget):
     # the sweeps' calls and the regime check's; K40 needs no regime flow
     assert report["flow_calls"] + report["regime_flow_calls"] == counts["flow"]
     assert (report["regime_flow_calls"] == 0) == (net.n == 40)
+    # on K40 every sample's {s} is within the limit, so no sweep probes; else
     # one call per round answers every running sweep's probe
-    assert -(-report["sweep_probes"] // 6) <= report["flow_calls"] < report["sweep_probes"]
+    if net.n == 40:
+        assert report["flow_calls"] == report["sweep_probes"] == 0
+    else:
+        assert -(-report["sweep_probes"] // 6) <= report["flow_calls"] < report["sweep_probes"]
     assert report["candidates_distinct"] == (1 if net.n == 40 else 3)
     # a repeated candidate carries the estimate scoring it afresh would give
     eval_seed = rng_module.derived_seed(4, "eval")
@@ -444,15 +450,30 @@ def test_sweep_ends_are_known_without_a_flow(case):
 @pytest.mark.parametrize("leaves", [(1 << 14) - 1, 1 << 14])
 def test_sweep_makes_no_flow_at_the_top_for_high_source_degree(leaves):
     """The top, the source's arc capacity 2^16 deg(s) + 1, needs no flow
-    however high deg(s) is, below 2^30 or above it: each star makes one
-    probe, where the whole star's line meets {s}'s, at 2^16 leaves / leaves."""
+    however high deg(s) is, below 2^30 or above it: with {s} over the
+    budget / lam of leaves / 2, each star makes one probe, where the whole
+    star's line meets {s}'s, at 2^16 leaves / leaves."""
     star = star_network(leaves)
     with mock.patch.object(sbcc_module, "_minimal_sides",
                            recording_minimal_sides(probed := [])):
-        sol = min_sbcc(star, budget=float(leaves), lam=0.5)
+        sol = min_sbcc(star, budget=leaves / 4, lam=0.5)
     assert probed == [network_module._SCALE]
     assert sol.probes == 1
-    # {s} cuts every leaf, within the budget / lam of 2 leaves
+    # the whole star cuts nothing; {s} cuts every leaf
+    assert (sol.component, sol.cut_size) == (tuple(range(leaves + 1)), 0)
+    assert sol.cut_edges == ()
+
+
+@pytest.mark.parametrize("leaves", [(1 << 14) - 1, 1 << 14])
+def test_sweep_makes_no_flow_when_the_top_qualifies(leaves):
+    """With {s} within the budget / lam of 2 leaves, the sweep is done at its
+    top: no ``_minimal_sides`` call at all."""
+    star = star_network(leaves)
+    spy = mock.Mock(side_effect=recording_minimal_sides(probed := []))
+    with mock.patch.object(sbcc_module, "_minimal_sides", spy):
+        sol = min_sbcc(star, budget=float(leaves), lam=0.5)
+    assert spy.call_count == 0 and probed == []
+    assert sol.probes == 0
     assert (sol.component, sol.cut_size) == ((0,), leaves)
     assert sol.cut_edges == tuple(range(leaves))
 
@@ -497,6 +518,79 @@ def test_min_sbcc_many_matches_one_at_a_time(case_rows, cells):
         split, split_calls = min_sbcc_many(net, rows, budget, lam)
     assert split == alone
     assert calls <= split_calls <= sum(sol.probes for sol in alone)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case_rows=sbcc_rows())
+# {s} cuts 5, 4 = budget / lam and 3
+@example(case_rows=((6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)], 0, 2.0, 0.5),
+                    [[True] * 5, [True] * 4 + [False], [True] * 3 + [False] * 2]))
+# the minimal sides cut 0, 1, 3 and 4: at limits 3 and 1 a side cuts exactly
+# the limit, and at limit 1 the pair of sides cutting 3 and 4 needs no probe
+@example(case_rows=((7, [(1, 2), (0, 3), (3, 5), (0, 4), (3, 6), (0, 1), (0, 5)], 0, 1.5, 0.5),
+                    [[True] * 7, [True] * 6 + [False]]))
+@example(case_rows=((7, [(1, 2), (0, 3), (3, 5), (0, 4), (3, 6), (0, 1), (0, 5)], 0, 0.5, 0.5),
+                    [[True] * 7]))
+# B = 0: the C = 0 side, which cuts nothing, is exactly at the limit
+@example(case_rows=((7, [(1, 2), (0, 3), (3, 5), (0, 4), (3, 6), (0, 1), (0, 5)], 0, 0.0, 0.5),
+                    [[True] * 7, [False] * 7]))
+def test_min_sbcc_many_matches_parametric_oracle(case_rows):
+    """Each row's answer is the parametric oracle's on the row's own subgraph.
+    A row gets a flow copy and a kernel row only when its {s} cuts more than
+    budget / lam, and a sweep probes a sink capacity only between the two
+    nearest capacities it knows, 0, 2^16 deg(s) + 1 and its earlier probes,
+    when their minimal sides' cuts straddle budget / lam: the smaller side
+    does not qualify and the larger one does, so the answer can still change."""
+    (n, edges, source, budget, lam), rows = case_rows
+    rows = np.asarray(rows, dtype=bool)
+    net = make_network(n, edges, source=source)
+    limit = budget / lam
+    degrees = [sum(u != v and source in (u, v) for u, v in (edges[e] for e in np.flatnonzero(keep)))
+               for keep in rows]
+    over = [r for r, degree in enumerate(degrees) if degree > limit]
+    copies: list = []  # (kept-edge row, its flow copy), in the order made
+    kernel_rows: list[int] = []
+    probed: dict[int, list[int]] = {}  # id of a flow copy -> its probes
+    with_edges = network_module._FlowNetwork.with_edges
+
+    def copy(flow_net, keep):
+        copies.append((keep.tolist(), with_edges(flow_net, keep)))
+        return copies[-1][1]
+
+    def members(network, keep_rows):
+        kernel_rows.append(len(keep_rows))
+        return source_component_members(network, keep_rows)
+
+    def flows(networks, caps):
+        for flow_net, cap in zip(networks, caps):
+            probed.setdefault(id(flow_net), []).append(cap)
+        return network_module._minimal_sides(networks, caps)
+
+    with mock.patch.object(network_module._FlowNetwork, "with_edges", copy), \
+         mock.patch.object(sbcc_module, "source_component_members", members), \
+         mock.patch.object(sbcc_module, "_minimal_sides", flows):
+        solutions, calls = min_sbcc_many(net, rows, budget, lam)
+    assert [keep for keep, _ in copies] == [rows[r].tolist() for r in over]
+    assert kernel_rows == [len(over)]
+    probes_of = {r: probed.get(id(flow_net), []) for r, (_, flow_net) in zip(over, copies)}
+    assert (calls == 0) == (not probed)
+
+    for r, (keep, sol, degree) in enumerate(zip(rows, solutions, degrees)):
+        caps = probes_of.get(r, [])
+        kept = np.flatnonzero(keep)
+        sub = make_network(n, [edges[e] for e in kept], source=source)
+        side, cut, comp, within = parametric_sbcc_oracle(sub, budget, lam)
+        assert within
+        assert (sol.component, sol.cut_size, sol.component_size) == (side, cut, comp)
+        assert sol.cut_edges == tuple(kept[list(boundary_of(sub, side))].tolist())
+        assert sol.probes == len(caps)
+        sides = source_sides(sub)
+        known = [0, network_module._SCALE * degree + 1]
+        for cap in caps:
+            below = max(c for c in known if c < cap)
+            above = min(c for c in known if c > cap)
+            assert minimal_side(sides, below)[1] <= limit < minimal_side(sides, above)[1]
+            known.append(cap)
 
 
 def test_sbcc_source_degree_overflow_guard():
