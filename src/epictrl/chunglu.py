@@ -408,8 +408,17 @@ def estimate_percolation_ceiling(
     largest value whose estimated expected surviving-path count stays below
     ``poly_coefficient * n ** poly_degree``. A diagnostic, not a certified
     bound: the true ceiling constant is not extractable in closed form.
+    Raises ``ValidationError`` when that polynomial is not a finite float.
     """
-    budget = poly_coefficient * model.n ** poly_degree
+    try:
+        budget = poly_coefficient * model.n ** poly_degree
+    except OverflowError:  # a float power past float range; a product past it is inf
+        budget = math.inf
+    if not math.isfinite(budget):
+        raise ValidationError(
+            f"C*n^D must be a finite float, got C = {poly_coefficient}, "
+            f"D = {poly_degree} at n = {model.n}"
+        )
     best = 0.0
     for g in range(1, CEILING_GRID + 1):
         p = g / CEILING_GRID

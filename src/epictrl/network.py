@@ -553,20 +553,24 @@ class _FlowNetwork:
     maps each to its edge id; a sink arc, whose head is the largest, goes
     after them, so :meth:`with_sinks` changes the sinks without a sort, and
     :meth:`with_edges` keeps a subset of the edges by masking the sorted
-    arcs. ``degree`` is the source's non-loop degree in this copy; it sets
-    ``source_cap`` and the int32 guard of :func:`_minimal_sides`.
+    arcs with :meth:`row`. ``degree`` is the source's non-loop degree in
+    this copy; it sets ``source_cap`` and the int32 guard of
+    :func:`_minimal_sides`.
     """
 
     def __init__(self, graph: ContactNetwork, source: int, sinks):
         self.n, self.s = graph.n, source
         self.sinks = np.asarray(sinks, dtype=np.int64)
-        self._set_arcs(*_arcs(graph)[:3])
+        self.tails, self.heads, self.edges = _arcs(graph)[:3]
+        _, self.degree, self.source_cap = self.row(np.ones(graph.m, dtype=bool))
 
-    def _set_arcs(self, tails, heads, edges) -> None:
-        self.tails, self.heads, self.edges = tails, heads, edges
-        self.degree = int(np.count_nonzero(tails == self.s))
+    def row(self, keep: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """The arc mask of the edges that the (m,) bool ``keep`` marks, and the
+        ``degree`` and ``source_cap`` of the copy on them, without the copy."""
+        kept = keep[self.edges]
+        degree = int(np.count_nonzero(kept & (self.tails == self.s)))
         # more than the out-arcs of s carry, so never saturated
-        self.source_cap = _SCALE * self.degree + 1
+        return kept, degree, _SCALE * degree + 1
 
     def with_sinks(self, sinks) -> "_FlowNetwork":
         """The same network with sink arcs from ``sinks`` instead."""
@@ -576,9 +580,10 @@ class _FlowNetwork:
 
     def with_edges(self, keep: np.ndarray) -> "_FlowNetwork":
         """The same network on the edges that the (m,) bool ``keep`` marks."""
-        kept = keep[self.edges]
+        kept, degree, source_cap = self.row(keep)
         other = copy.copy(self)
-        other._set_arcs(self.tails[kept], self.heads[kept], self.edges[kept])
+        other.tails, other.heads, other.edges = self.tails[kept], self.heads[kept], self.edges[kept]
+        other.degree, other.source_cap = degree, source_cap
         return other
 
 

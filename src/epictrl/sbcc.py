@@ -104,7 +104,7 @@ def _sweep(
     ``limit``. Its first ask, if any, is C = 0, where the side is the
     source's component in the row; every later ask needs a max flow.
     """
-    kept = keep[base.edges]
+    kept, _, top_cap = base.row(keep)
     inside = np.zeros(base.n, dtype=bool)
     # the smallest side found within the limit: (cut size, side, boundary arcs)
     best: tuple[int, np.ndarray, np.ndarray] | None = None
@@ -127,8 +127,7 @@ def _sweep(
     # non-loop edges at s. At C = 0 every sink arc has capacity 0, so the
     # minimal side is the source's component, which cuts nothing; it is
     # asked for only once the rule below needs it.
-    _, degree, top = record(0, np.array([base.s]))
-    work = [((0, 0, None), (_SCALE * degree + 1, degree, top))]
+    work = [((0, 0, None), record(top_cap, np.array([base.s])))]
     # Between sides S_a > S_b found at C_a < C_b, a third side can be
     # minimal at an integer C only if it is minimal at floor(x) or ceil(x),
     # x the intersection of L_a and L_b: L_c - min(L_a, L_b) is convex in C

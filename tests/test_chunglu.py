@@ -386,3 +386,12 @@ def test_percolation_ceiling_sweep_monotone_inputs():
     assert estimate_percolation_ceiling(model, k_max=3, trials=40, seed=1,
                                         poly_coefficient=1e-9,
                                         poly_degree=0.1) == 0.0
+
+
+# n^D past float range, then C n^D past it with n^D within
+@pytest.mark.parametrize("coeff, degree", [(1.0, 400.0), (1e300, 30.0), (math.nan, 1.0)])
+def test_percolation_ceiling_rejects_a_polynomial_outside_float_range(coeff, degree):
+    model = build_model(8, 2.5, 1, 2)
+    with pytest.raises(ValidationError, match=r"C\*n\^D must be a finite float"):
+        chunglu.estimate_percolation_ceiling(model, k_max=3, trials=5, seed=1,
+                                             poly_coefficient=coeff, poly_degree=degree)

@@ -275,9 +275,9 @@ BAD_FLAGS = {
                          "--ceiling-poly takes C,D (two finite numbers)"),
     # n^D past float range, then C n^D past it with n^D within
     "ceiling-poly-power": ("count-paths --n 8 --beta 2.5 --trials 5 --ceiling-poly 1,400",
-                           "--ceiling-poly takes C,D (two finite numbers) with C*n^D within"),
+                           "--ceiling-poly '1,400': C*n^D must be a finite float"),
     "ceiling-poly-product": ("count-paths --n 8 --beta 2.5 --trials 5 --ceiling-poly 1e300,30",
-                             "--ceiling-poly takes C,D (two finite numbers) with C*n^D within"),
+                             "--ceiling-poly '1e300,30': C*n^D must be a finite float"),
 }
 
 

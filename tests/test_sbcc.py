@@ -598,25 +598,29 @@ def test_sbcc_source_degree_overflow_guard():
 
     with pytest.raises(InstanceTooLargeError, match=r"degree 32768.*2\^15"):
         min_sbcc(star_network(1 << 15), budget=1.0, lam=0.5)
-    # one leaf fewer: the flow value 2^16 * (2^15 - 1) still fits in int32
+    # one leaf fewer: the flow value 2^16 * (2^15 - 1) still fits in int32.
+    # B / lam = 2^14 < 2^15 - 1, so {s} does not qualify and each row makes
+    # its one probe, at C = 2^16, where every side ties and {s} is minimal
     star = star_network((1 << 15) - 1)
-    sol = min_sbcc(star, budget=float(1 << 15), lam=0.5)
-    assert sol.component == (0,)
-    assert sol.cut_size == (1 << 15) - 1
+    budget = float(1 << 13)
+    sol = min_sbcc(star, budget=budget, lam=0.5)
+    assert sol.component == tuple(range(star.n))
+    assert (sol.cut_size, sol.cut_edges, sol.probes) == (0, (), 1)
     # three copies in one flow network: the total flow exceeds 2^31, each
     # copy's does not
     with mock.patch.object(network_module, "CELLS", 1 << 20):
-        stacked, calls = min_sbcc_many(star, np.ones((3, star.m), dtype=bool),
-                                       float(1 << 15), 0.5)
+        stacked, calls = min_sbcc_many(star, np.ones((3, star.m), dtype=bool), budget, 0.5)
     assert stacked == [sol] * 3
-    assert calls == sol.probes
-    # the guard reads each row's source degree, not the full graph's
+    assert calls == 1
+    # the guard reads each row's source degree, not the full graph's; a copy
+    # is over network.CELLS, so each row gets its own max flow
     big = star_network(1 << 15)
     rows = np.ones((2, big.m), dtype=bool)
     rows[0, -1] = rows[1, 0] = False
-    sols, _ = min_sbcc_many(big, rows, float(1 << 15), 0.5)
-    assert [s.component for s in sols] == [(0,), (0,)]
-    assert [s.cut_edges for s in sols] == [tuple(range(big.m - 1)), tuple(range(1, big.m))]
+    sols, calls = min_sbcc_many(big, rows, budget, 0.5)
+    assert calls == 2
+    assert [s.component for s in sols] == [tuple(range(big.n - 1)), (0, *range(2, big.n))]
+    assert [(s.cut_size, s.cut_edges, s.probes) for s in sols] == [(0, (), 1)] * 2
 
 
 def test_karger_report_is_the_same_at_any_evaluation_block_size():
