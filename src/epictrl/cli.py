@@ -35,7 +35,7 @@ from .network import (
     random_connected_network,
     write_network,
 )
-from .percolate import Z99, estimate_infections, exact_expected_infections
+from .percolate import Z99, check_eval_samples, estimate_infections, exact_expected_infections
 
 SCHEMA_VERSION = 1
 
@@ -279,6 +279,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_compare(args) -> int:
     net = load_network(args.graph)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    check_eval_samples(args.eval_samples)  # before any algorithm runs
     eval_seed = rng.derived_seed(args.seed, "compare")
     rows = []
     for algo in algos:

@@ -68,12 +68,16 @@ class ContactNetwork:
             raise ValidationError("edge endpoint out of range")
         if not (0 <= self.source < self.n):
             raise ValidationError(f"source id {self.source} out of range")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            bad = int(np.flatnonzero((probs < 0) | (probs > 1))[0])
+        # written so that NaN fails them; an infinite cost marks an edge
+        # that cannot be removed (merge_seeds)
+        wrong = ~((probs >= 0.0) & (probs <= 1.0))
+        if wrong.any():
+            bad = int(np.flatnonzero(wrong)[0])
             raise ValidationError(f"edge {bad}: probability {probs[bad]} outside [0, 1]")
-        if np.any(costs < 0.0):
-            bad = int(np.flatnonzero(costs < 0)[0])
-            raise ValidationError(f"edge {bad}: negative cost {costs[bad]}")
+        wrong = ~(costs >= 0.0)
+        if wrong.any():
+            bad = int(np.flatnonzero(wrong)[0])
+            raise ValidationError(f"edge {bad}: negative cost or NaN: {costs[bad]}")
         if len(us):
             pair_keys = np.minimum(us, vs) * self.n + np.maximum(us, vs)
             first = np.zeros(len(us), dtype=bool)
@@ -485,8 +489,8 @@ def load_network(path) -> ContactNetwork:
                 raise ParseError(f"bad number: {exc}", path, lineno) from None
             if not 0.0 <= prob <= 1.0:
                 raise ParseError(f"probability {prob} outside [0, 1]", path, lineno)
-            if cost < 0:
-                raise ParseError(f"negative cost {cost}", path, lineno)
+            if not cost >= 0:  # NaN too
+                raise ParseError(f"negative cost or NaN: {cost}", path, lineno)
             key = (min(u, v), max(u, v))
             if key in seen_edges:
                 raise ParseError(f"duplicate undirected edge {parts[0]} {parts[1]}", path, lineno)

@@ -184,8 +184,10 @@ def prepare_removal(
     to the kept edges with an endpoint in C, on C's vertices relabelled
     0..|C|-1, and the sizes are unchanged. When C holds every kept edge
     (say, G - removal is connected apart from removed vertices) the rows
-    run on the whole network. A restricted network is sized like any
-    other: by its 2^m table when it has at most ``MASK_TABLE_CAP`` edges.
+    run on the whole network. When the removal leaves the source no kept
+    non-loop edge, C = {s} is known without the kernel. A restricted
+    network is sized like any other: by its 2^m table when it has at most
+    ``MASK_TABLE_CAP`` edges.
     A removal that is already prepared comes back as it is, so a caller
     that scores one removal in several estimates prepares it once.
     """
@@ -196,7 +198,12 @@ def prepare_removal(
         return PreparedRemoval(network)
     if network.m <= MASK_TABLE_CAP:
         return PreparedRemoval(network, keep=keep)
-    inside = source_component_members(network, keep[np.newaxis, :])[0]
+    s = network.source
+    if keep[(network.us == s) != (network.vs == s)].any():
+        inside = source_component_members(network, keep[np.newaxis, :])[0]
+    else:
+        # no kept non-loop edge at the source: C = {s}, with no kernel call
+        inside = np.arange(network.n) == s
     # a kept edge with one endpoint in C has both there
     edges = np.flatnonzero(keep & inside[network.us])
     if len(edges) == np.count_nonzero(keep):
@@ -237,6 +244,12 @@ def component_sizes(
     if net.m <= MASK_TABLE_CAP:
         return infection_table(net)[keep_rows_to_masks(keep_rows)]
     return source_component_sizes(net, keep_rows)
+
+
+def check_eval_samples(eval_samples: int) -> None:
+    """Reject an evaluation sample count below 1, before a solver runs."""
+    if eval_samples < 1:
+        raise ValidationError(f"eval_samples must be at least 1, got {eval_samples}")
 
 
 def estimate_infections(

@@ -52,6 +52,7 @@ from .percolate import (
     MASK_TABLE_CAP,
     PATTERN_CELLS,
     affordable_subsets,
+    check_eval_samples,
     empirical_infections,
     estimate_infections,
     infection_table,
@@ -687,6 +688,7 @@ def solve_saa(
         raise ValidationError(f"unknown rounding {rounding!r}")
     # the report carries gamma under either rounding
     _check_gamma(gamma)
+    check_eval_samples(eval_samples)
     auto_n = required_sample_count(network.n, max(network.m, 1), epsilon)
     N = num_samples if num_samples is not None else auto_n
     samples = draw_samples(network, N, seed)

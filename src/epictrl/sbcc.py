@@ -27,18 +27,21 @@ larger one cuts more: no side between them could be the answer. The sweep
 is verified against an exhaustive oracle rather than assumed correct.
 
 The solver runs its repetitions' sweeps in lockstep on the kept-edge rows
-of one network (``min_sbcc_many``). A row whose {s} cuts at most
-budget/lambda is answered at the top, from its kept-edge row alone; on
-K40, where deg(s) <= 39 against 144 / 0.5 = 288, that is every row, so no
-flow network is copied and no max flow runs. The other rows mask one flow network built
-once, and each round stacks the next max-flow probe of every running sweep
+of one network (``min_sbcc_many``). Every row's {s} is read off one slice
+of the rows, on the source's arcs, and a row whose {s} cuts at most
+budget/lambda is answered there and starts no sweep; on K40, where
+deg(s) <= 39 against 144 / 0.5 = 288, that is every row, so no flow
+network is built and no max flow runs. The other rows mask one flow
+network built once, and each round stacks the next max-flow probe of every running sweep
 into one block-diagonal flow network behind a shared super-source and
 super-sink, so one max-flow call answers them all: a max-flow call costs
 about as much on a 2-vertex graph as on one sample's network. The flow
 helper is ``network._minimal_sides``, which also sets how many copies one
 call holds and answers the regime check: c_min needs max flows only from a
 minimum-degree vertex of a connected graph to its non-neighbours, so on a
-dense graph such as K40 it needs none.
+dense graph such as K40 it needs none. ``solve_karger`` then computes a
+boundary once per distinct component, and a removal and an estimate once
+per distinct candidate.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .network import (
     Intervention,
     _FlowNetwork,
     _SCALE,
+    _arcs,
     _minimal_sides,
     boundary_of,
     check_budget,
@@ -66,6 +70,7 @@ from .network import (
 from .percolate import (
     PATTERN_CELLS,
     affordable_subsets,
+    check_eval_samples,
     component_sizes,
     estimate_infections_many,
     sample_keep_matrix,
@@ -94,40 +99,50 @@ class SbccSolution:
     probes: int
 
 
-def _sweep(
-    base: _FlowNetwork, keep: np.ndarray, limit: float
-) -> Generator[int, np.ndarray, SbccSolution]:
-    """The parametric sweep of one kept-edge row of ``base``, one side at a time.
+def _solution(side: np.ndarray, cut_edges: np.ndarray, probes: int) -> SbccSolution:
+    """The solution whose source side is ``side``, cut by the edge ids ``cut_edges``."""
+    return SbccSolution(
+        cut_edges=tuple(sorted(cut_edges.tolist())),
+        component=tuple(side.tolist()),
+        cut_size=len(cut_edges),
+        component_size=len(side),
+        probes=probes,
+    )
 
-    Yields each sink capacity whose minimal min-cut side it needs, receives
-    that side, and returns the smallest side found whose cut is at most
-    ``limit``. Its first ask, if any, is C = 0, where the side is the
-    source's component in the row; every later ask needs a max flow.
+
+def _sweep(
+    net: _FlowNetwork, limit: float, top: tuple[int, int, np.ndarray]
+) -> Generator[int, np.ndarray, SbccSolution]:
+    """The parametric sweep of one row's flow copy ``net``, one side at a time.
+
+    ``top`` is the sweep's top end as (sink capacity, cut, side): {s} at
+    the source's arc capacity, which ``min_sbcc_many`` knows without a
+    flow and passes only when its cut is over ``limit``. Yields each sink
+    capacity whose minimal min-cut side it needs, receives that side, and
+    returns the smallest side found whose cut is at most ``limit``. Its
+    first ask is C = 0, where the side is the source's component in the
+    row; every later ask needs a max flow.
     """
-    kept, _, top_cap = base.row(keep)
-    inside = np.zeros(base.n, dtype=bool)
-    # the smallest side found within the limit: (cut size, side, boundary arcs)
-    best: tuple[int, np.ndarray, np.ndarray] | None = None
+    inside = np.zeros(net.n, dtype=bool)
+    # the smallest side found within the limit: (side, boundary arcs)
+    best: tuple[np.ndarray, np.ndarray] | None = None
     probes = 0
 
     def record(cap: int, side: np.ndarray) -> tuple[int, int, np.ndarray]:
         nonlocal best
         inside[:] = False
         inside[side] = True
-        # one kept arc out per boundary edge
-        leaving = kept & inside[base.tails] & ~inside[base.heads]
+        # one arc out per boundary edge
+        leaving = inside[net.tails] & ~inside[net.heads]
         cut = int(np.count_nonzero(leaving))
-        if cut <= limit and (best is None or len(side) < len(best[1])):
-            best = (cut, side, leaving)
+        if cut <= limit and (best is None or len(side) < len(best[0])):
+            best = (side, leaving)
         return cap, cut, side
 
-    # The ends need no flow. At the source's arc capacity 2^16 deg(s) + 1 any
-    # side of two or more vertices costs at least that, so {s}, which costs
-    # 2^16 deg(s), is the unique minimizer; its cut is deg(s), the row's kept
-    # non-loop edges at s. At C = 0 every sink arc has capacity 0, so the
-    # minimal side is the source's component, which cuts nothing; it is
-    # asked for only once the rule below needs it.
-    work = [((0, 0, None), record(top_cap, np.array([base.s])))]
+    # At C = 0 every sink arc has capacity 0, so the minimal side is the
+    # source's component, which cuts nothing; it is asked for only once the
+    # rule below needs it.
+    work = [((0, 0, None), top)]
     # Between sides S_a > S_b found at C_a < C_b, a third side can be
     # minimal at an integer C only if it is minimal at floor(x) or ceil(x),
     # x the intersection of L_a and L_b: L_c - min(L_a, L_b) is convex in C
@@ -158,14 +173,8 @@ def _sweep(
 
     # The C = 0 side cuts nothing, and min_sbcc_many rejects a NaN, infinite
     # or negative budget, so some side is within the limit.
-    cut, side, leaving = best
-    return SbccSolution(
-        cut_edges=tuple(np.sort(base.edges[leaving]).tolist()),
-        component=tuple(side.tolist()),
-        cut_size=cut,
-        component_size=len(side),
-        probes=probes,
-    )
+    side, leaving = best
+    return _solution(side, net.edges[leaving], probes)
 
 
 def min_sbcc_many(
@@ -176,15 +185,19 @@ def min_sbcc_many(
     Row r of the (R, m) bool ``keep_rows`` is the subgraph of ``network``
     on the edges it keeps, with the network's source; it gets the exact
     parametric sweep of :func:`min_sbcc`, and ``cut_edges`` are edge ids of
-    ``network``. The flow network is built once, with one sort of its
-    arcs. The top side, at the source's arc capacity, is {s} without a
-    flow, and a row whose {s} is within budget/lambda is done there: it
-    gets no flow copy, no kernel row and no max flow. Every other row's
-    copy masks the sorted arcs, and its C = 0 side comes from one call of
-    the component kernel for all of them. The sweeps then advance in
-    rounds: a round takes the next probe of every sweep still running and
-    answers them all with one ``network._minimal_sides`` call, which stacks
-    their flow networks block-diagonally into as few max-flow calls as
+    ``network``. The top side, at the source's arc capacity, is {s}
+    without a flow, and every row's {s} comes from one slice of the rows,
+    on the source's arcs in the network's cached ``_arcs``: its cut is the
+    row's kept non-loop degree at s. A row whose {s} is within
+    budget/lambda is answered there, with no sweep, no flow copy, no
+    kernel row and no max flow; when that is every row, no flow network
+    is built at all. Otherwise the flow network is built once, with one
+    sort of its arcs, and every other row's sweep runs on a copy that
+    masks the sorted arcs. Their C = 0 sides come from one call of the
+    component kernel. The sweeps then advance in rounds: a round takes
+    the next probe of every sweep still running and answers them all
+    with one ``network._minimal_sides`` call, which stacks their flow
+    networks block-diagonally into as few max-flow calls as
     ``network.CELLS`` allows. Returns the solutions, in row order, and the
     number of max-flow calls made. ``InstanceTooLargeError`` is raised only
     for a row that needs a flow and has a source degree of 2^15 or more.
@@ -201,28 +214,46 @@ def min_sbcc_many(
         )
 
     s = network.source
+    limit = budget / lam
+    # The top end needs no flow. At the source's arc capacity 2^16 deg(s) + 1
+    # any side of two or more vertices costs at least that, so {s}, which
+    # costs 2^16 deg(s), is the unique minimizer; its cut is deg(s), the
+    # row's kept arcs out of s.
+    _, _, arc_edges, starts = _arcs(network)
+    at_s = arc_edges[starts[s]:starts[s + 1]]
+    kept_at_s = keep_rows[:, at_s]
+    top = np.array([s])
+    solutions: list[SbccSolution | None] = [None] * len(keep_rows)
+    degrees = np.count_nonzero(kept_at_s, axis=1).tolist()
+    for r, degree in enumerate(degrees):
+        if degree <= limit:
+            solutions[r] = _solution(top, at_s[kept_at_s[r]], 0)
+    rows = [r for r, sol in enumerate(solutions) if sol is None]
+    if not rows:
+        return solutions, 0
+
     base = _FlowNetwork(network, s, np.delete(np.arange(network.n), s))
-    sweeps = [_sweep(base, keep, budget / lam) for keep in keep_rows]
-    solutions: list[SbccSolution | None] = [None] * len(sweeps)
+    networks = {r: base.with_edges(keep_rows[r]) for r in rows}
+    sweeps = {r: _sweep(net, limit, (net.source_cap, degrees[r], top))
+              for r, net in networks.items()}
 
     def advance(sides: dict[int, np.ndarray | None]) -> dict[int, int]:
         """Send each sweep its side (None starts it); the capacity each asks next."""
         caps = {}
-        for i, side in sides.items():
+        for r, side in sides.items():
             try:
-                caps[i] = sweeps[i].send(side)
+                caps[r] = sweeps[r].send(side)
             except StopIteration as done:
-                solutions[i] = done.value
+                solutions[r] = done.value
         return caps
 
-    # the first asks are all for C = 0, from the rows whose {s} does not qualify
-    rows = list(advance(dict.fromkeys(range(len(sweeps)))))
-    networks = {i: base.with_edges(keep_rows[i]) for i in rows}
+    # every sweep's first ask is for C = 0
+    advance(dict.fromkeys(rows))
     components = source_component_members(network, keep_rows[rows])
-    caps = advance({i: np.flatnonzero(comp) for i, comp in zip(rows, components)})
+    caps = advance({r: np.flatnonzero(comp) for r, comp in zip(rows, components)})
     flow_calls = 0
     while caps:
-        found, calls = _minimal_sides([networks[i] for i in caps], list(caps.values()))
+        found, calls = _minimal_sides([networks[r] for r in caps], list(caps.values()))
         flow_calls += calls
         caps = advance(dict(zip(caps, found)))
     return solutions, flow_calls
@@ -295,9 +326,12 @@ def solve_karger(
     of the source, and proposes the boundary of S in the original graph.
     Candidates are compared on a shared fresh Monte Carlo evaluation stream,
     drawn and sized block by block, and the lowest estimated infection
-    count wins. When every distinct candidate leaves the source no edge
-    (on K40 the sampled cut isolates it), the stream is not drawn at all
-    and each estimate is 1 with half-width 0. Self-loops are inert, so only
+    count wins; equal components share one boundary, and equal candidates
+    one removal, which is also the one returned. When every distinct
+    candidate leaves the source no edge (on K40 the sampled cut isolates
+    it), the stream is not drawn at all and each estimate is 1 with
+    half-width 0. ``eval_samples`` below 1 is refused before any sample
+    is drawn. Self-loops are inert, so only
     non-loop edges must carry probability p (``sparsification_regime``
     checks this before any sampling).
     """
@@ -310,6 +344,7 @@ def solve_karger(
     check_budget(budget)
     if repetitions is not None and repetitions < 1:
         raise ValidationError(f"repetitions must be at least 1, got {repetitions}")
+    check_eval_samples(eval_samples)
     # n >= 2, which the regime check below requires, makes this at least 3
     reps = repetitions if repetitions is not None else math.ceil(4 * math.log(network.n))
 
@@ -317,31 +352,29 @@ def solve_karger(
 
     keep_rows = sample_keep_matrix(network, seed, 0, reps)
     solutions, flow_calls = min_sbcc_many(network, keep_rows, budget=gamma * budget * p, lam=lam)
-    candidates: list[dict] = []
-    members_per_candidate: list[tuple[int, ...]] = []
-    for sol in solutions:
-        barrier = boundary_of(network, sol.component)
-        members_per_candidate.append(barrier)
-        candidates.append({
-            "cut_cost": float(len(barrier)),
-            "component_size": len(sol.component),
-            "component_members": list(sol.component),
-            "members": [int(e) for e in barrier],
-            "sample_cut_size": sol.cut_size,
-        })
-
-    # equal candidates get equal estimates: score each distinct one once, all
-    # of them on the shared evaluation stream
-    distinct = list(dict.fromkeys(members_per_candidate))
+    # equal components give equal barriers, and equal barriers equal
+    # removals and estimates: each is computed once, the estimates of all
+    # distinct removals on the shared evaluation stream
+    barriers = {comp: boundary_of(network, comp)
+                for comp in dict.fromkeys(sol.component for sol in solutions)}
+    members_per_candidate = [barriers[sol.component] for sol in solutions]
+    removals = {members: edge_removal(network, members)
+                for members in dict.fromkeys(members_per_candidate)}
     estimates = estimate_infections_many(
-        network, [edge_removal(network, members) for members in distinct], eval_samples,
-        rng.derived_seed(seed, "eval"))
-    scores = dict(zip(distinct, estimates))
-    for cand, members in zip(candidates, members_per_candidate):
-        cand["mc_mean"], cand["mc_half_width"] = scores[members].mean, scores[members].half_width
+        network, list(removals.values()), eval_samples, rng.derived_seed(seed, "eval"))
+    scores = dict(zip(removals, estimates))
+    candidates = [{
+        "cut_cost": float(len(barrier)),
+        "component_size": len(sol.component),
+        "component_members": list(sol.component),
+        "members": list(barrier),
+        "sample_cut_size": sol.cut_size,
+        "mc_mean": scores[barrier].mean,
+        "mc_half_width": scores[barrier].half_width,
+    } for sol, barrier in zip(solutions, members_per_candidate)]
 
     chosen_index = min(range(reps), key=lambda i: (candidates[i]["mc_mean"], i))
-    chosen = edge_removal(network, members_per_candidate[chosen_index])
+    chosen = removals[members_per_candidate[chosen_index]]
     if regime.epsilon < 1.0:
         budget_bound = gamma / ((1.0 - regime.epsilon) * lam) * budget
     else:

@@ -1,9 +1,11 @@
 import inspect
 import json
+from unittest import mock
 
 import pytest
 
 from epictrl import load_network, saa, sbcc
+from epictrl import rng as rng_module
 from epictrl import network as network_module
 from epictrl.cli import build_parser, main
 
@@ -317,6 +319,22 @@ def test_bad_value_exits_2_and_writes_nothing(tmp_path, capsys, case):
     if case in BAD_FLAGS:
         assert f"error_code=validation {BAD_FLAGS[case][1]}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "solve-saa --graph GRAPH --budget 1 --samples 5 --eval-samples 0",
+    "solve-karger --graph GRAPH --budget 1 --eval-samples 0",
+    "compare --graph GRAPH --budget 1 --samples 5 --eval-samples 0",
+], ids=["solve-saa", "solve-karger", "compare"])
+def test_eval_samples_below_one_fails_before_any_draw(tmp_path, capsys, argv):
+    graph = path_graph_file(tmp_path)
+    draws = mock.Mock(side_effect=rng_module.sample_stream)
+    with mock.patch.object(rng_module, "sample_stream", draws):
+        assert main([graph if word == "GRAPH" else word for word in argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error_code=")] \
+        == ["error_code=validation eval_samples must be at least 1, got 0"]
+    assert draws.call_count == 0
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -22,7 +23,7 @@ from epictrl import (
     sparsification_regime,
 )
 from epictrl import network as network_module
-from epictrl.network import _edge_connectivity, boundary_of
+from epictrl.network import ContactNetwork, _edge_connectivity, boundary_of
 
 from conftest import (
     complete_network,
@@ -68,6 +69,27 @@ def test_load_negative_cost(tmp_path):
     p = write(tmp_path, "@source a\na b -2 0.5\n")
     with pytest.raises(ParseError, match="negative cost"):
         load_network(p)
+
+
+@pytest.mark.parametrize("entry", ["api", "file"])
+@pytest.mark.parametrize("field", ["prob", "cost"])
+def test_nan_probability_or_cost_is_rejected(tmp_path, entry, field):
+    """NaN passes every check written as ``< 0`` or ``> 1``; it is refused,
+    naming the edge (API) or the line (file). An infinite cost stays legal:
+    it marks an edge that cannot be removed."""
+    def build(cost, prob):
+        if entry == "api":
+            return ContactNetwork(n=3, us=np.array([0, 1]), vs=np.array([1, 2]),
+                                  costs=np.array([1.0, cost]), probs=np.array([0.5, prob]),
+                                  source=0)
+        return load_network(write(tmp_path, f"@source a\na b 1.0 0.5\nb c {cost} {prob}\n"))
+
+    cost, prob = (1.0, math.nan) if field == "prob" else (math.nan, 0.5)
+    message = "probability nan outside" if field == "prob" else "negative cost or NaN: nan"
+    where = "edge 1: " if entry == "api" else ":3: "
+    with pytest.raises(ValidationError, match=re.escape(where + message)):
+        build(cost, prob)
+    assert build(math.inf, 0.5).costs[1] == math.inf
 
 
 def test_load_duplicate_edge_either_orientation(tmp_path):

@@ -531,6 +531,8 @@ def restriction_cases(draw):
 
 LOOPED = make_network(9, [(0, 1), (1, 1), (1, 2), (2, 3), (3, 3)]
                       + list(itertools.combinations(range(3, 9), 2)))
+# K7 whose source 6 is the second endpoint of each of its edges
+LAST_SOURCE = make_network(7, list(itertools.combinations(range(7), 2)), source=6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -545,13 +547,24 @@ LOOPED = make_network(9, [(0, 1), (1, 1), (1, 2), (2, 3), (3, 3)]
 # C = {0, 1, 2} (m = 20): a self-loop inside it and one outside, R = 5 and 0
 @example(case=(LOOPED, np.ones((5, LOOPED.m), dtype=bool), edge_removal(LOOPED, [3]), 3))
 @example(case=(LOOPED, np.ones((0, LOOPED.m), dtype=bool), edge_removal(LOOPED, [3]), 3))
+# the source keeps only edges it is the second endpoint of
+@example(case=(LAST_SOURCE, np.ones((2, 21), dtype=bool), edge_removal(LAST_SOURCE, [0]), 5))
+@example(case=(LAST_SOURCE, np.ones((2, 21), dtype=bool),
+               edge_removal(LAST_SOURCE, boundary_of(LAST_SOURCE, [6])), 5))
 def test_component_sizes_restricted_to_source_component(case):
+    """Sizes match conftest's union-find on every path; a removal that
+    isolates the source finds C = {s} without the component kernel."""
     net, keep, removed, cells = case
-    expected = union_find_sizes(net, keep & removal_edge_keep(net, removed))
+    after = removal_edge_keep(net, removed)
+    expected = union_find_sizes(net, keep & after)
+    members = mock.Mock(side_effect=percolate_module.source_component_members)
     # small blocks: the restricted rows span several
-    with mock.patch.object(network_module, "CELLS", cells):
+    with mock.patch.object(network_module, "CELLS", cells), \
+         mock.patch.object(percolate_module, "source_component_members", members):
         sizes = component_sizes(net, keep, removed)
     assert np.array_equal(sizes, expected)
+    if union_find_component(net, after) == (net.source,):
+        assert members.call_count == 0
 
 
 def test_estimate_order_insensitive_totals():

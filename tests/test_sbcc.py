@@ -263,15 +263,20 @@ def test_karger_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("net, budget", [
-    (complete_network(40, p=0.9), 40.0),  # every candidate isolates the source
+RANDOM_20 = random_connected_network(np.random.default_rng(1), n_lo=10, n_hi=12, max_m=20,
+                                     p_mode=0.5)
+
+
+@pytest.mark.parametrize("net, budget, seed, distinct", [
+    (complete_network(40, p=0.9), 40.0, 4, 1),  # every candidate isolates the source
     # 3 distinct of 6, two of them of equal size
-    (random_connected_network(np.random.default_rng(1), n_lo=10, n_hi=12, max_m=20,
-                              p_mode=0.5), 0.25),
-])
-def test_karger_counters_and_one_score_per_distinct_candidate(net, budget):
+    (RANDOM_20, 0.25, 4, 3),
+    # 5 distinct of 6, three of size 2, and the last one is chosen
+    (RANDOM_20, 0.25, 0, 5),
+], ids=["k40", "random-3-distinct", "random-5-distinct"])
+def test_karger_counters_and_one_score_per_distinct_candidate(net, budget, seed, distinct):
     p = float(net.probs[0])
-    counts = {"flow": 0, "prepare": 0, "draw": 0, "sizes": 0}
+    counts = {"flow": 0, "prepare": 0, "draw": 0, "sizes": 0, "boundary": 0, "removal": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -287,11 +292,22 @@ def test_karger_counters_and_one_score_per_distinct_candidate(net, budget):
          mock.patch.object(sbcc_module, "sample_keep_matrix", draw), \
          mock.patch.object(percolate_module, "sample_keep_matrix", draw), \
          mock.patch.object(percolate_module, "component_sizes",
-                           counted("sizes", percolate_module.component_sizes)):
-        _, report = solve_karger(net, budget=budget, p=p, repetitions=6,
-                                 eval_samples=50, seed=4)
-    distinct = {tuple(c["members"]) for c in report["candidates"]}
-    assert report["candidates_distinct"] == len(distinct) == counts["prepare"]
+                           counted("sizes", percolate_module.component_sizes)), \
+         mock.patch.object(sbcc_module, "boundary_of",
+                           counted("boundary", sbcc_module.boundary_of)), \
+         mock.patch.object(sbcc_module, "edge_removal",
+                           counted("removal", sbcc_module.edge_removal)):
+        chosen, report = solve_karger(net, budget=budget, p=p, repetitions=6,
+                                      eval_samples=50, seed=seed)
+    members = {tuple(c["members"]) for c in report["candidates"]}
+    assert report["candidates_distinct"] == len(members) == distinct
+    # one barrier per distinct component, and one removal, prepared once, per
+    # distinct barrier; the chosen candidate's removal is that same one
+    assert counts["boundary"] == len({tuple(c["component_members"])
+                                      for c in report["candidates"]})
+    assert counts["removal"] == counts["prepare"] == distinct
+    assert list(chosen.members) == report["candidates"][report["chosen_index"]]["members"]
+    assert chosen.cost == report["cost"]
     # the repetitions' draw, then the evaluation's blocks, each sized under
     # every distinct candidate; on K40 the candidate leaves the source no
     # edge, so the evaluation draws and sizes nothing
@@ -309,19 +325,18 @@ def test_karger_counters_and_one_score_per_distinct_candidate(net, budget):
         assert report["flow_calls"] == report["sweep_probes"] == 0
     else:
         assert -(-report["sweep_probes"] // 6) <= report["flow_calls"] < report["sweep_probes"]
-    assert report["candidates_distinct"] == (1 if net.n == 40 else 3)
     # a repeated candidate carries the estimate scoring it afresh would give
-    eval_seed = rng_module.derived_seed(4, "eval")
+    eval_seed = rng_module.derived_seed(seed, "eval")
     for cand in report["candidates"]:
         est = estimate_infections(net, edge_removal(net, cand["members"]), 50, eval_seed)
         assert (cand["mc_mean"], cand["mc_half_width"]) == (est.mean, est.half_width)
     # the counters repeat, and one copy per flow call makes one call per probe
     _, again = solve_karger(net, budget=budget, p=p, repetitions=6,
-                            eval_samples=50, seed=4)
+                            eval_samples=50, seed=seed)
     assert again == report
     with mock.patch.object(network_module, "CELLS", 1):
         _, split = solve_karger(net, budget=budget, p=p, repetitions=6,
-                                eval_samples=50, seed=4)
+                                eval_samples=50, seed=seed)
     assert split["flow_calls"] == split["sweep_probes"] == report["sweep_probes"]
     # the regime check's split too, one call per non-neighbour of a
     # minimum-degree vertex of these connected graphs; nothing else moves
@@ -536,11 +551,12 @@ def test_min_sbcc_many_matches_one_at_a_time(case_rows, cells):
                     [[True] * 7, [False] * 7]))
 def test_min_sbcc_many_matches_parametric_oracle(case_rows):
     """Each row's answer is the parametric oracle's on the row's own subgraph.
-    A row gets a flow copy and a kernel row only when its {s} cuts more than
-    budget / lam, and a sweep probes a sink capacity only between the two
-    nearest capacities it knows, 0, 2^16 deg(s) + 1 and its earlier probes,
-    when their minimal sides' cuts straddle budget / lam: the smaller side
-    does not qualify and the larger one does, so the answer can still change."""
+    A row gets a sweep, a flow copy and a kernel row only when its {s} cuts
+    more than budget / lam, and the flow network is built only when some
+    row does. A sweep probes a sink capacity only between the two nearest
+    capacities it knows, 0, 2^16 deg(s) + 1 and its earlier probes, when
+    their minimal sides' cuts straddle budget / lam: the smaller side does
+    not qualify and the larger one does, so the answer can still change."""
     (n, edges, source, budget, lam), rows = case_rows
     rows = np.asarray(rows, dtype=bool)
     net = make_network(n, edges, source=source)
@@ -551,11 +567,22 @@ def test_min_sbcc_many_matches_parametric_oracle(case_rows):
     copies: list = []  # (kept-edge row, its flow copy), in the order made
     kernel_rows: list[int] = []
     probed: dict[int, list[int]] = {}  # id of a flow copy -> its probes
-    with_edges = network_module._FlowNetwork.with_edges
+    with_edges, flow_network, run_sweep = (network_module._FlowNetwork.with_edges,
+                                           network_module._FlowNetwork, sbcc_module._sweep)
+    bases: list = []  # the flow networks built
+    swept: list = []  # the flow copy of each sweep started
 
     def copy(flow_net, keep):
         copies.append((keep.tolist(), with_edges(flow_net, keep)))
         return copies[-1][1]
+
+    def build(*args):
+        bases.append(flow_network(*args))
+        return bases[-1]
+
+    def sweep(flow_net, *args):
+        swept.append(flow_net)
+        return run_sweep(flow_net, *args)
 
     def members(network, keep_rows):
         kernel_rows.append(len(keep_rows))
@@ -567,11 +594,15 @@ def test_min_sbcc_many_matches_parametric_oracle(case_rows):
         return network_module._minimal_sides(networks, caps)
 
     with mock.patch.object(network_module._FlowNetwork, "with_edges", copy), \
+         mock.patch.object(sbcc_module, "_FlowNetwork", build), \
+         mock.patch.object(sbcc_module, "_sweep", sweep), \
          mock.patch.object(sbcc_module, "source_component_members", members), \
          mock.patch.object(sbcc_module, "_minimal_sides", flows):
         solutions, calls = min_sbcc_many(net, rows, budget, lam)
     assert [keep for keep, _ in copies] == [rows[r].tolist() for r in over]
-    assert kernel_rows == [len(over)]
+    assert len(bases) == (1 if over else 0)
+    assert swept == [flow_net for _, flow_net in copies]
+    assert kernel_rows == ([len(over)] if over else [])
     probes_of = {r: probed.get(id(flow_net), []) for r, (_, flow_net) in zip(over, copies)}
     assert (calls == 0) == (not probed)
 
@@ -627,8 +658,7 @@ def test_karger_report_is_the_same_at_any_evaluation_block_size():
     """The candidates are scored on blocks of 1, 3 and 7 evaluation samples
     (the estimate draws ``kernel_rows`` samples per block) with the same
     report as on one block of 50."""
-    net = random_connected_network(np.random.default_rng(1), n_lo=10, n_hi=12, max_m=20,
-                                   p_mode=0.5)
+    net = RANDOM_20
     _, report = solve_karger(net, budget=0.25, p=0.5, repetitions=6, eval_samples=50, seed=4)
     assert report["candidates_distinct"] == 3
     for rows in (1, 3, 7):
