@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import rng
 from .errors import InstanceTooLargeError, ValidationError
@@ -296,6 +295,8 @@ def expected_path_count_bound(model: ChungLuModel, k: int) -> float:
     weight classes and m is the expected edge count. Allocations demanding
     more vertices than a class holds contribute nothing.
     """
+    from scipy.special import gammaln, logsumexp
+
     if k < 0:
         raise ValidationError("k must be >= 0")
     if k == 0:
@@ -385,6 +386,8 @@ def allocation_sum_bound(max_class: int, k: int, decay: float, w_min: int) -> fl
 
     Valid (dominates the allocation sum) when decay > 1.
     """
+    from scipy.special import gammaln
+
     _validate_allocation_args(max_class, k, decay, w_min)
     if decay <= 1.0:
         raise ValidationError(f"bound requires decay > 1, got {decay}")

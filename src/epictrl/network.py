@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import InstanceTooLargeError, ParseError, ValidationError
 
@@ -547,6 +545,24 @@ def write_network(network: ContactNetwork, path) -> None:
             fh.write(f"{lab} {lab} 1.0 0.0\n")
 
 
+# scipy's graph routines, imported on their first call: scipy.sparse.csgraph
+# pulls in scipy.sparse, scipy.sparse.linalg and scipy.linalg, which a run
+# without a max flow or an LP never needs (see the package docstring).
+
+def breadth_first_order(*args, **kwargs):
+    """``scipy.sparse.csgraph.breadth_first_order``."""
+    from scipy.sparse.csgraph import breadth_first_order
+
+    return breadth_first_order(*args, **kwargs)
+
+
+def maximum_flow(*args, **kwargs):
+    """``scipy.sparse.csgraph.maximum_flow``."""
+    from scipy.sparse.csgraph import maximum_flow
+
+    return maximum_flow(*args, **kwargs)
+
+
 class _FlowNetwork:
     """The super-sink flow network of one graph, built once.
 
@@ -609,6 +625,8 @@ def _minimal_sides(networks: list[_FlowNetwork],
     ``InstanceTooLargeError`` before building anything when a copy's flow
     value, 2^16 times its source degree, would overflow int32.
     """
+    from scipy import sparse
+
     for net in networks:
         if _SCALE * net.degree > np.iinfo(np.int32).max:
             raise InstanceTooLargeError(

@@ -34,14 +34,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from . import rng
 from .errors import InstanceTooLargeError, SolverError, ValidationError
 from .network import (
     ContactNetwork,
     Intervention,
+    breadth_first_order,
     check_budget,
     edge_removal,
     kernel_rows,
@@ -218,7 +217,9 @@ class LpModel:
     # them; the benchmark change that takes the LP size from the report's
     # counters deletes them.
     @property
-    def a_ub(self) -> sparse.csr_matrix:
+    def a_ub(self):
+        from scipy import sparse
+
         return sparse.csr_matrix(self.budget_row.reshape(1, -1))
 
     @property
@@ -347,9 +348,10 @@ def _cut_rows(dist, pred, copy_counts, groups, model: LpModel, num_groups: int):
     A tree arc is an arc whose tail is its head's predecessor; scipy's pred
     is int32, so it is only compared and indexed, never multiplied. Each
     entry is the int64 key ((row, column) << bits) | count, so one sort
-    groups the entries by (row, column) and the counts sum exactly. Copies
-    end kept edges, so G <= 2m and num_x + G <= 4m; SAMPLE_DRAW_CAP holds N m
-    at 2^24, so a key stays below (8 m^2 + 1) 2N < 2^53, far below 2^63.
+    groups the entries by (row, column) and the counts sum exactly. An arc
+    that weighs no column takes the column ``end`` past every row, so a key
+    stays below ((2 G - 1) width + 1) << bits, which ``solve_lp`` checks
+    against 2^63 before the first round (:func:`_check_cut_keys`).
     """
     num_x, N = model.num_x, model.samples.N
     width = num_x + num_groups
@@ -382,6 +384,18 @@ def _cut_rows(dist, pred, copy_counts, groups, model: LpModel, num_groups: int):
     index = pairs[:stop] % width
     value = np.where(index < num_x, -totals[:stop] / N, -1.0)
     return np.searchsorted(pairs[:stop], np.arange(num_groups + 1) * width), index, value, rhs
+
+
+def _check_cut_keys(num_groups: int, width: int, N: int) -> None:
+    """Raise ``InstanceTooLargeError`` when :func:`_cut_rows`' int64 keys could
+    wrap: a ``SampleSet`` built by hand skips ``SAMPLE_DRAW_CAP``."""
+    if ((2 * num_groups - 1) * width + 1) << N.bit_length() >= 1 << 63:
+        raise InstanceTooLargeError(
+            f"N = {N} scenarios over G = {num_groups} component vertices and "
+            f"{width - num_groups} LP columns need int64 cut keys up to "
+            f"((2 G - 1) (columns + G) + 1) 2^{N.bit_length()}, at or above 2^63; "
+            f"pass fewer scenarios with --samples (num_samples)"
+        )
 
 
 def _master_solver(budget_row: np.ndarray, num_groups: int):
@@ -462,6 +476,14 @@ def _solve_master(
     return 0, solution, info.objective_function_value, iterations
 
 
+def dijkstra(*args, **kwargs):
+    """``scipy.sparse.csgraph.dijkstra``, imported on its first call, like
+    ``network.breadth_first_order``."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(*args, **kwargs)
+
+
 def solve_lp(model: LpModel) -> FractionalSolution:
     """Solve the scenario LP by Kelley's cutting planes over x, one cut per vertex.
 
@@ -497,6 +519,8 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     F is constant and one oracle call solves it without a master LP. The
     solve is deterministic.
     """
+    from scipy import sparse
+
     net = model.network
     n, N = net.n, model.samples.N
     num_x, counts = model.num_x, model.samples.counts
@@ -508,6 +532,7 @@ def solve_lp(model: LpModel) -> FractionalSolution:
         weights = copy_counts / N
         groups = np.unique(model.y_cells % n, return_inverse=True)[1]
         num_groups = int(groups.max()) + 1
+        _check_cut_keys(num_groups, num_x + num_groups, N)
         graph = sparse.csr_matrix(
             (np.zeros(len(model.arc_head)), model.arc_head,
              np.searchsorted(model.arc_tail, np.arange(size + 1))),

@@ -99,17 +99,6 @@ class SbccSolution:
     probes: int
 
 
-def _solution(side: np.ndarray, cut_edges: np.ndarray, probes: int) -> SbccSolution:
-    """The solution whose source side is ``side``, cut by the edge ids ``cut_edges``."""
-    return SbccSolution(
-        cut_edges=tuple(sorted(cut_edges.tolist())),
-        component=tuple(side.tolist()),
-        cut_size=len(cut_edges),
-        component_size=len(side),
-        probes=probes,
-    )
-
-
 def _sweep(
     net: _FlowNetwork, limit: float, top: tuple[int, int, np.ndarray]
 ) -> Generator[int, np.ndarray, SbccSolution]:
@@ -174,7 +163,9 @@ def _sweep(
     # The C = 0 side cuts nothing, and min_sbcc_many rejects a NaN, infinite
     # or negative budget, so some side is within the limit.
     side, leaving = best
-    return _solution(side, net.edges[leaving], probes)
+    cut_edges = np.sort(net.edges[leaving])
+    return SbccSolution(tuple(cut_edges.tolist()), tuple(side.tolist()),
+                        len(cut_edges), len(side), probes)
 
 
 def min_sbcc_many(
@@ -218,22 +209,24 @@ def min_sbcc_many(
     # The top end needs no flow. At the source's arc capacity 2^16 deg(s) + 1
     # any side of two or more vertices costs at least that, so {s}, which
     # costs 2^16 deg(s), is the unique minimizer; its cut is deg(s), the
-    # row's kept arcs out of s.
+    # row's kept arcs out of s, taken in ascending edge id so that each
+    # row's cut edges come out sorted.
     _, _, arc_edges, starts = _arcs(network)
-    at_s = arc_edges[starts[s]:starts[s + 1]]
+    at_s = np.sort(arc_edges[starts[s]:starts[s + 1]])
     kept_at_s = keep_rows[:, at_s]
-    top = np.array([s])
     solutions: list[SbccSolution | None] = [None] * len(keep_rows)
     degrees = np.count_nonzero(kept_at_s, axis=1).tolist()
     for r, degree in enumerate(degrees):
         if degree <= limit:
-            solutions[r] = _solution(top, at_s[kept_at_s[r]], 0)
+            solutions[r] = SbccSolution(tuple(at_s[kept_at_s[r]].tolist()), (int(s),),
+                                        degree, 1, 0)
     rows = [r for r, sol in enumerate(solutions) if sol is None]
     if not rows:
         return solutions, 0
 
     base = _FlowNetwork(network, s, np.delete(np.arange(network.n), s))
     networks = {r: base.with_edges(keep_rows[r]) for r in rows}
+    top = np.array([s])
     sweeps = {r: _sweep(net, limit, (net.source_cap, degrees[r], top))
               for r, net in networks.items()}
 

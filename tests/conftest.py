@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,24 @@ from epictrl.network import ContactNetwork
 from epictrl.network import random_connected_network  # noqa: F401  (re-exported to the tests)
 from epictrl.percolate import sample_keep_matrix
 from epictrl.saa import LP_TOLERANCE, draw_samples
+
+
+# scipy modules that ``import epictrl`` leaves unloaded: each loads on the
+# first call that needs it. This process has them all (this file imports
+# scipy.sparse and scipy.optimize), so only a fresh interpreter can tell.
+LAZY_SCIPY = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+              "scipy.linalg", "scipy.special", "scipy.optimize")
+
+
+def scipy_loaded_by(code: str, cwd=None) -> list[str]:
+    """The ``LAZY_SCIPY`` modules loaded once ``code`` has run in a fresh
+    interpreter with the package's ``src`` first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = f"import sys\n{code}\nprint(*[m for m in {LAZY_SCIPY!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    return out.splitlines()[-1].split()
 
 
 def recording_draws(draw, counts):

@@ -92,6 +92,22 @@ MUTANTS = [
     Mutant("compare-checks-eval-samples-late", "src/epictrl/cli.py",
            "    check_eval_samples(args.eval_samples)  # before any algorithm runs\n", "",
            ("tests/test_cli.py::test_eval_samples_below_one_fails_before_any_draw",)),
+    # scipy.sparse (and with it the rest of scipy's graph stack) loads on the
+    # first max flow or LP, never on import
+    Mutant("sparse-at-import", "src/epictrl/network.py",
+           "import numpy as np\n\nfrom .errors",
+           "import numpy as np\nfrom scipy import sparse\n\nfrom .errors",
+           ("tests/test_saa.py::test_import_leaves_the_lp_solver_unloaded",
+            "tests/test_cli.py::test_scipy_loads_only_for_a_max_flow_or_an_lp")),
+    # the cut keys' bound checked one bit too loosely
+    Mutant("cut-key-bound-one-bit-loose", "src/epictrl/saa.py",
+           ">= 1 << 63:", ">= 1 << 64:",
+           ("tests/test_saa.py::test_cut_keys_beyond_int64_fail_before_the_first_round",)),
+    # the {s} rows read the source's arcs in (tail, head) order, not by edge id
+    Mutant("top-slice-unsorted", SBCC,
+           "at_s = np.sort(arc_edges[starts[s]:starts[s + 1]])",
+           "at_s = arc_edges[starts[s]:starts[s + 1]]",
+           ("tests/test_sbcc.py::test_min_sbcc_matches_parametric_oracle", PARAMETRIC)),
 ]
 
 

@@ -9,7 +9,7 @@ from epictrl import rng as rng_module
 from epictrl import network as network_module
 from epictrl.cli import build_parser, main
 
-from conftest import kernel_cells, make_network
+from conftest import complete_network, kernel_cells, make_network, scipy_loaded_by
 from regen_golden import GOLDEN, commands
 from epictrl.network import write_network
 
@@ -435,3 +435,39 @@ def test_csv_goes_to_stdout_without_csv_flag(tmp_path, capsys, command):
     assert main([*argv, "--output", str(tmp_path / "b.json"), "--csv", str(csv_path)]) == 0
     assert capsys.readouterr().out == ""
     assert csv_path.read_bytes().decode() == printed
+
+
+# the scipy modules the package imports itself, each on its first use
+DIRECT_SCIPY = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.optimize")
+
+
+@pytest.mark.parametrize("run, loads", [
+    ("percolate_generated", ()),
+    ("karger-k40", ()),
+    ("karger_generated", ("scipy.sparse", "scipy.sparse.csgraph")),
+    ("saa_det", DIRECT_SCIPY),
+])
+def test_scipy_loads_only_for_a_max_flow_or_an_lp(tmp_path, run, loads):
+    """Monte Carlo and a Karger run without a max flow (K40, where every {s}
+    is within budget/lambda and the regime check needs no flow) load none
+    of scipy's sparse-graph, linear-algebra, special-function or
+    optimization modules; a Karger run that makes a max flow loads
+    scipy.sparse and its csgraph, and the SAA also scipy.optimize. Each
+    runs the CLI in a fresh interpreter, the corpus's runs in
+    ``tests/golden`` beside its ``generated.tsv``."""
+    if run == "karger-k40":
+        argv = ["solve-karger", "--graph", write_graph(tmp_path, complete_network(40, p=0.9)),
+                "--budget", "40", "--gamma", "4", "--lam", "0.5", "--reps", "16",
+                "--eval-samples", "200", "--seed", "1"]
+    else:
+        argv = commands(str(GOLDEN / "det.tsv"))[run]
+    out = tmp_path / "out.json"
+    code = f"from epictrl.cli import main\nassert main({[*argv, '--output', str(out)]!r}) == 0"
+    loaded = scipy_loaded_by(code, cwd=GOLDEN)
+    if run.startswith("karger"):
+        report = read_json(out)
+        assert (report["flow_calls"] + report["regime_flow_calls"] > 0) == bool(loads)
+    if loads:
+        assert tuple(m for m in DIRECT_SCIPY if m in loaded) == loads
+    else:
+        assert loaded == []

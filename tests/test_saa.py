@@ -2,11 +2,7 @@ import dataclasses
 import heapq
 import itertools
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,7 +41,7 @@ from epictrl.percolate import (
     keep_rows_to_masks,
     prepare_removal,
 )
-from epictrl.saa import FractionalSolution
+from epictrl.saa import FractionalSolution, SampleSet
 
 from conftest import (
     adjacency,
@@ -58,6 +54,7 @@ from conftest import (
     path_network,
     star_network,
     random_connected_network,
+    scipy_loaded_by,
     union_find_component,
     unreduced_lp_solution,
 )
@@ -193,15 +190,39 @@ def test_draw_samples_binomial_presence():
 
 def test_import_leaves_the_lp_solver_unloaded():
     """scipy.optimize, home of the HiGHS bindings, loads on the first LP
-    solve, not on ``import epictrl`` or the CLI's import."""
-    src = str(Path(saa.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    loaded = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, epictrl, epictrl.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    ).stdout.strip()
-    assert loaded == "False"
+    solve, and scipy.sparse, its csgraph, sparse.linalg, linalg and special
+    on the first flow, LP or path-count bound; ``import epictrl`` and the
+    CLI's import load none of them."""
+    assert scipy_loaded_by("import epictrl, epictrl.cli") == []
+
+
+@pytest.mark.parametrize("unaffordable", [False, True], ids=["every-edge", "edge-3-too-dear"])
+@pytest.mark.parametrize("count, fits", [(2**55, True), (2**56, False), (2**58, False)])
+def test_cut_keys_beyond_int64_fail_before_the_first_round(monkeypatch, count, fits,
+                                                           unaffordable):
+    """``_cut_rows`` packs ((row, column) << bit_length(N)) | count into int64.
+    A hand-built ``SampleSet`` skips ``SAMPLE_DRAW_CAP``, so ``solve_lp``
+    checks the largest key, ((2 G - 1)(num_x + G) + 1) << bits, against
+    2^63 before its first round. On the 5-vertex path G = 4 and num_x + G
+    is 8, or 7 when edge 3 costs more than the budget; either way the
+    bound holds up to N = 2^56, and with edge 3 too dear a bound of
+    (G (num_x + G) + 1) << bits would let N = 2^57 through to keys that
+    wrap (the dear edge's arcs take the column past every row)."""
+    costs = [1.0, 1.0, 1.0, 5.0 if unaffordable else 1.0]
+    net = make_network(5, [(0, 1), (1, 2), (2, 3), (3, 4)], probs=0.5, costs=costs)
+    rows = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=bool)
+    model = build_lp(SampleSet(net, rows, np.array([count, count]), 2 * count), budget=1.0)
+    if fits:
+        frac = solve_lp(model)
+        assert frac.objective == 0.0 and frac.x.tolist() == [1.0, 0.0, 0.0, 0.0]
+        return
+
+    def no_round(*args, **kwargs):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(saa, "breadth_first_order", no_round)
+    with pytest.raises(InstanceTooLargeError, match="--samples"):
+        solve_lp(model)
 
 
 def test_lp_path_hand_solution():
