@@ -44,6 +44,8 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_REGIME = 4
 
+COMPARE_ALGOS = ("saa-det", "saa-rand", "karger", "brute")
+
 
 @dataclass
 class _Output:
@@ -279,6 +281,9 @@ def _cmd_bounds(args) -> int:
 def _cmd_compare(args) -> int:
     net = load_network(args.graph)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos or not set(algos) <= set(COMPARE_ALGOS):
+        raise ValidationError(f"--algos takes a non-empty comma list from "
+                              f"{','.join(COMPARE_ALGOS)}, got {args.algos!r}")
     check_eval_samples(args.eval_samples)  # before any algorithm runs
     eval_seed = rng.derived_seed(args.seed, "compare")
     rows = []
@@ -297,11 +302,9 @@ def _cmd_compare(args) -> int:
                 net, budget=args.budget, p=p, gamma=max(args.gamma, 2.5),
                 lam=args.lam, eval_samples=args.eval_samples, seed=args.seed,
             )
-        elif algo == "brute":
+        else:  # brute
             sample_set = saa.draw_samples(net, args.samples, args.seed)
             chosen, _ = saa.brute_force_optimum(sample_set, args.budget)
-        else:
-            raise ValidationError(f"unknown algorithm {algo!r}")
         est = estimate_infections(net, chosen, args.eval_samples, eval_seed)
         rows.append({
             "algo": algo,
@@ -474,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--algos", default="saa-det,saa-rand,brute",
-                   help="comma list from saa-det,saa-rand,karger,brute")
+                   help=f"comma list from {','.join(COMPARE_ALGOS)}")
     p.add_argument("--epsilon", type=float, default=0.3)
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--lam", type=float, default=0.5)
@@ -534,6 +537,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             _set_config_defaults(parser, args.command, _read_json_object(args.config))
             args = parser.parse_args(argv)
+        rng.check_seed(args.seed, "--seed")  # every subcommand takes one
         return args.func(args)
     except ValidationError as exc:
         print(f"error_code=validation {exc}", file=sys.stderr)

@@ -23,15 +23,28 @@ from .errors import InstanceTooLargeError, ParseError, ValidationError
 
 META_SOURCE_LABEL = "__source__"
 
-# Cells per block of every blocked loop here and in percolate. The component
-# kernel takes at most 8 CELLS // (n + m) rows at a time, whole 64-row words
-# from 64 rows up, so at most CELLS bytes of packed bits (kernel_rows); Monte
-# Carlo estimates and scenario draws draw one such block at a time, and its
-# uniforms CELLS // stride rows at a time (percolate.sample_keep_matrix);
-# stacked flow networks take CELLS vertices plus arcs per max-flow call. In
-# process, half or twice this moved no benchmark workload's op time beyond
-# the noise of a shared 2-core machine.
-CELLS = 1 << 16
+# Cells per block of the component kernel and of the draws. The kernel takes
+# at most 8 CELLS // (n + m) rows at a time, whole 64-row words from 64 rows
+# up, so at most CELLS bytes of packed bits (kernel_rows); Monte Carlo
+# estimates and scenario draws draw one such block at a time, and its
+# uniforms CELLS // stride rows at a time (percolate.sample_keep_matrix).
+# The value is set by the cache and the allocator. On a 1,000-vertex,
+# 3,000-edge graph a block is then 64 rows, one lane word: its 240 kB
+# uniform chunk, its 192 kB keep rows, their transpose and a removal's
+# mask, and the kernel's own arrays fit a 2 MB L2 cache together, as those
+# of 2^16 did not. Each array past glibc's mmap threshold is a fresh
+# mapping whose pages fault in on first touch: an estimate of 200 samples
+# there takes ~120 minor page faults against ~215 at 2^16, and 9% less
+# time. 2^14 is slower: 32-row blocks fill half a lane word, and each
+# round of the kernel walks whole words.
+CELLS = 1 << 15
+
+# Vertices plus arcs per max-flow call of the stacked flow networks
+# (_minimal_sides). A call's cost is mostly scipy's fixed overhead, so
+# larger stacks make fewer calls: with CELLS cells a stack, a dense
+# 200-vertex, 10,000-edge Karger instance takes 119 regime flows and 32
+# sweep flows against 40 and 12, and about 14% more time.
+FLOW_CELLS = 1 << 16
 
 _SCALE = 1 << 16  # integer capacity of an edge in the flow networks
 
@@ -611,8 +624,9 @@ def _minimal_sides(networks: list[_FlowNetwork],
                    caps: list[int]) -> tuple[list[np.ndarray], int]:
     """Ascending minimal min-cut source side of each network at its sink capacity.
 
-    The list is cut into consecutive stacks of at most ``CELLS`` vertices
-    plus arcs, at least one copy each, and one max flow answers a stack.
+    The list is cut into consecutive stacks of at most ``FLOW_CELLS``
+    vertices plus arcs, at least one copy each, and one max flow answers
+    a stack.
     Its networks are stacked block-diagonally into one graph: copy i's
     vertices are offset by the vertex counts of the copies before it, every
     copy's sink arcs go to one shared super-sink T, and a super-source S
@@ -639,7 +653,7 @@ def _minimal_sides(networks: list[_FlowNetwork],
     calls = 0
     while len(sides) < len(networks):
         start = len(sides)
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + CELLS, "right")) - 1)
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + FLOW_CELLS, "right")) - 1)
         stack, stack_caps = networks[start:stop], caps[start:stop]
         offsets = np.cumsum([0] + [net.n for net in stack])
         t = offsets[-1]
@@ -692,15 +706,13 @@ def _edge_connectivity(network: ContactNetwork) -> tuple[float, int]:
     n = network.n
     if n <= 1:
         return math.inf, 0
-    real = network.us != network.vs
-    us, vs = network.us[real], network.vs[real]
-    degree = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+    _, heads, _, starts = _arcs(network)
+    degree = np.diff(starts)
     v = int(np.argmin(degree))
     best = int(degree[v])
     outside = np.ones(n, dtype=bool)
     outside[v] = False
-    outside[vs[us == v]] = False
-    outside[us[vs == v]] = False
+    outside[heads[starts[v]:starts[v + 1]]] = False
     targets = np.flatnonzero(outside)
     if not len(targets) or best == 0:
         return float(best), 0
@@ -713,7 +725,7 @@ def _edge_connectivity(network: ContactNetwork) -> tuple[float, int]:
     for side in sides:
         inside[:] = False
         inside[side] = True
-        best = min(best, int(np.count_nonzero(inside[us] ^ inside[vs])))
+        best = min(best, int(np.count_nonzero(inside[network.us] ^ inside[network.vs])))
     return float(best), flow_calls
 
 

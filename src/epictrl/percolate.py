@@ -294,6 +294,7 @@ def estimate_infections_many(
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
+    rng.check_seed(seed)  # also when nothing is drawn
     removals = [prepare_removal(network, intervention) for intervention in interventions]
     if all(removal.network.m == 0 for removal in removals):
         sums = [[num_samples, num_samples] for _ in removals]

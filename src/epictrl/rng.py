@@ -4,7 +4,9 @@ All randomness in the package flows through Philox keyed by
 ``SeedSequence(seed, spawn_key=...)``. Philox is counter-based, so a stream
 position is a pure function of (key, position): results are bit-identical
 across runs, platforms, and batch sizes, and independent streams can be
-consumed in any order or in parallel.
+consumed in any order or in parallel. A seed must be a nonnegative
+integer: every stream checks it (:func:`check_seed`) and refuses a
+negative one with ``ValidationError``.
 
 Percolation uses a fixed layout on top of this: sample ``j`` of a network
 with ``m`` edges owns the draw positions ``[j*stride, j*stride + m)`` where
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 _BLOCK = 4  # uint64 outputs per Philox counter increment
 
 
@@ -32,7 +36,15 @@ def philox_key(seed: int, *path: int | str) -> np.ndarray:
     return _seed_sequence(seed, *path).generate_state(2, np.uint64)
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Reject a negative seed, which ``SeedSequence`` cannot take; ``name``
+    is what the message calls it."""
+    if seed < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {seed}")
+
+
 def _seed_sequence(seed: int, *path: int | str) -> np.random.SeedSequence:
+    check_seed(seed)
     return np.random.SeedSequence(seed, spawn_key=tuple(_encode(p) for p in path))
 
 

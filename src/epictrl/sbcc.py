@@ -189,9 +189,10 @@ def min_sbcc_many(
     the next probe of every sweep still running and answers them all
     with one ``network._minimal_sides`` call, which stacks their flow
     networks block-diagonally into as few max-flow calls as
-    ``network.CELLS`` allows. Returns the solutions, in row order, and the
-    number of max-flow calls made. ``InstanceTooLargeError`` is raised only
-    for a row that needs a flow and has a source degree of 2^15 or more.
+    ``network.FLOW_CELLS`` allows. Returns the solutions, in row order,
+    and the number of max-flow calls made. ``InstanceTooLargeError`` is
+    raised only for a row that needs a flow and has a source degree of
+    2^15 or more.
     """
     if not 0.0 < lam < 1.0:
         raise ValidationError(f"lambda must lie in (0, 1), got {lam}")
@@ -323,8 +324,8 @@ def solve_karger(
     one removal, which is also the one returned. When every distinct
     candidate leaves the source no edge (on K40 the sampled cut isolates
     it), the stream is not drawn at all and each estimate is 1 with
-    half-width 0. ``eval_samples`` below 1 is refused before any sample
-    is drawn. Self-loops are inert, so only
+    half-width 0. ``eval_samples`` below 1 and a negative seed are refused
+    before any work. Self-loops are inert, so only
     non-loop edges must carry probability p (``sparsification_regime``
     checks this before any sampling).
     """
@@ -338,6 +339,7 @@ def solve_karger(
     if repetitions is not None and repetitions < 1:
         raise ValidationError(f"repetitions must be at least 1, got {repetitions}")
     check_eval_samples(eval_samples)
+    rng.check_seed(seed)  # before the regime check's flows
     # n >= 2, which the regime check below requires, makes this at least 3
     reps = repetitions if repetitions is not None else math.ceil(4 * math.log(network.n))
 

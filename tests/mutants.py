@@ -108,6 +108,26 @@ MUTANTS = [
            "at_s = np.sort(arc_edges[starts[s]:starts[s + 1]])",
            "at_s = arc_edges[starts[s]:starts[s + 1]]",
            ("tests/test_sbcc.py::test_min_sbcc_matches_parametric_oracle", PARAMETRIC)),
+    # from 64 rows up a kernel block is the most whole words within its
+    # bytes, rounded down
+    Mutant("kernel-rows-round-up", "src/epictrl/network.py",
+           "rows if rows < 64 else rows // 64 * 64",
+           "rows if rows < 64 else -(-rows // 64) * 64",
+           ("tests/test_percolate.py::test_kernel_blocks_are_whole_words",
+            "tests/test_percolate.py::test_estimate_memory_does_not_grow_with_samples")),
+    # the flow stacks have a budget of their own, larger than the kernel's
+    Mutant("flow-stacks-at-kernel-budget", "src/epictrl/network.py",
+           "ends[start] + FLOW_CELLS", "ends[start] + CELLS",
+           ("tests/test_network.py::test_flow_stacks_have_their_own_cell_budget",)),
+    # a block's uniform chunks read on along one stream
+    Mutant("chunk-restarts-stream", "src/epictrl/percolate.py",
+           "draws = stream.random(out=uniforms[:len(out)])",
+           "draws = rng.sample_stream(seed, start_index, network.m).random("
+           "out=uniforms[:len(out)])",
+           ("tests/test_percolate.py::test_sample_reproducible_and_batch_invariant",)),
+    Mutant("seed-check-removed", "src/epictrl/rng.py", "    if seed < 0:\n", "    if False:\n",
+           ("tests/test_cli.py::test_negative_seed_exits_2_before_any_work",
+            "tests/test_percolate.py::test_negative_seed_is_a_validation_error")),
 ]
 
 

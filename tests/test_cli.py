@@ -337,6 +337,55 @@ def test_eval_samples_below_one_fails_before_any_draw(tmp_path, capsys, argv):
     assert draws.call_count == 0
 
 
+NEGATIVE_SEED = {
+    "generate": "generate --n 8 --beta 2.5 --seed -1",
+    "percolate": "percolate --graph GRAPH --samples 10 --seed -1",
+    "solve-saa": "solve-saa --graph GRAPH --budget 1 --samples 5 --seed -1",
+    "solve-node": "solve-node --graph GRAPH --budget 1 --samples 5 --seed -1",
+    "solve-karger": "solve-karger --graph GRAPH --budget 1 --seed -1",
+    "count-paths": "count-paths --n 8 --beta 2.5 --trials 5 --seed -1",
+    "bounds": "bounds --n 8 --beta 2.5 --seed -1",
+    "compare": "compare --graph GRAPH --budget 1 --samples 5 --seed -1",
+    "oracle": "oracle --instances 1 --seed -1",
+    "config": "percolate --graph GRAPH --samples 10 --config CONFIG",
+}
+
+
+@pytest.mark.parametrize("case", list(NEGATIVE_SEED))
+def test_negative_seed_exits_2_before_any_work(tmp_path, capsys, case):
+    words = {"GRAPH": path_graph_file(tmp_path),
+             "CONFIG": write_config(tmp_path, {"seed": -1})}
+    argv = [words.get(word, word) for word in NEGATIVE_SEED[case].split()]
+    out = tmp_path / "out.json"
+    streams = mock.Mock(side_effect=rng_module._seed_sequence)
+    with mock.patch.object(rng_module, "_seed_sequence", streams), \
+         mock.patch.object(sbcc, "sparsification_regime") as regime:
+        assert main([*argv, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error_code=")] \
+        == [err.strip()] == ["error_code=validation --seed must be a nonnegative integer, got -1"]
+    assert streams.call_count == regime.call_count == 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algos", [",", "", "karger,foo", "brute,,saa"])
+def test_compare_rejects_an_empty_or_unknown_algos_before_any_algorithm(
+        tmp_path, capsys, algos):
+    graph = path_graph_file(tmp_path)
+    out = tmp_path / "out.json"
+    streams = mock.Mock(side_effect=rng_module._seed_sequence)
+    with mock.patch.object(rng_module, "_seed_sequence", streams), \
+         mock.patch.object(sbcc, "solve_karger") as karger:
+        assert main(["compare", "--graph", graph, "--budget", "1", "--samples", "5",
+                     "--algos", algos, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error_code=")] == [
+        f"error_code=validation --algos takes a non-empty comma list from "
+        f"saa-det,saa-rand,karger,brute, got {algos!r}"]
+    assert streams.call_count == karger.call_count == 0
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     g = path_graph_file(tmp_path)
     cfg = tmp_path / "cfg.json"

@@ -363,7 +363,7 @@ def test_min_cut_matches_both_oracles(net):
 @_with_examples(cells=1)
 def test_min_cut_matches_both_oracles_with_targets_split(net, cells):
     """The same answer when a flow call holds only a few target copies."""
-    with mock.patch.object(network_module, "CELLS", cells):
+    with mock.patch.object(network_module, "FLOW_CELLS", cells):
         cut = _edge_connectivity(net)[0]
     assert cut == brute_force_min_cut(net) == stoer_wagner_min_cut(net)
 
@@ -392,7 +392,7 @@ def test_min_cut_flows_to_non_neighbours_of_min_degree_vertex(net):
     reached = set(union_find_component(rooted, np.ones(net.m, dtype=bool)))
     connected = len(reached) == net.n
     expected = len(targets) if degree[v] and connected else 0
-    with mock.patch.object(network_module, "CELLS", 1):
+    with mock.patch.object(network_module, "FLOW_CELLS", 1):
         assert sparsification_regime(net, 1.0).flow_calls == expected
 
 
@@ -443,6 +443,27 @@ def test_min_cut_exact_when_stacked_flow_exceeds_int32():
         assert len(boundary_of(net, side)) == (8 if w < 8 else 3)
         assert np.array_equal(side, narrow)
     assert (regime.c_min, regime.flow_calls) == (3.0, 1) == (stoer_wagner_min_cut(net), 1)
+
+
+def test_flow_stacks_have_their_own_cell_budget():
+    """A stack of flow copies over ``CELLS`` but within ``FLOW_CELLS``
+    vertices plus arcs takes one max flow, not the two that the kernel's
+    budget would cut it into: 39 copies of a 40-vertex, 600-edge graph,
+    one per sink, hold 39 (40 + 1,200 + 1) = 48,399 cells. Each side is
+    the one its copy gets alone."""
+    net = random_connected_network(np.random.default_rng(2), n_lo=40, n_hi=40, max_m=600)
+    base = network_module._FlowNetwork(net, 0, [])
+    copies = [base.with_sinks([w]) for w in range(1, net.n)]
+    cells = sum(c.n + len(c.tails) + len(c.sinks) for c in copies)
+    assert network_module.CELLS < cells == 48399 <= network_module.FLOW_CELLS
+    caps = [base.source_cap] * len(copies)
+    sides, calls = network_module._minimal_sides(copies, caps)
+    assert calls == 1
+    with mock.patch.object(network_module, "FLOW_CELLS", 1):
+        alone, alone_calls = network_module._minimal_sides(copies, caps)
+    assert alone_calls == len(copies)
+    for side, single in zip(sides, alone):
+        assert np.array_equal(side, single)
     # at 2^27 a source of degree 16 would overflow int32 and is refused
     k16 = make_network(32, [(u, 16 + v) for u in range(16) for v in range(16)])
     with mock.patch.object(network_module, "_SCALE", 1 << 27), \
@@ -479,9 +500,9 @@ def test_component_kernel_matches_union_find_across_words(kind, data):
 def test_component_members_of_one_block_are_held_once():
     """Rows that fit one kernel block come back as the block's own (r, n)
     array, not copied into a second one: 64 rows of a 20-leaf star among
-    8,000 vertices peak within 1.5 times the 512 kB result (about 2.25
-    times with the copy)."""
-    n = 8000
+    4,000 vertices, one block, peak within 1.5 times the 256 kB result
+    (about 2.25 times with the copy)."""
+    n = 4000
     star = make_network(n, [(0, i) for i in range(1, 21)], probs=0.5)
     keep = np.random.default_rng(7).random((64, star.m)) < 0.5
     assert network_module.kernel_rows(star) >= len(keep)
@@ -602,10 +623,10 @@ def test_boundary_of_matches_definition(rng):
 
 
 def test_kernel_transient_memory_per_edge():
-    """Sizing 1 and 8 rows of a 20,000-leaf star peaks below 120 and 150
-    bytes per edge (about 107 and 137): each edge's lanes are padded to
-    whole bytes, not to 64 bool lanes (about 171 and 201)."""
-    star = star_network(20000, p=0.5)
+    """Sizing 1 and 8 rows of a 16,000-leaf star, one block each, peaks
+    below 120 and 150 bytes per edge (about 107 and 137): each edge's lanes
+    are padded to whole bytes, not to 64 bool lanes (about 171 and 201)."""
+    star = star_network(16000, p=0.5)
     network_module._arcs(star)  # the cached arcs are the network's, not the call's
     for rows, limit in ((1, 120), (8, 150)):
         keep = np.random.default_rng(rows).random((rows, star.m)) < 0.5

@@ -107,6 +107,32 @@ def test_streams_are_those_of_philox_keyed_by_philox_key():
                               np.random.Generator(keyed).random((3, 8)))
 
 
+@pytest.mark.parametrize("entry", ["estimate", "estimate-edgeless", "draw", "samples",
+                                   "solve-saa", "solve-karger", "generate", "paths"])
+def test_negative_seed_is_a_validation_error(entry):
+    """Every seeded entry point refuses a negative seed with
+    ``ValidationError``, not numpy's ``ValueError``: an estimate that draws
+    nothing too, and ``solve_karger`` before its regime check."""
+    from epictrl import chunglu, saa, sbcc
+
+    net = complete_network(5, p=0.5)
+    model = chunglu.build_model(8, 2.5, 1, 2)
+    calls = {
+        "estimate": lambda: estimate_infections(net, None, 10, -1),
+        "estimate-edgeless": lambda: estimate_infections(make_network(3, []), None, 10, -1),
+        "draw": lambda: sample_keep_matrix(net, -1, 0, 3),
+        "samples": lambda: draw_samples(net, 10, -1),
+        "solve-saa": lambda: saa.solve_saa(net, 1.0, 0.3, num_samples=5, seed=-1),
+        "solve-karger": lambda: sbcc.solve_karger(net, 1.0, 0.5, seed=-1),
+        "generate": lambda: chunglu.generate(model, -1),
+        "paths": lambda: chunglu.estimate_percolated_paths(model, 0.5, 3, 2, -1),
+    }
+    with mock.patch.object(sbcc, "sparsification_regime") as regime, \
+         pytest.raises(ValidationError, match=r"^seed must be a nonnegative integer, got -1$"):
+        calls[entry]()
+    assert regime.call_count == 0
+
+
 # ------------------------------------------------------------- estimation
 
 def test_estimate_path_matches_enumeration():
@@ -476,8 +502,9 @@ def test_kernel_block_size_follows_cells():
 def test_kernel_blocks_are_whole_words():
     """Below 64 rows a block takes all 8 CELLS // (n + m) rows its bytes
     allow; from 64 up it takes the most whole 64-row words within them.
-    On the 3,000-edge graph, N = 200 goes in blocks of 128 and 72 rows
-    (4 words, not the 5 of 131 + 69), sized as union-find sizes them."""
+    On the 3,000-edge graph, N = 200 goes in blocks of 64, 64, 64 and 8
+    rows (4 words, not the 6 of 65 + 65 + 65 + 5), sized as union-find
+    sizes them."""
     nets = [path_network(), star_network(20000), complete_network(40), sparse_network(),
             random_connected_network(np.random.default_rng(3), n_lo=9, n_hi=9, max_m=20)]
     for net in nets:
@@ -494,7 +521,7 @@ def test_kernel_blocks_are_whole_words():
     for start, stop, inside in network_module._source_reach(net, keep):
         blocks.append((start, stop))
         sizes[start:stop] = inside.sum(axis=1)
-    assert blocks == [(0, 128), (128, 200)]
+    assert blocks == [(0, 64), (64, 128), (128, 192), (192, 200)]
     assert np.array_equal(sizes, union_find_sizes(net, keep))
 
 
@@ -723,13 +750,13 @@ def sparse_network(n=1000, m=3000, p=0.8, seed=4):
 def test_estimate_memory_does_not_grow_with_samples():
     """On a 3,000-edge graph the samples are drawn and sized one kernel
     block at a time: the peak at N = 4,096 is within 1.5x of the peak at
-    N = 256 and under 5 bytes per kept-edge cell of a block, 128 rows of
-    3,000 (1,920,000 bytes). Drawing all N rows at once would take 24 KB
+    N = 256 and under 5 bytes per kept-edge cell of a block, 64 rows of
+    3,000 (960,000 bytes). Drawing all N rows at once would take 24 KB
     of uniforms per sample, 98 MB at N = 4,096."""
     net = sparse_network()
     estimate_infections(net, None, 64, seed=1)  # builds the kernel's cached arcs
     block_cells = network_module.kernel_rows(net) * net.m
-    assert block_cells == 128 * 3000
+    assert block_cells == 64 * 3000
     peaks = []
     for num_samples in (256, 4096):
         tracemalloc.start()

@@ -334,7 +334,7 @@ def test_karger_counters_and_one_score_per_distinct_candidate(net, budget, seed,
     _, again = solve_karger(net, budget=budget, p=p, repetitions=6,
                             eval_samples=50, seed=seed)
     assert again == report
-    with mock.patch.object(network_module, "CELLS", 1):
+    with mock.patch.object(network_module, "FLOW_CELLS", 1):
         _, split = solve_karger(net, budget=budget, p=p, repetitions=6,
                                 eval_samples=50, seed=seed)
     assert split["flow_calls"] == split["sweep_probes"] == report["sweep_probes"]
@@ -529,7 +529,7 @@ def test_min_sbcc_many_matches_one_at_a_time(case_rows, cells):
     stacked, calls = min_sbcc_many(net, rows, budget, lam)
     assert stacked == alone
     assert calls == max(sol.probes for sol in alone)
-    with mock.patch.object(network_module, "CELLS", cells):
+    with mock.patch.object(network_module, "FLOW_CELLS", cells):
         split, split_calls = min_sbcc_many(net, rows, budget, lam)
     assert split == alone
     assert calls <= split_calls <= sum(sol.probes for sol in alone)
@@ -639,12 +639,12 @@ def test_sbcc_source_degree_overflow_guard():
     assert (sol.cut_size, sol.cut_edges, sol.probes) == (0, (), 1)
     # three copies in one flow network: the total flow exceeds 2^31, each
     # copy's does not
-    with mock.patch.object(network_module, "CELLS", 1 << 20):
+    with mock.patch.object(network_module, "FLOW_CELLS", 1 << 20):
         stacked, calls = min_sbcc_many(star, np.ones((3, star.m), dtype=bool), budget, 0.5)
     assert stacked == [sol] * 3
     assert calls == 1
     # the guard reads each row's source degree, not the full graph's; a copy
-    # is over network.CELLS, so each row gets its own max flow
+    # is over network.FLOW_CELLS, so each row gets its own max flow
     big = star_network(1 << 15)
     rows = np.ones((2, big.m), dtype=bool)
     rows[0, -1] = rows[1, 0] = False
