@@ -6,9 +6,10 @@ are byte-identical for identical config and seed: volatile values (wall
 time) go to a separate ``<output>.meta.json`` or stderr, never into the
 results payload.
 
-Exit codes: 0 success, 2 validation error, 3 solver failure, 4 regime
-violation under --strict-regime. Failures also print a machine-parsable
-``error_code=`` line on stderr.
+Exit codes: 0 success, 2 validation error (a file that cannot be read or
+written among them), 3 solver failure, 4 regime violation under
+--strict-regime. Failures also print a machine-parsable ``error_code=``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ def _read_json_object(path: str) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON ({exc})", path) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})", path) from None
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object", path)
     return doc
@@ -548,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     except EpictrlError as exc:
         print(f"error_code=internal {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable file
         print(f"error_code=validation {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -13,7 +13,6 @@ threads.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -347,7 +346,8 @@ def _arcs(network: ContactNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     Returns their tails, heads and edge ids, and the (n + 1,) offsets at
     which each vertex's arcs start (vertex v's arcs are v's CSR row,
     ``starts[v]:starts[v + 1]``). Built once per network and cached; the
-    component kernel and :class:`_FlowNetwork` both read it.
+    component kernel reads it, and a flow copy of :func:`_minimal_sides`
+    is a list of indices into it.
     """
     cached = network.__dict__.get("_arcs")
     if cached is not None:
@@ -474,7 +474,12 @@ def load_network(path) -> ContactNetwork:
         return index[label]
 
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})", path) from None
+        # text mode has already turned every line ending into "\n"
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -576,61 +581,23 @@ def maximum_flow(*args, **kwargs):
     return maximum_flow(*args, **kwargs)
 
 
-class _FlowNetwork:
-    """The super-sink flow network of one graph, built once.
+def _minimal_sides(network: ContactNetwork, source: int,
+                   copies: list[tuple[np.ndarray, np.ndarray, int]]
+                   ) -> tuple[list[np.ndarray], int]:
+    """Ascending minimal min-cut source side of each flow copy of ``network``.
 
-    Arcs are both directions of every non-loop edge, with capacity
-    ``_SCALE``, and v -> t for every sink v, with the capacity that each
-    :func:`_minimal_sides` call passes; t is vertex n. The edge arcs are
-    the graph's cached :func:`_arcs`, sorted by (tail, head), and ``edges``
-    maps each to its edge id; a sink arc, whose head is the largest, goes
-    after them, so :meth:`with_sinks` changes the sinks without a sort, and
-    :meth:`with_edges` keeps a subset of the edges by masking the sorted
-    arcs with :meth:`row`. ``degree`` is the source's non-loop degree in
-    this copy; it sets ``source_cap`` and the int32 guard of
-    :func:`_minimal_sides`.
-    """
-
-    def __init__(self, graph: ContactNetwork, source: int, sinks):
-        self.n, self.s = graph.n, source
-        self.sinks = np.asarray(sinks, dtype=np.int64)
-        self.tails, self.heads, self.edges = _arcs(graph)[:3]
-        _, self.degree, self.source_cap = self.row(np.ones(graph.m, dtype=bool))
-
-    def row(self, keep: np.ndarray) -> tuple[np.ndarray, int, int]:
-        """The arc mask of the edges that the (m,) bool ``keep`` marks, and the
-        ``degree`` and ``source_cap`` of the copy on them, without the copy."""
-        kept = keep[self.edges]
-        degree = int(np.count_nonzero(kept & (self.tails == self.s)))
-        # more than the out-arcs of s carry, so never saturated
-        return kept, degree, _SCALE * degree + 1
-
-    def with_sinks(self, sinks) -> "_FlowNetwork":
-        """The same network with sink arcs from ``sinks`` instead."""
-        other = copy.copy(self)
-        other.sinks = np.asarray(sinks, dtype=np.int64)
-        return other
-
-    def with_edges(self, keep: np.ndarray) -> "_FlowNetwork":
-        """The same network on the edges that the (m,) bool ``keep`` marks."""
-        kept, degree, source_cap = self.row(keep)
-        other = copy.copy(self)
-        other.tails, other.heads, other.edges = self.tails[kept], self.heads[kept], self.edges[kept]
-        other.degree, other.source_cap = degree, source_cap
-        return other
-
-
-def _minimal_sides(networks: list[_FlowNetwork],
-                   caps: list[int]) -> tuple[list[np.ndarray], int]:
-    """Ascending minimal min-cut source side of each network at its sink capacity.
-
-    The list is cut into consecutive stacks of at most ``FLOW_CELLS``
-    vertices plus arcs, at least one copy each, and one max flow answers
-    a stack.
-    Its networks are stacked block-diagonally into one graph: copy i's
-    vertices are offset by the vertex counts of the copies before it, every
-    copy's sink arcs go to one shared super-sink T, and a super-source S
-    feeds each copy's source through an arc its out-arcs cannot saturate.
+    A copy is ``(arcs, sinks, cap)``. Its vertices are the network's, its
+    source is ``source``, and its arcs are the edge arcs that ``arcs``
+    names, ascending indices into the network's cached :func:`_arcs`,
+    each of capacity ``_SCALE``, plus an arc of capacity ``cap`` from
+    every vertex of ``sinks`` to a sink t. The list is cut into
+    consecutive stacks of at most ``FLOW_CELLS`` vertices plus arcs, at
+    least one copy each, and one max flow answers a stack.
+    Its copies are stacked block-diagonally into one graph: copy i's
+    vertices are offset by n i, every copy's sink arcs go to one shared
+    super-sink T, and a super-source S feeds each copy's source through an
+    arc of capacity 2^16 deg + 1, deg the source's out-arcs in the copy,
+    which they cannot saturate.
     One max flow from S to T is then a max flow of every copy; T is
     unreachable from S in the residual network, so the copies cannot
     affect each other, and a residual search from S reaches exactly the
@@ -641,38 +608,55 @@ def _minimal_sides(networks: list[_FlowNetwork],
     """
     from scipy import sparse
 
-    for net in networks:
-        if _SCALE * net.degree > np.iinfo(np.int32).max:
+    n = network.n
+    all_tails, all_heads, _, starts = _arcs(network)
+
+    def kept(arcs: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:
+        """The tails and heads of a copy's arcs, shifted by ``offset``. As many
+        ascending indices as there are arcs name every arc, and such a copy
+        reads the cached arrays with no gather."""
+        if len(arcs) == len(all_tails):
+            return all_tails + offset, all_heads + offset
+        return all_tails[arcs] + offset, all_heads[arcs] + offset
+
+    lo, hi = starts[source], starts[source + 1]
+    # the source's arcs are lo:hi, so a copy keeps those of its arcs in that range
+    degrees = [int(np.searchsorted(arcs, hi) - np.searchsorted(arcs, lo)) for arcs, _, _ in copies]
+    for degree in degrees:
+        if _SCALE * degree > np.iinfo(np.int32).max:
             raise InstanceTooLargeError(
-                f"flow source {net.s} has degree {net.degree}; the int32 flow network "
+                f"flow source {source} has degree {degree}; the int32 flow network "
                 f"(capacity unit 2^16) needs source degree below 2^15 = 32768"
             )
     # ends[k]: the vertices plus arcs of the first k copies
-    ends = np.cumsum([0] + [net.n + len(net.tails) + len(net.sinks) for net in networks])
+    ends = np.cumsum([0] + [n + len(arcs) + len(sinks) for arcs, sinks, _ in copies])
     sides: list[np.ndarray] = []
     calls = 0
-    while len(sides) < len(networks):
+    while len(sides) < len(copies):
         start = len(sides)
         stop = max(start + 1, int(np.searchsorted(ends, ends[start] + FLOW_CELLS, "right")) - 1)
-        stack, stack_caps = networks[start:stop], caps[start:stop]
-        offsets = np.cumsum([0] + [net.n for net in stack])
+        stack = copies[start:stop]
+        offsets = n * np.arange(len(stack) + 1)
         t = offsets[-1]
         s_super = t + 1
         size = t + 2
         # the edge arcs, the sink arcs, then the arcs out of S: a row built in
         # this order lists its heads in ascending order, as CSR keeps them
-        tails = np.concatenate([net.tails + off for net, off in zip(stack, offsets)]
-                               + [net.sinks + off for net, off in zip(stack, offsets)]
+        edges = [kept(arcs, off) for (arcs, _, _), off in zip(stack, offsets)]
+        tails = np.concatenate([arc_tails for arc_tails, _ in edges]
+                               + [sinks + off for (_, sinks, _), off in zip(stack, offsets)]
                                + [np.full(len(stack), s_super)])
-        heads = np.concatenate([net.heads + off for net, off in zip(stack, offsets)]
-                               + [np.full(len(net.sinks), t) for net in stack]
-                               + [[net.s + off for net, off in zip(stack, offsets)]])
-        edge_arcs = sum(len(net.tails) for net in stack)
+        heads = np.concatenate([arc_heads for _, arc_heads in edges]
+                               + [np.full(len(sinks), t) for _, sinks, _ in stack]
+                               + [source + offsets[:-1]])
+        edge_arcs = sum(len(arcs) for arcs, _, _ in stack)
+        # S's arcs carry more than the source's out-arcs can: never saturated
         arc_caps = np.concatenate([np.full(edge_arcs, _SCALE),
-                                   np.repeat(stack_caps, [len(net.sinks) for net in stack]),
-                                   [net.source_cap for net in stack]]).astype(np.int32)
+                                   np.repeat([cap for _, _, cap in stack],
+                                             [len(sinks) for _, sinks, _ in stack]),
+                                   _SCALE * np.array(degrees[start:stop]) + 1]).astype(np.int32)
         capacity = sparse.csr_matrix((arc_caps, (tails, heads)), shape=(size, size))
-        del tails, heads, arc_caps  # free them before the max flow's own arrays
+        del edges, tails, heads, arc_caps  # free them before the max flow's own arrays
         # maximum_flow may rewrite its input in place: hand it a copy
         flow = maximum_flow(capacity.copy(), s_super, t).flow
         calls += 1
@@ -697,10 +681,10 @@ def _edge_connectivity(network: ContactNetwork) -> tuple[float, int]:
     δ leaves at least δ + 1 vertices on the side without v, more than v's δ
     neighbours. A complete graph therefore needs no flow, and neither does
     δ = 0 or, as one component-kernel call tells, a disconnected graph.
-    Each λ(v, w) is the boundary of the minimal source side of a copy of
-    the flow network whose one sink arc, from w, carries the source's
-    capacity and so is never the cut; :func:`_minimal_sides` answers every
-    target's copy, in ascending id. Returns the connectivity and the
+    Each λ(v, w) is the boundary of the minimal source side of a flow copy
+    on every arc whose one sink arc, from w, carries 2^16 δ + 1, more than
+    v's arcs do, and so is never the cut; :func:`_minimal_sides` answers
+    every target's copy, in ascending id. Returns the connectivity and the
     number of max-flow calls.
     """
     n = network.n
@@ -718,9 +702,9 @@ def _edge_connectivity(network: ContactNetwork) -> tuple[float, int]:
         return float(best), 0
     if source_component_sizes(network, np.ones((1, network.m), dtype=bool))[0] < n:
         return 0.0, 0
-    base = _FlowNetwork(network, v, targets[:1])
-    sides, flow_calls = _minimal_sides([base.with_sinks([w]) for w in targets],
-                                       [base.source_cap] * len(targets))
+    every = np.arange(len(heads))
+    sides, flow_calls = _minimal_sides(network, v, [(every, w, _SCALE * best + 1)
+                                                    for w in targets[:, np.newaxis]])
     inside = np.zeros(n, dtype=bool)
     for side in sides:
         inside[:] = False

@@ -212,19 +212,15 @@ class LpModel:
         """Non-source component vertices, summed over distinct scenarios."""
         return len(self.y_cells)
 
-    # The budget row as the (1, num_x) sparse matrix and the [1.0] right-hand
-    # side that the benchmark's trace reads. Nothing in the package uses
-    # them; the benchmark change that takes the LP size from the report's
-    # counters deletes them.
+    # The budget row as the (1, num_x) sparse matrix, which the benchmark's
+    # trace reads as the LP's size. Nothing in the package uses it; the
+    # benchmark change that takes the LP size from the report's counters
+    # deletes it.
     @property
     def a_ub(self):
         from scipy import sparse
 
         return sparse.csr_matrix(self.budget_row.reshape(1, -1))
-
-    @property
-    def b_ub(self) -> np.ndarray:
-        return np.ones(1)
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,18 +30,19 @@ The solver runs its repetitions' sweeps in lockstep on the kept-edge rows
 of one network (``min_sbcc_many``). Every row's {s} is read off one slice
 of the rows, on the source's arcs, and a row whose {s} cuts at most
 budget/lambda is answered there and starts no sweep; on K40, where
-deg(s) <= 39 against 144 / 0.5 = 288, that is every row, so no flow
-network is built and no max flow runs. The other rows mask one flow
-network built once, and each round stacks the next max-flow probe of every running sweep
-into one block-diagonal flow network behind a shared super-source and
-super-sink, so one max-flow call answers them all: a max-flow call costs
-about as much on a 2-vertex graph as on one sample's network. The flow
-helper is ``network._minimal_sides``, which also sets how many copies one
-call holds and answers the regime check: c_min needs max flows only from a
-minimum-degree vertex of a connected graph to its non-neighbours, so on a
-dense graph such as K40 it needs none. ``solve_karger`` then computes a
-boundary once per distinct component, and a removal and an estimate once
-per distinct candidate.
+deg(s) <= 39 against 144 / 0.5 = 288, that is every row, so no max flow
+runs. Each other row starts its sweep with its C = 0 side, from one
+component-kernel call over those rows, and its flow copy is the list of
+the row's kept arcs. Each round stacks the next max-flow probe of every
+running sweep into one block-diagonal flow network behind a shared
+super-source and super-sink, so one max-flow call answers them all: a
+max-flow call costs about as much on a 2-vertex graph as on one sample's
+network. The flow helper is ``network._minimal_sides``, which also sets
+how many copies one call holds and answers the regime check: c_min needs
+max flows only from a minimum-degree vertex of a connected graph to its
+non-neighbours, so on a dense graph such as K40 it needs none.
+``solve_karger`` then computes a boundary once per distinct component,
+and a removal and an estimate once per distinct candidate.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .errors import InstanceTooLargeError, ValidationError
 from .network import (
     ContactNetwork,
     Intervention,
-    _FlowNetwork,
     _SCALE,
     _arcs,
     _minimal_sides,
@@ -100,20 +100,21 @@ class SbccSolution:
 
 
 def _sweep(
-    net: _FlowNetwork, limit: float, top: tuple[int, int, np.ndarray]
+    network: ContactNetwork, keep: np.ndarray, limit: float, zero: np.ndarray,
+    top: tuple[int, int, np.ndarray]
 ) -> Generator[int, np.ndarray, SbccSolution]:
-    """The parametric sweep of one row's flow copy ``net``, one side at a time.
+    """The parametric sweep of the kept-edge row ``keep``, one side at a time.
 
-    ``top`` is the sweep's top end as (sink capacity, cut, side): {s} at
-    the source's arc capacity, which ``min_sbcc_many`` knows without a
-    flow and passes only when its cut is over ``limit``. Yields each sink
-    capacity whose minimal min-cut side it needs, receives that side, and
-    returns the smallest side found whose cut is at most ``limit``. Its
-    first ask is C = 0, where the side is the source's component in the
-    row; every later ask needs a max flow.
+    Its two ends need no flow: ``zero`` is the minimal side at C = 0, the
+    source's component in the row, which cuts nothing, and ``top`` is
+    (sink capacity, cut, side) for {s} at the source's arc capacity, which
+    ``min_sbcc_many`` passes only when its cut is over ``limit``. Yields
+    each sink capacity between them whose minimal min-cut side it needs,
+    receives that side, and returns the smallest side found whose cut is
+    at most ``limit``.
     """
-    inside = np.zeros(net.n, dtype=bool)
-    # the smallest side found within the limit: (side, boundary arcs)
+    inside = np.zeros(network.n, dtype=bool)
+    # the smallest side found within the limit: (side, its kept boundary edges)
     best: tuple[np.ndarray, np.ndarray] | None = None
     probes = 0
 
@@ -121,17 +122,12 @@ def _sweep(
         nonlocal best
         inside[:] = False
         inside[side] = True
-        # one arc out per boundary edge
-        leaving = inside[net.tails] & ~inside[net.heads]
-        cut = int(np.count_nonzero(leaving))
-        if cut <= limit and (best is None or len(side) < len(best[0])):
-            best = (side, leaving)
-        return cap, cut, side
+        cut_edges = np.flatnonzero(keep & (inside[network.us] != inside[network.vs]))
+        if len(cut_edges) <= limit and (best is None or len(side) < len(best[0])):
+            best = (side, cut_edges)
+        return cap, len(cut_edges), side
 
-    # At C = 0 every sink arc has capacity 0, so the minimal side is the
-    # source's component, which cuts nothing; it is asked for only once the
-    # rule below needs it.
-    work = [((0, 0, None), top)]
+    work = [(record(0, zero), top)]
     # Between sides S_a > S_b found at C_a < C_b, a third side can be
     # minimal at an integer C only if it is minimal at floor(x) or ceil(x),
     # x the intersection of L_a and L_b: L_c - min(L_a, L_b) is convex in C
@@ -146,9 +142,6 @@ def _sweep(
         # one qualify if S_a does not. Equal sides always stop here.
         if cut_b <= limit or cut_a > limit:
             continue
-        if side_a is None:
-            work.append((record(0, (yield 0)), hi))
-            continue
         num = _SCALE * (cut_b - cut_a)
         den = len(side_a) - len(side_b)
         for cap in sorted({num // den, -(-num // den)}):
@@ -162,8 +155,7 @@ def _sweep(
 
     # The C = 0 side cuts nothing, and min_sbcc_many rejects a NaN, infinite
     # or negative budget, so some side is within the limit.
-    side, leaving = best
-    cut_edges = np.sort(net.edges[leaving])
+    side, cut_edges = best
     return SbccSolution(tuple(cut_edges.tolist()), tuple(side.tolist()),
                         len(cut_edges), len(side), probes)
 
@@ -181,14 +173,12 @@ def min_sbcc_many(
     on the source's arcs in the network's cached ``_arcs``: its cut is the
     row's kept non-loop degree at s. A row whose {s} is within
     budget/lambda is answered there, with no sweep, no flow copy, no
-    kernel row and no max flow; when that is every row, no flow network
-    is built at all. Otherwise the flow network is built once, with one
-    sort of its arcs, and every other row's sweep runs on a copy that
-    masks the sorted arcs. Their C = 0 sides come from one call of the
-    component kernel. The sweeps then advance in rounds: a round takes
-    the next probe of every sweep still running and answers them all
-    with one ``network._minimal_sides`` call, which stacks their flow
-    networks block-diagonally into as few max-flow calls as
+    kernel row and no max flow. Every other row's C = 0 side comes from
+    one call of the component kernel, and its sweep runs on the flow copy
+    that keeps the row's arcs. The sweeps then advance in rounds: a round
+    takes the next probe of every sweep still running and answers them
+    all with one ``network._minimal_sides`` call, which stacks their flow
+    copies block-diagonally into as few max-flow calls as
     ``network.FLOW_CELLS`` allows. Returns the solutions, in row order,
     and the number of max-flow calls made. ``InstanceTooLargeError`` is
     raised only for a row that needs a flow and has a source degree of
@@ -225,11 +215,15 @@ def min_sbcc_many(
     if not rows:
         return solutions, 0
 
-    base = _FlowNetwork(network, s, np.delete(np.arange(network.n), s))
-    networks = {r: base.with_edges(keep_rows[r]) for r in rows}
+    # at C = 0 every sink arc has capacity 0, so the minimal side is the
+    # source's component
+    components = source_component_members(network, keep_rows[rows])
     top = np.array([s])
-    sweeps = {r: _sweep(net, limit, (net.source_cap, degrees[r], top))
-              for r, net in networks.items()}
+    sweeps = {r: _sweep(network, keep_rows[r], limit, np.flatnonzero(comp),
+                        (_SCALE * degrees[r] + 1, degrees[r], top))
+              for r, comp in zip(rows, components)}
+    arcs = {r: np.flatnonzero(keep_rows[r][arc_edges]) for r in rows}
+    sinks = np.delete(np.arange(network.n), s)
 
     def advance(sides: dict[int, np.ndarray | None]) -> dict[int, int]:
         """Send each sweep its side (None starts it); the capacity each asks next."""
@@ -241,13 +235,11 @@ def min_sbcc_many(
                 solutions[r] = done.value
         return caps
 
-    # every sweep's first ask is for C = 0
-    advance(dict.fromkeys(rows))
-    components = source_component_members(network, keep_rows[rows])
-    caps = advance({r: np.flatnonzero(comp) for r, comp in zip(rows, components)})
+    caps = advance(dict.fromkeys(rows))
     flow_calls = 0
     while caps:
-        found, calls = _minimal_sides([networks[r] for r in caps], list(caps.values()))
+        found, calls = _minimal_sides(network, s, [(arcs[r], sinks, cap)
+                                                   for r, cap in caps.items()])
         flow_calls += calls
         caps = advance(dict(zip(caps, found)))
     return solutions, flow_calls

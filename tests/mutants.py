@@ -13,10 +13,14 @@ For each mutant the runner copies ``src/``, ``tests/`` and
 ``pyproject.toml`` into a fresh temporary directory, applies the mutant
 there, and runs only its tests, with ``src/`` of the copy first on the
 path. A mutant is killed when every test it names fails (for a
-parametrized test, at least one of its cases). The runner prints one line
-per mutant and exits 1 if any mutant survives or if its old text does not
-occur exactly once, so an entry cannot quietly stop matching the code. It
-starts one pytest process per mutant and is not part of the Tier-1 suite.
+parametrized test, at least one of its cases). Before any mutant, every
+test that the chosen mutants name runs once on an unmutated copy; if one
+fails there, it would count as a kill for every mutant that names it, so
+the runner prints ``BROKEN <test id>`` for each and exits 1. Otherwise it
+prints one line per mutant and exits 1 if any mutant survives or if its
+old text does not occur exactly once, so an entry cannot quietly stop
+matching the code. It starts one pytest process per mutant, plus one, and
+is not part of the Tier-1 suite.
 """
 
 from __future__ import annotations
@@ -49,14 +53,12 @@ COUNTERS = "tests/test_sbcc.py::test_karger_counters_and_one_score_per_distinct_
 
 MUTANTS = [
     # the sweep's skip rule: a pair of known sides is skipped when the smaller
-    # one qualifies or the larger one does not
+    # one qualifies or the larger one does not. Skipping also when the larger
+    # one cuts exactly the limit changes no answer (a nested side between
+    # them cuts more, and the C = 0 side is a candidate from the start); it
+    # drops probes, which only the lockstep test checks
     Mutant("skip-larger-at-limit", SBCC, SKIP_RULE,
-           "if cut_b <= limit or cut_a >= limit:",
-           ("tests/test_sbcc.py::test_sbcc_zero_budget_returns_whole_component",
-            "tests/test_sbcc.py::test_sbcc_cut_edges_are_exact_boundary",
-            "tests/test_sbcc.py::test_min_sbcc_matches_parametric_oracle",
-            "tests/test_sbcc.py::test_min_sbcc_many_matches_one_at_a_time",
-            PARAMETRIC)),
+           "if cut_b <= limit or cut_a >= limit:", (PARAMETRIC,)),
     Mutant("skip-smaller-below-limit", SBCC, SKIP_RULE,
            "if cut_b < limit or cut_a > limit:", (PARAMETRIC,)),
     Mutant("skip-without-smaller", SBCC, SKIP_RULE, "if cut_a > limit:",
@@ -128,23 +130,39 @@ MUTANTS = [
     Mutant("seed-check-removed", "src/epictrl/rng.py", "    if seed < 0:\n", "    if False:\n",
            ("tests/test_cli.py::test_negative_seed_exits_2_before_any_work",
             "tests/test_percolate.py::test_negative_seed_is_a_validation_error")),
+    # a flow copy's source degree, which sets the int32 guard and the
+    # super-source arc, counts the copy's own arcs, not the whole network's
+    Mutant("flow-degree-of-whole-network", "src/epictrl/network.py",
+           "int(np.searchsorted(arcs, hi) - np.searchsorted(arcs, lo))", "int(hi - lo)",
+           ("tests/test_sbcc.py::test_sbcc_source_degree_overflow_guard",)),
+    # the C = 0 side, the source's component, is a candidate of the sweep
+    Mutant("sweep-drops-zero-side", SBCC,
+           "work = [(record(0, zero), top)]", "work = [((0, 0, zero), top)]",
+           ("tests/test_sbcc.py::test_sbcc_zero_budget_returns_whole_component",
+            "tests/test_sbcc.py::test_min_sbcc_matches_parametric_oracle", PARAMETRIC)),
+    # the regime check flows only to non-neighbours of the min-degree vertex
+    Mutant("connectivity-targets-keep-neighbours", "src/epictrl/network.py",
+           "    outside[heads[starts[v]:starts[v + 1]]] = False\n", "",
+           ("tests/test_network.py::test_min_cut_flows_to_non_neighbours_of_min_degree_vertex",)),
 ]
 
 
-def failing_tests(mutant: Mutant, tests: tuple[str, ...]) -> list[str] | None:
-    """Ids of ``tests`` that fail with ``mutant`` applied to a copy of the tree,
-    or None when its old text does not occur exactly once."""
+def failing_tests(mutant: Mutant | None, tests: tuple[str, ...]) -> list[str] | None:
+    """Ids of ``tests`` that fail on a copy of the tree with ``mutant`` applied
+    (with none, the tree as it is), or None when its old text does not occur
+    exactly once."""
     with tempfile.TemporaryDirectory(prefix="epictrl-mutant-") as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", copy)
-        target = copy / mutant.file
-        text = target.read_text()
-        if text.count(mutant.old) != 1:
-            return None
-        target.write_text(text.replace(mutant.old, mutant.new))
+        if mutant is not None:
+            target = copy / mutant.file
+            text = target.read_text()
+            if text.count(mutant.old) != 1:
+                return None
+            target.write_text(text.replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no",
@@ -158,11 +176,15 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    bad = 0
+    chosen = [m for m in MUTANTS if not names or m.name in names]
     start = time.perf_counter()
-    for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
+    broken = failing_tests(None, tuple(dict.fromkeys(t for m in chosen for t in m.kills)))
+    for test in broken:
+        print(f"BROKEN {test}")
+    if broken:
+        return 1
+    bad = 0
+    for mutant in chosen:
         failed = failing_tests(mutant, mutant.kills)
         if failed is None:
             bad += 1
@@ -174,7 +196,7 @@ def main(names: list[str]) -> int:
         bad += bool(alive)
         print(f"{'SURVIVED' if alive else 'killed'} {mutant.name}"
               + (f": not failed: {', '.join(alive)}" if alive else ""))
-    print(f"{bad} of {len(names) or len(MUTANTS)} mutants not killed "
+    print(f"{bad} of {len(chosen)} mutants not killed "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if bad else 0
 

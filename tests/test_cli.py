@@ -218,6 +218,35 @@ def test_missing_file_exit_code(tmp_path):
     assert rc == 2
 
 
+def unreadable_file_argv(tmp_path, case):
+    graph = path_graph_file(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("@source \u00e9\n\u00e9 b 1.0 0.5\n".encode("latin-1"))
+    if case == "graph-directory":
+        return ["percolate", "--graph", str(folder)]
+    if case == "graph-not-utf8":
+        return ["percolate", "--graph", str(latin1)]
+    if case == "config-directory":
+        return ["percolate", "--graph", graph, "--config", str(folder)]
+    if case == "config-not-utf8":
+        return ["percolate", "--graph", graph, "--config", str(latin1)]
+    return ["percolate", "--graph", graph, "--samples", "10", "--output", str(folder)]
+
+
+@pytest.mark.parametrize("case", ["graph-directory", "graph-not-utf8", "config-directory",
+                                  "config-not-utf8", "output-directory"])
+def test_unreadable_file_exits_2_without_a_traceback(tmp_path, capsys, case):
+    assert main(unreadable_file_argv(tmp_path, case)) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error_code=")] \
+        == [err.strip()]
+    assert err.startswith("error_code=validation") and "Traceback" not in err
+    if case.endswith("not-utf8"):
+        assert f"{tmp_path / 'latin1.txt'}: not UTF-8 text" in err
+
+
 def malformed_argv(tmp_path, case):
     graph = path_graph_file(tmp_path)
     if case == "remove-edges":

@@ -429,9 +429,9 @@ def test_min_cut_exact_when_stacked_flow_exceeds_int32():
     targets = list(range(1, 8)) + list(range(16, 32))
 
     def sides():
-        base = network_module._FlowNetwork(net, 0, [])
-        sides, calls = network_module._minimal_sides([base.with_sinks([w]) for w in targets],
-                                                     [base.source_cap] * len(targets))
+        every, cap = np.arange(2 * net.m), network_module._SCALE * 8 + 1
+        sides, calls = network_module._minimal_sides(
+            net, 0, [(every, np.array([w]), cap) for w in targets])
         assert calls == 1
         return sides
 
@@ -452,15 +452,15 @@ def test_flow_stacks_have_their_own_cell_budget():
     one per sink, hold 39 (40 + 1,200 + 1) = 48,399 cells. Each side is
     the one its copy gets alone."""
     net = random_connected_network(np.random.default_rng(2), n_lo=40, n_hi=40, max_m=600)
-    base = network_module._FlowNetwork(net, 0, [])
-    copies = [base.with_sinks([w]) for w in range(1, net.n)]
-    cells = sum(c.n + len(c.tails) + len(c.sinks) for c in copies)
+    every = np.arange(2 * net.m)
+    cap = network_module._SCALE * np.count_nonzero((net.us == 0) | (net.vs == 0)) + 1
+    copies = [(every, np.array([w]), cap) for w in range(1, net.n)]
+    cells = sum(net.n + len(arcs) + len(sinks) for arcs, sinks, _ in copies)
     assert network_module.CELLS < cells == 48399 <= network_module.FLOW_CELLS
-    caps = [base.source_cap] * len(copies)
-    sides, calls = network_module._minimal_sides(copies, caps)
+    sides, calls = network_module._minimal_sides(net, 0, copies)
     assert calls == 1
     with mock.patch.object(network_module, "FLOW_CELLS", 1):
-        alone, alone_calls = network_module._minimal_sides(copies, caps)
+        alone, alone_calls = network_module._minimal_sides(net, 0, copies)
     assert alone_calls == len(copies)
     for side, single in zip(sides, alone):
         assert np.array_equal(side, single)

@@ -441,7 +441,7 @@ def test_lp_restricts_and_merges_scenarios():
     assert samples.rows.tolist() == [[True, False]] and samples.counts.tolist() == [5]
     assert (model.num_x, model.num_y) == (1, 1)
     assert model.y_cells.tolist() == [1]  # the component {0, 1}: one copy, of vertex 1
-    assert model.a_ub.shape == (1, 1) and model.b_ub.tolist() == [1.0]  # the budget row
+    assert model.a_ub.toarray().tolist() == [[1.0]]  # the budget row: cost 1 / B = 1
     # one arc: the merged source 0 -> the copy of vertex 1, weighed by x column 0
     assert (model.arc_tail.tolist(), model.arc_head.tolist(), model.arc_col.tolist()) == \
         ([0], [1], [0])

@@ -47,6 +47,8 @@ def test_sbcc_star_contract():
     star = star_network(4)
     sol = min_sbcc(star, budget=2.0, lam=0.5)
     assert sol.cut_size <= 2.0 / 0.5
+    # {s} cuts exactly budget / lam, so it is the answer
+    assert (sol.component, sol.probes) == ((0,), 0)
     exact_set, exact_size = min_sbcc_exact(star, 2.0)
     assert exact_size == 3
     assert sol.component_size <= math.ceil(exact_size / (1 - 0.5))
@@ -435,9 +437,9 @@ def test_min_sbcc_matches_parametric_oracle(case):
 
 def recording_minimal_sides(probed):
     """``_minimal_sides`` that appends every probed sink capacity to ``probed``."""
-    def record(networks, caps):
-        probed.extend(caps)
-        return network_module._minimal_sides(networks, caps)
+    def record(network, source, copies):
+        probed.extend(cap for _, _, cap in copies)
+        return network_module._minimal_sides(network, source, copies)
     return record
 
 
@@ -452,11 +454,12 @@ def test_sweep_ends_are_known_without_a_flow(case):
     largest int32 capacity among them, it is {s}."""
     n, edges, source, _, _ = case
     net = make_network(n, edges, source=source)
-    flow_net = network_module._FlowNetwork(net, source, np.delete(np.arange(n), source))
-    above = network_module._SCALE * flow_net.degree + 1
-    assert flow_net.source_cap == above
+    degree = sum(u != v and source in (u, v) for u, v in edges)
+    above = network_module._SCALE * degree + 1
+    every = np.arange(len(network_module._arcs(net)[0]))
+    sinks = np.delete(np.arange(n), source)
     (zero, just_above, top), _ = network_module._minimal_sides(
-        [flow_net] * 3, [0, above, np.iinfo(np.int32).max])
+        net, source, [(every, sinks, cap) for cap in (0, above, np.iinfo(np.int32).max)])
     component = source_component_members(net, np.ones((1, net.m), dtype=bool))[0]
     assert zero.tolist() == np.flatnonzero(component).tolist()
     assert just_above.tolist() == top.tolist() == [source]
@@ -510,6 +513,9 @@ def sbcc_rows(draw):
                     [[True] * 5, [False] * 5, [True, False, True, True, True]]), cells=1)
 @example(case_rows=((4, [(1, 2), (2, 3)], 0, 2.0, 0.5), [[True, True]]), cells=1)
 @example(case_rows=((1, [(0, 0)], 0, 0.0, 0.5), [[True], [False]]), cells=60)
+# {s} cuts 5 and 4 = budget / lam
+@example(case_rows=((6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)], 0, 2.0, 0.5),
+                    [[True] * 5, [True] * 4 + [False]]), cells=60)
 def test_min_sbcc_many_matches_one_at_a_time(case_rows, cells):
     """Each row's sweep gives the answer of min_sbcc on the row's own
     subgraph, with cut edges as ids of the full graph, however the rounds
@@ -552,11 +558,13 @@ def test_min_sbcc_many_matches_one_at_a_time(case_rows, cells):
 def test_min_sbcc_many_matches_parametric_oracle(case_rows):
     """Each row's answer is the parametric oracle's on the row's own subgraph.
     A row gets a sweep, a flow copy and a kernel row only when its {s} cuts
-    more than budget / lam, and the flow network is built only when some
-    row does. A sweep probes a sink capacity only between the two nearest
-    capacities it knows, 0, 2^16 deg(s) + 1 and its earlier probes, when
-    their minimal sides' cuts straddle budget / lam: the smaller side does
-    not qualify and the larger one does, so the answer can still change."""
+    more than budget / lam. Its sweep starts from its C = 0 side, the
+    source's component in the row, and its flow copy keeps exactly the
+    row's arcs, with every vertex but s a sink. A sweep probes a sink
+    capacity only between the two nearest capacities it knows, 0,
+    2^16 deg(s) + 1 and its earlier probes, when their minimal sides' cuts
+    straddle budget / lam: the smaller side does not qualify and the larger
+    one does, so the answer can still change."""
     (n, edges, source, budget, lam), rows = case_rows
     rows = np.asarray(rows, dtype=bool)
     net = make_network(n, edges, source=source)
@@ -564,47 +572,44 @@ def test_min_sbcc_many_matches_parametric_oracle(case_rows):
     degrees = [sum(u != v and source in (u, v) for u, v in (edges[e] for e in np.flatnonzero(keep)))
                for keep in rows]
     over = [r for r, degree in enumerate(degrees) if degree > limit]
-    copies: list = []  # (kept-edge row, its flow copy), in the order made
     kernel_rows: list[int] = []
-    probed: dict[int, list[int]] = {}  # id of a flow copy -> its probes
-    with_edges, flow_network, run_sweep = (network_module._FlowNetwork.with_edges,
-                                           network_module._FlowNetwork, sbcc_module._sweep)
-    bases: list = []  # the flow networks built
-    swept: list = []  # the flow copy of each sweep started
+    swept: list = []  # (kept-edge row, C = 0 side) of each sweep started
+    rounds: list = []  # the flow copies of each _minimal_sides call
+    run_sweep = sbcc_module._sweep
 
-    def copy(flow_net, keep):
-        copies.append((keep.tolist(), with_edges(flow_net, keep)))
-        return copies[-1][1]
-
-    def build(*args):
-        bases.append(flow_network(*args))
-        return bases[-1]
-
-    def sweep(flow_net, *args):
-        swept.append(flow_net)
-        return run_sweep(flow_net, *args)
+    def sweep(network, keep, limit, zero, top):
+        swept.append((keep.tolist(), zero.tolist()))
+        return run_sweep(network, keep, limit, zero, top)
 
     def members(network, keep_rows):
         kernel_rows.append(len(keep_rows))
         return source_component_members(network, keep_rows)
 
-    def flows(networks, caps):
-        for flow_net, cap in zip(networks, caps):
-            probed.setdefault(id(flow_net), []).append(cap)
-        return network_module._minimal_sides(networks, caps)
+    def flows(network, source, copies):
+        rounds.append(copies)
+        return network_module._minimal_sides(network, source, copies)
 
-    with mock.patch.object(network_module._FlowNetwork, "with_edges", copy), \
-         mock.patch.object(sbcc_module, "_FlowNetwork", build), \
-         mock.patch.object(sbcc_module, "_sweep", sweep), \
+    with mock.patch.object(sbcc_module, "_sweep", sweep), \
          mock.patch.object(sbcc_module, "source_component_members", members), \
          mock.patch.object(sbcc_module, "_minimal_sides", flows):
         solutions, calls = min_sbcc_many(net, rows, budget, lam)
-    assert [keep for keep, _ in copies] == [rows[r].tolist() for r in over]
-    assert len(bases) == (1 if over else 0)
-    assert swept == [flow_net for _, flow_net in copies]
+    assert [keep for keep, _ in swept] == [rows[r].tolist() for r in over]
     assert kernel_rows == ([len(over)] if over else [])
-    probes_of = {r: probed.get(id(flow_net), []) for r, (_, flow_net) in zip(over, copies)}
-    assert (calls == 0) == (not probed)
+    assert (calls == 0) == (not rounds) == (not over)
+    # every sweep probes at least once, so the first round holds every
+    # row's flow copy, in row order
+    arc_edges = network_module._arcs(net)[2]
+    row_of = {}  # id of a flow copy's arcs -> its row
+    for r, (arcs, sinks, _) in zip(over, rounds[0] if rounds else []):
+        assert arcs.tolist() == np.flatnonzero(rows[r][arc_edges]).tolist()
+        assert sinks.tolist() == [v for v in range(n) if v != source]
+        row_of[id(arcs)] = r
+    assert len(row_of) == len(over)
+    probes_of = {r: [] for r in over}
+    for copies in rounds:
+        for arcs, _, cap in copies:
+            probes_of[row_of[id(arcs)]].append(cap)
+    zero_of = {r: zero for r, (_, zero) in zip(over, swept)}
 
     for r, (keep, sol, degree) in enumerate(zip(rows, solutions, degrees)):
         caps = probes_of.get(r, [])
@@ -616,6 +621,8 @@ def test_min_sbcc_many_matches_parametric_oracle(case_rows):
         assert sol.cut_edges == tuple(kept[list(boundary_of(sub, side))].tolist())
         assert sol.probes == len(caps)
         sides = source_sides(sub)
+        if r in zero_of:
+            assert tuple(zero_of[r]) == minimal_side(sides, 0)[0]
         known = [0, network_module._SCALE * degree + 1]
         for cap in caps:
             below = max(c for c in known if c < cap)
