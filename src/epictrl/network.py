@@ -45,6 +45,16 @@ CELLS = 1 << 15
 # sweep flows against 40 and 12, and about 14% more time.
 FLOW_CELLS = 1 << 16
 
+# Share of a kernel block's arcs above which the arcs leaving a round's
+# front make the round pull over every arc instead of pushing along those
+# (_block_reach). A pull round walks all arcs in a few whole-array calls; a
+# push round walks only the front's, with a gather, a scatter and a dedupe
+# per arc. On the sparse 1,000-vertex, 3,000-edge graph at p = 0.8 a 64-row
+# block then pulls in its wide middle rounds and takes about 0.55 times as
+# long as with push rounds alone (0.85 times pull rounds alone); the narrow
+# fronts of a path, a ladder or a grid never pass it and push only.
+PULL_SHARE = 0.25
+
 _SCALE = 1 << 16  # integer capacity of an edge in the flow networks
 
 
@@ -293,19 +303,29 @@ def _block_reach(network: ContactNetwork, block: np.ndarray) -> np.ndarray:
     stands for its own copy of the graph, whose vertex v is j n + v and
     whose arc k is j a + k, for the a arcs of :func:`_arcs`. ``kept`` holds,
     per copy's arc, the lanes that keep its edge, and ``reach`` per copy's
-    vertex the lanes that reach it, at first the source alone. Each round
-    pushes ``reach[tail] & kept[arc]`` along the arcs that leave the
-    vertices that gained lanes in the round before, ORs the lanes new to
-    each head into its reach, and the rounds stop when no lane changes.
-    Every lane then holds its row's source component, after as many rounds
-    as the deepest of those components has levels. A self-loop has no arc,
-    so self-loops stay inert. The block is packed along its contiguous
-    axis: its (m, r) transpose packs into the first ceil(r / 8) bytes of
-    each edge's 8 w zeroed bytes, read as w little-endian words. Returns
-    ``reach``, (w n,) uint64; the lanes past r reach the source alone.
+    vertex the lanes that reach it, at first the source alone. The front is
+    the vertices that gained lanes in the round before, and each round is
+    one of two kinds (Beamer, Asanović and Patterson, SC 2012), chosen from
+    the arcs that leave the front. While they are at most ``PULL_SHARE`` of
+    the block's w a arcs, the round pushes: it sends ``reach[tail] &
+    kept[arc]`` along those arcs alone and ORs the lanes new to each head
+    into its reach. Past that, it pulls: every vertex with an arc ORs in
+    ``reach[head] & kept[arc]`` over its whole CSR run, one reduction per
+    run, and the vertices that gained lanes, already sorted and unique, are
+    the next front. Pulling is exact because every edge has an arc in each
+    direction with the same ``kept`` lanes, so vertex v's run names exactly
+    the arcs into v. Each kind of round moves every lane that the front
+    holds across every kept arc, so both reach the same fixpoint, and the
+    rounds stop when no lane changes. Every lane then holds its row's
+    source component, after as many rounds as the deepest of those
+    components has levels. A self-loop has no arc, so self-loops stay
+    inert. The block is packed along its contiguous axis: its (m, r)
+    transpose packs into the first ceil(r / 8) bytes of each edge's 8 w
+    zeroed bytes, read as w little-endian words. Returns ``reach``, (w n,)
+    uint64; the lanes past r reach the source alone.
     """
     n, m, source = network.n, network.m, network.source
-    _, heads, edges, starts = _arcs(network)
+    _, heads, edges, starts, with_arcs, run_starts = _arcs(network)
     a = len(heads)
     words = -(-len(block) // 64)
     # edge e's row of packed holds its lanes: row i is bit i % 64 of word i // 64
@@ -316,6 +336,8 @@ def _block_reach(network: ContactNetwork, block: np.ndarray) -> np.ndarray:
     copy = np.arange(words)[:, np.newaxis]
     first_arc = np.append((starts[:-1] + a * copy).reshape(-1), words * a)
     head = (heads + n * copy).reshape(-1)
+    pull_above = int(PULL_SHARE * words * a)  # an int compares with ends[-1] fastest
+    pulled = runs = None  # each copy's vertices with arcs and their runs' first arcs
     reach = np.zeros(words * n, dtype="<u8")
     reach[source::n] = np.iinfo(np.uint64).max
     latest = np.empty(words * n, dtype=np.int32)  # dedupes each round's heads
@@ -325,6 +347,23 @@ def _block_reach(network: ContactNetwork, block: np.ndarray) -> np.ndarray:
         first = first_arc[front]
         count = first_arc[front + 1] - first
         ends = np.cumsum(count)
+        if ends[-1] > pull_above:
+            del first, count, ends  # push rounds' own; freed before the pull allocates
+            if pulled is None:
+                pulled, runs = ((with_arcs, run_starts) if words == 1 else
+                                ((with_arcs + n * copy).reshape(-1),
+                                 (run_starts + a * copy).reshape(-1)))
+            got = reach[head]
+            got &= kept
+            gain = np.bitwise_or.reduceat(got, runs)
+            del got
+            old = reach[pulled]
+            gain &= np.invert(old, out=old)
+            del old
+            new = gain != 0
+            front = pulled[new]
+            reach[front] |= gain[new]
+            continue
         arcs = np.repeat(first - ends + count, count)
         arcs += np.arange(len(arcs))
         to = head[arcs]
@@ -340,14 +379,19 @@ def _block_reach(network: ContactNetwork, block: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _arcs(network: ContactNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _arcs(network: ContactNetwork) -> tuple[np.ndarray, ...]:
     """Both arcs of every non-loop edge, sorted by (tail, head).
 
-    Returns their tails, heads and edge ids, and the (n + 1,) offsets at
-    which each vertex's arcs start (vertex v's arcs are v's CSR row,
-    ``starts[v]:starts[v + 1]``). Built once per network and cached; the
-    component kernel reads it, and a flow copy of :func:`_minimal_sides`
-    is a list of indices into it.
+    Returns their tails, heads and edge ids, the (n + 1,) offsets at which
+    each vertex's arcs start (vertex v's arcs are v's CSR row,
+    ``starts[v]:starts[v + 1]``), and the segments of the component
+    kernel's pull rounds: the ascending vertices with at least one arc and
+    the offset of each one's run. Those runs tile the arcs, so one
+    ``np.bitwise_or.reduceat`` over the offsets ORs each such vertex's arcs;
+    an arc-less vertex is left out, since reduceat would read its empty run
+    as the next vertex's first arc. Built once per network and cached,
+    read-only; the component kernel reads it, and a flow copy of
+    :func:`_minimal_sides` is a list of indices into it.
     """
     cached = network.__dict__.get("_arcs")
     if cached is not None:
@@ -357,8 +401,10 @@ def _arcs(network: ContactNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     heads = np.concatenate([network.vs[real], network.us[real]])
     order = np.lexsort((heads, tails))
     tails = tails[order]
-    arcs = (tails, heads[order], np.concatenate([real, real])[order],
-            np.searchsorted(tails, np.arange(network.n + 1)))
+    starts = np.searchsorted(tails, np.arange(network.n + 1))
+    with_arcs = np.flatnonzero(np.diff(starts))
+    arcs = (tails, heads[order], np.concatenate([real, real])[order], starts,
+            with_arcs, starts[with_arcs])
     for arr in arcs:
         arr.setflags(write=False)
     object.__setattr__(network, "_arcs", arcs)
@@ -609,7 +655,7 @@ def _minimal_sides(network: ContactNetwork, source: int,
     from scipy import sparse
 
     n = network.n
-    all_tails, all_heads, _, starts = _arcs(network)
+    all_tails, all_heads, _, starts, _, _ = _arcs(network)
 
     def kept(arcs: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:
         """The tails and heads of a copy's arcs, shifted by ``offset``. As many
@@ -690,7 +736,7 @@ def _edge_connectivity(network: ContactNetwork) -> tuple[float, int]:
     n = network.n
     if n <= 1:
         return math.inf, 0
-    _, heads, _, starts = _arcs(network)
+    _, heads, _, starts, _, _ = _arcs(network)
     degree = np.diff(starts)
     v = int(np.argmin(degree))
     best = int(degree[v])

@@ -202,7 +202,7 @@ def min_sbcc_many(
     # costs 2^16 deg(s), is the unique minimizer; its cut is deg(s), the
     # row's kept arcs out of s, taken in ascending edge id so that each
     # row's cut edges come out sorted.
-    _, _, arc_edges, starts = _arcs(network)
+    _, _, arc_edges, starts, _, _ = _arcs(network)
     at_s = np.sort(arc_edges[starts[s]:starts[s + 1]])
     kept_at_s = keep_rows[:, at_s]
     solutions: list[SbccSolution | None] = [None] * len(keep_rows)

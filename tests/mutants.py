@@ -19,8 +19,11 @@ fails there, it would count as a kill for every mutant that names it, so
 the runner prints ``BROKEN <test id>`` for each and exits 1. Otherwise it
 prints one line per mutant and exits 1 if any mutant survives or if its
 old text does not occur exactly once, so an entry cannot quietly stop
-matching the code. It starts one pytest process per mutant, plus one, and
-is not part of the Tier-1 suite.
+matching the code. Each pytest run has ``TIMEOUT_S`` seconds: a run that
+takes longer, such as one whose mutant never lets a loop stop, is killed
+with every process it started, prints ``TIMEOUT <name>`` and counts as
+not killed. It starts one pytest process per mutant, plus one, and is not
+part of the Tier-1 suite.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -36,6 +40,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # per pytest run; a whole unmutated run takes well under a minute
+
+
+class Timeout(Exception):
+    """A pytest run took longer than ``TIMEOUT_S`` and was killed."""
 
 
 class Mutant(NamedTuple):
@@ -50,6 +59,8 @@ SBCC = "src/epictrl/sbcc.py"
 SKIP_RULE = "if cut_b <= limit or cut_a > limit:"
 PARAMETRIC = "tests/test_sbcc.py::test_min_sbcc_many_matches_parametric_oracle"
 COUNTERS = "tests/test_sbcc.py::test_karger_counters_and_one_score_per_distinct_candidate"
+KERNEL = "tests/test_percolate.py::test_component_kernel_matches_union_find"
+KERNEL_WORDS = "tests/test_network.py::test_component_kernel_matches_union_find_across_words"
 
 MUTANTS = [
     # the sweep's skip rule: a pair of known sides is skipped when the smaller
@@ -144,13 +155,21 @@ MUTANTS = [
     Mutant("connectivity-targets-keep-neighbours", "src/epictrl/network.py",
            "    outside[heads[starts[v]:starts[v + 1]]] = False\n", "",
            ("tests/test_network.py::test_min_cut_flows_to_non_neighbours_of_min_degree_vertex",)),
+    # a pull round ORs in a neighbour's lanes only where the edge is kept
+    Mutant("pull-ignores-kept", "src/epictrl/network.py", "            got &= kept\n", "",
+           (KERNEL, KERNEL_WORDS)),
+    # each lane word pulls over its own copy's arcs, not word 0's
+    Mutant("pull-segments-of-word-zero", "src/epictrl/network.py",
+           "(run_starts + a * copy).reshape(-1)", "np.tile(run_starts, words)",
+           (KERNEL, KERNEL_WORDS)),
 ]
 
 
 def failing_tests(mutant: Mutant | None, tests: tuple[str, ...]) -> list[str] | None:
     """Ids of ``tests`` that fail on a copy of the tree with ``mutant`` applied
     (with none, the tree as it is), or None when its old text does not occur
-    exactly once."""
+    exactly once. Raises :class:`Timeout` once the run has taken
+    ``TIMEOUT_S`` seconds, after killing its process group."""
     with tempfile.TemporaryDirectory(prefix="epictrl-mutant-") as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):
@@ -164,11 +183,20 @@ def failing_tests(mutant: Mutant | None, tests: tuple[str, ...]) -> list[str] | 
                 return None
             target.write_text(text.replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
-        proc = subprocess.run(
+        # a session of its own, so that a timeout kills the processes that
+        # the tests start as well
+        proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no",
              "-rfE", "--hypothesis-seed=0", *tests],
-            cwd=copy, env=env, capture_output=True, text=True)
-    return re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", proc.stdout, re.MULTILINE)
+            cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            stdout, _ = proc.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise Timeout from None
+    return re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", stdout, re.MULTILINE)
 
 
 def main(names: list[str]) -> int:
@@ -178,14 +206,23 @@ def main(names: list[str]) -> int:
         return 2
     chosen = [m for m in MUTANTS if not names or m.name in names]
     start = time.perf_counter()
-    broken = failing_tests(None, tuple(dict.fromkeys(t for m in chosen for t in m.kills)))
+    try:
+        broken = failing_tests(None, tuple(dict.fromkeys(t for m in chosen for t in m.kills)))
+    except Timeout:
+        print(f"TIMEOUT unmutated: no result within {TIMEOUT_S} s")
+        return 1
     for test in broken:
         print(f"BROKEN {test}")
     if broken:
         return 1
     bad = 0
     for mutant in chosen:
-        failed = failing_tests(mutant, mutant.kills)
+        try:
+            failed = failing_tests(mutant, mutant.kills)
+        except Timeout:
+            bad += 1
+            print(f"TIMEOUT {mutant.name}: no result within {TIMEOUT_S} s")
+            continue
         if failed is None:
             bad += 1
             print(f"UNMATCHED {mutant.name}: old text does not occur exactly once "

@@ -441,6 +441,23 @@ def kernel_cases(draw):
     return net, keep, removed, draw(st.integers(1, 200))
 
 
+# The kernel pushes a round while the arcs leaving its front are at most
+# PULL_SHARE of the block's, and pulls over every arc past that.
+LONG_PATH = make_network(12, [(v, v + 1) for v in range(11)])
+STAR = star_network(10, p=0.5)
+# a handle 0 - 1 - 2 - 3 - 4, and ten bristles at 4
+BROOM = make_network(15, [(v, v + 1) for v in range(4)] + [(4, v) for v in range(5, 15)],
+                     probs=0.5)
+# vertices 0, 4 and 8 have no arc (0 and 8 only a self-loop); the rest hang
+# off the source 2 and each other
+ARCLESS = make_network(9, [(2, 1), (2, 3), (2, 5), (2, 6), (2, 7), (1, 3), (5, 6), (6, 7),
+                           (0, 0), (8, 8)], probs=0.5, source=2)
+
+
+def _random_rows(rows, m, seed):
+    return np.random.default_rng(seed).random((rows, m)) < 0.6
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=kernel_cases())
 @example(case=(make_network(3, []), np.zeros((5, 0), dtype=bool), None, 1))
@@ -459,6 +476,18 @@ def kernel_cases(draw):
                np.ones((3, 4), dtype=bool), None, 16))
 # n + m = 28 above 8 CELLS = 24: step 1, one row per block
 @example(case=(complete_network(7), np.ones((4, 21), dtype=bool), None, 3))
+# push rounds only: every front is one vertex with at most 2 of 22 arcs
+@example(case=(LONG_PATH, np.ones((5, 11), dtype=bool), None, 200))
+# a pull first: the source's 10 arcs are half the block's
+@example(case=(STAR, _random_rows(20, 10, 1), None, 200))
+# four push rounds along the handle, then pulls from its 11-arc end
+@example(case=(BROOM, np.ones((3, 14), dtype=bool), None, 200))
+@example(case=(BROOM, _random_rows(40, 14, 2), edge_removal(BROOM, [7]), 200))
+# pull rounds whose segments skip the arc-less vertices 0, 4 and 8
+@example(case=(ARCLESS, _random_rows(30, 10, 3), None, 200))
+# 130 rows in one block of three words: each word pulls over its own segments
+@example(case=(ARCLESS, _random_rows(130, 10, 4), None, 1000))
+@example(case=(STAR, _random_rows(130, 10, 5), None, 1000))
 def test_component_kernel_matches_union_find(case):
     net, keep, removed, cells = case
     effective = keep & removal_edge_keep(net, removed)
