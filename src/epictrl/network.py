@@ -26,7 +26,8 @@ META_SOURCE_LABEL = "__source__"
 # at most 8 CELLS // (n + m) rows at a time, whole 64-row words from 64 rows
 # up, so at most CELLS bytes of packed bits (kernel_rows); Monte Carlo
 # estimates and scenario draws draw one such block at a time, and its
-# uniforms CELLS // stride rows at a time (percolate.sample_keep_matrix).
+# uniforms, m per sample from one PCG64DXSM stream, CELLS // m rows at a
+# time (percolate.sample_keep_matrix).
 # The value is set by the cache and the allocator. On a 1,000-vertex,
 # 3,000-edge graph a block is then 64 rows, one lane word: its 240 kB
 # uniform chunk, its 192 kB keep rows, their transpose and a removal's

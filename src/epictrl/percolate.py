@@ -69,18 +69,17 @@ def sample_keep_matrix(
     retained. Each row depends only on (seed, sample index, edge id), so
     identical indices reproduce identical rows regardless of batching.
     Edges with p_e = 1 are always kept and p_e = 0 never. The uniforms
-    come ``CELLS // stride`` rows at a time into one buffer of at most
-    ``CELLS`` float64 cells beside the (count, m) result.
+    come ``CELLS // m`` rows at a time into one buffer of at most ``CELLS``
+    float64 cells beside the (count, m) result.
     """
     keep = np.empty((count, network.m), dtype=bool)
-    stride = rng.stride_for(network.m)
     stream = rng.sample_stream(seed, start_index, network.m)
-    rows = max(1, CELLS // max(stride, 1))
-    uniforms = np.empty((min(rows, count), stride))
+    rows = max(1, CELLS // max(network.m, 1))
+    uniforms = np.empty((min(rows, count), network.m))
     for start in range(0, count, rows):
         out = keep[start:start + rows]
         draws = stream.random(out=uniforms[:len(out)])
-        np.less(draws[:, :network.m], network.probs, out=out)
+        np.less(draws, network.probs, out=out)
     return keep
 
 

@@ -1,21 +1,26 @@
-"""Counter-based random streams.
+"""Seeded random streams.
 
-All randomness in the package flows through Philox keyed by
-``SeedSequence(seed, spawn_key=...)``. Philox is counter-based, so a stream
-position is a pure function of (key, position): results are bit-identical
-across runs, platforms, and batch sizes, and independent streams can be
-consumed in any order or in parallel. A seed must be a nonnegative
-integer: every stream checks it (:func:`check_seed`) and refuses a
-negative one with ``ValidationError``.
+Every stream is named by a user seed and a purpose path and seeded from
+``SeedSequence(seed, spawn_key=...)``, so results are bit-identical across
+runs and platforms, and distinct paths give independent streams. A seed
+must be a nonnegative integer: every stream checks it (:func:`check_seed`)
+and refuses a negative one with ``ValidationError``.
 
-Percolation uses a fixed layout on top of this: sample ``j`` of a network
-with ``m`` edges owns the draw positions ``[j*stride, j*stride + m)`` where
-``stride`` pads ``m`` up to whole Philox blocks (4 draws). Edge ``e`` of
-sample ``j`` therefore always sees the same uniform for a given seed, no
-matter how many samples are drawn or in which batches. Monte Carlo
-estimates use this to draw one block of samples at a time, right before
-they size it, instead of drawing all N first, and take a block's uniforms
-a few rows at a time from one :func:`sample_stream`.
+Two bit generators serve two kinds of stream. Percolation samples, the
+bulk of all draws, come from PCG64DXSM (:func:`sample_stream`), which
+yields one double per 64-bit output at under half Philox's cost and jumps
+to any position with ``advance``. Sample ``j`` of a network with ``m``
+edges owns the draw positions ``[j*m, j*m + m)``, and edge ``e`` of it
+the position ``j*m + e``, so it always sees the same uniform for a given
+seed, no matter how many samples are drawn or in which batches. Monte
+Carlo estimates use this to draw one block of samples at a time, right
+before they size it, instead of drawing all N first, and take a block's
+uniforms a few rows at a time from one :func:`sample_stream`.
+
+Every other stream (:func:`generator`: Chung-Lu graphs, path percolation,
+randomized rounding) stays on counter-based Philox keyed by
+:func:`philox_key`: those draws are few, and moving them would change the
+graph that ``generate`` writes for a seed, and every instance built on it.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-
-_BLOCK = 4  # uint64 outputs per Philox counter increment
 
 
 def philox_key(seed: int, *path: int | str) -> np.ndarray:
@@ -48,16 +51,6 @@ def _seed_sequence(seed: int, *path: int | str) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=tuple(_encode(p) for p in path))
 
 
-def _philox(seed: int, *path: int | str) -> np.random.Philox:
-    """A Philox bit generator at counter 0, keyed by :func:`philox_key`.
-
-    Seeded with the sequence itself, Philox takes the same two words as its
-    key. ``Philox(key=...)`` would also seed an unused sequence from OS
-    entropy, about 20 us per call, which blocked draws pay once per block.
-    """
-    return np.random.Philox(_seed_sequence(seed, *path))
-
-
 def derived_seed(seed: int, *path: int | str) -> int:
     """A 31-bit integer seed for the stream named by (seed, path).
 
@@ -78,24 +71,25 @@ def _encode(part: int | str) -> int:
 
 
 def generator(seed: int, *path: int | str) -> np.random.Generator:
-    """A fresh Generator on the stream named by (seed, path)."""
-    return np.random.Generator(_philox(seed, *path))
+    """A fresh Philox Generator at counter 0 on the stream named by (seed,
+    path), keyed by :func:`philox_key`.
 
-
-def stride_for(m: int) -> int:
-    """Per-sample draw stride: m padded to whole Philox blocks."""
-    return -(-m // _BLOCK) * _BLOCK
+    Seeded with the sequence itself, Philox takes the same two words as its
+    key. ``Philox(key=...)`` would also seed an unused sequence from OS
+    entropy, about 20 us per call.
+    """
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, *path)))
 
 
 def sample_stream(seed: int, start_index: int, m: int, *path: int | str) -> np.random.Generator:
-    """A Generator at the first uniform of sample ``start_index``.
+    """A PCG64DXSM Generator at the first uniform of sample ``start_index``.
 
-    Sample j of an m-edge network owns the ``stride_for(m)`` uniforms from
-    position j * stride, so each (k, stride) block then drawn holds the
-    uniforms of the next k samples, row by row, whatever the block sizes;
-    the first m of a row are its edges'. A row's contents depend only on
-    (seed, path, sample index, edge position).
+    Sample j of an m-edge network owns the m uniforms from position j * m,
+    and a double takes one position, so each (k, m) block then drawn holds
+    the uniforms of the next k samples, row by row, whatever the block
+    sizes. A row's contents depend only on (seed, path, sample index, edge
+    position).
     """
-    bitgen = _philox(seed, *path)
-    bitgen.advance(start_index * (stride_for(m) // _BLOCK))
+    bitgen = np.random.PCG64DXSM(_seed_sequence(seed, *path))
+    bitgen.advance(start_index * m)
     return np.random.Generator(bitgen)

@@ -74,9 +74,10 @@ MAX_CUT_ROUNDS = 500
 # were 0.1-0.2 bytes in draw_samples, 4.0 in build_lp, 0.05 in solve_lp.
 DISTINCT_CELL_CAP = 1 << 23
 
-# Most uniforms, N x rng.stride_for(m), that draw_samples draws, one kernel
-# block at a time. The merge after the draw keeps a few int64s per scenario,
-# and this bounds N for it: N <= 2^24 / stride.
+# Most uniforms, N x m, that draw_samples draws, one kernel block at a time.
+# Sample j takes the m uniforms from position j m of its PCG64DXSM stream
+# (rng.sample_stream), so a draw holds no padding. The merge after the draw
+# keeps a few int64s per scenario, and this bounds N for it: N <= 2^24 / m.
 SAMPLE_DRAW_CAP = 1 << 24
 
 
@@ -115,8 +116,8 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
 
     Scenarios are drawn and labelled in the component kernel's blocks, so no
     (N, n) array exists, and one ``_distinct_rows`` merges their packed
-    restricted rows. Over ``SAMPLE_DRAW_CAP`` uniforms (N times the padded
-    stride) ``InstanceTooLargeError`` is raised before the draw, and over
+    restricted rows. Over ``SAMPLE_DRAW_CAP`` uniforms (N times m)
+    ``InstanceTooLargeError`` is raised before the draw, and over
     ``DISTINCT_CELL_CAP`` cells (D n) right after the merge, before the
     rows are unpacked.
 
@@ -129,7 +130,7 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
     if N < 1:
         raise ValidationError("N must be >= 1")
     n, m, us, vs = network.n, network.m, network.us, network.vs
-    draws = N * rng.stride_for(m)
+    draws = N * m
     if draws > SAMPLE_DRAW_CAP:
         raise InstanceTooLargeError(
             f"N = {N} scenarios of a network with m = {m} edges need "

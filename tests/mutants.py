@@ -61,6 +61,7 @@ PARAMETRIC = "tests/test_sbcc.py::test_min_sbcc_many_matches_parametric_oracle"
 COUNTERS = "tests/test_sbcc.py::test_karger_counters_and_one_score_per_distinct_candidate"
 KERNEL = "tests/test_percolate.py::test_component_kernel_matches_union_find"
 KERNEL_WORDS = "tests/test_network.py::test_component_kernel_matches_union_find_across_words"
+STREAMS = "tests/test_percolate.py::test_streams_are_those_of_philox_keyed_by_philox_key"
 
 MUTANTS = [
     # the sweep's skip rule: a pair of known sides is skipped when the smaller
@@ -138,6 +139,16 @@ MUTANTS = [
            "draws = rng.sample_stream(seed, start_index, network.m).random("
            "out=uniforms[:len(out)])",
            ("tests/test_percolate.py::test_sample_reproducible_and_batch_invariant",)),
+    # sample j of m edges starts at stream position j m, one position a
+    # double, not at Philox's 4-draw counter steps
+    Mutant("stream-advance-in-philox-blocks", "src/epictrl/rng.py",
+           "bitgen.advance(start_index * m)", "bitgen.advance(start_index * m // 4)",
+           (STREAMS, "tests/test_percolate.py::test_sample_stream_positions_are_stable",
+            "tests/test_percolate.py::test_keep_matrix_is_one_reference_draw_in_any_chunks")),
+    # a purpose path names its own sample stream
+    Mutant("stream-ignores-path", "src/epictrl/rng.py",
+           "PCG64DXSM(_seed_sequence(seed, *path))", "PCG64DXSM(_seed_sequence(seed))",
+           (STREAMS, "tests/test_percolate.py::test_sample_stream_positions_are_stable")),
     Mutant("seed-check-removed", "src/epictrl/rng.py", "    if seed < 0:\n", "    if False:\n",
            ("tests/test_cli.py::test_negative_seed_exits_2_before_any_work",
             "tests/test_percolate.py::test_negative_seed_is_a_validation_error")),

@@ -28,7 +28,6 @@ from epictrl.percolate import (
     prepare_removal,
     sample_keep_matrix,
 )
-from epictrl.rng import stride_for
 
 from epictrl import network as network_module
 from epictrl import percolate as percolate_module
@@ -65,7 +64,7 @@ def test_sample_reproducible_and_batch_invariant():
     assert not np.array_equal(full, sample_keep_matrix(net, 43, 0, 10))
     # the uniforms of 1, 3 or 4 rows at a time give the same rows
     for rows in (1, 3, 4):
-        with mock.patch.object(percolate_module, "CELLS", rows * stride_for(net.m)):
+        with mock.patch.object(percolate_module, "CELLS", rows * net.m):
             assert np.array_equal(sample_keep_matrix(net, 42, 0, 10), full)
 
 
@@ -80,31 +79,53 @@ def test_sample_mean_kept_count_binomial():
 def test_sample_stream_positions_are_stable():
     from epictrl import rng as streams
 
-    m, stride = 7, 8
-    full = streams.sample_stream(31, 0, m).random((20, stride))[:, :m]
+    m = 7
+    full = streams.sample_stream(31, 0, m).random((20, m))
     # any start reads the same positions
-    assert np.array_equal(streams.sample_stream(31, 5, m).random((3, stride))[:, :m],
-                          full[5:8])
+    assert np.array_equal(streams.sample_stream(31, 5, m).random((3, m)), full[5:8])
     # and so does any split of the rows into blocks drawn one after another
     stream = streams.sample_stream(31, 5, m)
-    blocks = [stream.random((rows, stride))[:, :m] for rows in (1, 4, 2)]
+    blocks = [stream.random((rows, m)) for rows in (1, 4, 2)]
     assert np.array_equal(np.concatenate(blocks), full[5:12])
     # a different purpose path gives an unrelated stream
-    other = streams.sample_stream(31, 0, m, "eval").random((20, stride))[:, :m]
+    other = streams.sample_stream(31, 0, m, "eval").random((20, m))
     assert not np.array_equal(full, other)
 
 
 def test_streams_are_those_of_philox_keyed_by_philox_key():
+    """``generator`` is Philox keyed by ``philox_key``; ``sample_stream`` is
+    PCG64DXSM on the same seed sequence, one position per double, at sample
+    j of m edges after ``advance(j * m)``."""
     from epictrl import rng as streams
 
-    for seed, path in ((0, ()), (31, ("eval",)), (2**40, (3, "round"))):
+    for seed, path, encoded in ((0, (), ()), (31, ("eval",), (streams._encode("eval"),)),
+                                (2**40, (3, "round"), (3, streams._encode("round")))):
         keyed = np.random.Philox(key=streams.philox_key(seed, *path))
         assert np.array_equal(streams.generator(seed, *path).random(9),
                               np.random.Generator(keyed).random(9))
-        keyed = np.random.Philox(key=streams.philox_key(seed, *path))
-        keyed.advance(5 * 2)  # samples 0..4 of stride 8, in 4-draw counter steps
-        assert np.array_equal(streams.sample_stream(seed, 5, 7, *path).random((3, 8)),
-                              np.random.Generator(keyed).random((3, 8)))
+        for j, m in ((0, 7), (5, 7), (3, 1), (11, 35)):
+            bitgen = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=encoded))
+            bitgen.advance(j * m)
+            assert np.array_equal(streams.sample_stream(seed, j, m, *path).random((3, m)),
+                                  np.random.Generator(bitgen).random((3, m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([1, 3, 4, 5, 7, 35]), start=st.integers(0, 500),
+       count=st.integers(1, 40), rows=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_keep_matrix_is_one_reference_draw_in_any_chunks(m, start, count, rows, seed):
+    """``sample_keep_matrix`` over samples start..start+count-1, its uniforms
+    drawn 1-3 rows a chunk, is one reference draw of (start + count) m
+    uniforms from the sample stream's seed sequence, reshaped to rows of m
+    and compared with the edges' probabilities: no padding, no gap between
+    rows, and every m, a multiple of 4 or not."""
+    probs = np.linspace(0.05, 0.95, m)
+    net = make_network(m + 1, [(i, i + 1) for i in range(m)], probs=probs)
+    bitgen = np.random.PCG64DXSM(np.random.SeedSequence(seed))
+    uniforms = np.random.Generator(bitgen).random((start + count) * m).reshape(-1, m)
+    with mock.patch.object(percolate_module, "CELLS", rows * m):
+        keep = sample_keep_matrix(net, seed, start, count)
+    assert np.array_equal(keep, uniforms[start:] < probs)
 
 
 @pytest.mark.parametrize("entry", ["estimate", "estimate-edgeless", "draw", "samples",
@@ -666,7 +687,7 @@ def test_estimate_is_the_same_at_any_block_size(net, removed, path):
     for rows in (1, 3, 7):
         counts = []
         with mock.patch.object(network_module, "CELLS", kernel_cells(net, rows)), \
-             mock.patch.object(percolate_module, "CELLS", 2 * stride_for(net.m)), \
+             mock.patch.object(percolate_module, "CELLS", 2 * net.m), \
              mock.patch.object(percolate_module, "sample_keep_matrix",
                                recording_draws(sample_keep_matrix, counts)):
             blocked = estimate_infections(net, removed, 50, seed=9)

@@ -272,8 +272,9 @@ RANDOM_20 = random_connected_network(np.random.default_rng(1), n_lo=10, n_hi=12,
 @pytest.mark.parametrize("net, budget, seed, distinct", [
     (complete_network(40, p=0.9), 40.0, 4, 1),  # every candidate isolates the source
     # 3 distinct of 6, two of them of equal size
-    (RANDOM_20, 0.25, 4, 3),
-    # 5 distinct of 6, three of size 2, and the last one is chosen
+    (RANDOM_20, 0.25, 20, 3),
+    # 5 distinct of 6, two pairs of distinct components of equal size (4
+    # and 9 vertices), and the last distinct one is chosen
     (RANDOM_20, 0.25, 0, 5),
 ], ids=["k40", "random-3-distinct", "random-5-distinct"])
 def test_karger_counters_and_one_score_per_distinct_candidate(net, budget, seed, distinct):
@@ -666,7 +667,7 @@ def test_karger_report_is_the_same_at_any_evaluation_block_size():
     (the estimate draws ``kernel_rows`` samples per block) with the same
     report as on one block of 50."""
     net = RANDOM_20
-    _, report = solve_karger(net, budget=0.25, p=0.5, repetitions=6, eval_samples=50, seed=4)
+    _, report = solve_karger(net, budget=0.25, p=0.5, repetitions=6, eval_samples=50, seed=20)
     assert report["candidates_distinct"] == 3
     for rows in (1, 3, 7):
         counts = []
@@ -674,7 +675,7 @@ def test_karger_report_is_the_same_at_any_evaluation_block_size():
              mock.patch.object(percolate_module, "sample_keep_matrix",
                                recording_draws(sample_keep_matrix, counts)):
             _, blocked = solve_karger(net, budget=0.25, p=0.5, repetitions=6,
-                                      eval_samples=50, seed=4)
+                                      eval_samples=50, seed=20)
         # the evaluation's draws; the repetitions' samples are drawn in sbcc
         assert max(counts) == rows and sum(counts) == 50
         assert blocked == report
