@@ -26,11 +26,12 @@ META_SOURCE_LABEL = "__source__"
 # at most 8 CELLS // (n + m) rows at a time, whole 64-row words from 64 rows
 # up, so at most CELLS bytes of packed bits (kernel_rows); Monte Carlo
 # estimates and scenario draws draw one such block at a time, and its
-# uniforms, m per sample from one PCG64DXSM stream, CELLS // m rows at a
-# time (percolate.sample_keep_matrix).
+# 32-bit halves, m per sample from one PCG64DXSM stream, two an output,
+# CELLS // m rows at a time; an edge is kept when its half is below
+# p_e 2^32, within 2^-32 of p_e (percolate.sample_keep_matrix).
 # The value is set by the cache and the allocator. On a 1,000-vertex,
-# 3,000-edge graph a block is then 64 rows, one lane word: its 240 kB
-# uniform chunk, its 192 kB keep rows, their transpose and a removal's
+# 3,000-edge graph a block is then 64 rows, one lane word: its 120 kB
+# raw chunk, its 192 kB keep rows, their transpose and a removal's
 # mask, and the kernel's own arrays fit a 2 MB L2 cache together, as those
 # of 2^16 did not. Each array past glibc's mmap threshold is a fresh
 # mapping whose pages fault in on first touch: an estimate of 200 samples
@@ -351,7 +352,9 @@ def _block_reach(network: ContactNetwork, block: np.ndarray) -> np.ndarray:
         if ends[-1] > pull_above:
             del first, count, ends  # push rounds' own; freed before the pull allocates
             if pulled is None:
-                pulled, runs = ((with_arcs, run_starts) if words == 1 else
+                # reduceat copies a read-only index array on every call, so
+                # the cached offsets are copied once here
+                pulled, runs = ((with_arcs, run_starts.copy()) if words == 1 else
                                 ((with_arcs + n * copy).reshape(-1),
                                  (run_starts + a * copy).reshape(-1)))
             got = reach[head]

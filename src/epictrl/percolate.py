@@ -68,18 +68,28 @@ def sample_keep_matrix(
     Row i is sample ``start_index + i``; entry e is True when edge e is
     retained. Each row depends only on (seed, sample index, edge id), so
     identical indices reproduce identical rows regardless of batching.
-    Edges with p_e = 1 are always kept and p_e = 0 never. The uniforms
-    come ``CELLS // m`` rows at a time into one buffer of at most ``CELLS``
-    float64 cells beside the (count, m) result.
+    Edge e of a sample reads its 32-bit half k of the sample stream
+    (:func:`rng.sample_stream`) and is kept when k < p_e 2^32, computed as
+    k <= ceil(p_e 2^32) - 1 in uint32: with probability ceil(p_e 2^32) /
+    2^32, within 2^-32 of p_e. Edges with p_e = 1 are always kept and
+    p_e = 0 never: the threshold -1 of p_e = 0 does not fit in uint32, so
+    those columns are cleared after the draw. The raw outputs come
+    ``CELLS // m`` rows of ceil(m/2) outputs at a time, about 4 ``CELLS``
+    bytes, beside the (count, m) result.
     """
-    keep = np.empty((count, network.m), dtype=bool)
-    stream = rng.sample_stream(seed, start_index, network.m)
-    rows = max(1, CELLS // max(network.m, 1))
-    uniforms = np.empty((min(rows, count), network.m))
+    m = network.m
+    keep = np.empty((count, m), dtype=bool)
+    stream = rng.sample_stream(seed, start_index, m)
+    words = (m + 1) // 2
+    rows = max(1, CELLS // max(m, 1))
+    limits = (np.maximum(np.ceil(network.probs * 2.0**32), 1.0) - 1.0).astype(np.uint32)
     for start in range(0, count, rows):
         out = keep[start:start + rows]
-        draws = stream.random(out=uniforms[:len(out)])
-        np.less(draws, network.probs, out=out)
+        raw = stream.random_raw(len(out) * words)
+        # the halves in little-endian order on any platform: edge 2i is low
+        halves = np.asarray(raw, dtype="<u8").view("<u4").reshape(len(out), 2 * words)
+        np.less_equal(halves[:, :m], limits, out=out)
+    keep[:, network.probs == 0.0] = False
     return keep
 
 

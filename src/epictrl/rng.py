@@ -8,14 +8,18 @@ and refuses a negative one with ``ValidationError``.
 
 Two bit generators serve two kinds of stream. Percolation samples, the
 bulk of all draws, come from PCG64DXSM (:func:`sample_stream`), which
-yields one double per 64-bit output at under half Philox's cost and jumps
-to any position with ``advance``. Sample ``j`` of a network with ``m``
-edges owns the draw positions ``[j*m, j*m + m)``, and edge ``e`` of it
-the position ``j*m + e``, so it always sees the same uniform for a given
-seed, no matter how many samples are drawn or in which batches. Monte
-Carlo estimates use this to draw one block of samples at a time, right
-before they size it, instead of drawing all N first, and take a block's
-uniforms a few rows at a time from one :func:`sample_stream`.
+jumps to any position with ``advance``, and each of its 64-bit outputs
+decides two edges, one 32-bit half each. Sample ``j`` of a network with
+``m`` edges owns the ``w = ceil(m/2)`` outputs from position ``j*w``, and
+edge ``e`` of it the half ``e % 2`` (low half first) of output
+``j*w + e // 2``; for odd ``m`` the high half of a sample's last output
+is unused. So an edge always sees the same 32 bits ``k`` for a given
+seed, no matter how many samples are drawn or in which batches, and it
+is kept when ``k < p_e * 2^32``: with probability ``ceil(p_e * 2^32) /
+2^32``, within 2^-32 of ``p_e``. Monte Carlo estimates use this to draw
+one block of samples at a time, right before they size it, instead of
+drawing all N first, and take a block's outputs a few rows at a time
+from one :func:`sample_stream`.
 
 Every other stream (:func:`generator`: Chung-Lu graphs, path percolation,
 randomized rounding) stays on counter-based Philox keyed by
@@ -81,15 +85,16 @@ def generator(seed: int, *path: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, *path)))
 
 
-def sample_stream(seed: int, start_index: int, m: int, *path: int | str) -> np.random.Generator:
-    """A PCG64DXSM Generator at the first uniform of sample ``start_index``.
+def sample_stream(seed: int, start_index: int, m: int, *path: int | str) -> np.random.PCG64DXSM:
+    """A PCG64DXSM bit generator at the first output of sample ``start_index``.
 
-    Sample j of an m-edge network owns the m uniforms from position j * m,
-    and a double takes one position, so each (k, m) block then drawn holds
-    the uniforms of the next k samples, row by row, whatever the block
-    sizes. A row's contents depend only on (seed, path, sample index, edge
-    position).
+    Sample j of an m-edge network owns the ceil(m/2) outputs from position
+    j * ceil(m/2), two edges an output: edge e reads the 32-bit half e % 2,
+    low half first, of output j * ceil(m/2) + e // 2. So each block of k
+    rows of ceil(m/2) outputs then drawn with ``random_raw`` holds the bits
+    of the next k samples, row by row, whatever the block sizes. A row's
+    contents depend only on (seed, path, sample index, edge position).
     """
     bitgen = np.random.PCG64DXSM(_seed_sequence(seed, *path))
-    bitgen.advance(start_index * m)
-    return np.random.Generator(bitgen)
+    bitgen.advance(start_index * ((m + 1) // 2))
+    return bitgen

@@ -74,10 +74,13 @@ MAX_CUT_ROUNDS = 500
 # were 0.1-0.2 bytes in draw_samples, 4.0 in build_lp, 0.05 in solve_lp.
 DISTINCT_CELL_CAP = 1 << 23
 
-# Most uniforms, N x m, that draw_samples draws, one kernel block at a time.
-# Sample j takes the m uniforms from position j m of its PCG64DXSM stream
-# (rng.sample_stream), so a draw holds no padding. The merge after the draw
-# keeps a few int64s per scenario, and this bounds N for it: N <= 2^24 / m.
+# Most cells, N x m, that draw_samples draws, one kernel block at a time.
+# A cell is one 32-bit half of its PCG64DXSM stream, two an output: sample
+# j takes the ceil(m/2) outputs from output j ceil(m/2) (rng.sample_stream),
+# for odd m leaving the high half of its last one unused, and an edge is
+# kept when its half is below p_e 2^32, within 2^-32 of p_e. The merge
+# after the draw keeps a few int64s per scenario, and this bounds N for it:
+# N <= 2^24 / m.
 SAMPLE_DRAW_CAP = 1 << 24
 
 
@@ -116,8 +119,8 @@ def draw_samples(network: ContactNetwork, N: int, seed: int) -> SampleSet:
 
     Scenarios are drawn and labelled in the component kernel's blocks, so no
     (N, n) array exists, and one ``_distinct_rows`` merges their packed
-    restricted rows. Over ``SAMPLE_DRAW_CAP`` uniforms (N times m)
-    ``InstanceTooLargeError`` is raised before the draw, and over
+    restricted rows. Over ``SAMPLE_DRAW_CAP`` cells (N times m, one 32-bit
+    uniform draw each) ``InstanceTooLargeError`` is raised before the draw, and over
     ``DISTINCT_CELL_CAP`` cells (D n) right after the merge, before the
     rows are unpacked.
 

@@ -62,6 +62,9 @@ COUNTERS = "tests/test_sbcc.py::test_karger_counters_and_one_score_per_distinct_
 KERNEL = "tests/test_percolate.py::test_component_kernel_matches_union_find"
 KERNEL_WORDS = "tests/test_network.py::test_component_kernel_matches_union_find_across_words"
 STREAMS = "tests/test_percolate.py::test_streams_are_those_of_philox_keyed_by_philox_key"
+KEEP_REFERENCE = "tests/test_percolate.py::test_keep_matrix_is_one_reference_draw_in_any_chunks"
+KEEP_RULE = "tests/test_percolate.py::test_keep_rule_on_chosen_halves"
+PERCOLATE = "src/epictrl/percolate.py"
 
 MUTANTS = [
     # the sweep's skip rule: a pair of known sides is skipped when the smaller
@@ -83,7 +86,7 @@ MUTANTS = [
             "tests/test_sbcc.py::test_min_sbcc_many_matches_one_at_a_time",
             PARAMETRIC, COUNTERS)),
     # the isolation test must see the source as either endpoint
-    Mutant("isolation-first-endpoint", "src/epictrl/percolate.py",
+    Mutant("isolation-first-endpoint", PERCOLATE,
            "keep[(network.us == s) != (network.vs == s)]", "keep[network.us == s]",
            ("tests/test_percolate.py::test_component_kernel_matches_union_find",
             "tests/test_percolate.py::test_component_sizes_restricted_to_source_component")),
@@ -133,22 +136,32 @@ MUTANTS = [
     Mutant("flow-stacks-at-kernel-budget", "src/epictrl/network.py",
            "ends[start] + FLOW_CELLS", "ends[start] + CELLS",
            ("tests/test_network.py::test_flow_stacks_have_their_own_cell_budget",)),
-    # a block's uniform chunks read on along one stream
-    Mutant("chunk-restarts-stream", "src/epictrl/percolate.py",
-           "draws = stream.random(out=uniforms[:len(out)])",
-           "draws = rng.sample_stream(seed, start_index, network.m).random("
-           "out=uniforms[:len(out)])",
+    # a block's raw chunks read on along one stream
+    Mutant("chunk-restarts-stream", PERCOLATE,
+           "raw = stream.random_raw(len(out) * words)",
+           "raw = rng.sample_stream(seed, start_index, m).random_raw(len(out) * words)",
            ("tests/test_percolate.py::test_sample_reproducible_and_batch_invariant",)),
-    # sample j of m edges starts at stream position j m, one position a
-    # double, not at Philox's 4-draw counter steps
-    Mutant("stream-advance-in-philox-blocks", "src/epictrl/rng.py",
-           "bitgen.advance(start_index * m)", "bitgen.advance(start_index * m // 4)",
+    # sample j of m edges starts at stream output j ceil(m/2), two edges an
+    # output, not at one position per edge
+    Mutant("stream-advance-per-edge", "src/epictrl/rng.py",
+           "bitgen.advance(start_index * ((m + 1) // 2))", "bitgen.advance(start_index * m)",
            (STREAMS, "tests/test_percolate.py::test_sample_stream_positions_are_stable",
-            "tests/test_percolate.py::test_keep_matrix_is_one_reference_draw_in_any_chunks")),
+            KEEP_REFERENCE)),
     # a purpose path names its own sample stream
     Mutant("stream-ignores-path", "src/epictrl/rng.py",
            "PCG64DXSM(_seed_sequence(seed, *path))", "PCG64DXSM(_seed_sequence(seed))",
            (STREAMS, "tests/test_percolate.py::test_sample_stream_positions_are_stable")),
+    # edge 2i reads the low half of its output, edge 2i + 1 the high half
+    Mutant("halves-high-first", PERCOLATE,
+           'np.asarray(raw, dtype="<u8").view("<u4")',
+           'np.asarray(raw, dtype=">u8").view(">u4")', (KEEP_REFERENCE, KEEP_RULE)),
+    # an edge is kept below ceil(p 2^32), not below floor(p 2^32)
+    Mutant("threshold-floor", PERCOLATE,
+           "np.ceil(network.probs * 2.0**32)", "np.floor(network.probs * 2.0**32)",
+           (KEEP_RULE,)),
+    # p = 0's threshold does not fit in uint32: its columns are cleared
+    Mutant("zero-columns-kept", PERCOLATE, "    keep[:, network.probs == 0.0] = False\n", "",
+           (KEEP_RULE,)),
     Mutant("seed-check-removed", "src/epictrl/rng.py", "    if seed < 0:\n", "    if False:\n",
            ("tests/test_cli.py::test_negative_seed_exits_2_before_any_work",
             "tests/test_percolate.py::test_negative_seed_is_a_validation_error")),

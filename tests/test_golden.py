@@ -19,7 +19,8 @@ def test_corpus_diff_names_each_moved_field(tmp_path):
     assert corpus_diff(GOLDEN, tmp_path) == []
     result = json.loads((tmp_path / "oracle.json").read_text())
     lp = result["suites"]["lp"][1]
-    lp["lp_plus_one"] += 1.0
+    old_value = lp["lp_plus_one"]  # (x + 1) - 1 need not give x back
+    lp["lp_plus_one"] = old_value + 1.0
     (tmp_path / "oracle.json").write_text(json.dumps(result))
     lines = (tmp_path / "desk_lps.txt").read_text().splitlines()
     old_line = lines[2]
@@ -33,7 +34,7 @@ def test_corpus_diff_names_each_moved_field(tmp_path):
     assert diff[1:3] == [f"desk_lps.txt: line 3: {old_line} -> changed",
                          f"desk_lps.txt: line {len(lines) + 1}: (absent) -> added"]
     assert diff[3] == (f"oracle.json: suites.lp[1].lp_plus_one: "
-                       f"{lp['lp_plus_one'] - 1.0} -> {lp['lp_plus_one']}")
+                       f"{old_value} -> {lp['lp_plus_one']}")
     gone = diff[4:]  # every field of the deleted file
     assert gone and all(line.startswith("paths.json: ") and line.endswith(" -> (absent)")
                         for line in gone)

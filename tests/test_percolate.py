@@ -76,26 +76,39 @@ def test_sample_mean_kept_count_binomial():
     assert abs(mean - 5.0) <= 4 * sigma
 
 
+def reference_keep(bitgen, m, count, probs):
+    """Kept-edge rows of the next ``count`` samples of ``bitgen``, built
+    with Python ints: edge e reads the 32-bit half e % 2, low half first,
+    of the row's output e // 2 and is kept below ceil(p_e 2^32)."""
+    words = (m + 1) // 2
+    raw = bitgen.random_raw(count * words).reshape(count, words)
+    limits = [math.ceil(float(p) * 2**32) for p in probs]
+    return np.array([[(int(row[e // 2]) >> 32 * (e % 2)) & 0xFFFFFFFF < limits[e]
+                      for e in range(m)] for row in raw], dtype=bool).reshape(count, m)
+
+
 def test_sample_stream_positions_are_stable():
     from epictrl import rng as streams
 
-    m = 7
-    full = streams.sample_stream(31, 0, m).random((20, m))
-    # any start reads the same positions
-    assert np.array_equal(streams.sample_stream(31, 5, m).random((3, m)), full[5:8])
-    # and so does any split of the rows into blocks drawn one after another
-    stream = streams.sample_stream(31, 5, m)
-    blocks = [stream.random((rows, m)) for rows in (1, 4, 2)]
-    assert np.array_equal(np.concatenate(blocks), full[5:12])
-    # a different purpose path gives an unrelated stream
-    other = streams.sample_stream(31, 0, m, "eval").random((20, m))
-    assert not np.array_equal(full, other)
+    for m in (7, 8):
+        words = (m + 1) // 2
+        full = streams.sample_stream(31, 0, m).random_raw(20 * words).reshape(20, words)
+        # any start reads the same positions, ceil(m/2) outputs a sample
+        assert np.array_equal(streams.sample_stream(31, 5, m).random_raw(3 * words),
+                              full[5:8].reshape(-1))
+        # and so does any split of the rows into blocks drawn one after another
+        stream = streams.sample_stream(31, 5, m)
+        blocks = [stream.random_raw(rows * words) for rows in (1, 4, 2)]
+        assert np.array_equal(np.concatenate(blocks), full[5:12].reshape(-1))
+        # a different purpose path gives an unrelated stream
+        other = streams.sample_stream(31, 0, m, "eval").random_raw(20 * words)
+        assert not np.array_equal(full.reshape(-1), other)
 
 
 def test_streams_are_those_of_philox_keyed_by_philox_key():
     """``generator`` is Philox keyed by ``philox_key``; ``sample_stream`` is
-    PCG64DXSM on the same seed sequence, one position per double, at sample
-    j of m edges after ``advance(j * m)``."""
+    PCG64DXSM on the same seed sequence, two edges an output, at sample j of
+    m edges after ``advance(j * ((m + 1) // 2))``."""
     from epictrl import rng as streams
 
     for seed, path, encoded in ((0, (), ()), (31, ("eval",), (streams._encode("eval"),)),
@@ -103,29 +116,64 @@ def test_streams_are_those_of_philox_keyed_by_philox_key():
         keyed = np.random.Philox(key=streams.philox_key(seed, *path))
         assert np.array_equal(streams.generator(seed, *path).random(9),
                               np.random.Generator(keyed).random(9))
-        for j, m in ((0, 7), (5, 7), (3, 1), (11, 35)):
+        for j, m in itertools.product((0, 3, 5, 11), (1, 2, 3, 4, 5, 7, 35)):
             bitgen = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=encoded))
-            bitgen.advance(j * m)
-            assert np.array_equal(streams.sample_stream(seed, j, m, *path).random((3, m)),
-                                  np.random.Generator(bitgen).random((3, m)))
+            bitgen.advance(j * ((m + 1) // 2))
+            words = 3 * ((m + 1) // 2)
+            assert np.array_equal(streams.sample_stream(seed, j, m, *path).random_raw(words),
+                                  bitgen.random_raw(words))
 
 
 @settings(max_examples=40, deadline=None)
-@given(m=st.sampled_from([1, 3, 4, 5, 7, 35]), start=st.integers(0, 500),
+@given(m=st.sampled_from([1, 2, 3, 4, 5, 7, 35]), start=st.integers(0, 500),
        count=st.integers(1, 40), rows=st.integers(1, 3), seed=st.integers(0, 2**32))
 def test_keep_matrix_is_one_reference_draw_in_any_chunks(m, start, count, rows, seed):
-    """``sample_keep_matrix`` over samples start..start+count-1, its uniforms
-    drawn 1-3 rows a chunk, is one reference draw of (start + count) m
-    uniforms from the sample stream's seed sequence, reshaped to rows of m
-    and compared with the edges' probabilities: no padding, no gap between
-    rows, and every m, a multiple of 4 or not."""
+    """``sample_keep_matrix`` over samples start..start+count-1, its raw
+    outputs drawn 1-3 rows a chunk, is one reference draw of (start +
+    count) ceil(m/2) outputs from the sample stream's seed sequence, read
+    two edges an output, low half first, with Python ints: no gap between
+    rows, and for odd m each row's last high half unused."""
     probs = np.linspace(0.05, 0.95, m)
     net = make_network(m + 1, [(i, i + 1) for i in range(m)], probs=probs)
     bitgen = np.random.PCG64DXSM(np.random.SeedSequence(seed))
-    uniforms = np.random.Generator(bitgen).random((start + count) * m).reshape(-1, m)
+    reference = reference_keep(bitgen, m, start + count, probs)
     with mock.patch.object(percolate_module, "CELLS", rows * m):
         keep = sample_keep_matrix(net, seed, start, count)
-    assert np.array_equal(keep, uniforms[start:] < probs)
+    assert np.array_equal(keep, reference[start:])
+
+
+def test_keep_rule_on_chosen_halves():
+    """Edge e is kept when its half k < p_e 2^32, exactly: a stub stream
+    gives every edge each of the halves 0, 1, 2^31 and 2^32 - 1 once, the
+    even and odd edges of an output different ones, at probabilities whose
+    2^32 multiples are 0, 1, 2^31, 2^31 + 1/2, 2^32 - 1 and 2^32. A slip
+    from ceil to floor or from <= to < changes one cell in 2^32 of a real
+    draw, and here at least one of these."""
+    from epictrl import rng as streams
+
+    halves = [0, 1, 2**31, 2**32 - 1]
+    probs = [0.0, 2.0**-32, 0.5, 0.5 + 2.0**-33, 1.0 - 2.0**-32, 1.0]
+    m = len(probs)
+    # sample r gives edge e the half halves[(r + e) % 4]
+    raw = np.array([[halves[(r + e) % 4] | halves[(r + e + 1) % 4] << 32
+                     for e in range(0, m, 2)] for r in range(4)], dtype=np.uint64)
+
+    class Stub:
+        at = 0
+
+        def random_raw(self, size):
+            self.at += size
+            return raw.reshape(-1)[self.at - size:self.at].copy()
+
+    net = make_network(m + 1, [(i, i + 1) for i in range(m)], probs=np.array(probs))
+    expected = np.array([[Fraction(halves[(r + e) % 4]) < Fraction(p) * 2**32
+                          for e, p in enumerate(probs)] for r in range(4)])
+    assert expected.any(axis=0).tolist() == [False] + [True] * 5
+    assert expected.all(axis=0).tolist() == [False] * 5 + [True]
+    for rows in (1, 4):
+        with mock.patch.object(streams, "sample_stream", lambda *args: Stub()), \
+             mock.patch.object(percolate_module, "CELLS", rows * m):
+            assert np.array_equal(sample_keep_matrix(net, 0, 0, 4), expected)
 
 
 @pytest.mark.parametrize("entry", ["estimate", "estimate-edgeless", "draw", "samples",

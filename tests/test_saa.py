@@ -396,7 +396,8 @@ def test_lp_matches_unreduced_oracle_on_batteries():
         net = random_connected_network(rng, n_lo=4, n_hi=8, max_m=14, p_mode="random",
                                        unit_costs=bool(i % 2))
         budget = max(1.0, round(0.35 * float(net.costs.sum()), 2))
-        samples, keep = drawn(net, 40, 500 + i)
+        # battery 6's draw seed gives tied optima whose rounded members differ
+        samples, keep = drawn(net, 40, 551 if i == 6 else 500 + i)
         if i != 6:
             assert_matches_unreduced(samples, keep, budget)
             continue
@@ -693,10 +694,10 @@ def test_node_mode_members_match_unreduced_oracle():
 
 
 def test_draw_guard_fails_before_drawing(monkeypatch):
-    """N x m uniforms: at the cap the draw runs, one below it raises."""
+    """N x m cells: at the cap the draw runs, one below it raises."""
     net = complete_network(4, p=0.5)
     N = required_sample_count(net.n, net.m, 0.9)
-    draws = N * 6  # one uniform per edge, m = 6, with no padding
+    draws = N * 6  # one 32-bit half per edge, m = 6
     monkeypatch.setattr(saa, "SAMPLE_DRAW_CAP", draws)
     assert draw_samples(net, N, seed=1).N == N
     _, report = solve_saa(net, budget=1.0, epsilon=0.9, seed=1, eval_samples=10)
@@ -1273,14 +1274,15 @@ def test_solve_lp_passes_one_master_model(monkeypatch):
 
 
 @pytest.mark.parametrize("mode, expected", [
-    ("edge", (5, 24, 4.892857142857152, [0, 1, 2, 3, 4, 5, 6])),
-    ("node", (8, 49, 3.8000000000000087, [1, 2, 3, 4, 5, 6, 7])),
+    ("edge", (7, 40, 4.79761904761905, [0, 1, 2, 3, 4, 5, 6])),
+    ("node", (8, 55, 3.6619047619047644, [1, 2, 3, 4, 5, 6, 7])),
 ])
 def test_solve_saa_repeats_pinned_lp_counters(mode, expected):
     """Rounds, iterations, objective and members of the multi-cut loop. On
-    the Philox samples of earlier versions it took 5 and 7 rounds (38 and
-    48 iterations), and the single-cut loop 11 and 21 (16 and 33), to the
-    same members."""
+    the one-double-per-edge PCG64DXSM samples of the previous version it
+    took 5 and 8 rounds (24 and 49 iterations), on the Philox samples of
+    earlier ones 5 and 7 (38 and 48), and the single-cut loop 11 and 21
+    (16 and 33), to the same members."""
     _, report = solve_saa(complete_network(8, p=0.5), budget=2.0, epsilon=0.5,
                           rounding="deterministic", mode=mode, seed=3, num_samples=60,
                           eval_samples=20)
