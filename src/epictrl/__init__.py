@@ -18,7 +18,8 @@ guarantee applies. Brute-force oracles back every solver at desk scale.
 Importing the package, or its CLI, loads numpy and no heavy scipy module.
 scipy.sparse and scipy.sparse.csgraph (which pull in scipy.sparse.linalg
 and scipy.linalg) load on the first max flow or LP, scipy.optimize on the
-first LP, and scipy.special on the first LP or Chung-Lu path-count bound.
+first LP, and scipy.special on the first LP or weight-class allocation
+bound (the Chung-Lu path-count bound is exact integer arithmetic).
 Loaded at import they cost every process 0.3-0.6 s and ~37 MB of
 resident memory that Monte Carlo runs never use: a fresh ``import epictrl,
 epictrl.cli`` peaks at 29.7 MB instead of 66.8 MB (numpy 2.4, scipy 1.17,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -288,47 +289,33 @@ def _check_enumeration_size(span: int, k: int) -> None:
 def expected_path_count_bound(model: ChungLuModel, k: int) -> float:
     """Upper bound on the expected number of length-k simple paths.
 
-    Evaluates, in log domain,
+    The bound is
         n * (2^k k! / m^k) * sum over class allocations a of
             prod_i C(n_i, a(i)) * i^(2 a(i))
-    where the sum ranges over ways to allocate the k path vertices among the
-    weight classes and m is the expected edge count. Allocations demanding
-    more vertices than a class holds contribute nothing.
+    where a allocates the k path vertices among the weight classes and m is
+    the expected edge count. That sum is e_k(w_1^2, ..., w_n^2), the k-th
+    elementary symmetric polynomial of the squared vertex weights, so with
+    m = W/2 for the total weight W the bound is n 4^k k! e_k / W^k. e_k is
+    built exactly in Python ints, one class at a time, by convolving with
+    the class's coefficients C(n_i, a) i^(2a), a <= k; the float returned is
+    the rational's correctly rounded value (0.0 when k > n). A value past
+    the float range raises ``ValidationError``.
     """
-    from scipy.special import gammaln, logsumexp
-
     if k < 0:
         raise ValidationError("k must be >= 0")
-    if k == 0:
-        return float(model.n)
-    span = model.w_max - model.w_min
-    _check_enumeration_size(span, k)
-    sizes = model.class_sizes
-    log_i = [math.log(model.w_min + j) for j in range(span + 1)]
-    # log C(n_i, a) for the a values that can occur
-    log_binom = [
-        [float(gammaln(sz + 1) - gammaln(a + 1) - gammaln(sz - a + 1)) if a <= sz else -math.inf
-         for a in range(k + 1)]
-        for sz in sizes
-    ]
-    terms: list[float] = []
-
-    def walk(j: int, remaining: int, acc: float):
-        if j == span:
-            t = acc + log_binom[j][remaining]
-            if remaining <= sizes[j]:
-                terms.append(t + 2.0 * remaining * log_i[j])
-            return
-        for a in range(min(remaining, sizes[j]) + 1):
-            walk(j + 1, remaining - a, acc + log_binom[j][a] + 2.0 * a * log_i[j])
-
-    walk(0, k, 0.0)
-    if not terms:
-        return 0.0
-    log_sum = float(logsumexp(np.asarray(terms)))
-    m = model.expected_edges
-    log_pref = math.log(model.n) + k * math.log(2.0) + float(gammaln(k + 1)) - k * math.log(m)
-    return math.exp(log_pref + log_sum)
+    e = [1] + [0] * k
+    for j, size in enumerate(model.class_sizes):
+        sq = (model.w_min + j) ** 2
+        c = [math.comb(size, a) * sq ** a for a in range(min(k, size) + 1)]
+        e = [sum(e[t - a] * c[a] for a in range(min(t, len(c) - 1) + 1))
+             for t in range(k + 1)]
+    bound = Fraction(model.n * 4 ** k * math.factorial(k) * e[k], model.total_weight ** k)
+    try:
+        return float(bound)
+    except OverflowError:
+        raise ValidationError(
+            f"the length-{k} path-count bound exceeds the float range; use a smaller k"
+        ) from None
 
 
 def _validate_allocation_args(max_class: int, k: int, decay: float, w_min: int) -> None:
@@ -342,6 +329,14 @@ def _validate_allocation_args(max_class: int, k: int, decay: float, w_min: int) 
         raise ValidationError("decay must be positive")
 
 
+def _allocation_divisor(i: int, decay: float, a: int) -> float:
+    """i^(decay a) a!, or inf once that leaves the float range (its term is 0.0)."""
+    try:
+        return i ** (decay * a) * math.factorial(a)
+    except OverflowError:
+        return math.inf
+
+
 def allocation_sum_recurrence(max_class: int, k: int, decay: float, w_min: int) -> float:
     """Weight-class allocation sum by dynamic programming.
 
@@ -351,14 +346,14 @@ def allocation_sum_recurrence(max_class: int, k: int, decay: float, w_min: int) 
     with base N(w_min, k) = 1 / (w_min^(decay k) k!).
     """
     _validate_allocation_args(max_class, k, decay, w_min)
-    fact = [math.factorial(j) for j in range(k + 1)]
-    prev = [1.0 / (w_min ** (decay * kk) * fact[kk]) for kk in range(k + 1)]
+    prev = [1.0 / _allocation_divisor(w_min, decay, kk) for kk in range(k + 1)]
     for d in range(w_min + 1, max_class + 1):
+        div = [_allocation_divisor(d, decay, j) for j in range(k + 1)]
         cur = [0.0] * (k + 1)
         for kk in range(k + 1):
             acc = 0.0
             for j in range(kk + 1):
-                acc += prev[kk - j] / (d ** (decay * j) * fact[j])
+                acc += prev[kk - j] / div[j]
             cur[kk] = acc
         prev = cur
     return prev[k]
@@ -372,10 +367,10 @@ def allocation_sum_enumerated(max_class: int, k: int, decay: float, w_min: int) 
 
     def walk(i: int, remaining: int, acc: float):
         if i == max_class:
-            terms.append(acc / (i ** (decay * remaining) * math.factorial(remaining)))
+            terms.append(acc / _allocation_divisor(i, decay, remaining))
             return
         for a in range(remaining + 1):
-            walk(i + 1, remaining - a, acc / (i ** (decay * a) * math.factorial(a)))
+            walk(i + 1, remaining - a, acc / _allocation_divisor(i, decay, a))
 
     walk(w_min, k, 1.0)
     return math.fsum(terms)

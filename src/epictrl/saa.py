@@ -30,6 +30,7 @@ search over every budget-feasible subset provides the validation oracle.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
@@ -398,6 +399,30 @@ def _check_cut_keys(num_groups: int, width: int, N: int) -> None:
         )
 
 
+def _highs():
+    """scipy's HiGHS bindings, ``scipy.optimize._highspy._core``.
+
+    A private module, so a scipy that lacks it, or lacks one of the names
+    the master LP reads from it, raises :class:`SolverError` naming the
+    installed and the tested scipy version; there is no second LP path.
+    Imported on first use: loading scipy.optimize takes ~0.1 s, and solvers
+    without an LP never pay it.
+    """
+    try:
+        highs = importlib.import_module("scipy.optimize._highspy._core")
+        for name in ("_Highs", "HighsLp", "HighsOptions", "HighsStatus",
+                     "HighsModelStatus", "MatrixFormat", "simplex_constants"):
+            getattr(highs, name)
+    except (ImportError, AttributeError) as err:
+        import scipy
+
+        raise SolverError(
+            f"scipy {scipy.__version__} lacks the HiGHS bindings the master LP "
+            f"uses, scipy.optimize._highspy._core ({err}); tested with scipy 1.17.1"
+        ) from None
+    return highs
+
+
 def _master_solver(budget_row: np.ndarray, num_groups: int):
     """One HiGHS instance holding the first master: the budget row alone.
 
@@ -412,10 +437,7 @@ def _master_solver(budget_row: np.ndarray, num_groups: int):
     (exact zeros dropped), 0 <= x <= 1 and theta >= 0; ``_solve_master``
     adds the cuts.
     """
-    # imported here: loading scipy.optimize takes ~0.1 s, and solvers
-    # without an LP never pay it
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()
     options = highs.HighsOptions()
     options.output_flag = options.log_to_console = False
     options.presolve, options.solver = "off", "simplex"
@@ -458,8 +480,7 @@ def _solve_master(
     values, the objective and this run's simplex iterations; any other
     model status raises :class:`SolverError` with HiGHS's status string.
     """
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()
     added = solver.addRows(len(rhs), np.full(len(rhs), -np.inf), rhs, len(index),
                            start[:-1].astype(np.int32), index.astype(np.int32), value)
     if added == highs.HighsStatus.kError:

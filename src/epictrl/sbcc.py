@@ -21,10 +21,12 @@ then probes the integers around the line intersection of each pair of
 adjacent known sides, until no probe finds a new side. Neither end needs a
 flow: at C = 0 the minimal side is the source's component, and at the top
 it is {s}, as any larger side costs at least C there. Along the nested
-sides the cut never shrinks as the side does, so the sweep skips a pair of
-known sides when the smaller one already cuts at most budget/lambda or the
-larger one cuts more: no side between them could be the answer. The sweep
-is verified against an exhaustive oracle rather than assumed correct.
+sides the cut grows strictly as the side shrinks, so the sweep skips a pair
+of known sides when the smaller one already cuts at most budget/lambda or
+the larger one cuts at least that: no side between them could be the
+answer. At budget 0, for one, no row probes, as the C = 0 side cuts
+nothing. The sweep is verified against an exhaustive oracle rather than
+assumed correct.
 
 The solver runs its repetitions' sweeps in lockstep on the kept-edge rows
 of one network (``min_sbcc_many``). Every row's {s} is read off one slice
@@ -88,8 +90,9 @@ class SbccSolution:
     ``cut_edges`` are removed. ``cut_size`` is at most budget/lambda.
     ``probes`` counts the sink capacities the sweep answered by a max
     flow, all strictly between its two ends, 0 and 2^16 deg(s) + 1, and
-    each between two known sides whose cuts straddle budget/lambda; it is
-    0 when {s} is within budget/lambda.
+    each between two known sides, the larger cutting less than
+    budget/lambda and the smaller more; it is 0 when {s} is within
+    budget/lambda, and when budget/lambda is 0.
     """
 
     cut_edges: tuple[int, ...]
@@ -136,11 +139,13 @@ def _sweep(
     while work:
         lo, hi = work.pop()
         (c_a, cut_a, side_a), (c_b, cut_b, side_b) = lo, hi
-        # Along nested minimal sides the cut never shrinks as the side does:
-        # L_a <= L_b at C_a gives 2^16 (cut_b - cut_a) >= C_a (|S_a| - |S_b|).
-        # So no side in between is chosen if S_b already qualifies, nor can
-        # one qualify if S_a does not. Equal sides always stop here.
-        if cut_b <= limit or cut_a > limit:
+        # Along nested minimal sides the cut grows as the side shrinks: S_a is
+        # the smallest minimizer at C_a, so L_a < L_c there for any nested
+        # S_c < S_a, and 2^16 (cut_c - cut_a) > C_a (|S_a| - |S_c|) >= 0. So
+        # no side in between is chosen if S_b already qualifies, nor can one
+        # qualify if S_a cuts the limit or more (S_a is then already the
+        # candidate it can be). Equal sides always stop here.
+        if cut_b <= limit or cut_a >= limit:
             continue
         num = _SCALE * (cut_b - cut_a)
         den = len(side_a) - len(side_b)

@@ -56,7 +56,7 @@ class Mutant(NamedTuple):
 
 
 SBCC = "src/epictrl/sbcc.py"
-SKIP_RULE = "if cut_b <= limit or cut_a > limit:"
+SKIP_RULE = "if cut_b <= limit or cut_a >= limit:"
 PARAMETRIC = "tests/test_sbcc.py::test_min_sbcc_many_matches_parametric_oracle"
 COUNTERS = "tests/test_sbcc.py::test_karger_counters_and_one_score_per_distinct_candidate"
 KERNEL = "tests/test_percolate.py::test_component_kernel_matches_union_find"
@@ -68,15 +68,15 @@ PERCOLATE = "src/epictrl/percolate.py"
 
 MUTANTS = [
     # the sweep's skip rule: a pair of known sides is skipped when the smaller
-    # one qualifies or the larger one does not. Skipping also when the larger
-    # one cuts exactly the limit changes no answer (a nested side between
-    # them cuts more, and the C = 0 side is a candidate from the start); it
-    # drops probes, which only the lockstep test checks
-    Mutant("skip-larger-at-limit", SBCC, SKIP_RULE,
-           "if cut_b <= limit or cut_a >= limit:", (PARAMETRIC,)),
+    # one qualifies or the larger one cuts the limit or more. Probing also
+    # when the larger one cuts exactly the limit changes no answer (a nested
+    # side between them cuts more, and the larger side is already a
+    # candidate); it adds probes, which only the lockstep test checks
+    Mutant("probe-at-limit", SBCC, SKIP_RULE,
+           "if cut_b <= limit or cut_a > limit:", (PARAMETRIC,)),
     Mutant("skip-smaller-below-limit", SBCC, SKIP_RULE,
-           "if cut_b < limit or cut_a > limit:", (PARAMETRIC,)),
-    Mutant("skip-without-smaller", SBCC, SKIP_RULE, "if cut_a > limit:",
+           "if cut_b < limit or cut_a >= limit:", (PARAMETRIC,)),
+    Mutant("skip-without-smaller", SBCC, SKIP_RULE, "if cut_a >= limit:",
            ("tests/test_golden.py::test_result_corpus_repeats_byte_for_byte", PARAMETRIC)),
     Mutant("skip-without-larger", SBCC, SKIP_RULE, "if cut_b <= limit:", (PARAMETRIC,)),
     # a row whose {s} cuts exactly the limit is answered at the top
@@ -186,6 +186,10 @@ MUTANTS = [
     Mutant("pull-segments-of-word-zero", "src/epictrl/network.py",
            "(run_starts + a * copy).reshape(-1)", "np.tile(run_starts, words)",
            (KERNEL, KERNEL_WORDS)),
+    # a weight class contributes C(n_j, a) i^(2a) for every a up to min(k, n_j)
+    Mutant("bound-drops-top-class-term", "src/epictrl/chunglu.py",
+           "for a in range(min(k, size) + 1)]", "for a in range(min(k, size))]",
+           ("tests/test_chunglu.py::test_bound_is_exact_elementary_symmetric_sum",)),
 ]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -315,6 +316,38 @@ def test_bound_dominates_monte_carlo():
         assert lo <= expected_path_count_bound(model, k)
 
 
+def exact_bound_by_subsets(model, k):
+    """The bound n (2^k k! / m^k) e_k, e_k summed over the k-subsets of the
+    vertex weights in exact rationals and rounded once at the end."""
+    weights = model.weights.tolist()
+    e_k = sum((Fraction(math.prod(w * w for w in subset))
+               for subset in itertools.combinations(weights, k)), Fraction(0))
+    m = Fraction(sum(weights), 2)
+    return float(model.n * 2 ** k * math.factorial(k) * e_k / m ** k)
+
+
+@pytest.mark.parametrize("params", [(12, 2.5, 1, 3), (10, 3.5, 1, 3), (12, 3.0, 1, 2),
+                                    (8, 2.2, 2, 3), (11, 2.5, 1, 1), (12, 4.0, 1, 4)])
+def test_bound_is_exact_elementary_symmetric_sum(params):
+    model = build_model(*params)
+    for k in range(model.n + 2):
+        assert expected_path_count_bound(model, k) == exact_bound_by_subsets(model, k), k
+
+
+def test_bound_past_the_allocation_enumeration_size():
+    # C(65, 6) allocations of 6 path vertices to 60 weight classes
+    assert math.comb(65, 6) > chunglu.ENUMERATION_CAP
+    bound = expected_path_count_bound(build_model(4000, 2.5, 1, 60), 6)
+    assert math.isfinite(bound) and bound > 0
+
+
+def test_bound_past_the_float_range_names_k():
+    model = build_model(4095, 2.5, 1, 60)
+    assert math.isfinite(expected_path_count_bound(model, 302))
+    with pytest.raises(ValidationError, match="length-303"):
+        expected_path_count_bound(model, 303)
+
+
 # ------------------------------------------------------------- allocations
 
 def test_allocation_base_cases():
@@ -353,6 +386,13 @@ def test_allocation_bound_dominates_on_grid():
                     val = allocation_sum_recurrence(d, k, decay, w_min)
                     bound = allocation_sum_bound(d, k, decay, w_min)
                     assert bound >= val * (1 - 1e-12), (w_min, d, k, decay)
+
+
+def test_allocation_recurrence_stays_below_bound_past_float_factorials():
+    # 200! and 60^(1.5 * 200) leave the float range; those terms count as 0
+    val = allocation_sum_recurrence(60, 200, 1.5, 1)
+    bound = allocation_sum_bound(60, 200, 1.5, 1)
+    assert 0.0 < val <= bound < math.inf
 
 
 def test_allocation_bound_equality_witness():

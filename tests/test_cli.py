@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 from unittest import mock
 
 import pytest
@@ -549,3 +550,47 @@ def test_scipy_loads_only_for_a_max_flow_or_an_lp(tmp_path, run, loads):
         assert tuple(m for m in DIRECT_SCIPY if m in loaded) == loads
     else:
         assert loaded == []
+
+
+@pytest.mark.parametrize("missing", ["module", "attribute"])
+def test_missing_highs_bindings_exit_3_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                           missing):
+    """An LP run on a scipy without its private HiGHS bindings, or without a
+    name the master LP reads there, fails with the solver's exit code and
+    one error line, not a traceback."""
+    import sys
+
+    if missing == "module":
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    else:
+        from scipy.optimize._highspy import _core
+
+        monkeypatch.delattr(_core, "HighsModelStatus")
+    g = path_graph_file(tmp_path)
+    rc = main(["solve-saa", "--graph", g, "--budget", "1", "--samples", "20",
+               "--rounding", "deterministic", "--output", str(tmp_path / "saa.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error_code=")]
+    assert len(lines) == 1 and lines[0].startswith("error_code=solver ")
+    assert "scipy.optimize._highspy._core" in lines[0] and "1.17.1" in lines[0]
+    assert "Traceback" not in err
+    assert not (tmp_path / "saa.json").exists()
+
+
+def test_bounds_at_large_k_stay_finite(tmp_path, capsys):
+    """Past k = 170, k! leaves the float range; the allocation terms that
+    overflow count as 0 and every row stays a finite number."""
+    out = tmp_path / "bounds.json"
+    rc = main(["bounds", "--n", "400", "--beta", "2.5", "--w-min", "1", "--w-max", "2",
+               "--kmax", "200", "--output", str(out)])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    text = out.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    table = json.loads(text)["table"]
+    assert [row["k"] for row in table] == list(range(1, 201))
+    for row in table:
+        assert all(math.isfinite(row[key]) for key in ("expected_path_bound",
+                                                          "allocation_recurrence"))
+

@@ -564,8 +564,9 @@ def test_min_sbcc_many_matches_parametric_oracle(case_rows):
     row's arcs, with every vertex but s a sink. A sweep probes a sink
     capacity only between the two nearest capacities it knows, 0,
     2^16 deg(s) + 1 and its earlier probes, when their minimal sides' cuts
-    straddle budget / lam: the smaller side does not qualify and the larger
-    one does, so the answer can still change."""
+    straddle budget / lam strictly: the smaller side does not qualify and
+    the larger one cuts less than the limit, so a side between them could
+    still qualify and change the answer."""
     (n, edges, source, budget, lam), rows = case_rows
     rows = np.asarray(rows, dtype=bool)
     net = make_network(n, edges, source=source)
@@ -596,17 +597,18 @@ def test_min_sbcc_many_matches_parametric_oracle(case_rows):
         solutions, calls = min_sbcc_many(net, rows, budget, lam)
     assert [keep for keep, _ in swept] == [rows[r].tolist() for r in over]
     assert kernel_rows == ([len(over)] if over else [])
-    assert (calls == 0) == (not rounds) == (not over)
-    # every sweep probes at least once, so the first round holds every
-    # row's flow copy, in row order
+    assert (calls == 0) == (not rounds)
+    # the first round holds the flow copy of every row that probes, in row
+    # order
+    probing = [r for r in over if solutions[r].probes]
     arc_edges = network_module._arcs(net)[2]
     row_of = {}  # id of a flow copy's arcs -> its row
-    for r, (arcs, sinks, _) in zip(over, rounds[0] if rounds else []):
+    for r, (arcs, sinks, _) in zip(probing, rounds[0] if rounds else []):
         assert arcs.tolist() == np.flatnonzero(rows[r][arc_edges]).tolist()
         assert sinks.tolist() == [v for v in range(n) if v != source]
         row_of[id(arcs)] = r
-    assert len(row_of) == len(over)
-    probes_of = {r: [] for r in over}
+    assert len(row_of) == len(probing) == (len(rounds[0]) if rounds else 0)
+    probes_of = {r: [] for r in probing}
     for copies in rounds:
         for arcs, _, cap in copies:
             probes_of[row_of[id(arcs)]].append(cap)
@@ -628,7 +630,7 @@ def test_min_sbcc_many_matches_parametric_oracle(case_rows):
         for cap in caps:
             below = max(c for c in known if c < cap)
             above = min(c for c in known if c > cap)
-            assert minimal_side(sides, below)[1] <= limit < minimal_side(sides, above)[1]
+            assert minimal_side(sides, below)[1] < limit < minimal_side(sides, above)[1]
             known.append(cap)
 
 
